@@ -68,18 +68,15 @@ def parse_config(
     if not isinstance(sc, dict):
         raise ParseError("missing 'scenario' object")
     kind = sc.get("kind")
-    if kind == "exact_example1":
-        m = int(sc.get("m", 3))
-        n = tuple(sc.get("n", (3, 3)))
-        r = tuple(sc.get("r", (1, 1)))
-    else:
-        try:
+    try:
+        if kind == "exact_example1":
+            m = int(sc.get("m", 3))
+            n = tuple(sc.get("n", (3, 3)))
+            r = tuple(sc.get("r", (1, 1)))
+        else:
             m = int(sc["m"])
             n = tuple(sc["n"])
             r = tuple(sc["r"])
-        except KeyError as exc:
-            raise ParseError(f"scenario is missing field {exc}") from None
-    try:
         part = SensorPartition(m=m, n=n, r=r)
         spec = ScenarioSpec(
             kind=str(kind),
@@ -89,7 +86,9 @@ def parse_config(
             seed=int(sc["seed"] if seed is None else seed),
             image_path=sc.get("image_path"),
         )
-    except (InvalidInput, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"scenario is missing field {exc}") from None
+    except (InvalidInput, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid scenario: {exc}") from None
 
     mbi_doc = doc.get("mbi", {})
@@ -100,10 +99,12 @@ def parse_config(
         if epsilon is None
         else epsilon
     )
-    iters = int(mbi_doc.get("max_iterations", 100)) if max_iters is None else max_iters
     try:
+        iters = (
+            int(mbi_doc.get("max_iterations", 100)) if max_iters is None else max_iters
+        )
         mbi = MbiConfig(epsilon=eps, max_iterations=iters, record_trace=True)
-    except InvalidInput as exc:
+    except (InvalidInput, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid mbi settings: {exc}") from None
 
     outputs = doc.get("outputs", {})

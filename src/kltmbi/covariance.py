@@ -8,12 +8,13 @@ joint Gram factor, or estimated from training samples with the plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _as_matrix
+from .linalg import _as_matrix, pinv, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,10 @@ class SecondMomentModel:
 
     ``provenance`` is ``"exact"`` for analytically known matrices or
     ``"estimated"`` (with ``sample_count``) when built from training samples.
+
+    The moment arrays are treated as immutable: ``e_yy_root`` and ``h`` are
+    computed from them on first use and cached on the model, so mutating an
+    array in place afterwards would leave the cache stale.
     """
 
     partition: SensorPartition
@@ -85,6 +90,17 @@ class SecondMomentModel:
             raise InvalidInput(f"e_xy must be {m}x{n}, got {self.e_xy.shape}")
         if self.e_yy.shape != (n, n):
             raise InvalidInput(f"e_yy must be {n}x{n}, got {self.e_yy.shape}")
+
+    @cached_property
+    def e_yy_root(self) -> np.ndarray:
+        """Symmetric PSD square root E_yy^(1/2); raises :class:`NotPsd` when
+        E_yy fails the PSD tolerance."""
+        return psd_sqrt(self.e_yy)
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """H = E_xy (E_yy^(1/2))^+, the target of the reduced problem."""
+        return self.e_xy @ pinv(self.e_yy_root)
 
     def e_xy_block(self, j: int) -> np.ndarray:
         """Columns of E_xy belonging to sensor j (an m x n_j block)."""

@@ -12,18 +12,13 @@ candidates per sweep and commits only the best one.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition
 from .errors import InvalidInput
 from .linalg import pinv, psd_sqrt, svd, truncated
-
-# Sweeps between from-scratch recomputations of the running total
-# T = sum_j F_j G_j, bounding incremental-update drift.
 
 
 @dataclass(frozen=True)
@@ -120,13 +115,13 @@ class Uniqueness(enum.Enum):
 
 
 def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
-    """Build h = E_xy (E_yy^(1/2))^+ and the row blocks of E_yy^(1/2).
+    """Build h = E_xy (E_yy^(1/2))^+ and the row blocks of E_yy^(1/2),
+    both read from the model's cache.
 
     Propagates :class:`NotPsd` when E_yy fails the PSD tolerance.
     """
     part = model.partition
-    root = psd_sqrt(model.e_yy)
-    h = model.e_xy @ pinv(root)
+    root = model.e_yy_root
     g_blocks = []
     projectors = []
     g_pinvs = []
@@ -142,7 +137,7 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
         else:
             g_pinvs.append((f.v[:, :k] / f.sigma[:k]) @ f.u[:, :k].T)
     return ReducedProblem(
-        h=h,
+        h=model.h,
         g_blocks=tuple(g_blocks),
         right_projectors=tuple(projectors),
         g_pinvs=tuple(g_pinvs),
@@ -277,17 +272,6 @@ def init_bank(
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
-def _thread_count(p: int) -> int:
-    raw = os.environ.get("KLT_MBI_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 1
-    if k == 0:
-        k = os.cpu_count() or 1
-    return max(1, min(k, p))
-
-
 def _candidate(rp: ReducedProblem, bank: CompressorBank, total, j: int):
     gj = rp.g_blocks[j]
     s_j = rp.h - total + bank.blocks[j] @ gj
@@ -308,14 +292,7 @@ def _step(rp: ReducedProblem, bank: CompressorBank, total, f_cur: float):
     incumbent when no block strictly improves, so the objective never
     increases and an exact fixed point reports zero change."""
     p = rp.partition.p
-    threads = _thread_count(p)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda j: _candidate(rp, bank, total, j), range(p))
-            )
-    else:
-        results = [_candidate(rp, bank, total, j) for j in range(p)]
+    results = [_candidate(rp, bank, total, j) for j in range(p)]
     best_j = min(range(p), key=lambda j: results[j][1])  # ties -> lowest index
     new_bank = bank.replace(best_j, results[best_j][0])
     new_total = _total(rp, new_bank)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
 from .errors import InvalidInput
-from .linalg import pinv, psd_sqrt, svd
+from .linalg import svd
 from .solver import CompressorBank
 
 
@@ -82,13 +82,13 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     """Model-based mean square error of the bank:
     tr(E_xx) - ||H||^2 + ||H - F E_yy^(1/2)||^2 with H = E_xy (E_yy^(1/2))^+.
 
-    Works identically for exact and sample-estimated moments.
+    Works identically for exact and sample-estimated moments. E_yy^(1/2) and
+    H are cached on the model, so each call costs one m x N x N product.
     """
     if bank.partition.n != model.partition.n or bank.partition.m != model.partition.m:
         raise InvalidInput("bank and model partitions disagree")
-    root = psd_sqrt(model.e_yy)
-    h = model.e_xy @ pinv(root)
-    tail = np.linalg.norm(h - bank.full() @ root) ** 2
+    h = model.h
+    tail = np.linalg.norm(h - bank.full() @ model.e_yy_root) ** 2
     mse = float(np.trace(model.e_xx) - np.linalg.norm(h) ** 2 + tail)
     # The three terms cancel almost completely for near-perfect banks, so
     # round-off can leave a tiny negative residue; the true value is >= 0.

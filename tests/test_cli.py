@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kltmbi import NotPsd, save_pgm
+from kltmbi import NotPsd, ParseError, save_pgm
 from kltmbi.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -211,6 +211,45 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "reduce_problem", boom)
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_NUMERICAL
+
+
+_NOISE_SCENARIO = {
+    "kind": "additive_noise",
+    "m": 3,
+    "n": [3],
+    "r": [1],
+    "s": 4,
+    "sigmas": [0.1],
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "scenario": {"kind": "exact_example1", "seed": 0},
+            "mbi": {"max_iterations": "x"},
+        },
+        {
+            "scenario": {"kind": "exact_example1", "seed": 0},
+            "mbi": {"max_iterations": 1.5e400},
+        },
+        {"scenario": dict(_NOISE_SCENARIO, n=3)},
+        {"scenario": {"kind": "exact_example1", "m": "abc", "seed": 0}},
+    ],
+    ids=["max_iterations_str", "max_iterations_overflow", "n_not_list", "m_not_int"],
+)
+def test_malformed_field_is_config_error(tmp_path, capsys, doc):
+    # 1.5e400 overflows to inf; json.dumps writes it as Infinity, which
+    # json.load reads back as inf, just as it reads the literal 1.5e400
+    cfg = _write_config(tmp_path, doc)
+    with pytest.raises(ParseError):
+        load_config(cfg)
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert "invalid" in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
+import kltmbi.covariance as covariance
 from kltmbi import (
+    CompressorBank,
     InvalidInput,
+    NotPsd,
     SampleEnsemble,
     SensorPartition,
+    analytic_mse,
     estimate_moments,
     example1_model,
     joint_model_from_factor,
     load_ensemble_csv,
+    reduce_problem,
 )
+from kltmbi.covariance import SecondMomentModel
 
 
 class TestSensorPartition:
@@ -136,6 +142,41 @@ class TestExample1Model:
         assert np.array_equal(model.e_xy[:, :3], model.e_xx)
         assert np.array_equal(model.e_xy[:, 3:], model.e_xx)
         assert model.partition.r == (1, 1)
+
+
+class TestModelCache:
+    def test_one_root_per_model(self, monkeypatch):
+        calls = []
+        real = covariance.psd_sqrt
+
+        def counting(c, *args, **kwargs):
+            calls.append(c.shape)
+            return real(c, *args, **kwargs)
+
+        monkeypatch.setattr(covariance, "psd_sqrt", counting)
+        rng = np.random.default_rng(7)
+        part = SensorPartition(m=3, n=(3, 2), r=(2, 1))
+        model = joint_model_from_factor(rng.standard_normal((8, 10)), part)
+        reduce_problem(model)
+        bank = CompressorBank.zeros(part)
+        for _ in range(4):
+            analytic_mse(model, bank)
+        assert calls == [(5, 5)]
+
+    def test_not_psd_raises_every_time(self):
+        part = SensorPartition(m=1, n=(2,), r=(1,))
+        model = SecondMomentModel(
+            partition=part,
+            e_xx=np.eye(1),
+            e_xy=np.ones((1, 2)),
+            e_yy=np.diag([1.0, -1.0]),
+        )
+        bank = CompressorBank.zeros(part)
+        for _ in range(2):  # a failed root is not cached
+            with pytest.raises(NotPsd):
+                reduce_problem(model)
+            with pytest.raises(NotPsd):
+                analytic_mse(model, bank)
 
 
 def test_load_ensemble_csv(tmp_path):

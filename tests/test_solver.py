@@ -66,6 +66,8 @@ class TestReduceProblem:
         model = _random_model(rng, 3, (2, 3), (1, 2))
         rp = reduce_problem(model)
         assert np.array_equal(np.vstack(rp.g_blocks), psd_sqrt(model.e_yy))
+        assert np.array_equal(np.vstack(rp.g_blocks), model.e_yy_root)
+        assert np.array_equal(rp.h, model.h)
 
     def test_cached_projectors(self):
         rng = np.random.default_rng(1)
@@ -343,18 +345,6 @@ class TestMbiSolve:
             rp, init_bank(model), MbiConfig(max_iterations=3, record_trace=False)
         )
         assert trace.banks is None
-
-    def test_thread_env_does_not_change_result(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        model = _noisy_model(rng, 3, (3, 3, 3), (1, 2, 1))
-        rp = reduce_problem(model)
-        cfg = MbiConfig(max_iterations=20)
-        bank_seq, trace_seq = mbi_solve(rp, init_bank(model), cfg)
-        monkeypatch.setenv("KLT_MBI_THREADS", "0")
-        bank_par, trace_par = mbi_solve(rp, init_bank(model), cfg)
-        assert trace_seq.chosen_block_per_iteration == trace_par.chosen_block_per_iteration
-        for a, b in zip(bank_seq.blocks, bank_par.blocks):
-            assert np.array_equal(a, b)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidInput):

@@ -26,6 +26,7 @@ from kltmbi import (
     save_wsn_json,
 )
 from kltmbi.covariance import SecondMomentModel
+from kltmbi.linalg import pinv, psd_sqrt
 
 
 def _rank_feasible_bank(rng, part):
@@ -120,6 +121,19 @@ class TestAnalyticMse:
         model = SecondMomentModel(partition=part, e_xx=e, e_xy=e, e_yy=e)
         bank = CompressorBank(blocks=(np.eye(2),), partition=part)
         assert analytic_mse(model, bank) == pytest.approx(0.0, abs=1e-12)
+
+    def test_bit_equal_to_formula_from_scratch(self):
+        rng = np.random.default_rng(9)
+        part = SensorPartition(m=3, n=(3, 4), r=(2, 1))
+        model = joint_model_from_factor(rng.standard_normal((10, 12)), part)
+        bank = _rank_feasible_bank(rng, part)
+        root = psd_sqrt(model.e_yy)
+        h = model.e_xy @ pinv(root)
+        tail = np.linalg.norm(h - bank.full() @ root) ** 2
+        want = max(float(np.trace(model.e_xx) - np.linalg.norm(h) ** 2 + tail), 0.0)
+        reduce_problem(model)  # fills the model's cache
+        for _ in range(2):
+            assert analytic_mse(model, bank) == want
 
     def test_nonnegative_for_solved_banks(self):
         rng = np.random.default_rng(4)
