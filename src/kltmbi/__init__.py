@@ -23,7 +23,6 @@ from .errors import InvalidInput, NotPsd, ParseError
 from .linalg import (
     DegenerateTruncationWarning,
     SvdFactors,
-    left_projector,
     pinv,
     psd_sqrt,
     right_projector,
@@ -46,7 +45,6 @@ from .solver import (
     MbiConfig,
     MbiTrace,
     ReducedProblem,
-    Uniqueness,
     init_bank,
     klt_matrix,
     klt_single,
@@ -55,7 +53,6 @@ from .solver import (
     objective,
     rank_constrained_lsq,
     reduce_problem,
-    uniqueness_check,
 )
 from .wsn import (
     FactorizedWsn,
@@ -85,7 +82,6 @@ __all__ = [
     "SecondMomentModel",
     "SensorPartition",
     "SvdFactors",
-    "Uniqueness",
     "analytic_mse",
     "compress",
     "decoupled_baseline",
@@ -99,7 +95,6 @@ __all__ = [
     "joint_model_from_factor",
     "klt_matrix",
     "klt_single",
-    "left_projector",
     "load_ensemble_csv",
     "load_pgm",
     "load_wsn_json",
@@ -118,5 +113,4 @@ __all__ = [
     "svd",
     "tiny_pure_noise_fixture",
     "truncated",
-    "uniqueness_check",
 ]

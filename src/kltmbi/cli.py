@@ -54,6 +54,33 @@ def _float_field(value, name: str) -> float:
     return float(value)
 
 
+def _int_field(value, name: str) -> int:
+    # bool is an int subclass; a float, even 3.0, is not an integer field
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list_field(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_int_field(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _number_list_field(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or any(
+        not isinstance(v, (int, float)) or isinstance(v, bool) for v in value
+    ):
+        raise ParseError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _str_field(value, name: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ParseError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def parse_config(
     doc: dict,
     *,
@@ -67,28 +94,30 @@ def parse_config(
     sc = doc.get("scenario")
     if not isinstance(sc, dict):
         raise ParseError("missing 'scenario' object")
-    kind = sc.get("kind")
+    kind = _str_field(sc.get("kind"), "scenario.kind")
     try:
         if kind == "exact_example1":
-            m = int(sc.get("m", 3))
-            n = tuple(sc.get("n", (3, 3)))
-            r = tuple(sc.get("r", (1, 1)))
+            m = sc.get("m", 3)
+            n = sc.get("n", [3, 3])
+            r = sc.get("r", [1, 1])
         else:
-            m = int(sc["m"])
-            n = tuple(sc["n"])
-            r = tuple(sc["r"])
-        part = SensorPartition(m=m, n=n, r=r)
+            m, n, r = sc["m"], sc["n"], sc["r"]
+        part = SensorPartition(
+            m=_int_field(m, "scenario.m"),
+            n=_int_list_field(n, "scenario.n"),
+            r=_int_list_field(r, "scenario.r"),
+        )
         spec = ScenarioSpec(
-            kind=str(kind),
+            kind=kind,
             partition=part,
-            s=int(sc.get("s", 1)),
-            sigmas=tuple(sc.get("sigmas", ())),
-            seed=int(sc["seed"] if seed is None else seed),
-            image_path=sc.get("image_path"),
+            s=_int_field(sc.get("s", 1), "scenario.s"),
+            sigmas=_number_list_field(sc.get("sigmas", []), "scenario.sigmas"),
+            seed=_int_field(sc["seed"], "scenario.seed") if seed is None else seed,
+            image_path=_str_field(sc.get("image_path"), "scenario.image_path"),
         )
     except KeyError as exc:
         raise ParseError(f"scenario is missing field {exc}") from None
-    except (InvalidInput, TypeError, ValueError, OverflowError) as exc:
+    except InvalidInput as exc:
         raise ParseError(f"invalid scenario: {exc}") from None
 
     mbi_doc = doc.get("mbi", {})
@@ -99,24 +128,33 @@ def parse_config(
         if epsilon is None
         else epsilon
     )
+    iters = (
+        _int_field(mbi_doc.get("max_iterations", 100), "mbi.max_iterations")
+        if max_iters is None
+        else max_iters
+    )
     try:
-        iters = (
-            int(mbi_doc.get("max_iterations", 100)) if max_iters is None else max_iters
-        )
         mbi = MbiConfig(epsilon=eps, max_iterations=iters, record_trace=True)
-    except (InvalidInput, TypeError, ValueError, OverflowError) as exc:
+    except InvalidInput as exc:
         raise ParseError(f"invalid mbi settings: {exc}") from None
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ParseError("'outputs' must be an object")
+    report_baseline = doc.get("report_baseline", False)
+    if not isinstance(report_baseline, bool):
+        raise ParseError(
+            f"report_baseline must be true or false, got {report_baseline!r}"
+        )
     cfg = RunConfig(
         scenario=spec,
         mbi=mbi,
-        trace_csv_path=outputs.get("trace_csv"),
-        wsn_json_path=outputs.get("wsn_json"),
-        image_out_dir=outputs.get("image_out_dir"),
-        report_baseline=bool(doc.get("report_baseline", False)),
+        trace_csv_path=_str_field(outputs.get("trace_csv"), "outputs.trace_csv"),
+        wsn_json_path=_str_field(outputs.get("wsn_json"), "outputs.wsn_json"),
+        image_out_dir=_str_field(
+            outputs.get("image_out_dir"), "outputs.image_out_dir"
+        ),
+        report_baseline=report_baseline,
     )
     if spec.kind == "image" and cfg.image_out_dir is None:
         raise ParseError("image scenario requires outputs.image_out_dir")

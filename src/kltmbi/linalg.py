@@ -75,7 +75,8 @@ def truncated(c, r: int, rank_tol: float | None = None) -> np.ndarray:
     When the spectrum has no gap at the cut (``sigma_r == sigma_{r+1}``) the
     minimizer is not unique; the leading triplets as ordered by the SVD are
     kept deterministically and a :class:`DegenerateTruncationWarning` is
-    emitted.
+    emitted. An MBI sweep truncates only for the blocks it solves in full, so
+    a candidate that its screen rules out never warns.
     """
     if r < 0:
         raise InvalidInput(f"truncation rank must be >= 0, got {r}")
@@ -124,14 +125,6 @@ def psd_sqrt(c, rel_tol: float = 1e-8) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     root = (vecs * np.sqrt(w)) @ vecs.T
     return (root + root.T) / 2.0
-
-
-def left_projector(c, rank_tol: float | None = None) -> np.ndarray:
-    """Orthogonal projector onto the range (column space) of ``c``."""
-    f = svd(c, rank_tol=rank_tol)
-    u = f.u[:, : f.numeric_rank]
-    p = u @ u.T
-    return (p + p.T) / 2.0
 
 
 def right_projector(c, rank_tol: float | None = None) -> np.ndarray:

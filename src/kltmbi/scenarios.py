@@ -43,6 +43,8 @@ class ScenarioSpec:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
         if self.s < 1:
             raise InvalidInput(f"sample count must be >= 1, got {self.s}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if self.kind != "exact_example1" and len(self.sigmas) != self.partition.p:
             raise InvalidInput(
                 f"sigmas must have one entry per sensor ({self.partition.p}), "

@@ -5,13 +5,12 @@ The estimation problem min ||x - sum_j F_j y_j||^2 over banks of per-sensor
 matrices F_j with rank F_j <= r_j reduces to the matrix problem
 min ||H - sum_j F_j G_j||_F^2 where H = E_xy (E_yy^(1/2))^+ and the G_j are
 the row blocks of E_yy^(1/2). Each block subproblem has the closed-form
-minimum-norm solution [S_j R_{G_j}]_{r_j} G_j^+; the MBI loop computes all p
-candidates per sweep and commits only the best one.
+minimum-norm solution [S_j R_{G_j}]_{r_j} G_j^+; the MBI loop scores all p
+candidates per sweep, solves only the best in full and commits it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +20,26 @@ from .errors import InvalidInput
 from .linalg import pinv, psd_sqrt, svd, truncated
 
 
+# Rounding unit of _screen's bounds: eps with a safety factor of 8.
+_SCREEN_EPS = 8.0 * np.finfo(np.float64).eps
+
+
 @dataclass(frozen=True)
 class ReducedProblem:
     """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
 
-    ``right_projectors[j]`` and ``g_pinvs[j]`` are the row-space projector and
-    pseudo-inverse of ``g_blocks[j]``, cached from a single SVD per block.
+    One thin SVD G_j = U_j S_j V_j^T per block, truncated at its numeric rank
+    k_j, gives the row basis ``row_bases[j] = V_j`` (n_total x k_j), the
+    scaled left factor ``left_factors[j] = U_j S_j`` (n_j x k_j) and the
+    pseudo-inverse ``g_pinvs[j]``. With ``h`` and the ``g_blocks`` that is
+    about three n_total x n_total arrays in all, whatever p is; the row-space
+    projector V_j V_j^T is built only for a block that is solved in full.
     """
 
     h: np.ndarray
     g_blocks: tuple[np.ndarray, ...]
-    right_projectors: tuple[np.ndarray, ...]
+    row_bases: tuple[np.ndarray, ...]
+    left_factors: tuple[np.ndarray, ...]
     g_pinvs: tuple[np.ndarray, ...]
     partition: SensorPartition
 
@@ -109,11 +117,6 @@ class MbiTrace:
     banks: list[CompressorBank] | None = None
 
 
-class Uniqueness(enum.Enum):
-    UNIQUE = "unique"
-    NON_UNIQUE = "non_unique"
-
-
 def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
     """Build h = E_xy (E_yy^(1/2))^+ and the row blocks of E_yy^(1/2),
     both read from the model's cache.
@@ -123,15 +126,17 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
     part = model.partition
     root = model.e_yy_root
     g_blocks = []
-    projectors = []
+    row_bases = []
+    left_factors = []
     g_pinvs = []
     for j in range(part.p):
         g = root[part.y_slice(j)]
         f = svd(g)
         k = f.numeric_rank
-        proj = f.v[:, :k] @ f.v[:, :k].T
         g_blocks.append(g)
-        projectors.append((proj + proj.T) / 2.0)
+        # a view, not a copy: _right_projector's product must see this layout
+        row_bases.append(f.v[:, :k])
+        left_factors.append(f.u[:, :k] * f.sigma[:k])
         if k == 0:
             g_pinvs.append(np.zeros((g.shape[1], g.shape[0])))
         else:
@@ -139,7 +144,8 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
     return ReducedProblem(
         h=model.h,
         g_blocks=tuple(g_blocks),
-        right_projectors=tuple(projectors),
+        row_bases=tuple(row_bases),
+        left_factors=tuple(left_factors),
         g_pinvs=tuple(g_pinvs),
         partition=part,
     )
@@ -184,23 +190,6 @@ def rank_constrained_lsq(
     if g_pinv is None:
         g_pinv = pinv(g_j)
     return truncated(s_j @ right_projector, r_j) @ g_pinv
-
-
-def uniqueness_check(s_j: np.ndarray, g_j: np.ndarray, r_j: int) -> Uniqueness:
-    """Whether the rank-constrained minimizer is unique for this block.
-
-    Unique when r_j covers the full rank of ``s_j R_{g_j}`` or when there is a
-    strict gap between singular values r_j and r_j + 1. Informational only.
-    """
-    from .linalg import right_projector as _rproj
-
-    f = svd(s_j @ _rproj(g_j))
-    if r_j >= f.numeric_rank:
-        return Uniqueness.UNIQUE
-    gap = f.sigma[r_j - 1] - f.sigma[r_j]
-    if gap > 1e-10 * max(1.0, float(f.sigma[0])):
-        return Uniqueness.UNIQUE
-    return Uniqueness.NON_UNIQUE
 
 
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
@@ -272,6 +261,13 @@ def init_bank(
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
+def _right_projector(rp: ReducedProblem, j: int) -> np.ndarray:
+    """R_j = V_j V_j^T, the projector onto the row space of G_j."""
+    v = rp.row_bases[j]
+    proj = v @ v.T
+    return (proj + proj.T) / 2.0
+
+
 def _candidate(rp: ReducedProblem, bank: CompressorBank, total, j: int):
     gj = rp.g_blocks[j]
     s_j = rp.h - total + bank.blocks[j] @ gj
@@ -279,21 +275,72 @@ def _candidate(rp: ReducedProblem, bank: CompressorBank, total, j: int):
         s_j,
         gj,
         rp.partition.r[j],
-        right_projector=rp.right_projectors[j],
+        right_projector=_right_projector(rp, j),
         g_pinv=rp.g_pinvs[j],
     )
     f_j = float(np.linalg.norm(s_j - cand @ gj) ** 2)
     return cand, f_j
 
 
+def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
+    """Bounds (lo, hi) on the objective :func:`_candidate` computes for each
+    block, found without solving any block.
+
+    With E = h - sum_i F_i G_i and G_j = U_j S_j V_j^T, block j's candidate
+    leaves s_j = E + F_j G_j with the exact objective
+    f_j = ||E||^2 - ||E V_j||^2 + sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j):
+    one m x N x k_j product and the singular values of an m x k_j matrix.
+    Both this value and :func:`_candidate`'s are within rounding of f_j. Each
+    rounds s_j with an error of order (m + N) eps (||E|| + ||F_j|| ||G_j||),
+    and :func:`_candidate` maps the truncation through G_j^+ G_j, which adds
+    cond(G_j) ||s_j|| to that scale. A perturbation d of s_j moves f_j by at
+    most 2 ||s_j|| d + d^2, so the bounds scale with ||s_j||^2 and not with
+    f_j, which can be far smaller.
+    """
+    m, n_total = resid.shape
+    e2 = float(np.vdot(resid, resid))
+    e_norm = np.sqrt(e2)
+    p = rp.partition.p
+    lo = np.empty(p)
+    hi = np.empty(p)
+    for j in range(p):
+        us = rp.left_factors[j]
+        ev = resid @ rp.row_bases[j]
+        w = ev + bank.blocks[j] @ us
+        ev2 = float(np.vdot(ev, ev))
+        sigma = np.linalg.svd(w, compute_uv=False)
+        f_j = e2 - ev2 + float(np.sum(sigma[rp.partition.r[j] :] ** 2))
+        s_norm = np.sqrt(max(e2 - ev2 + float(np.vdot(w, w)), 0.0))
+        g_sigma = np.linalg.norm(us, axis=0)  # singular values of G_j
+        g_max = g_sigma.max(initial=0.0)
+        cond = g_max / g_sigma.min() if g_sigma.size else 1.0
+        scale = e_norm + np.linalg.norm(bank.blocks[j]) * g_max + cond * s_norm
+        d = _SCREEN_EPS * (m + n_total) * scale
+        err = 2.0 * s_norm * d + d * d
+        lo[j] = f_j - err
+        hi[j] = f_j + err
+    return lo, hi
+
+
 def _step(rp: ReducedProblem, bank: CompressorBank, total, f_cur: float):
     """One MBI sweep. Returns (bank, chosen j, objective, total), with the
     objective and total recomputed exactly from the committed bank. Keeps the
     incumbent when no block strictly improves, so the objective never
-    increases and an exact fixed point reports zero change."""
-    p = rp.partition.p
-    results = [_candidate(rp, bank, total, j) for j in range(p)]
-    best_j = min(range(p), key=lambda j: results[j][1])  # ties -> lowest index
+    increases and an exact fixed point reports zero change.
+
+    :func:`_screen` brackets every candidate's objective; only the blocks
+    whose lower bound is at or below the smallest upper bound are solved by
+    :func:`_candidate` and ranked on its objective, ties going to the lowest
+    index. The chosen block, the committed bank and the objective are
+    therefore those of solving every block in full. A
+    :class:`DegenerateTruncationWarning` comes only from a block that is
+    solved in full, never from one the screen rules out.
+    """
+    lo, hi = _screen(rp, bank, rp.h - total)
+    cut = hi.min()
+    shortlist = [j for j in range(rp.partition.p) if lo[j] <= cut]
+    results = {j: _candidate(rp, bank, total, j) for j in shortlist}
+    best_j = min(shortlist, key=lambda j: results[j][1])  # ties -> lowest index
     new_bank = bank.replace(best_j, results[best_j][0])
     new_total = _total(rp, new_bank)
     f_best = float(np.linalg.norm(rp.h - new_total) ** 2)

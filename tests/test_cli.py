@@ -237,8 +237,36 @@ _NOISE_SCENARIO = {
         },
         {"scenario": dict(_NOISE_SCENARIO, n=3)},
         {"scenario": {"kind": "exact_example1", "m": "abc", "seed": 0}},
+        # wrong types that used to be coerced into a different config
+        {"scenario": dict(_NOISE_SCENARIO, n="33", r=[1, 1], sigmas=[0.1, 0.1])},
+        {"scenario": dict(_NOISE_SCENARIO, m=3.7)},
+        {"scenario": dict(_NOISE_SCENARIO, s=4.9)},
+        {"scenario": dict(_NOISE_SCENARIO, r=[1.0])},
+        {"scenario": dict(_NOISE_SCENARIO, seed="0")},
+        {"scenario": dict(_NOISE_SCENARIO, sigmas=["0.1"])},
+        {"scenario": _NOISE_SCENARIO, "mbi": {"max_iterations": True}},
+        {"scenario": _NOISE_SCENARIO, "mbi": {"max_iterations": 2.9}},
+        {"scenario": _NOISE_SCENARIO, "report_baseline": "false"},
+        {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": 1}},
+        {"scenario": dict(_NOISE_SCENARIO, seed=-1)},
     ],
-    ids=["max_iterations_str", "max_iterations_overflow", "n_not_list", "m_not_int"],
+    ids=[
+        "max_iterations_str",
+        "max_iterations_overflow",
+        "n_not_list",
+        "m_not_int",
+        "n_str",
+        "m_float",
+        "s_float",
+        "r_float_entry",
+        "seed_str",
+        "sigmas_str_entry",
+        "max_iterations_bool",
+        "max_iterations_float",
+        "report_baseline_str",
+        "output_path_not_str",
+        "seed_negative",
+    ],
 )
 def test_malformed_field_is_config_error(tmp_path, capsys, doc):
     # 1.5e400 overflows to inf; json.dumps writes it as Infinity, which

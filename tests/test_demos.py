@@ -1,0 +1,29 @@
+"""Each script in demos/ runs to completion."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import kltmbi
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(script, tmp_path):
+    # import this kltmbi in the child, and keep its temporary files in tmp_path
+    src = str(pathlib.Path(kltmbi.__file__).parent.parent)
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,6 @@ from kltmbi import (
     DegenerateTruncationWarning,
     InvalidInput,
     NotPsd,
-    left_projector,
     pinv,
     psd_sqrt,
     right_projector,
@@ -167,25 +166,25 @@ class TestProjectors:
         assert np.allclose(right_projector(c), np.eye(3), atol=1e-9)
 
     def test_zero_matrix(self):
-        assert np.array_equal(left_projector(np.zeros((3, 2))), np.zeros((3, 3)))
         assert np.array_equal(right_projector(np.zeros((3, 2))), np.zeros((2, 2)))
+        assert np.array_equal(right_projector(np.zeros((2, 3))), np.zeros((3, 3)))
 
     def test_trace_equals_rank(self):
         rng = np.random.default_rng(7)
         c = _random_matrix(rng, 4, 2) @ _random_matrix(rng, 2, 4)  # rank 2
-        assert np.trace(left_projector(c)) == pytest.approx(2.0, abs=1e-9)
+        assert np.trace(right_projector(c)) == pytest.approx(2.0, abs=1e-9)
 
     def test_projection_action(self):
         rng = np.random.default_rng(8)
         c = _random_matrix(rng, 5, 3) @ _random_matrix(rng, 3, 6)
         scale = np.linalg.norm(c)
-        assert np.linalg.norm(left_projector(c) @ c - c) <= 1e-9 * scale
         assert np.linalg.norm(c @ right_projector(c) - c) <= 1e-9 * scale
+        assert np.linalg.norm(right_projector(c.T) @ c - c) <= 1e-9 * scale
 
     def test_idempotent_and_symmetric(self):
         rng = np.random.default_rng(9)
         for c in (_random_matrix(rng, 4, 6), _random_matrix(rng, 3, 2)):
-            for p in (left_projector(c), right_projector(c)):
+            for p in (right_projector(c), right_projector(c.T)):
                 scale = max(1.0, np.linalg.norm(p))
                 assert np.linalg.norm(p @ p - p) <= 1e-9 * scale
                 assert np.linalg.norm(p - p.T) <= 1e-9 * scale
@@ -194,8 +193,8 @@ class TestProjectors:
         rng = np.random.default_rng(10)
         c = _random_matrix(rng, 5, 4)
         cp = pinv(c)
-        assert np.allclose(left_projector(c), c @ cp, atol=1e-9)
         assert np.allclose(right_projector(c), cp @ c, atol=1e-9)
+        assert np.allclose(right_projector(c.T), c @ cp, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

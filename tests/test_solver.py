@@ -1,15 +1,20 @@
 """Tests for problem reduction, the block solver and the MBI iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from kltmbi import (
     CompressorBank,
+    DegenerateTruncationWarning,
     InvalidInput,
     MbiConfig,
+    ScenarioSpec,
     SensorPartition,
-    Uniqueness,
+    estimate_moments,
     example1_model,
+    generate,
     init_bank,
     joint_model_from_factor,
     klt_matrix,
@@ -20,7 +25,6 @@ from kltmbi import (
     psd_sqrt,
     rank_constrained_lsq,
     reduce_problem,
-    uniqueness_check,
 )
 from kltmbi.covariance import SecondMomentModel
 
@@ -70,11 +74,16 @@ class TestReduceProblem:
         assert np.array_equal(rp.h, model.h)
 
     def test_cached_projectors(self):
+        # the stored row bases V_j are orthonormal and span the row space of
+        # G_j; the scaled left factors are G_j V_j = U_j S_j
         rng = np.random.default_rng(1)
         model = _random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
         rp = reduce_problem(model)
-        for g, proj in zip(rp.g_blocks, rp.right_projectors):
-            assert np.linalg.norm(g @ proj - g) <= 1e-9 * max(1, np.linalg.norm(g))
+        for g, v, us in zip(rp.g_blocks, rp.row_bases, rp.left_factors):
+            scale = max(1, np.linalg.norm(g))
+            assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
+            assert np.linalg.norm(g @ v @ v.T - g) <= 1e-9 * scale
+            assert np.linalg.norm(g @ v - us) <= 1e-9 * scale
 
     def test_trace_expansion_identity(self):
         # the reduced objective and the direct second-moment expansion of the
@@ -173,19 +182,20 @@ class TestRankConstrainedLsq:
         with pytest.raises(InvalidInput):
             rank_constrained_lsq(np.ones((2, 3)), np.ones((2, 4)), 1)
 
+    # a non-unique block solution is reported by DegenerateTruncationWarning
+    def test_strict_gap_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateTruncationWarning)
+            rank_constrained_lsq(np.diag([3.0, 1.0]), np.eye(2), 1)
 
-class TestUniquenessCheck:
-    def test_strict_gap(self):
-        s = np.diag([3.0, 1.0])
-        assert uniqueness_check(s, np.eye(2), 1) is Uniqueness.UNIQUE
+    def test_tied_singular_values_warn(self):
+        with pytest.warns(DegenerateTruncationWarning):
+            rank_constrained_lsq(2 * np.eye(2), np.eye(2), 1)
 
-    def test_tied_singular_values(self):
-        s = 2 * np.eye(2)
-        assert uniqueness_check(s, np.eye(2), 1) is Uniqueness.NON_UNIQUE
-
-    def test_full_rank_cut(self):
-        s = np.diag([2.0, 2.0])
-        assert uniqueness_check(s, np.eye(2), 2) is Uniqueness.UNIQUE
+    def test_full_rank_cut_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateTruncationWarning)
+            rank_constrained_lsq(np.diag([2.0, 2.0]), np.eye(2), 2)
 
 
 class TestKltSingle:
@@ -285,7 +295,9 @@ class TestMbiStep:
             e_yy=np.block([[2 * np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), 2 * np.eye(2)]]),
         )
         rp = reduce_problem(model)
-        _, j, _ = mbi_step(rp, CompressorBank.zeros(part))
+        # the committed block's truncation is itself degenerate (sigma_1 = sigma_2)
+        with pytest.warns(DegenerateTruncationWarning):
+            _, j, _ = mbi_step(rp, CompressorBank.zeros(part))
         assert j == 0
 
 
@@ -351,3 +363,97 @@ class TestMbiSolve:
             MbiConfig(epsilon=-1.0)
         with pytest.raises(InvalidInput):
             MbiConfig(max_iterations=0)
+
+
+def _exhaustive_mbi(rp, bank, max_iterations):
+    """Reference MBI with epsilon = 0: every sweep solves all p blocks in
+    full with the public block solver and commits the best one."""
+    part = rp.partition
+    f_cur = objective(rp, bank)
+    chosen = []
+    for _ in range(max_iterations):
+        total = np.zeros_like(rp.h)
+        for fj, gj in zip(bank.blocks, rp.g_blocks):
+            total += fj @ gj
+        cands = []
+        for j, gj in enumerate(rp.g_blocks):
+            s_j = rp.h - total + bank.blocks[j] @ gj
+            cand = rank_constrained_lsq(s_j, gj, part.r[j])
+            cands.append((float(np.linalg.norm(s_j - cand @ gj) ** 2), cand))
+        j = min(range(part.p), key=lambda i: cands[i][0])  # ties -> lowest index
+        new_bank = bank.replace(j, cands[j][1])
+        f_new = objective(rp, new_bank)
+        if f_new >= f_cur:
+            break
+        bank, f_cur = new_bank, f_new
+        chosen.append(j)
+    return bank, chosen
+
+
+def _identical_sensors_model(rng):
+    # sensors 0 and 1 observe the same signal: in exact arithmetic they tie
+    part = SensorPartition(m=3, n=(3, 3, 2), r=(1, 1, 1))
+    x = rng.standard_normal((3, 14))
+    y0 = rng.standard_normal((3, 3)) @ x + 0.3 * rng.standard_normal((3, 14))
+    y2 = rng.standard_normal((2, 3)) @ x + 0.3 * rng.standard_normal((2, 14))
+    return joint_model_from_factor(np.vstack([x, y0, y0, y2]), part)
+
+
+def _sampled_model(seed):
+    # s = 3 samples of N = 12 observations: E_yy has rank 3, and each G_j keeps
+    # a singular value ~1e-8 from rounding, so cond(G_j) is ~1e8
+    part = SensorPartition(m=4, n=(4, 4, 4), r=(2, 1, 2))
+    spec = ScenarioSpec(
+        kind="linear_mixing", partition=part, s=3, sigmas=(0.3,) * 3, seed=seed
+    )
+    return estimate_moments(generate(spec), part)
+
+
+def _silent_sensor_model(rng):
+    # sensor 1 observes nothing: G_1 = 0 has numeric rank 0
+    part = SensorPartition(m=3, n=(3, 2, 3), r=(1, 1, 2))
+    a = rng.standard_normal((11, 14))
+    a[6:8] = 0.0
+    return joint_model_from_factor(a, part)
+
+
+class TestScreenedSweepEquivalence:
+    """mbi_solve scores candidates from the row bases and solves only the
+    near-best ones in full; it must commit exactly what an exhaustive sweep
+    of full block solves commits."""
+
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda rng: _noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
+            lambda rng: _noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
+            lambda rng: _random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
+            lambda rng: _sampled_model(int(rng.integers(1000))),
+            _identical_sensors_model,
+            _silent_sensor_model,
+        ],
+        ids=[
+            "r_is_1",
+            "r_is_n",
+            "random",
+            "rank_deficient_e_yy",
+            "identical_sensors",
+            "silent_sensor",
+        ],
+    )
+    def test_matches_exhaustive_sweep(self, make_model):
+        # from the zero bank, tied blocks are separated only by rounding
+        for seed in range(10):
+            model = make_model(np.random.default_rng(100 + seed))
+            rp = reduce_problem(model)
+            for start in (init_bank(model), CompressorBank.zeros(model.partition)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateTruncationWarning)
+                    bank, trace = mbi_solve(
+                        rp, start, MbiConfig(epsilon=0.0, max_iterations=30)
+                    )
+                    ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 30)
+                assert trace.chosen_block_per_iteration == ref_chosen
+                assert all(
+                    np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks)
+                )
