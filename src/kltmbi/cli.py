@@ -51,7 +51,15 @@ def _float_field(value, name: str) -> float:
             raise ParseError(f"{name} is not a number: {value!r}") from None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return _as_float(value, name)
+
+
+def _as_float(value: int | float, name: str) -> float:
+    # a JSON integer literal can lie beyond the float range
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{name} is out of range: {value!r}") from None
 
 
 def _int_field(value, name: str) -> int:
@@ -72,7 +80,7 @@ def _number_list_field(value, name: str) -> tuple[float, ...]:
         not isinstance(v, (int, float)) or isinstance(v, bool) for v in value
     ):
         raise ParseError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_as_float(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 def _str_field(value, name: str) -> str | None:

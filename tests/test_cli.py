@@ -249,6 +249,9 @@ _NOISE_SCENARIO = {
         {"scenario": _NOISE_SCENARIO, "report_baseline": "false"},
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": 1}},
         {"scenario": dict(_NOISE_SCENARIO, seed=-1)},
+        # integer literals beyond the float range
+        {"scenario": dict(_NOISE_SCENARIO, sigmas=[10**400])},
+        {"scenario": _NOISE_SCENARIO, "mbi": {"epsilon": 10**400}},
     ],
     ids=[
         "max_iterations_str",
@@ -266,6 +269,8 @@ _NOISE_SCENARIO = {
         "report_baseline_str",
         "output_path_not_str",
         "seed_negative",
+        "sigmas_int_overflow",
+        "epsilon_int_overflow",
     ],
 )
 def test_malformed_field_is_config_error(tmp_path, capsys, doc):

@@ -26,6 +26,7 @@ from kltmbi import (
     rank_constrained_lsq,
     reduce_problem,
 )
+from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
 
 
@@ -457,3 +458,40 @@ class TestScreenedSweepEquivalence:
                 assert all(
                     np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks)
                 )
+
+    @pytest.mark.parametrize(
+        "make_model, screens",
+        [
+            # every cond(G_j) is above 1/sqrt(eps): no sweep is screened
+            (lambda: _sampled_model(3), 0),
+            # one cond(G_j) is 6.5e7: the first screen admits every block,
+            # and the later sweeps solve every block with the kept projectors
+            (lambda: _sampled_model(5), 1),
+            (
+                lambda: _noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
+                None,
+            ),
+        ],
+        ids=["rounding_rank", "screen_admits_all", "noisy"],
+    )
+    def test_screen_runs_only_while_it_can_rule_out(
+        self, monkeypatch, make_model, screens
+    ):
+        calls = []
+        real = solver._screen
+
+        def spy(rp, bank, resid):
+            calls.append(1)
+            return real(rp, bank, resid)
+
+        monkeypatch.setattr(solver, "_screen", spy)
+        model = make_model()
+        rp = reduce_problem(model)
+        start = init_bank(model)
+        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=20))
+        sweeps = trace.iterations_used + int(trace.converged)
+        assert sweeps > 1
+        assert len(calls) == (sweeps if screens is None else screens)
+        ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 20)
+        assert trace.chosen_block_per_iteration == ref_chosen
+        assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks))
