@@ -16,7 +16,6 @@ Run:  python3 demos/01_exact_benchmark.py
 from kltmbi import (
     MbiConfig,
     analytic_mse,
-    decoupled_baseline,
     example1_model,
     init_bank,
     mbi_solve,
@@ -26,12 +25,12 @@ from kltmbi import (
 model = example1_model()
 rp = reduce_problem(model)
 
-baseline = decoupled_baseline(model)
+baseline = init_bank(model)
 print(f"decoupled baseline MSE : {analytic_mse(model, baseline):.4f}")
 
 # Five iterations already land within a hair of the optimum; a tight
 # epsilon would keep polishing the last digits for hundreds of steps.
-bank, trace = mbi_solve(rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=5))
+bank, trace = mbi_solve(rp, baseline, MbiConfig(epsilon=0.0, max_iterations=5))
 print(f"MBI after 5 iterations : {analytic_mse(model, bank):.4f}")
 
 print("\nobjective per iteration:")
@@ -40,7 +39,7 @@ for q, f in enumerate(trace.objective_per_iteration):
     print(f"  iter {q}: f = {f:.6f}  (updated sensor {chosen})")
 
 bank, trace = mbi_solve(
-    rp, init_bank(model), MbiConfig(epsilon=1e-12, max_iterations=2000)
+    rp, baseline, MbiConfig(epsilon=1e-12, max_iterations=2000)
 )
 print(
     f"\nfully converged MSE    : {analytic_mse(model, bank):.4f} "

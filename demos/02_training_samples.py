@@ -22,7 +22,6 @@ from kltmbi import (
     SensorPartition,
     analytic_mse,
     compress,
-    decoupled_baseline,
     empirical_mse,
     estimate_moments,
     factorize_wsn,
@@ -41,9 +40,9 @@ ens = generate(spec)
 model = estimate_moments(ens, part)
 rp = reduce_problem(model)
 
-baseline = decoupled_baseline(model)
+baseline = init_bank(model)
 bank, trace = mbi_solve(
-    rp, init_bank(model), MbiConfig(epsilon=1e-10, max_iterations=1000)
+    rp, baseline, MbiConfig(epsilon=1e-10, max_iterations=1000)
 )
 
 print(f"samples: {ens.s}, sensors: {part.p}, ranks: {part.r}")

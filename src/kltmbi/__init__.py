@@ -25,20 +25,17 @@ from .linalg import (
     SvdFactors,
     pinv,
     psd_sqrt,
-    right_projector,
     svd,
     truncated,
 )
 from .scenarios import (
     ImageScenarioData,
     ScenarioSpec,
-    decoupled_baseline,
     generate,
     image_scenario,
     load_pgm,
     save_pgm,
     subsample_even_columns,
-    tiny_pure_noise_fixture,
 )
 from .solver import (
     CompressorBank,
@@ -84,7 +81,6 @@ __all__ = [
     "SvdFactors",
     "analytic_mse",
     "compress",
-    "decoupled_baseline",
     "empirical_mse",
     "estimate_moments",
     "example1_model",
@@ -106,11 +102,9 @@ __all__ = [
     "rank_constrained_lsq",
     "reconstruct",
     "reduce_problem",
-    "right_projector",
     "save_pgm",
     "save_wsn_json",
     "subsample_even_columns",
     "svd",
-    "tiny_pure_noise_fixture",
     "truncated",
 ]

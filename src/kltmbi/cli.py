@@ -15,16 +15,16 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .covariance import SensorPartition, estimate_moments
 from .errors import InvalidInput, NotPsd, ParseError
-from .scenarios import ScenarioSpec, decoupled_baseline, generate, image_scenario
+from .scenarios import ScenarioSpec, generate, image_scenario, save_pgm
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
-from .wsn import analytic_mse, empirical_mse, factorize_wsn, save_wsn_json
+from .wsn import analytic_mse, atomic_write, empirical_mse, factorize_wsn, save_wsn_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,32 +180,8 @@ def load_config(path, **overrides) -> RunConfig:
     return parse_config(doc, **overrides)
 
 
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_save_pgm(a, path, maxval: int = 255) -> None:
-    from .scenarios import save_pgm
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        save_pgm(a, tmp, maxval=maxval)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _atomic_save_pgm(a, path) -> None:
+    atomic_write(path, lambda tmp: save_pgm(a, tmp))
 
 
 def _fmt(v: float) -> str:
@@ -241,7 +217,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             lines.append(
                 f"{i},{_fmt(f_i)},{chosen},{_fmt(analytic_mse(model, bank_i))},{emp}"
             )
-        _atomic_write_text(config.trace_csv_path, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        atomic_write(
+            config.trace_csv_path, lambda tmp: Path(tmp).write_text(text, newline="")
+        )
 
     if config.wsn_json_path:
         provenance = {
@@ -253,11 +232,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         }
         save_wsn_json(factorize_wsn(bank), config.wsn_json_path, provenance)
 
-    baseline_mse = None
-    baseline = None
-    if config.report_baseline:
-        baseline = decoupled_baseline(model)
-        baseline_mse = analytic_mse(model, baseline)
+    # the warm start is the per-sensor baseline the report compares against
+    baseline = start if config.report_baseline else None
+    baseline_mse = None if baseline is None else analytic_mse(model, baseline)
 
     if image_data is not None:
         out = config.image_out_dir

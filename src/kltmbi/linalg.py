@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives: SVD, truncation, pseudo-inverse, projectors.
+"""Dense linear-algebra primitives: SVD, truncation, pseudo-inverse, PSD root.
 
 All functions are pure and deterministic for a fixed input. Numerical rank is
 decided by a backward-stable threshold ``sigma_max * max(rows, cols) * eps``,
@@ -54,6 +54,21 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse; singular values at or below
+        ``rank_tol`` count as exact zeros."""
+        k = self.numeric_rank
+        if k == 0:
+            return np.zeros((self.v.shape[0], self.u.shape[0]))
+        return (self.v[:, :k] / self.sigma[:k]) @ self.u[:, :k].T
+
+    def row_projector(self) -> np.ndarray:
+        """Orthogonal projector ``V_k V_k^T`` onto the row space (range of
+        ``c.T``). NumPy forms ``v @ v.T`` with a symmetric rank-k update, so
+        the result is exactly symmetric."""
+        v = self.v[:, : self.numeric_rank]
+        return v @ v.T
+
 
 def svd(c, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
@@ -97,11 +112,7 @@ def truncated(c, r: int, rank_tol: float | None = None) -> np.ndarray:
 def pinv(c, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse; singular values below the rank threshold
     are treated as exact zeros."""
-    f = svd(c, rank_tol=rank_tol)
-    k = f.numeric_rank
-    if k == 0:
-        return np.zeros((f.v.shape[0], f.u.shape[0]))
-    return (f.v[:, :k] / f.sigma[:k]) @ f.u[:, :k].T
+    return svd(c, rank_tol=rank_tol).pinv()
 
 
 def psd_sqrt(c, rel_tol: float = 1e-8) -> np.ndarray:
@@ -125,11 +136,3 @@ def psd_sqrt(c, rel_tol: float = 1e-8) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     root = (vecs * np.sqrt(w)) @ vecs.T
     return (root + root.T) / 2.0
-
-
-def right_projector(c, rank_tol: float | None = None) -> np.ndarray:
-    """Orthogonal projector onto the row space (range of ``c.T``)."""
-    f = svd(c, rank_tol=rank_tol)
-    v = f.v[:, : f.numeric_rank]
-    p = v @ v.T
-    return (p + p.T) / 2.0

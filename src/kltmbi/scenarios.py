@@ -1,5 +1,5 @@
-"""Seeded scenario generators for the simulation studies, the decoupled
-per-sensor baseline, and PGM image I/O for the image-compression experiment.
+"""Seeded scenario generators for the simulation studies and PGM image I/O
+for the image-compression experiment.
 
 Every generator is a pure function of its spec (including the seed); the PRNG
 is numpy's PCG64, explicitly seeded, so outputs are reproducible across
@@ -20,7 +20,6 @@ from .covariance import (
     example1_model,
 )
 from .errors import InvalidInput, ParseError
-from .solver import CompressorBank, init_bank
 
 KINDS = ("exact_example1", "additive_noise", "pure_noise_obs", "linear_mixing", "image")
 
@@ -150,46 +149,6 @@ def subsample_even_columns(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] < 2:
         raise InvalidInput("need a 2-d array with at least 2 columns")
     return a[:, 1::2].copy()
-
-
-def decoupled_baseline(
-    model: SecondMomentModel, m_blocks: list[int] | None = None
-) -> CompressorBank:
-    """Non-iterated comparison point: the per-sensor optimal compressors on a
-    block-diagonal source split (identical to the MBI warm start)."""
-    return init_bank(model, m_blocks=m_blocks)
-
-
-# ---------------------------------------------------------------------------
-# Tiny two-sensor regression fixture: a 2-dimensional source with four
-# training draws whose observations are pure noise (no signal component).
-# ---------------------------------------------------------------------------
-
-_TINY_X = np.array(
-    [
-        [0.086, 0.439, 0.857, 0.904],
-        [0.074, 0.574, 0.386, 0.429],
-    ]
-)
-_TINY_Y1 = np.array(
-    [
-        [0.284, -0.942, 0.067, 0.222],
-        [-2.206, 0.514, -1.293, -0.686],
-    ]
-)
-_TINY_Y2 = np.array(
-    [
-        [0.4660, -0.1260, 0.3870, 0.3290],
-        [0.6880, -0.4690, -0.9420, -0.5630],
-    ]
-)
-
-
-def tiny_pure_noise_fixture() -> tuple[SampleEnsemble, SensorPartition]:
-    """Fixed m=2, s=4, two-sensor ensemble for regression tests."""
-    part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
-    ens = SampleEnsemble(x=_TINY_X.copy(), y=np.vstack([_TINY_Y1, _TINY_Y2]))
-    return ens, part
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition
 from .errors import InvalidInput
-from .linalg import pinv, psd_sqrt, svd, truncated
+from .linalg import SvdFactors, pinv, psd_sqrt, svd, truncated
 
 
 # Rounding unit of _screen's bounds: eps with a safety factor of 8.
@@ -34,21 +34,18 @@ _ROUNDING_COND = 1.0 / np.sqrt(np.finfo(np.float64).eps)
 class ReducedProblem:
     """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
 
-    One thin SVD G_j = U_j S_j V_j^T per block, truncated at its numeric rank
-    k_j, gives the row basis ``row_bases[j] = V_j`` (n_total x k_j), the
-    scaled left factor ``left_factors[j] = U_j S_j`` (n_j x k_j) and the
-    pseudo-inverse ``g_pinvs[j]``. With ``h`` and the ``g_blocks`` that is
-    about three n_total x n_total arrays in all, whatever p is; the row-space
-    projector V_j V_j^T is built only for a block that is solved in full, and
+    ``factors[j]`` is the thin SVD G_j = U_j S_j V_j^T of block j, with
+    numeric rank k_j; the screen's V_j and U_j S_j, the row-space projector
+    V_j V_j^T and G_j^+ all come from it. With ``h`` and the ``g_blocks``
+    that is about two n_total x n_total arrays in all, whatever p is; a
+    projector is built only for a block that is solved in full, and
     :func:`mbi_solve` keeps all p of them only where its screen rules no
     block out.
     """
 
     h: np.ndarray
     g_blocks: tuple[np.ndarray, ...]
-    row_bases: tuple[np.ndarray, ...]
-    left_factors: tuple[np.ndarray, ...]
-    g_pinvs: tuple[np.ndarray, ...]
+    factors: tuple[SvdFactors, ...]
     partition: SensorPartition
 
 
@@ -133,28 +130,11 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
     """
     part = model.partition
     root = model.e_yy_root
-    g_blocks = []
-    row_bases = []
-    left_factors = []
-    g_pinvs = []
-    for j in range(part.p):
-        g = root[part.y_slice(j)]
-        f = svd(g)
-        k = f.numeric_rank
-        g_blocks.append(g)
-        # a view, not a copy: _right_projector's product must see this layout
-        row_bases.append(f.v[:, :k])
-        left_factors.append(f.u[:, :k] * f.sigma[:k])
-        if k == 0:
-            g_pinvs.append(np.zeros((g.shape[1], g.shape[0])))
-        else:
-            g_pinvs.append((f.v[:, :k] / f.sigma[:k]) @ f.u[:, :k].T)
+    g_blocks = tuple(root[part.y_slice(j)] for j in range(part.p))
     return ReducedProblem(
         h=model.h,
-        g_blocks=tuple(g_blocks),
-        row_bases=tuple(row_bases),
-        left_factors=tuple(left_factors),
-        g_pinvs=tuple(g_pinvs),
+        g_blocks=g_blocks,
+        factors=tuple(svd(g) for g in g_blocks),
         partition=part,
     )
 
@@ -171,19 +151,11 @@ def _total(rp: ReducedProblem, bank: CompressorBank) -> np.ndarray:
     return t
 
 
-def rank_constrained_lsq(
-    s_j: np.ndarray,
-    g_j: np.ndarray,
-    r_j: int,
-    *,
-    right_projector: np.ndarray | None = None,
-    g_pinv: np.ndarray | None = None,
-) -> np.ndarray:
+def rank_constrained_lsq(s_j: np.ndarray, g_j: np.ndarray, r_j: int) -> np.ndarray:
     """Minimum-norm minimizer of ||s_j - F g_j||_F over rank-<=r_j matrices F.
 
     Returns ``[s_j R]_{r_j} g_j^+`` where ``R`` projects onto the row space of
-    ``g_j``. The cached projector/pseudo-inverse may be supplied to avoid
-    recomputing the SVD of ``g_j``.
+    ``g_j``; both come from one SVD of ``g_j``.
     """
     if s_j.shape[1] != g_j.shape[1]:
         raise InvalidInput(
@@ -191,13 +163,8 @@ def rank_constrained_lsq(
         )
     if not 1 <= r_j <= g_j.shape[0]:
         raise InvalidInput(f"need 1 <= r_j <= {g_j.shape[0]}, got {r_j}")
-    if right_projector is None:
-        from .linalg import right_projector as _rproj
-
-        right_projector = _rproj(g_j)
-    if g_pinv is None:
-        g_pinv = pinv(g_j)
-    return truncated(s_j @ right_projector, r_j) @ g_pinv
+    f = svd(g_j)
+    return truncated(s_j @ f.row_projector(), r_j) @ f.pinv()
 
 
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
@@ -269,37 +236,24 @@ def init_bank(
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
-def _right_projector(rp: ReducedProblem, j: int) -> np.ndarray:
-    """R_j = V_j V_j^T, the projector onto the row space of G_j."""
-    v = rp.row_bases[j]
-    proj = v @ v.T
-    return (proj + proj.T) / 2.0
-
-
 def _candidate(
     rp: ReducedProblem, bank: CompressorBank, total, j: int, projector: np.ndarray
 ):
     gj = rp.g_blocks[j]
     s_j = rp.h - total + bank.blocks[j] @ gj
-    cand = rank_constrained_lsq(
-        s_j,
-        gj,
-        rp.partition.r[j],
-        right_projector=projector,
-        g_pinv=rp.g_pinvs[j],
-    )
+    cand = truncated(s_j @ projector, rp.partition.r[j]) @ rp.factors[j].pinv()
     f_j = float(np.linalg.norm(s_j - cand @ gj) ** 2)
     return cand, f_j
 
 
 def _all_projectors(rp: ReducedProblem) -> tuple[np.ndarray, ...]:
-    return tuple(_right_projector(rp, j) for j in range(rp.partition.p))
+    return tuple(f.row_projector() for f in rp.factors)
 
 
-def _cond(left_factor: np.ndarray) -> float:
-    """cond(G_j) from U_j S_j, whose column norms are G_j's singular values."""
-    g_sigma = np.linalg.norm(left_factor, axis=0)
-    return g_sigma.max() / g_sigma.min() if g_sigma.size else 1.0
+def _cond(f: SvdFactors) -> float:
+    """cond(G_j) = sigma_1 / sigma_{k_j} over the numeric rank of G_j."""
+    k = f.numeric_rank
+    return f.sigma[0] / f.sigma[k - 1] if k else 1.0
 
 
 def _initial_projectors(rp: ReducedProblem) -> tuple[np.ndarray, ...] | None:
@@ -308,7 +262,7 @@ def _initial_projectors(rp: ReducedProblem) -> tuple[np.ndarray, ...] | None:
     :func:`_screen`'s bounds grow with cond(G_j); on such models they admitted
     every block on every sweep measured, so the screen would only add work.
     """
-    if all(_cond(us) > _ROUNDING_COND for us in rp.left_factors):
+    if all(_cond(f) > _ROUNDING_COND for f in rp.factors):
         return _all_projectors(rp)
     return None
 
@@ -335,15 +289,16 @@ def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
     lo = np.empty(p)
     hi = np.empty(p)
     for j in range(p):
-        us = rp.left_factors[j]
-        ev = resid @ rp.row_bases[j]
-        w = ev + bank.blocks[j] @ us
+        f = rp.factors[j]
+        k = f.numeric_rank
+        ev = resid @ f.v[:, :k]
+        w = ev + bank.blocks[j] @ (f.u[:, :k] * f.sigma[:k])
         ev2 = float(np.vdot(ev, ev))
         sigma = np.linalg.svd(w, compute_uv=False)
         f_j = e2 - ev2 + float(np.sum(sigma[rp.partition.r[j] :] ** 2))
         s_norm = np.sqrt(max(e2 - ev2 + float(np.vdot(w, w)), 0.0))
-        g_max = np.linalg.norm(us, axis=0).max(initial=0.0)  # sigma_1(G_j)
-        scale = e_norm + np.linalg.norm(bank.blocks[j]) * g_max + _cond(us) * s_norm
+        g_max = f.sigma[0] if k else 0.0
+        scale = e_norm + np.linalg.norm(bank.blocks[j]) * g_max + _cond(f) * s_norm
         d = _SCREEN_EPS * (m + n_total) * scale
         err = 2.0 * s_norm * d + d * d
         lo[j] = f_j - err
@@ -389,7 +344,7 @@ def _step(
         shortlist = range(p)
     results = {}
     for j in shortlist:
-        proj = _right_projector(rp, j) if projectors is None else projectors[j]
+        proj = rp.factors[j].row_projector() if projectors is None else projectors[j]
         results[j] = _candidate(rp, bank, total, j, proj)
     best_j = min(shortlist, key=lambda j: results[j][1])  # ties -> lowest index
     new_bank = bank.replace(best_j, results[best_j][0])

@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
-from .errors import InvalidInput
+from .errors import InvalidInput, ParseError
 from .linalg import svd
 from .solver import CompressorBank
 
@@ -24,11 +26,31 @@ from .solver import CompressorBank
 class FactorizedWsn:
     """Per-sensor encoders Q_j and fusion decoder blocks P_j with
     P_j Q_j = F_j. Encoder row counts are exactly r_j (the wire dimension),
-    zero-padded when rank F_j < r_j."""
+    zero-padded when rank F_j < r_j. Raises :class:`InvalidInput` unless
+    there are p finite encoders (r_j x n_j) and decoder blocks (m x r_j)."""
 
     encoders: tuple[np.ndarray, ...]
     decoder_blocks: tuple[np.ndarray, ...]
     partition: SensorPartition
+
+    def __post_init__(self):
+        object.__setattr__(self, "encoders", tuple(self.encoders))
+        object.__setattr__(self, "decoder_blocks", tuple(self.decoder_blocks))
+        part = self.partition
+        if len(self.encoders) != part.p or len(self.decoder_blocks) != part.p:
+            raise InvalidInput(
+                f"need {part.p} encoders and decoder blocks, got "
+                f"{len(self.encoders)} and {len(self.decoder_blocks)}"
+            )
+        for j in range(part.p):
+            for what, a, want in (
+                ("encoder", self.encoders[j], (part.r[j], part.n[j])),
+                ("decoder block", self.decoder_blocks[j], (part.m, part.r[j])),
+            ):
+                if a.shape != want:
+                    raise InvalidInput(f"{what} {j} must be {want}, got {a.shape}")
+                if not np.all(np.isfinite(a)):
+                    raise InvalidInput(f"{what} {j} has NaN or Inf entries")
 
 
 def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
@@ -130,24 +152,35 @@ def wsn_to_dict(wsn: FactorizedWsn, provenance: dict | None = None) -> dict:
 
 
 def wsn_from_dict(doc: dict) -> FactorizedWsn:
-    part = SensorPartition(
-        m=doc["partition"]["m"],
-        n=tuple(doc["partition"]["n"]),
-        r=tuple(doc["partition"]["r"]),
-    )
-    encoders = tuple(np.array(s["encoder"], dtype=np.float64) for s in doc["sensors"])
-    decoders = tuple(np.array(s["decoder"], dtype=np.float64) for s in doc["sensors"])
-    return FactorizedWsn(encoders=encoders, decoder_blocks=decoders, partition=part)
+    """Inverse of :func:`wsn_to_dict`. A document with a missing key, a
+    non-numeric matrix or matrices that contradict its partition raises
+    :class:`ParseError`."""
+    try:
+        part = SensorPartition(
+            m=doc["partition"]["m"],
+            n=tuple(doc["partition"]["n"]),
+            r=tuple(doc["partition"]["r"]),
+        )
+        sensors = doc["sensors"]
+        return FactorizedWsn(
+            encoders=[np.array(s["encoder"], dtype=np.float64) for s in sensors],
+            decoder_blocks=[np.array(s["decoder"], dtype=np.float64) for s in sensors],
+            partition=part,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers InvalidInput from the partition and the shapes
+        raise ParseError(f"malformed network document: {exc}") from None
 
 
-def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
-    """Atomically write the WSN document (temp file + rename)."""
-    text = json.dumps(wsn_to_dict(wsn, provenance), indent=2)
+def atomic_write(path, write: Callable[[str], object]) -> None:
+    """Have ``write`` fill a temporary file next to ``path``, then rename it
+    onto ``path``. If anything fails, the temporary file is removed and an
+    existing ``path`` keeps its old contents."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,6 +188,16 @@ def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> N
         raise
 
 
+def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
+    """Atomically write the WSN document (temp file + rename)."""
+    text = json.dumps(wsn_to_dict(wsn, provenance), indent=2) + "\n"
+    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
 def load_wsn_json(path) -> FactorizedWsn:
     with open(path) as fh:
-        return wsn_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path} is not JSON: {exc}") from None
+    return wsn_from_dict(doc)

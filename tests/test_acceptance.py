@@ -16,7 +16,6 @@ from kltmbi import (
     ScenarioSpec,
     SensorPartition,
     analytic_mse,
-    decoupled_baseline,
     empirical_mse,
     estimate_moments,
     example1_model,
@@ -78,7 +77,7 @@ def test_criterion_1_example1_reproduction():
 def test_criterion_2_baseline_ordering():
     model, bank, _ = _solve_example1(max_iterations=5)
     mse_mbi = analytic_mse(model, bank)
-    mse_base = analytic_mse(model, decoupled_baseline(model))
+    mse_base = analytic_mse(model, init_bank(model))
     assert mse_base > mse_mbi
     print(
         f"\nPASS criterion 2: baseline MSE {mse_base:.4f} > MBI MSE {mse_mbi:.4f}"
@@ -217,7 +216,7 @@ def _mse_curve_beats_baseline(spec):
     assert all(b <= a + 1e-10 for a, b in zip(curve, curve[1:])), (
         "MSE curve increased"
     )
-    base = analytic_mse(model, decoupled_baseline(model))
+    base = analytic_mse(model, init_bank(model))
     final = analytic_mse(model, bank)
     assert final <= base
     return final, base
@@ -296,7 +295,7 @@ def test_criterion_8_image_pipeline(tmp_path):
     data = image_scenario(spec)
     model = estimate_moments(data.ensemble, spec.partition)
     rp = reduce_problem(model)
-    baseline = decoupled_baseline(model)
+    baseline = init_bank(model)
     bank, _ = mbi_solve(rp, baseline, MbiConfig(epsilon=1e-8, max_iterations=50))
     full = SampleEnsemble(x=data.x_full, y=data.y_full)
     mse_mbi = empirical_mse(full, bank)

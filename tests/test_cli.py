@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kltmbi import NotPsd, ParseError, save_pgm
+from kltmbi import NotPsd, ParseError, analytic_mse, init_bank, save_pgm
 from kltmbi.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -37,6 +37,24 @@ def _example1_config(tmp_path, **extra):
 
 
 class TestRun:
+    def test_baseline_is_the_warm_start(self, tmp_path, capsys, monkeypatch):
+        # the reported baseline is the bank MBI starts from, built once
+        import kltmbi.cli as cli_mod
+
+        starts = []
+
+        def counting_init_bank(model):
+            starts.append((model, init_bank(model)))
+            return starts[-1][1]
+
+        monkeypatch.setattr(cli_mod, "init_bank", counting_init_bank)
+        cfg = _example1_config(tmp_path, report_baseline=True)
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        assert len(starts) == 1
+        model, start = starts[0]
+        out = capsys.readouterr().out
+        assert f"baseline_mse={analytic_mse(model, start):.12g}" in out.split()
+
     def test_exact_scenario_end_to_end(self, tmp_path, capsys):
         cfg = _example1_config(tmp_path, report_baseline=True)
         assert main(["run", "--config", cfg]) == EXIT_OK

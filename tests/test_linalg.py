@@ -8,9 +8,13 @@ from kltmbi import (
     DegenerateTruncationWarning,
     InvalidInput,
     NotPsd,
+    ScenarioSpec,
+    SensorPartition,
+    estimate_moments,
+    generate,
     pinv,
     psd_sqrt,
-    right_projector,
+    reduce_problem,
     svd,
     truncated,
 )
@@ -163,28 +167,28 @@ class TestProjectors:
     def test_full_column_rank_right_projector_is_identity(self):
         rng = np.random.default_rng(6)
         c = _random_matrix(rng, 6, 3)  # full column rank a.s.
-        assert np.allclose(right_projector(c), np.eye(3), atol=1e-9)
+        assert np.allclose(svd(c).row_projector(), np.eye(3), atol=1e-9)
 
     def test_zero_matrix(self):
-        assert np.array_equal(right_projector(np.zeros((3, 2))), np.zeros((2, 2)))
-        assert np.array_equal(right_projector(np.zeros((2, 3))), np.zeros((3, 3)))
+        assert np.array_equal(svd(np.zeros((3, 2))).row_projector(), np.zeros((2, 2)))
+        assert np.array_equal(svd(np.zeros((2, 3))).row_projector(), np.zeros((3, 3)))
 
     def test_trace_equals_rank(self):
         rng = np.random.default_rng(7)
         c = _random_matrix(rng, 4, 2) @ _random_matrix(rng, 2, 4)  # rank 2
-        assert np.trace(right_projector(c)) == pytest.approx(2.0, abs=1e-9)
+        assert np.trace(svd(c).row_projector()) == pytest.approx(2.0, abs=1e-9)
 
     def test_projection_action(self):
         rng = np.random.default_rng(8)
         c = _random_matrix(rng, 5, 3) @ _random_matrix(rng, 3, 6)
         scale = np.linalg.norm(c)
-        assert np.linalg.norm(c @ right_projector(c) - c) <= 1e-9 * scale
-        assert np.linalg.norm(right_projector(c.T) @ c - c) <= 1e-9 * scale
+        assert np.linalg.norm(c @ svd(c).row_projector() - c) <= 1e-9 * scale
+        assert np.linalg.norm(svd(c.T).row_projector() @ c - c) <= 1e-9 * scale
 
     def test_idempotent_and_symmetric(self):
         rng = np.random.default_rng(9)
         for c in (_random_matrix(rng, 4, 6), _random_matrix(rng, 3, 2)):
-            for p in (right_projector(c), right_projector(c.T)):
+            for p in (svd(c).row_projector(), svd(c.T).row_projector()):
                 scale = max(1.0, np.linalg.norm(p))
                 assert np.linalg.norm(p @ p - p) <= 1e-9 * scale
                 assert np.linalg.norm(p - p.T) <= 1e-9 * scale
@@ -193,8 +197,31 @@ class TestProjectors:
         rng = np.random.default_rng(10)
         c = _random_matrix(rng, 5, 4)
         cp = pinv(c)
-        assert np.allclose(right_projector(c), cp @ c, atol=1e-9)
-        assert np.allclose(right_projector(c.T), c @ cp, atol=1e-9)
+        assert np.allclose(svd(c).row_projector(), cp @ c, atol=1e-9)
+        assert np.allclose(svd(c.T).row_projector(), c @ cp, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "shape, rank", [((3, 7), 3), ((7, 3), 3), ((6, 9), 2), ((9, 6), 2)]
+    )
+    def test_exactly_symmetric(self, shape, rank):
+        # wide, tall and rank-deficient: no symmetrization step is needed
+        rng = np.random.default_rng(11)
+        c = _random_matrix(rng, shape[0], rank) @ _random_matrix(rng, rank, shape[1])
+        f = svd(c)
+        assert f.numeric_rank == rank
+        p = f.row_projector()
+        assert np.array_equal(p, p.T)
+
+    def test_exactly_symmetric_in_reduce_problem_layout(self):
+        # the G_j are row blocks of E_yy^(1/2) at N = 512, as in reduce_problem
+        part = SensorPartition(m=32, n=(32,) * 16, r=(8,) * 16)
+        spec = ScenarioSpec(
+            kind="linear_mixing", partition=part, s=600, sigmas=(0.3,) * 16, seed=1
+        )
+        rp = reduce_problem(estimate_moments(generate(spec), part))
+        for f in rp.factors:
+            p = f.row_projector()
+            assert np.array_equal(p, p.T)
 
 
 @settings(max_examples=40, deadline=None)

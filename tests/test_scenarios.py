@@ -10,7 +10,6 @@ from kltmbi import (
     ScenarioSpec,
     SensorPartition,
     analytic_mse,
-    decoupled_baseline,
     estimate_moments,
     generate,
     image_scenario,
@@ -21,9 +20,36 @@ from kltmbi import (
     reduce_problem,
     save_pgm,
     subsample_even_columns,
-    tiny_pure_noise_fixture,
 )
-from kltmbi.covariance import SecondMomentModel
+from kltmbi.covariance import SampleEnsemble, SecondMomentModel
+
+# Tiny two-sensor regression fixture: a 2-dimensional source with four
+# training draws whose observations are pure noise (no signal component).
+_TINY_X = np.array(
+    [
+        [0.086, 0.439, 0.857, 0.904],
+        [0.074, 0.574, 0.386, 0.429],
+    ]
+)
+_TINY_Y1 = np.array(
+    [
+        [0.284, -0.942, 0.067, 0.222],
+        [-2.206, 0.514, -1.293, -0.686],
+    ]
+)
+_TINY_Y2 = np.array(
+    [
+        [0.4660, -0.1260, 0.3870, 0.3290],
+        [0.6880, -0.4690, -0.9420, -0.5630],
+    ]
+)
+
+
+def tiny_pure_noise_fixture() -> tuple[SampleEnsemble, SensorPartition]:
+    """Fixed m=2, s=4, two-sensor ensemble."""
+    part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
+    ens = SampleEnsemble(x=_TINY_X.copy(), y=np.vstack([_TINY_Y1, _TINY_Y2]))
+    return ens, part
 
 
 def _two_sensor_spec(kind="additive_noise", seed=3, sigmas=(0.1, 0.2), s=12):
@@ -234,13 +260,13 @@ class TestDecoupledBaseline:
         from kltmbi import joint_model_from_factor
 
         model = joint_model_from_factor(rng.standard_normal((7, 12)), part)
-        bank = decoupled_baseline(model)
+        bank = init_bank(model)
         assert np.allclose(bank.blocks[0], klt_single(model), atol=1e-12)
 
     def test_mbi_never_worse(self):
         spec = _two_sensor_spec(seed=9)
         model = estimate_moments(generate(spec), spec.partition)
-        baseline = decoupled_baseline(model)
+        baseline = init_bank(model)
         rp = reduce_problem(model)
         bank, _ = mbi_solve(rp, baseline, MbiConfig(max_iterations=100))
         assert analytic_mse(model, bank) <= analytic_mse(model, baseline) + 1e-9

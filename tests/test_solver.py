@@ -75,12 +75,14 @@ class TestReduceProblem:
         assert np.array_equal(rp.h, model.h)
 
     def test_cached_projectors(self):
-        # the stored row bases V_j are orthonormal and span the row space of
-        # G_j; the scaled left factors are G_j V_j = U_j S_j
+        # each stored SVD's row basis V_j is orthonormal and spans the row
+        # space of G_j, and G_j V_j = U_j S_j
         rng = np.random.default_rng(1)
         model = _random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
         rp = reduce_problem(model)
-        for g, v, us in zip(rp.g_blocks, rp.row_bases, rp.left_factors):
+        for g, f in zip(rp.g_blocks, rp.factors):
+            k = f.numeric_rank
+            v, us = f.v[:, :k], f.u[:, :k] * f.sigma[:k]
             scale = max(1, np.linalg.norm(g))
             assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
             assert np.linalg.norm(g @ v @ v.T - g) <= 1e-9 * scale
@@ -129,7 +131,7 @@ class TestObjective:
             e_yy=np.eye(3),
         )
         rp = reduce_problem(model)
-        bank = CompressorBank(blocks=(rp.h @ rp.g_pinvs[0],), partition=part)
+        bank = CompressorBank(blocks=(rp.h @ rp.factors[0].pinv(),), partition=part)
         assert objective(rp, bank) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_entrywise_sum(self):

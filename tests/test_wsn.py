@@ -1,14 +1,18 @@
 """Tests for encoder/decoder factorization and error evaluation."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kltmbi import (
     CompressorBank,
+    FactorizedWsn,
     InvalidInput,
     MbiConfig,
+    ParseError,
     SampleEnsemble,
     SensorPartition,
     analytic_mse,
@@ -27,6 +31,7 @@ from kltmbi import (
 )
 from kltmbi.covariance import SecondMomentModel
 from kltmbi.linalg import pinv, psd_sqrt
+from kltmbi.wsn import atomic_write
 
 
 def _rank_feasible_bank(rng, part):
@@ -191,3 +196,125 @@ class TestJsonExport:
             assert np.array_equal(a, b)
         for a, b in zip(back.decoder_blocks, wsn.decoder_blocks):
             assert np.array_equal(a, b)
+
+    def _doc(self, tmp_path):
+        rng = np.random.default_rng(10)
+        part = SensorPartition(m=3, n=(2, 4), r=(1, 2))
+        path = tmp_path / "wsn.json"
+        save_wsn_json(factorize_wsn(_rank_feasible_bank(rng, part)), path)
+        return json.loads(path.read_text())
+
+    def _load(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return load_wsn_json(path)
+
+    def test_encoder_shape_contradicting_partition(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["sensors"][0]["encoder"] = [[1.0, 2.0, 3.0]]  # 1x3 for n_0 = 2
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    def test_decoder_shape_contradicting_partition(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["sensors"][1]["decoder"] = doc["sensors"][1]["decoder"][:2]
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    def test_empty_sensor_list(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["sensors"] = []
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("key", ["partition", "sensors"])
+    def test_missing_key(self, tmp_path, key):
+        doc = self._doc(tmp_path)
+        del doc[key]
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    def test_missing_decoder(self, tmp_path):
+        doc = self._doc(tmp_path)
+        del doc["sensors"][1]["decoder"]
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("bad", [[["x"]], [[1.0], [1.0, 2.0]], None, {"a": 1}])
+    def test_non_numeric_matrix(self, tmp_path, bad):
+        doc = self._doc(tmp_path)
+        doc["sensors"][0]["encoder"] = bad
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ParseError):
+            load_wsn_json(path)
+
+    def test_direct_construction_checks_blocks(self):
+        part = SensorPartition(m=2, n=(2,), r=(1,))
+        good = {"encoders": [np.ones((1, 2))], "decoder_blocks": [np.ones((2, 1))]}
+        FactorizedWsn(partition=part, **good)
+        for field, bad in (
+            ("encoders", [np.ones((1, 3))]),
+            ("encoders", []),
+            ("decoder_blocks", [np.ones((2, 2))]),
+            ("decoder_blocks", [np.full((2, 1), np.nan)]),
+        ):
+            with pytest.raises(InvalidInput):
+                FactorizedWsn(partition=part, **{**good, field: bad})
+
+
+@st.composite
+def _banks(draw):
+    p = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    n = tuple(draw(st.integers(1, 5)) for _ in range(p))
+    r = tuple(draw(st.integers(1, nj)) for nj in n)
+    part = SensorPartition(m=m, n=n, r=r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _rank_feasible_bank(rng, part)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_banks())
+def test_json_roundtrip_property(tmp_path_factory, bank):
+    wsn = factorize_wsn(bank)
+    path = tmp_path_factory.mktemp("wsn") / "wsn.json"
+    save_wsn_json(wsn, path)
+    back = load_wsn_json(path)
+    assert back.partition == wsn.partition
+    for a, b in zip(back.encoders, wsn.encoders):
+        assert np.array_equal(a, b)
+    for a, b in zip(back.decoder_blocks, wsn.decoder_blocks):
+        assert np.array_equal(a, b)
+
+
+class TestAtomicWrite:
+    def _failing(self, tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise RuntimeError("writer failed mid-write")
+
+    def test_failed_write_keeps_old_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError):
+            atomic_write(path, self._failing)
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_creates_no_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError):
+            atomic_write(path, self._failing)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text("new"))
+        assert path.read_bytes() == b"new"
+        assert list(tmp_path.glob("*.tmp")) == []
