@@ -8,6 +8,7 @@ joint Gram factor, or estimated from training samples with the plain
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,6 +16,17 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import _as_matrix, pinv, psd_sqrt
+
+
+def _dimension(value, name: str) -> int:
+    """An integer dimension. NumPy integers pass; bool, float and str, which
+    ``int()`` would silently coerce, raise :class:`InvalidInput`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -31,8 +43,13 @@ class SensorPartition:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
+        object.__setattr__(self, "m", _dimension(self.m, "m"))
+        object.__setattr__(
+            self, "n", tuple(_dimension(v, f"n[{j}]") for j, v in enumerate(self.n))
+        )
+        object.__setattr__(
+            self, "r", tuple(_dimension(v, f"r[{j}]") for j, v in enumerate(self.r))
+        )
         if self.m < 1:
             raise InvalidInput(f"m must be >= 1, got {self.m}")
         if len(self.n) < 1:

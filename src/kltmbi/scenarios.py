@@ -49,6 +49,8 @@ class ScenarioSpec:
                 f"sigmas must have one entry per sensor ({self.partition.p}), "
                 f"got {len(self.sigmas)}"
             )
+        if not all(np.isfinite(self.sigmas)):
+            raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
         if self.kind == "image" and not self.image_path:
             raise InvalidInput("image scenario requires image_path")
 
@@ -56,6 +58,15 @@ class ScenarioSpec:
 def _require_square_obs(part: SensorPartition, kind: str) -> None:
     if any(nj != part.m for nj in part.n):
         raise InvalidInput(f"{kind} scenario requires n_j = m for every sensor")
+
+
+def _fill_noisy(rng, out: np.ndarray, sigma: float, signal: np.ndarray) -> None:
+    """out = signal + sigma * N(0, 1), with the noise drawn straight into
+    ``out``. Callers draw what ``signal`` needs (A_j) from ``rng`` first, so
+    the stream order is A_j, then its noise, as the references record."""
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += signal
 
 
 def generate(spec: ScenarioSpec) -> SampleEnsemble | SecondMomentModel:
@@ -78,33 +89,22 @@ def generate(spec: ScenarioSpec) -> SampleEnsemble | SecondMomentModel:
         return SecondMomentModel(
             partition=part, e_xx=base.e_xx, e_xy=base.e_xy, e_yy=base.e_yy
         )
-    if spec.kind == "additive_noise":
-        _require_square_obs(part, spec.kind)
-        x = rng.random((part.m, spec.s))
-        y = np.vstack(
-            [
-                x + spec.sigmas[j] * rng.standard_normal((part.n[j], spec.s))
-                for j in range(part.p)
-            ]
-        )
-        return SampleEnsemble(x=x, y=y)
     if spec.kind == "pure_noise_obs":
         x = rng.random((part.m, spec.s))
-        y = np.vstack(
-            [rng.standard_normal((part.n[j], spec.s)) for j in range(part.p)]
-        )
-        return SampleEnsemble(x=x, y=y)
-    if spec.kind == "linear_mixing":
-        _require_square_obs(part, spec.kind)
-        x = rng.random((part.m, spec.s))
-        blocks = []
-        for j in range(part.p):
-            a_j = rng.random((part.m, part.m))
-            noise = spec.sigmas[j] * rng.standard_normal((part.m, spec.s))
-            blocks.append(a_j @ x + noise)
-        return SampleEnsemble(x=x, y=np.vstack(blocks))
-    # image
-    return image_scenario(spec).ensemble
+        # one draw fills the stacked blocks in the order per-block draws would
+        return SampleEnsemble(x=x, y=rng.standard_normal((part.n_total, spec.s)))
+    if spec.kind == "image":
+        return image_scenario(spec).ensemble
+    # additive_noise and linear_mixing
+    _require_square_obs(part, spec.kind)
+    x = rng.random((part.m, spec.s))
+    y = np.empty((part.n_total, spec.s))
+    for j in range(part.p):
+        signal = x
+        if spec.kind == "linear_mixing":
+            signal = rng.random((part.m, part.m)) @ x
+        _fill_noisy(rng, y[part.y_slice(j)], spec.sigmas[j], signal)
+    return SampleEnsemble(x=x, y=y)
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,11 @@ def image_scenario(spec: ScenarioSpec) -> ImageScenarioData:
         raise InvalidInput("image must have at least 2 columns")
     _require_square_obs(part, spec.kind)
     rng = np.random.default_rng(spec.seed)
-    y_blocks = []
+    y_full = np.empty((part.n_total, x_full.shape[1]))
     for j in range(part.p):
         a_j = rng.random(x_full.shape)
-        noise = spec.sigmas[j] * rng.standard_normal(x_full.shape)
-        y_blocks.append(a_j * x_full + noise)
-    y_full = np.vstack(y_blocks)
+        a_j *= x_full
+        _fill_noisy(rng, y_full[part.y_slice(j)], spec.sigmas[j], a_j)
     ens = SampleEnsemble(
         x=subsample_even_columns(x_full), y=subsample_even_columns(y_full)
     )

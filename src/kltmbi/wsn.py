@@ -127,7 +127,9 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
         raise InvalidInput(
             f"x has {ens.x.shape[0]} rows, bank expects {bank.partition.m}"
         )
-    resid = ens.x - bank.apply(ens.y)
+    # the product's buffer becomes the residual: one m x s array per call
+    resid = bank.apply(ens.y)
+    np.subtract(ens.x, resid, out=resid)
     return float(np.linalg.norm(resid) ** 2 / ens.s)
 
 
@@ -151,9 +153,22 @@ def wsn_to_dict(wsn: FactorizedWsn, provenance: dict | None = None) -> dict:
     }
 
 
+def _json_matrix(rows, name: str) -> np.ndarray:
+    """A matrix given as a JSON list of rows of numbers. ``np.array`` would
+    coerce bools, numeric strings and nulls, so each entry is checked first."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError(f"{name} must be a list of rows")
+    for row in rows:
+        for v in row:
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ParseError(f"{name} has a non-numeric entry {v!r}")
+    return np.array(rows, dtype=np.float64)
+
+
 def wsn_from_dict(doc: dict) -> FactorizedWsn:
     """Inverse of :func:`wsn_to_dict`. A document with a missing key, a
-    non-numeric matrix or matrices that contradict its partition raises
+    matrix entry that is not a JSON number, a partition dimension that is not
+    a JSON integer or matrices that contradict its partition raises
     :class:`ParseError`."""
     try:
         part = SensorPartition(
@@ -163,12 +178,19 @@ def wsn_from_dict(doc: dict) -> FactorizedWsn:
         )
         sensors = doc["sensors"]
         return FactorizedWsn(
-            encoders=[np.array(s["encoder"], dtype=np.float64) for s in sensors],
-            decoder_blocks=[np.array(s["decoder"], dtype=np.float64) for s in sensors],
+            encoders=[
+                _json_matrix(s["encoder"], f"sensors[{j}].encoder")
+                for j, s in enumerate(sensors)
+            ],
+            decoder_blocks=[
+                _json_matrix(s["decoder"], f"sensors[{j}].decoder")
+                for j, s in enumerate(sensors)
+            ],
             partition=part,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers InvalidInput from the partition and the shapes
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers InvalidInput from the partition and the shapes;
+        # OverflowError an integer literal beyond the float range
         raise ParseError(f"malformed network document: {exc}") from None
 
 

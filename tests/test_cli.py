@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kltmbi import NotPsd, ParseError, analytic_mse, init_bank, save_pgm
 from kltmbi.cli import (
@@ -11,10 +12,13 @@ from kltmbi.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    RunConfig,
     load_config,
     main,
+    parse_config,
     validate,
 )
+from kltmbi.scenarios import KINDS
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -270,6 +274,9 @@ _NOISE_SCENARIO = {
         # integer literals beyond the float range
         {"scenario": dict(_NOISE_SCENARIO, sigmas=[10**400])},
         {"scenario": _NOISE_SCENARIO, "mbi": {"epsilon": 10**400}},
+        # non-finite noise scales, which JSON reads from NaN and Infinity
+        {"scenario": dict(_NOISE_SCENARIO, n=[3, 3], r=[1, 1], sigmas=[np.nan, 0.1])},
+        {"scenario": dict(_NOISE_SCENARIO, n=[3, 3], r=[1, 1], sigmas=[np.inf, 0.1])},
     ],
     ids=[
         "max_iterations_str",
@@ -289,6 +296,8 @@ _NOISE_SCENARIO = {
         "seed_negative",
         "sigmas_int_overflow",
         "epsilon_int_overflow",
+        "sigmas_nan",
+        "sigmas_inf",
     ],
 )
 def test_malformed_field_is_config_error(tmp_path, capsys, doc):
@@ -390,3 +399,72 @@ def test_load_config_overrides(tmp_path):
     assert cfg.scenario.seed == 42
     assert cfg.mbi.epsilon == 0.5
     assert cfg.mbi.max_iterations == 7
+
+
+# Any JSON value: what json.load can return, NaN and the infinities included.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw, plausible: dict) -> dict:
+    """An object with the keys of ``plausible``. Each key is left out, holds
+    any JSON value, or, most often, holds a value drawn from its plausible
+    strategy, so that many documents get past the earlier checks to reach
+    the later ones."""
+    doc = {}
+    for key, strategy in plausible.items():
+        mode = draw(st.integers(0, 7))
+        if mode == 1:
+            doc[key] = draw(_json_values)
+        elif mode > 1:
+            doc[key] = draw(strategy)
+    return doc
+
+
+_small = st.integers(1, 3)
+_one_sensor = st.lists(_small, min_size=1, max_size=1)
+_paths = st.text(max_size=5)
+_config_docs = _documents(
+    {
+        "scenario": _documents(
+            {
+                "kind": st.sampled_from(KINDS),
+                "m": _small,
+                "n": _one_sensor,
+                "r": _one_sensor,
+                "s": _small,
+                "sigmas": st.lists(
+                    st.floats(0, 1) | st.floats(), min_size=1, max_size=1
+                ),
+                "seed": _small,
+                "image_path": _paths,
+            }
+        ),
+        "mbi": _documents({"epsilon": st.floats(), "max_iterations": _small}),
+        "outputs": _documents(
+            {"trace_csv": _paths, "wsn_json": _paths, "image_out_dir": _paths}
+        ),
+        "report_baseline": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_docs)
+def test_parse_config_returns_config_or_parse_error(doc):
+    # parse_config only: running an accepted document could allocate a
+    # scenario of any size
+    try:
+        cfg = parse_config(doc)
+    except ParseError:
+        return
+    assert isinstance(cfg, RunConfig)

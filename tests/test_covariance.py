@@ -37,11 +37,23 @@ class TestSensorPartition:
             dict(m=2, n=(0,), r=(1,)),
             dict(m=2, n=(2,), r=(0,)),
             dict(m=2, n=(2,), r=(3,)),
+            # values int() would coerce into a different partition
+            dict(m=1.7, n=(2,), r=(1,)),
+            dict(m=True, n=(2,), r=(1,)),
+            dict(m=2, n=("2",), r=(1,)),
+            dict(m=2, n=(2.0,), r=(1,)),
+            dict(m=2, n=(2,), r=(True,)),
+            dict(m="2", n=(2,), r=(1,)),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
             SensorPartition(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        part = SensorPartition(m=np.int64(3), n=(np.int32(3), 4), r=(np.uint8(1), 2))
+        assert part == SensorPartition(m=3, n=(3, 4), r=(1, 2))
+        assert type(part.m) is int and all(type(v) is int for v in part.n + part.r)
 
 
 class TestEstimateMoments:

@@ -1,5 +1,8 @@
 """Tests for scenario generators, the decoupled baseline and PGM I/O."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,110 @@ class TestGenerate:
         ens = generate(_two_sensor_spec(kind="pure_noise_obs", s=200))
         assert ens.x.min() >= 0.0
         assert ens.x.max() < 1.0
+
+
+def _sha(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestPinnedSamples:
+    """The generators' bits are part of the benchmark's references, so any
+    rewrite of them must reproduce these digests exactly."""
+
+    @pytest.mark.parametrize(
+        "kind, n, s, digest",
+        [
+            pytest.param(
+                "additive_noise",
+                (3, 3, 3),
+                50,
+                "480f451a166670686271a25be995c4a04a8f5970e8c0201049f0c02f84c25e52",
+                id="additive_noise-s50",
+            ),
+            pytest.param(
+                "additive_noise",
+                (3, 3),
+                1,
+                "a12dde0bc91616ce8ffc2d16ba1b596e3edd63f1791300a8cf0586942613ce90",
+                id="additive_noise-s1",
+            ),
+            pytest.param(
+                "linear_mixing",
+                (3, 3, 3),
+                50,
+                "2dc8afa65f55979948a1ce1b2d9227ef32eb8a9058e01cba0a42795ea02444d9",
+                id="linear_mixing-s50",
+            ),
+            pytest.param(
+                "linear_mixing",
+                (3, 3),
+                1,
+                "11b49d2291e6e14819d44ac592218ce92d5c92bbf024d999197c8bd04a99ef73",
+                id="linear_mixing-s1",
+            ),
+            pytest.param(
+                "pure_noise_obs",
+                (2, 5, 1),
+                40,
+                "2c5cf7a3bfefa3acb206fccd6242a4441e156521e76b6157a11bb666ad58ef09",
+                id="pure_noise_obs-s40",
+            ),
+            pytest.param(
+                "pure_noise_obs",
+                (2, 5, 1),
+                1,
+                "ae92b5f7cb90488e46ae9b129eed564bef3361d9fbf1a4c3167bfecebed03104",
+                id="pure_noise_obs-s1",
+            ),
+        ],
+    )
+    def test_generate_digest(self, kind, n, s, digest):
+        part = SensorPartition(m=3, n=n, r=(1,) * len(n))
+        sigmas = (0.1, 0.25, 0.4)[: len(n)]
+        ens = generate(
+            ScenarioSpec(kind=kind, partition=part, s=s, sigmas=sigmas, seed=13)
+        )
+        assert _sha(ens.x, ens.y) == digest
+
+    def test_image_digest(self, tmp_path):
+        img_path = tmp_path / "src.pgm"
+        save_pgm(np.random.default_rng(4).random((5, 6)), img_path)
+        part = SensorPartition(m=5, n=(5, 5), r=(2, 2))
+        spec = ScenarioSpec(
+            kind="image",
+            partition=part,
+            s=3,
+            sigmas=(0.2, 0.1),
+            seed=8,
+            image_path=str(img_path),
+        )
+        data = image_scenario(spec)
+        assert _sha(data.x_full, data.y_full) == (
+            "2ef0a2663ba80b88eba77d4aa133822f146ea3a63c0e0bf3785bf5212b858cf2"
+        )
+        ens = generate(spec)
+        assert _sha(ens.x, ens.y) == (
+            "ce852d882a17218202d38e4d421ff99a0bb3354d0b499a3aebff52c6fb01eb86"
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["additive_noise", "pure_noise_obs", "linear_mixing"]
+    )
+    def test_generate_peak_memory(self, kind):
+        # x and y themselves, one m x s temporary (a_j @ x), and slack for
+        # the generator's own small objects
+        m, p, s = 8, 4, 20_000
+        part = SensorPartition(m=m, n=(m,) * p, r=(1,) * p)
+        spec = ScenarioSpec(
+            kind=kind, partition=part, s=s, sigmas=(0.1,) * p, seed=2
+        )
+        tracemalloc.start()
+        try:
+            ens = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ens.x.nbytes + ens.y.nbytes + m * s * 8 + 64 * 1024
 
 
 def test_tiny_pure_noise_fixture():

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,33 @@ class TestEmpiricalMse:
             ana = analytic_mse(model, bank)
             assert abs(emp - ana) <= 1e-8 * max(1.0, abs(emp))
 
+    def test_bit_equal_to_formula(self):
+        rng = np.random.default_rng(11)
+        part = SensorPartition(m=3, n=(2, 4), r=(1, 2))
+        bank = _rank_feasible_bank(rng, part)
+        for s in (1, 7, 300):
+            ens = SampleEnsemble(
+                x=rng.standard_normal((3, s)), y=rng.standard_normal((6, s))
+            )
+            want = np.linalg.norm(ens.x - bank.full() @ ens.y) ** 2 / s
+            assert empirical_mse(ens, bank) == want
+
+    def test_peak_memory_is_one_residual(self):
+        rng = np.random.default_rng(12)
+        m, p, s = 8, 4, 20_000
+        part = SensorPartition(m=m, n=(m,) * p, r=(2,) * p)
+        bank = _rank_feasible_bank(rng, part)
+        ens = SampleEnsemble(
+            x=rng.standard_normal((m, s)), y=rng.standard_normal((m * p, s))
+        )
+        tracemalloc.start()
+        try:
+            empirical_mse(ens, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * s * 8 + 64 * 1024
+
 
 class TestJsonExport:
     def test_roundtrip(self, tmp_path):
@@ -246,6 +274,41 @@ class TestJsonExport:
         doc["sensors"][0]["encoder"] = bad
         with pytest.raises(ParseError):
             self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "bad", ["1.5", True, None, 10**400], ids=["str", "bool", "null", "overflow"]
+    )
+    @pytest.mark.parametrize("where", ["encoder", "decoder"])
+    def test_entry_not_a_json_number(self, tmp_path, where, bad):
+        doc = self._doc(tmp_path)
+        doc["sensors"][1][where][0][0] = bad
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("m", 1.7), ("m", "3"), ("m", True), ("n", "24"), ("n", [2.0, 4]),
+         ("r", ["1", 2]), ("r", [1, False])],
+    )
+    def test_partition_not_json_integers(self, tmp_path, field, bad):
+        doc = self._doc(tmp_path)
+        doc["partition"][field] = bad
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+
+    def test_coercible_document_rejected(self, tmp_path):
+        # every field here used to be converted: n=(2,), decoder [[1.0]]
+        doc = {
+            "partition": {"m": 1, "n": "2", "r": ["1"]},
+            "sensors": [{"encoder": [["1.5", "2"]], "decoder": [[True]]}],
+        }
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+        doc["partition"] = {"m": 1, "n": [2], "r": [1]}
+        with pytest.raises(ParseError):
+            self._load(tmp_path, doc)
+        doc["sensors"] = [{"encoder": [[1.5, 2]], "decoder": [[1]]}]
+        assert self._load(tmp_path, doc).decoder_blocks[0].tolist() == [[1.0]]
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
