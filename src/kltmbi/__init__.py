@@ -16,8 +16,6 @@ from .covariance import (
     SensorPartition,
     estimate_moments,
     example1_model,
-    joint_model_from_factor,
-    load_ensemble_csv,
 )
 from .errors import InvalidInput, NotPsd, ParseError
 from .linalg import (
@@ -44,9 +42,7 @@ from .solver import (
     ReducedProblem,
     init_bank,
     klt_matrix,
-    klt_single,
     mbi_solve,
-    mbi_step,
     objective,
     rank_constrained_lsq,
     reduce_problem,
@@ -88,14 +84,10 @@ __all__ = [
     "generate",
     "image_scenario",
     "init_bank",
-    "joint_model_from_factor",
     "klt_matrix",
-    "klt_single",
-    "load_ensemble_csv",
     "load_pgm",
     "load_wsn_json",
     "mbi_solve",
-    "mbi_step",
     "objective",
     "pinv",
     "psd_sqrt",

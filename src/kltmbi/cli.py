@@ -42,45 +42,24 @@ class RunConfig:
     report_baseline: bool
 
 
-def _float_field(value, name: str) -> float:
+# The config's numbers go on as JSON gave them: SensorPartition, ScenarioSpec
+# and MbiConfig raise InvalidInput for a bool, a string, a float where an
+# integer is due or an integer beyond the float range. The helpers below
+# check only the JSON shapes.
+def _float_field(value, name: str):
     # JSON has no infinity literal; accept the strings "inf"/"infinity"
     if isinstance(value, str):
         try:
             return float(value)
         except ValueError:
             raise ParseError(f"{name} is not a number: {value!r}") from None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{name} must be a number, got {value!r}")
-    return _as_float(value, name)
-
-
-def _as_float(value: int | float, name: str) -> float:
-    # a JSON integer literal can lie beyond the float range
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"{name} is out of range: {value!r}") from None
-
-
-def _int_field(value, name: str) -> int:
-    # bool is an int subclass; a float, even 3.0, is not an integer field
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _int_list_field(value, name: str) -> tuple[int, ...]:
+def _list_field(value, name: str) -> tuple:
     if not isinstance(value, list):
-        raise ParseError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(_int_field(v, f"{name}[{i}]") for i, v in enumerate(value))
-
-
-def _number_list_field(value, name: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or any(
-        not isinstance(v, (int, float)) or isinstance(v, bool) for v in value
-    ):
-        raise ParseError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(_as_float(v, f"{name}[{i}]") for i, v in enumerate(value))
+        raise ParseError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _str_field(value, name: str) -> str | None:
@@ -111,16 +90,14 @@ def parse_config(
         else:
             m, n, r = sc["m"], sc["n"], sc["r"]
         part = SensorPartition(
-            m=_int_field(m, "scenario.m"),
-            n=_int_list_field(n, "scenario.n"),
-            r=_int_list_field(r, "scenario.r"),
+            m=m, n=_list_field(n, "scenario.n"), r=_list_field(r, "scenario.r")
         )
         spec = ScenarioSpec(
             kind=kind,
             partition=part,
-            s=_int_field(sc.get("s", 1), "scenario.s"),
-            sigmas=_number_list_field(sc.get("sigmas", []), "scenario.sigmas"),
-            seed=_int_field(sc["seed"], "scenario.seed") if seed is None else seed,
+            s=sc.get("s", 1),
+            sigmas=_list_field(sc.get("sigmas", []), "scenario.sigmas"),
+            seed=sc["seed"] if seed is None else seed,
             image_path=_str_field(sc.get("image_path"), "scenario.image_path"),
         )
     except KeyError as exc:
@@ -136,11 +113,7 @@ def parse_config(
         if epsilon is None
         else epsilon
     )
-    iters = (
-        _int_field(mbi_doc.get("max_iterations", 100), "mbi.max_iterations")
-        if max_iters is None
-        else max_iters
-    )
+    iters = mbi_doc.get("max_iterations", 100) if max_iters is None else max_iters
     try:
         mbi = MbiConfig(epsilon=eps, max_iterations=iters, record_trace=True)
     except InvalidInput as exc:

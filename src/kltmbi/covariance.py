@@ -1,13 +1,14 @@
 """Second-moment models of a jointly observed pair (x, y) with sensor blocks.
 
 Models hold the matrices E_xx, E_xy, E_yy together with the partition of y
-into per-sensor blocks. They are built either from exact matrices, from a
-joint Gram factor, or estimated from training samples with the plain
-(non-centered) sample estimator ``(1/s) A B^T``.
+into per-sensor blocks. They are built either from exact matrices or
+estimated from training samples with the plain (non-centered) sample
+estimator ``(1/s) A B^T``.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _as_matrix, pinv, psd_sqrt
+from .linalg import pinv, psd_sqrt
 
 
 def _dimension(value, name: str) -> int:
@@ -27,6 +28,18 @@ def _dimension(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    """A real number as a float. NumPy reals pass; bool and str, which
+    ``float()`` would silently coerce, raise :class:`InvalidInput`, as does
+    an integer beyond the float range."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{name} is out of range: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,10 +83,6 @@ class SensorPartition:
     def n_total(self) -> int:
         return sum(self.n)
 
-    @property
-    def r_total(self) -> int:
-        return sum(self.r)
-
     def y_slice(self, j: int) -> slice:
         """Row/column slice of sensor j inside the stacked observation."""
         start = sum(self.n[:j])
@@ -85,7 +94,7 @@ class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
     ``provenance`` is ``"exact"`` for analytically known matrices or
-    ``"estimated"`` (with ``sample_count``) when built from training samples.
+    ``"estimated"`` when built from training samples.
 
     The moment arrays are treated as immutable: ``e_yy_root`` and ``h`` are
     computed from them on first use and cached on the model, so mutating an
@@ -97,7 +106,6 @@ class SecondMomentModel:
     e_xy: np.ndarray
     e_yy: np.ndarray
     provenance: str = "exact"
-    sample_count: int | None = None
 
     def __post_init__(self):
         m, n = self.partition.m, self.partition.n_total
@@ -149,9 +157,6 @@ class SampleEnsemble:
     def s(self) -> int:
         return self.x.shape[1]
 
-    def y_block(self, part: SensorPartition, j: int) -> np.ndarray:
-        return self.y[part.y_slice(j)]
-
 
 def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMomentModel:
     """Plain sample second moments ``(1/s) X X^T`` etc., no mean subtraction.
@@ -178,29 +183,6 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
         e_xy=e_xy,
         e_yy=e_yy,
         provenance="estimated",
-        sample_count=s,
-    )
-
-
-def joint_model_from_factor(a, part: SensorPartition) -> SecondMomentModel:
-    """Consistent joint model from a factor ``a`` with m + n_total rows.
-
-    The Gram matrix ``a a^T`` is partitioned into (E_xx, E_xy, E_yy), so the
-    stacked joint matrix is PSD by construction. Intended as a generator of
-    well-posed test models.
-    """
-    a = _as_matrix(a)
-    m, n = part.m, part.n_total
-    if a.shape[0] != m + n:
-        raise InvalidInput(f"factor must have {m + n} rows, got {a.shape[0]}")
-    gram = a @ a.T
-    gram = (gram + gram.T) / 2.0
-    return SecondMomentModel(
-        partition=part,
-        e_xx=gram[:m, :m],
-        e_xy=gram[:m, m:],
-        e_yy=gram[m:, m:],
-        provenance="exact",
     )
 
 
@@ -233,20 +215,3 @@ def example1_model() -> SecondMomentModel:
         ]
     )
     return SecondMomentModel(partition=part, e_xx=exx, e_xy=e_xy, e_yy=e_yy)
-
-
-def load_ensemble_csv(x_path, y_path, part: SensorPartition) -> SampleEnsemble:
-    """Read a training ensemble from two CSV files.
-
-    Each file holds one row per signal component and one column per sample;
-    the y file stacks sensor blocks vertically in partition order.
-    """
-    x = np.atleast_2d(np.loadtxt(x_path, delimiter=",", dtype=np.float64))
-    y = np.atleast_2d(np.loadtxt(y_path, delimiter=",", dtype=np.float64))
-    ens = SampleEnsemble(x=x, y=y)
-    if x.shape[0] != part.m or y.shape[0] != part.n_total:
-        raise InvalidInput(
-            f"CSV shapes {x.shape}/{y.shape} do not match partition "
-            f"(m={part.m}, n_total={part.n_total})"
-        )
-    return ens

@@ -1,8 +1,7 @@
 """Dense linear-algebra primitives: SVD, truncation, pseudo-inverse, PSD root.
 
 All functions are pure and deterministic for a fixed input. Numerical rank is
-decided by a backward-stable threshold ``sigma_max * max(rows, cols) * eps``,
-overridable per call via ``rank_tol``.
+decided by the backward-stable threshold ``sigma_max * max(rows, cols) * eps``.
 """
 
 from __future__ import annotations
@@ -15,6 +14,10 @@ import numpy as np
 from .errors import InvalidInput, NotPsd
 
 _EPS = np.finfo(np.float64).eps
+
+# psd_sqrt's tolerance, relative to max(1, ||c||), for asymmetry and for
+# negative eigenvalues that are clamped to zero as estimation noise.
+_PSD_REL_TOL = 1e-8
 
 
 class DegenerateTruncationWarning(UserWarning):
@@ -30,33 +33,23 @@ def _as_matrix(c) -> np.ndarray:
     return c
 
 
-def default_rank_tol(sigma: np.ndarray, shape: tuple[int, int]) -> float:
-    """Backward-stable numerical-rank threshold for the given spectrum."""
-    if sigma.size == 0:
-        return 0.0
-    return float(sigma[0]) * max(shape) * _EPS
-
-
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD ``c = u @ diag(sigma) @ v.T`` with a numerical rank estimate.
 
     ``u`` and ``v`` have orthonormal columns; ``sigma`` is non-increasing and
-    non-negative; ``numeric_rank`` counts singular values above ``rank_tol``.
+    non-negative; ``numeric_rank`` counts singular values above the rank
+    threshold.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     numeric_rank: int
-    rank_tol: float
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
 
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudo-inverse; singular values at or below
-        ``rank_tol`` count as exact zeros."""
+        """Moore-Penrose pseudo-inverse; singular values at or below the rank
+        threshold count as exact zeros."""
         k = self.numeric_rank
         if k == 0:
             return np.zeros((self.v.shape[0], self.u.shape[0]))
@@ -70,19 +63,19 @@ class SvdFactors:
         return v @ v.T
 
 
-def svd(c, rank_tol: float | None = None) -> SvdFactors:
+def svd(c) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
 
     Raises :class:`InvalidInput` on non-finite entries.
     """
     c = _as_matrix(c)
     u, s, vt = np.linalg.svd(c, full_matrices=False)
-    tol = default_rank_tol(s, c.shape) if rank_tol is None else float(rank_tol)
+    tol = float(s[0]) * max(c.shape) * _EPS if s.size else 0.0
     numeric_rank = int(np.count_nonzero(s > tol))
-    return SvdFactors(u=u, sigma=s, v=vt.T, numeric_rank=numeric_rank, rank_tol=tol)
+    return SvdFactors(u=u, sigma=s, v=vt.T, numeric_rank=numeric_rank)
 
 
-def truncated(c, r: int, rank_tol: float | None = None) -> np.ndarray:
+def truncated(c, r: int) -> np.ndarray:
     """Best Frobenius rank-``r`` approximation of ``c``.
 
     Keeps the ``min(r, numeric_rank)`` leading singular triplets; for
@@ -95,7 +88,7 @@ def truncated(c, r: int, rank_tol: float | None = None) -> np.ndarray:
     """
     if r < 0:
         raise InvalidInput(f"truncation rank must be >= 0, got {r}")
-    f = svd(c, rank_tol=rank_tol)
+    f = svd(c)
     k = min(r, f.numeric_rank)
     if 0 < k < f.sigma.size:
         gap = f.sigma[k - 1] - f.sigma[k]
@@ -109,16 +102,16 @@ def truncated(c, r: int, rank_tol: float | None = None) -> np.ndarray:
     return (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
 
 
-def pinv(c, rank_tol: float | None = None) -> np.ndarray:
+def pinv(c) -> np.ndarray:
     """Moore-Penrose pseudo-inverse; singular values below the rank threshold
     are treated as exact zeros."""
-    return svd(c, rank_tol=rank_tol).pinv()
+    return svd(c).pinv()
 
 
-def psd_sqrt(c, rel_tol: float = 1e-8) -> np.ndarray:
+def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in ``[-rel_tol * ||c||, 0)`` are clamped to zero (tolerated
+    Eigenvalues in ``[-1e-8 * ||c||, 0)`` are clamped to zero (tolerated
     estimation noise); anything more negative raises :class:`NotPsd`.
     The eigendecomposition of the symmetrized input keeps the root exactly
     symmetric.
@@ -127,12 +120,12 @@ def psd_sqrt(c, rel_tol: float = 1e-8) -> np.ndarray:
     if c.shape[0] != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
     scale = max(1.0, float(np.linalg.norm(c)))
-    if np.linalg.norm(c - c.T) > rel_tol * scale:
+    if np.linalg.norm(c - c.T) > _PSD_REL_TOL * scale:
         raise InvalidInput("psd_sqrt input is not symmetric within tolerance")
     sym = (c + c.T) / 2.0
     w, vecs = np.linalg.eigh(sym)
-    if w.size and w[0] < -rel_tol * scale:
-        raise NotPsd(f"eigenvalue {w[0]:.3e} below -{rel_tol:.0e} * ||c||")
+    if w.size and w[0] < -_PSD_REL_TOL * scale:
+        raise NotPsd(f"eigenvalue {w[0]:.3e} below -{_PSD_REL_TOL:.0e} * ||c||")
     w = np.clip(w, 0.0, None)
     root = (vecs * np.sqrt(w)) @ vecs.T
     return (root + root.T) / 2.0

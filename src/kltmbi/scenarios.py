@@ -17,17 +17,29 @@ from .covariance import (
     SampleEnsemble,
     SecondMomentModel,
     SensorPartition,
+    _dimension,
+    _real,
     example1_model,
 )
 from .errors import InvalidInput, ParseError
 
 KINDS = ("exact_example1", "additive_noise", "pure_noise_obs", "linear_mixing", "image")
 
+# Largest scenario accepted (2 GiB), in bytes of float64 data: the samples x
+# and y, (m + N) * s numbers for the sampled kinds, plus the joint second
+# moments E_xx, E_xy and E_yy, at most (m + N)^2 numbers. An image scenario's
+# sample count is that of its image file, not s.
+MAX_SCENARIO_BYTES = 2 * 1024**3
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulation study: a scenario family, its partition, sample count,
-    per-sensor noise scales, PRNG seed, and (for image runs) a source image."""
+    per-sensor noise scales, PRNG seed, and (for image runs) a source image.
+
+    Raises :class:`InvalidInput` when the scenario needs more than
+    :data:`MAX_SCENARIO_BYTES`, before anything is allocated.
+    """
 
     kind: str
     partition: SensorPartition
@@ -37,7 +49,13 @@ class ScenarioSpec:
     image_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(float(v) for v in self.sigmas))
+        object.__setattr__(
+            self,
+            "sigmas",
+            tuple(_real(v, f"sigmas[{j}]") for j, v in enumerate(self.sigmas)),
+        )
+        object.__setattr__(self, "s", _dimension(self.s, "s"))
+        object.__setattr__(self, "seed", _dimension(self.seed, "seed"))
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
         if self.s < 1:
@@ -53,6 +71,14 @@ class ScenarioSpec:
             raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
         if self.kind == "image" and not self.image_path:
             raise InvalidInput("image scenario requires image_path")
+        dim = self.partition.m + self.partition.n_total
+        samples = 0 if self.kind in ("exact_example1", "image") else self.s
+        need = 8 * dim * (samples + dim)
+        if need > MAX_SCENARIO_BYTES:
+            raise InvalidInput(
+                f"scenario needs {need} bytes, more than the "
+                f"{MAX_SCENARIO_BYTES}-byte limit"
+            )
 
 
 def _require_square_obs(part: SensorPartition, kind: str) -> None:
@@ -222,14 +248,11 @@ def load_pgm(path) -> np.ndarray:
     return pixels / maxval
 
 
-def save_pgm(a: np.ndarray, path, maxval: int = 255) -> None:
-    """Write a [0, 1]-scaled matrix as a binary (P5) graymap; values are
-    clipped to [0, 1] and rounded."""
+def save_pgm(a: np.ndarray, path) -> None:
+    """Write a [0, 1]-scaled matrix as an 8-bit binary (P5) graymap; values
+    are clipped to [0, 1] and rounded."""
     if a.ndim != 2:
         raise InvalidInput("image must be a 2-d array")
-    if not 0 < maxval < 65536:
-        raise InvalidInput(f"maxval must be in [1, 65535], got {maxval}")
-    q = np.rint(np.clip(a, 0.0, 1.0) * maxval)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    header = f"P5\n{a.shape[1]} {a.shape[0]}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + q.astype(dtype).tobytes())
+    q = np.rint(np.clip(a, 0.0, 1.0) * 255)
+    header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + q.astype(np.uint8).tobytes())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SecondMomentModel, SensorPartition
+from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
 from .errors import InvalidInput
 from .linalg import SvdFactors, pinv, psd_sqrt, svd, truncated
 
@@ -101,8 +101,12 @@ class MbiConfig:
     record_trace: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
         if not self.epsilon >= 0:
             raise InvalidInput(f"epsilon must be >= 0, got {self.epsilon}")
+        object.__setattr__(
+            self, "max_iterations", _dimension(self.max_iterations, "max_iterations")
+        )
         if self.max_iterations < 1:
             raise InvalidInput(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
@@ -174,15 +178,6 @@ def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
     return truncated(e_xy @ root_pinv, r) @ root_pinv
 
 
-def klt_single(model: SecondMomentModel, r: int | None = None) -> np.ndarray:
-    """Single-sensor optimal compressor; requires a one-sensor model."""
-    if model.partition.p != 1:
-        raise InvalidInput(f"klt_single needs p = 1, got p = {model.partition.p}")
-    if r is None:
-        r = model.partition.r[0]
-    return klt_matrix(model.e_xy, model.e_yy, r)
-
-
 def allocate_x_blocks(part: SensorPartition) -> list[int] | None:
     """Split the source dimension across sensors proportionally to the n_j,
     remainders going to the lowest indices. None when m < p (infeasible)."""
@@ -201,32 +196,22 @@ def allocate_x_blocks(part: SensorPartition) -> list[int] | None:
     return alloc
 
 
-def init_bank(
-    model: SecondMomentModel, m_blocks: list[int] | None = None
-) -> CompressorBank:
+def init_bank(model: SecondMomentModel) -> CompressorBank:
     """Warm start: per-sensor optimal compressors on a block-diagonal split.
 
-    The source x is partitioned conformally with the sensors (``m_blocks``,
-    summing to m); block j is the optimal rank-r_j estimator of x_j from y_j,
-    lifted to an m x n_j matrix with zero rows outside the x_j rows. When no
-    split is given one is allocated proportionally to the n_j; when none is
-    feasible (m < p) the all-zero bank is returned.
+    The source x is partitioned conformally with the sensors by
+    :func:`allocate_x_blocks`; block j is the optimal rank-r_j estimator of
+    x_j from y_j, lifted to an m x n_j matrix with zero rows outside the x_j
+    rows. When no split is feasible (m < p) the all-zero bank is returned.
     """
     part = model.partition
-    if m_blocks is None:
-        m_blocks = allocate_x_blocks(part)
-        if m_blocks is None:
-            return CompressorBank.zeros(part)
-    if len(m_blocks) != part.p or sum(m_blocks) != part.m:
-        raise InvalidInput(
-            f"m_blocks must have {part.p} entries summing to {part.m}"
-        )
-    if any(mj < 1 for mj in m_blocks):
-        raise InvalidInput("every m_blocks entry must be >= 1")
+    x_blocks = allocate_x_blocks(part)
+    if x_blocks is None:
+        return CompressorBank.zeros(part)
     blocks = []
     row = 0
     for j in range(part.p):
-        mj = m_blocks[j]
+        mj = x_blocks[j]
         e_xj_yj = model.e_xy_block(j)[row : row + mj]
         e_yj_yj = model.e_yy_block(j, j)
         fj = np.zeros((part.m, part.n[j]))
@@ -353,16 +338,6 @@ def _step(
     if f_best >= f_cur:
         return bank, best_j, f_cur, total, projectors
     return new_bank, best_j, f_best, new_total, projectors
-
-
-def mbi_step(
-    rp: ReducedProblem, bank: CompressorBank
-) -> tuple[CompressorBank, int, float]:
-    """Single maximum-block-improvement step: best single-block replacement."""
-    total = _total(rp, bank)
-    f_cur = float(np.linalg.norm(rp.h - total) ** 2)
-    new_bank, j, f_new, _, _ = _step(rp, bank, total, f_cur, _initial_projectors(rp))
-    return new_bank, j, f_new
 
 
 def mbi_solve(

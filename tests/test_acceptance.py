@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from conftest import ONE_SWEEP, noisy_model, random_model
 from kltmbi import (
     CompressorBank,
     MbiConfig,
@@ -22,33 +23,13 @@ from kltmbi import (
     generate,
     image_scenario,
     init_bank,
-    joint_model_from_factor,
-    klt_single,
+    klt_matrix,
     mbi_solve,
-    mbi_step,
     rank_constrained_lsq,
     reduce_problem,
     save_pgm,
 )
 from kltmbi.cli import main
-from kltmbi.covariance import SecondMomentModel
-
-
-def _random_model(rng, m, n, r, extra_cols=8):
-    part = SensorPartition(m=m, n=tuple(n), r=tuple(r))
-    d = part.m + part.n_total
-    factor = rng.standard_normal((d, d + extra_cols))
-    return joint_model_from_factor(factor, part)
-
-
-def _well_conditioned_model(rng, m, n, r, noise=0.5, extra_cols=20):
-    """Gram model with noise added on the observation covariance; keeps the
-    MBI iteration well inside its convergence budget."""
-    base = _random_model(rng, m, n, r, extra_cols=extra_cols)
-    e_yy = base.e_yy + noise * np.eye(base.partition.n_total)
-    return SecondMomentModel(
-        partition=base.partition, e_xx=base.e_xx, e_xy=base.e_xy, e_yy=e_yy
-    )
 
 
 def _solve_example1(max_iterations):
@@ -91,10 +72,10 @@ def test_criterion_3_single_sensor_klt_degeneracy():
         m = int(rng.integers(2, 13))
         n = int(rng.integers(2, 13))
         r = int(rng.integers(1, n + 1))
-        model = _random_model(rng, m, (n,), (r,))
+        model = random_model(rng, m, (n,), (r,))
         rp = reduce_problem(model)
-        stepped, _, _ = mbi_step(rp, CompressorBank.zeros(model.partition))
-        direct = klt_single(model)
+        stepped, _ = mbi_solve(rp, CompressorBank.zeros(model.partition), ONE_SWEEP)
+        direct = klt_matrix(model.e_xy, model.e_yy, r)
         denom = max(np.linalg.norm(direct), 1.0)
         worst = max(worst, np.linalg.norm(stepped.blocks[0] - direct) / denom)
     assert worst <= 1e-8, f"worst relative deviation {worst}"
@@ -147,7 +128,7 @@ def test_criterion_5_monotone_convergence_and_stationarity():
         n = tuple(int(rng.integers(2, 7)) for _ in range(p))
         m = int(rng.integers(2, 7))
         r = tuple(int(rng.integers(1, nj + 1)) for nj in n)
-        model = _well_conditioned_model(rng, m, n, r)
+        model = noisy_model(rng, m, n, r)
         rp = reduce_problem(model)
         bank, trace = mbi_solve(
             rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
@@ -156,8 +137,8 @@ def test_criterion_5_monotone_convergence_and_stationarity():
         obj = trace.objective_per_iteration
         assert all(b <= a for a, b in zip(obj, obj[1:])), "objective increased"
         # Stationarity: the best single-block re-solve must not help.
-        _, _, f_after = mbi_step(rp, bank)
-        worst_improve = max(worst_improve, obj[-1] - f_after)
+        _, after = mbi_solve(rp, bank, ONE_SWEEP)
+        worst_improve = max(worst_improve, obj[-1] - after.objective_per_iteration[-1])
     assert worst_improve < 1e-9, f"a block re-solve improved f by {worst_improve}"
     print(
         "\nPASS criterion 5: 50 multi-sensor models converged monotonically; "

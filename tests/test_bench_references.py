@@ -2,7 +2,9 @@
 recorded final MSE, chosen blocks and output sha256 digests.
 
 Only the worker's result checks are asserted, never its timings, so the
-test cannot be made flaky by a slow or busy machine.
+test cannot be made flaky by a slow or busy machine. Each workload also runs
+traced, as the benchmark's per-layer runs do: the worker then wraps every
+library function the benchmark times, found by its module and name.
 """
 
 import json
@@ -16,8 +18,12 @@ PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 WORKLOADS = ["many_sensors", "cli_trace", "sample_heavy"]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_reference_seed_matches(workload, tmp_path):
+@pytest.mark.parametrize(
+    "workload, traced",
+    [pytest.param(w, False, id=w) for w in WORKLOADS]
+    + [pytest.param(w, True, id=f"{w}-traced") for w in WORKLOADS],
+)
+def test_reference_seed_matches(workload, traced, tmp_path):
     proc = subprocess.run(
         [
             sys.executable,
@@ -28,6 +34,7 @@ def test_reference_seed_matches(workload, tmp_path):
             "1",
             "--workdir",
             str(tmp_path),
+            *(["--traced"] if traced else []),
         ],
         cwd=tmp_path,
         capture_output=True,

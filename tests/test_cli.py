@@ -1,12 +1,24 @@
 """Tests for the CLI: config handling, outputs, exit codes, determinism."""
 
 import json
+import os
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kltmbi import NotPsd, ParseError, analytic_mse, init_bank, save_pgm
+from kltmbi import (
+    DegenerateTruncationWarning,
+    NotPsd,
+    ParseError,
+    analytic_mse,
+    init_bank,
+    save_pgm,
+)
+from kltmbi import scenarios
 from kltmbi.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -277,6 +289,9 @@ _NOISE_SCENARIO = {
         # non-finite noise scales, which JSON reads from NaN and Infinity
         {"scenario": dict(_NOISE_SCENARIO, n=[3, 3], r=[1, 1], sigmas=[np.nan, 0.1])},
         {"scenario": dict(_NOISE_SCENARIO, n=[3, 3], r=[1, 1], sigmas=[np.inf, 0.1])},
+        # scenarios beyond the size limit, in samples and in moments
+        {"scenario": dict(_NOISE_SCENARIO, m=1, n=[1], s=10**15)},
+        {"scenario": dict(_NOISE_SCENARIO, kind="pure_noise_obs", m=10**5, s=1)},
     ],
     ids=[
         "max_iterations_str",
@@ -298,6 +313,8 @@ _NOISE_SCENARIO = {
         "epsilon_int_overflow",
         "sigmas_nan",
         "sigmas_inf",
+        "s_too_large",
+        "moments_too_large",
     ],
 )
 def test_malformed_field_is_config_error(tmp_path, capsys, doc):
@@ -468,3 +485,80 @@ def test_parse_config_returns_config_or_parse_error(doc):
     except ParseError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# Names that the run property places in its temporary directory: an image it
+# writes there (3 rows), a file that does not exist and one in a missing
+# directory.
+_run_paths = st.sampled_from(["", "out", "img.pgm", "absent.pgm", "missing/out"])
+
+
+@st.composite
+def _run_docs(draw) -> dict:
+    """A config whose fields mostly agree with each other (p entries in n, r
+    and sigmas, r_j <= n_j, often n_j = m), so that many examples run, with
+    up to two fields left out or replaced by any JSON value."""
+    p = draw(st.integers(1, 2))
+    m = draw(_small | st.integers(4, 20) | st.integers(21, 10**6))
+    if draw(st.booleans()):
+        n = [m] * p
+    else:
+        n = draw(st.lists(st.integers(1, 20), min_size=p, max_size=p))
+    doc = {
+        "scenario": {
+            "kind": draw(st.sampled_from(KINDS)),
+            "m": m,
+            "n": n,
+            "r": [draw(st.integers(1, min(nj, 8))) for nj in n],
+            "s": draw(_small | st.integers(4, 2000) | st.integers(2001, 10**15)),
+            "sigmas": draw(
+                st.lists(st.floats(0, 1) | st.floats(), min_size=p, max_size=p)
+            ),
+            "seed": draw(_small),
+            "image_path": draw(_run_paths),
+        },
+        "mbi": {"epsilon": draw(st.floats(0, 1))},
+        "outputs": {
+            key: draw(_run_paths) for key in ("trace_csv", "wsn_json", "image_out_dir")
+        },
+        "report_baseline": draw(st.booleans()),
+    }
+    fields = [(doc, key) for key in doc] + [
+        (doc[section], key) for section in ("scenario", "mbi", "outputs")
+        for key in doc[section]
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        section, key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            section.pop(key, None)
+        else:
+            section[key] = draw(_json_values)
+    return doc
+
+
+def _under(root: str, section) -> None:
+    # move the paths of a config section into root; "" stays "no output"
+    if isinstance(section, dict):
+        for key in ("image_path", "trace_csv", "wsn_json", "image_out_dir"):
+            if isinstance(section.get(key), str) and section[key]:
+                section[key] = os.path.join(root, section[key])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_docs(), st.integers(1, 20))
+def test_run_ends_in_a_documented_exit_code(doc, max_iters):
+    # a low size limit keeps every accepted scenario small
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(
+        scenarios, "MAX_SCENARIO_BYTES", 2**20
+    ), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTruncationWarning)
+        save_pgm(np.random.default_rng(0).random((3, 4)), os.path.join(root, "img.pgm"))
+        _under(root, doc.get("scenario"))
+        _under(root, doc.get("outputs"))
+        path = os.path.join(root, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["--config", path]
+        assert main(["validate", *argv]) in (EXIT_OK, EXIT_CONFIG)
+        code = main(["run", *argv, "--max-iters", str(max_iters), "--quiet"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)

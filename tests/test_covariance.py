@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kltmbi.covariance as covariance
+from conftest import joint_model_from_factor
 from kltmbi import (
     CompressorBank,
     InvalidInput,
@@ -13,8 +14,6 @@ from kltmbi import (
     analytic_mse,
     estimate_moments,
     example1_model,
-    joint_model_from_factor,
-    load_ensemble_csv,
     reduce_problem,
 )
 from kltmbi.covariance import SecondMomentModel
@@ -25,7 +24,6 @@ class TestSensorPartition:
         part = SensorPartition(m=3, n=(3, 4), r=(1, 2))
         assert part.p == 2
         assert part.n_total == 7
-        assert part.r_total == 3
         assert part.y_slice(1) == slice(3, 7)
 
     @pytest.mark.parametrize(
@@ -63,7 +61,6 @@ class TestEstimateMoments:
         model = estimate_moments(SampleEnsemble(x=v, y=v), part)
         assert np.allclose(model.e_xy, v @ v.T)
         assert model.provenance == "estimated"
-        assert model.sample_count == 1
 
     def test_orthonormal_design(self):
         # rows of X orthogonal with norm sqrt(s) -> e_xx = I
@@ -189,18 +186,3 @@ class TestModelCache:
                 reduce_problem(model)
             with pytest.raises(NotPsd):
                 analytic_mse(model, bank)
-
-
-def test_load_ensemble_csv(tmp_path):
-    rng = np.random.default_rng(6)
-    part = SensorPartition(m=2, n=(2, 1), r=(1, 1))
-    x = rng.standard_normal((2, 5))
-    y = rng.standard_normal((3, 5))
-    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
-    np.savetxt(xp, x, delimiter=",")
-    np.savetxt(yp, y, delimiter=",")
-    ens = load_ensemble_csv(xp, yp, part)
-    assert np.allclose(ens.x, x)
-    assert np.allclose(ens.y, y)
-    with pytest.raises(InvalidInput):
-        load_ensemble_csv(yp, xp, part)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import joint_model_from_factor
 from kltmbi import (
     InvalidInput,
     MbiConfig,
@@ -17,7 +18,7 @@ from kltmbi import (
     generate,
     image_scenario,
     init_bank,
-    klt_single,
+    klt_matrix,
     load_pgm,
     mbi_solve,
     reduce_problem,
@@ -25,6 +26,7 @@ from kltmbi import (
     subsample_even_columns,
 )
 from kltmbi.covariance import SampleEnsemble, SecondMomentModel
+from kltmbi.scenarios import MAX_SCENARIO_BYTES
 
 # Tiny two-sensor regression fixture: a 2-dimensional source with four
 # training draws whose observations are pure noise (no signal component).
@@ -76,6 +78,55 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInput):
             ScenarioSpec(kind="image", partition=part, s=1, sigmas=(0.1,))
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            dict(s=2.0),
+            dict(s=True),
+            dict(s="2"),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(sigmas=("0.1",)),
+            dict(sigmas=(True,)),
+            dict(sigmas=(10**400,)),
+        ],
+    )
+    def test_wrong_typed_field(self, field):
+        part = SensorPartition(m=2, n=(2,), r=(1,))
+        kwargs = dict(kind="additive_noise", partition=part, s=2, sigmas=(0.1,))
+        with pytest.raises(InvalidInput):
+            ScenarioSpec(**{**kwargs, **field})
+
+    def test_numpy_numbers_pass(self):
+        part = SensorPartition(m=2, n=(2,), r=(1,))
+        spec = ScenarioSpec(
+            kind="additive_noise",
+            partition=part,
+            s=np.int64(2),
+            sigmas=(np.float32(0.5),),
+            seed=np.uint8(3),
+        )
+        assert (spec.s, spec.sigmas, spec.seed) == (2, (0.5,), 3)
+        assert type(spec.s) is int and type(spec.seed) is int
+
+    def test_size_cap(self):
+        # 8 (m + N) (s + m + N) bytes: 16 (s + 2) at m = N = 1
+        part = SensorPartition(m=1, n=(1,), r=(1,))
+        s_max = MAX_SCENARIO_BYTES // 16 - 2
+        for kind in ("additive_noise", "pure_noise_obs", "linear_mixing"):
+            ScenarioSpec(kind=kind, partition=part, s=s_max, sigmas=(0.1,))
+            with pytest.raises(InvalidInput, match="limit"):
+                ScenarioSpec(kind=kind, partition=part, s=s_max + 1, sigmas=(0.1,))
+
+    def test_size_cap_counts_moments(self):
+        # the exact scenario holds no samples, however large s is
+        exact = SensorPartition(m=3, n=(3, 3), r=(1, 1))
+        ScenarioSpec(kind="exact_example1", partition=exact, s=10**15)
+        # one sensor with a huge source: E_xx alone is m x m
+        wide = SensorPartition(m=20_000, n=(1,), r=(1,))
+        with pytest.raises(InvalidInput, match="limit"):
+            ScenarioSpec(kind="pure_noise_obs", partition=wide, s=1, sigmas=(0.1,))
+
 
 class TestGenerate:
     def test_exact_benchmark_model(self):
@@ -98,7 +149,7 @@ class TestGenerate:
             e_xy=model.e_xy_block(0),
             e_yy=model.e_yy_block(0, 0),
         )
-        f = klt_single(sub)
+        f = klt_matrix(sub.e_xy, sub.e_yy, 4)
         assert np.linalg.norm(ens.x - f @ ens.y[:4]) <= 1e-8
 
     def test_deterministic(self):
@@ -294,10 +345,12 @@ class TestPgm:
         assert np.allclose(back, img, atol=0.5 / 255 + 1e-12)
 
     def test_16bit_roundtrip(self, tmp_path):
+        # 16-bit input is read; save_pgm writes only 8-bit
         rng = np.random.default_rng(1)
         img = rng.random((4, 4))
         path = tmp_path / "c.pgm"
-        save_pgm(img, path, maxval=65535)
+        raster = np.rint(img * 65535).astype(">u2").tobytes()
+        path.write_bytes(b"P5\n4 4\n65535\n" + raster)
         assert np.allclose(load_pgm(path), img, atol=0.5 / 65535 + 1e-12)
 
     @pytest.mark.parametrize(
@@ -364,11 +417,10 @@ class TestDecoupledBaseline:
     def test_single_sensor_equals_klt(self):
         rng = np.random.default_rng(6)
         part = SensorPartition(m=3, n=(4,), r=(2,))
-        from kltmbi import joint_model_from_factor
-
         model = joint_model_from_factor(rng.standard_normal((7, 12)), part)
         bank = init_bank(model)
-        assert np.allclose(bank.blocks[0], klt_single(model), atol=1e-12)
+        klt = klt_matrix(model.e_xy, model.e_yy, 2)
+        assert np.allclose(bank.blocks[0], klt, atol=1e-12)
 
     def test_mbi_never_worse(self):
         spec = _two_sensor_spec(seed=9)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import ONE_SWEEP, joint_model_from_factor, noisy_model, random_model
 from kltmbi import (
     CompressorBank,
     DegenerateTruncationWarning,
@@ -16,11 +17,8 @@ from kltmbi import (
     example1_model,
     generate,
     init_bank,
-    joint_model_from_factor,
     klt_matrix,
-    klt_single,
     mbi_solve,
-    mbi_step,
     objective,
     psd_sqrt,
     rank_constrained_lsq,
@@ -28,21 +26,6 @@ from kltmbi import (
 )
 from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
-
-
-def _random_model(rng, m, n, r, extra_cols=8):
-    part = SensorPartition(m=m, n=tuple(n), r=tuple(r))
-    d = m + sum(n)
-    return joint_model_from_factor(rng.standard_normal((d, d + extra_cols)), part)
-
-
-def _noisy_model(rng, m, n, r, noise=0.5, extra_cols=20):
-    """Well-conditioned model: Gram factor plus independent observation noise."""
-    model = _random_model(rng, m, n, r, extra_cols=extra_cols)
-    e_yy = model.e_yy + noise * np.eye(model.partition.n_total)
-    return SecondMomentModel(
-        partition=model.partition, e_xx=model.e_xx, e_xy=model.e_xy, e_yy=e_yy
-    )
 
 
 class TestReduceProblem:
@@ -68,7 +51,7 @@ class TestReduceProblem:
 
     def test_g_blocks_stack_to_root(self):
         rng = np.random.default_rng(0)
-        model = _random_model(rng, 3, (2, 3), (1, 2))
+        model = random_model(rng, 3, (2, 3), (1, 2))
         rp = reduce_problem(model)
         assert np.array_equal(np.vstack(rp.g_blocks), psd_sqrt(model.e_yy))
         assert np.array_equal(np.vstack(rp.g_blocks), model.e_yy_root)
@@ -78,7 +61,7 @@ class TestReduceProblem:
         # each stored SVD's row basis V_j is orthonormal and spans the row
         # space of G_j, and G_j V_j = U_j S_j
         rng = np.random.default_rng(1)
-        model = _random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
+        model = random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
         rp = reduce_problem(model)
         for g, f in zip(rp.g_blocks, rp.factors):
             k = f.numeric_rank
@@ -92,7 +75,7 @@ class TestReduceProblem:
         # the reduced objective and the direct second-moment expansion of the
         # estimation error agree for consistent joint models
         rng = np.random.default_rng(2)
-        model = _random_model(rng, 3, (2, 2), (1, 1))
+        model = random_model(rng, 3, (2, 2), (1, 1))
         rp = reduce_problem(model)
         for _ in range(5):
             bank = CompressorBank(
@@ -117,7 +100,7 @@ class TestReduceProblem:
 class TestObjective:
     def test_zero_bank(self):
         rng = np.random.default_rng(3)
-        model = _random_model(rng, 2, (2, 2), (1, 1))
+        model = random_model(rng, 2, (2, 2), (1, 1))
         rp = reduce_problem(model)
         bank = CompressorBank.zeros(model.partition)
         assert objective(rp, bank) == pytest.approx(np.linalg.norm(rp.h) ** 2)
@@ -136,7 +119,7 @@ class TestObjective:
 
     def test_matches_entrywise_sum(self):
         rng = np.random.default_rng(4)
-        model = _random_model(rng, 3, (2, 3), (1, 2))
+        model = random_model(rng, 3, (2, 3), (1, 2))
         rp = reduce_problem(model)
         bank = CompressorBank(
             blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 3))),
@@ -207,30 +190,27 @@ class TestKltSingle:
         model = SecondMomentModel(
             partition=part, e_xx=np.eye(3), e_xy=np.eye(3), e_yy=np.eye(3)
         )
-        assert np.allclose(klt_single(model), np.eye(3), atol=1e-10)
+        assert np.allclose(klt_matrix(model.e_xy, model.e_yy, 3), np.eye(3), atol=1e-10)
 
     def test_full_rank_equals_wiener_filter(self):
         rng = np.random.default_rng(8)
-        model = _noisy_model(rng, 3, (4,), (4,))
+        model = noisy_model(rng, 3, (4,), (4,))
         wiener = model.e_xy @ np.linalg.inv(model.e_yy)
-        assert np.allclose(klt_single(model, r=3), wiener, atol=1e-8)
+        assert np.allclose(klt_matrix(model.e_xy, model.e_yy, 3), wiener, atol=1e-8)
 
     def test_rank_bound(self):
         model = example1_model()
         f = klt_matrix(model.e_xy_block(0), model.e_yy_block(0, 0), 1)
         assert np.linalg.matrix_rank(f) <= 1
 
-    def test_requires_single_sensor(self):
-        with pytest.raises(InvalidInput):
-            klt_single(example1_model())
-
 
 class TestInitBank:
     def test_single_sensor_equals_klt(self):
         rng = np.random.default_rng(9)
-        model = _random_model(rng, 3, (4,), (2,))
+        model = random_model(rng, 3, (4,), (2,))
         bank = init_bank(model)
-        assert np.allclose(bank.blocks[0], klt_single(model), atol=1e-12)
+        klt = klt_matrix(model.e_xy, model.e_yy, 2)
+        assert np.allclose(bank.blocks[0], klt, atol=1e-12)
 
     def test_noiseless_blockdiag_recovery(self):
         # y_j = x_j with r_j = m_j: the warm start is already exact
@@ -238,55 +218,48 @@ class TestInitBank:
         ax = rng.standard_normal((4, 12))
         part = SensorPartition(m=4, n=(2, 2), r=(2, 2))
         model = joint_model_from_factor(np.vstack([ax, ax]), part)
-        bank = init_bank(model, m_blocks=[2, 2])
+        bank = init_bank(model)  # splits x into rows (0, 1) and (2, 3)
         rp = reduce_problem(model)
         assert objective(rp, bank) == pytest.approx(0.0, abs=1e-16)
 
     def test_fallback_zero_bank_when_m_below_p(self):
         rng = np.random.default_rng(11)
-        model = _random_model(rng, 1, (2, 2), (1, 1))
+        model = random_model(rng, 1, (2, 2), (1, 1))
         bank = init_bank(model)
         assert all(np.array_equal(b, np.zeros_like(b)) for b in bank.blocks)
 
     def test_rank_feasible(self):
         rng = np.random.default_rng(12)
-        model = _random_model(rng, 5, (4, 3), (2, 1))
+        model = random_model(rng, 5, (4, 3), (2, 1))
         bank = init_bank(model)
         for b, r in zip(bank.blocks, model.partition.r):
             assert np.linalg.matrix_rank(b) <= r
-
-    def test_bad_m_blocks(self):
-        model = example1_model()
-        with pytest.raises(InvalidInput):
-            init_bank(model, m_blocks=[1, 1])
-        with pytest.raises(InvalidInput):
-            init_bank(model, m_blocks=[3, 0])
 
 
 class TestMbiStep:
     def test_fixed_point(self):
         rng = np.random.default_rng(13)
-        model = _noisy_model(rng, 3, (3, 3), (2, 2))
+        model = noisy_model(rng, 3, (3, 3), (2, 2))
         rp = reduce_problem(model)
         bank, _ = mbi_solve(rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200))
         f_before = objective(rp, bank)
-        _, _, f_after = mbi_step(rp, bank)
-        assert abs(f_after - f_before) <= 1e-12
+        _, trace = mbi_solve(rp, bank, ONE_SWEEP)
+        assert abs(trace.objective_per_iteration[-1] - f_before) <= 1e-12
 
     def test_single_sensor_step_is_klt(self):
         rng = np.random.default_rng(14)
-        model = _random_model(rng, 4, (5,), (2,))
+        model = random_model(rng, 4, (5,), (2,))
         rp = reduce_problem(model)
-        bank, _, _ = mbi_step(rp, CompressorBank.zeros(model.partition))
-        k = klt_single(model)
+        bank, _ = mbi_solve(rp, CompressorBank.zeros(model.partition), ONE_SWEEP)
+        k = klt_matrix(model.e_xy, model.e_yy, 2)
         assert np.linalg.norm(bank.blocks[0] - k) <= 1e-8 * max(1, np.linalg.norm(k))
 
     def test_strict_decrease_from_warm_start(self):
         model = example1_model()
         rp = reduce_problem(model)
         start = init_bank(model)
-        _, _, f_new = mbi_step(rp, start)
-        assert f_new < objective(rp, start)
+        _, trace = mbi_solve(rp, start, ONE_SWEEP)
+        assert trace.objective_per_iteration[-1] < objective(rp, start)
 
     def test_tie_breaks_to_lowest_index(self):
         # symmetric two-sensor setup: both candidates improve equally
@@ -300,8 +273,8 @@ class TestMbiStep:
         rp = reduce_problem(model)
         # the committed block's truncation is itself degenerate (sigma_1 = sigma_2)
         with pytest.warns(DegenerateTruncationWarning):
-            _, j, _ = mbi_step(rp, CompressorBank.zeros(part))
-        assert j == 0
+            _, trace = mbi_solve(rp, CompressorBank.zeros(part), ONE_SWEEP)
+        assert trace.chosen_block_per_iteration == [0]
 
 
 class TestMbiSolve:
@@ -327,7 +300,7 @@ class TestMbiSolve:
 
     def test_monotone_and_rank_feasible(self):
         rng = np.random.default_rng(15)
-        model = _noisy_model(rng, 4, (3, 4, 2), (2, 2, 1))
+        model = noisy_model(rng, 4, (3, 4, 2), (2, 2, 1))
         rp = reduce_problem(model)
         bank, trace = mbi_solve(rp, init_bank(model), MbiConfig(max_iterations=50))
         assert np.all(np.diff(trace.objective_per_iteration) <= 0)
@@ -337,7 +310,7 @@ class TestMbiSolve:
 
     def test_stationarity_at_convergence(self):
         rng = np.random.default_rng(16)
-        model = _noisy_model(rng, 3, (4, 3), (2, 1))
+        model = noisy_model(rng, 3, (4, 3), (2, 1))
         rp = reduce_problem(model)
         bank, trace = mbi_solve(
             rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=300)
@@ -362,10 +335,24 @@ class TestMbiSolve:
         assert trace.banks is None
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidInput):
-            MbiConfig(epsilon=-1.0)
-        with pytest.raises(InvalidInput):
-            MbiConfig(max_iterations=0)
+        for kwargs in (
+            dict(epsilon=-1.0),
+            dict(epsilon=np.nan),
+            dict(epsilon="x"),
+            dict(epsilon=True),
+            dict(epsilon=10**400),
+            dict(max_iterations=0),
+            dict(max_iterations=2.5),
+            dict(max_iterations=True),
+            dict(max_iterations="3"),
+        ):
+            with pytest.raises(InvalidInput):
+                MbiConfig(**kwargs)
+
+    def test_numpy_numbers_pass(self):
+        cfg = MbiConfig(epsilon=np.float32(0.5), max_iterations=np.int64(3))
+        assert type(cfg.epsilon) is float and type(cfg.max_iterations) is int
+        assert (cfg.epsilon, cfg.max_iterations) == (0.5, 3)
 
 
 def _exhaustive_mbi(rp, bank, max_iterations):
@@ -428,9 +415,9 @@ class TestScreenedSweepEquivalence:
     @pytest.mark.parametrize(
         "make_model",
         [
-            lambda rng: _noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
-            lambda rng: _noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
-            lambda rng: _random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
+            lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
+            lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
+            lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
             lambda rng: _sampled_model(int(rng.integers(1000))),
             _identical_sensors_model,
             _silent_sensor_model,
@@ -470,7 +457,7 @@ class TestScreenedSweepEquivalence:
             # and the later sweeps solve every block with the kept projectors
             (lambda: _sampled_model(5), 1),
             (
-                lambda: _noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
+                lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
                 None,
             ),
         ],

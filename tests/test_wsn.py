@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import joint_model_from_factor
 from kltmbi import (
     CompressorBank,
     FactorizedWsn,
@@ -23,7 +24,6 @@ from kltmbi import (
     example1_model,
     factorize_wsn,
     init_bank,
-    joint_model_from_factor,
     load_wsn_json,
     mbi_solve,
     reconstruct,
