@@ -96,9 +96,11 @@ class SecondMomentModel:
     ``provenance`` is ``"exact"`` for analytically known matrices or
     ``"estimated"`` when built from training samples.
 
-    The moment arrays are treated as immutable: ``e_yy_root`` and ``h`` are
-    computed from them on first use and cached on the model, so mutating an
-    array in place afterwards would leave the cache stale.
+    Raises :class:`InvalidInput` when a moment matrix, or its Frobenius
+    norm, is not finite. The moment arrays are treated as immutable:
+    ``e_yy_root`` and ``h`` are computed from them on first use and cached
+    on the model, so mutating an array in place afterwards would leave the
+    cache stale.
     """
 
     partition: SensorPartition
@@ -115,6 +117,12 @@ class SecondMomentModel:
             raise InvalidInput(f"e_xy must be {m}x{n}, got {self.e_xy.shape}")
         if self.e_yy.shape != (n, n):
             raise InvalidInput(f"e_yy must be {n}x{n}, got {self.e_yy.shape}")
+        for name in ("e_xx", "e_xy", "e_yy"):
+            # a NaN or infinite entry leaves the norm non-finite too
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(getattr(self, name))
+            if not np.isfinite(norm):
+                raise InvalidInput(f"{name} or its norm is not finite")
 
     @cached_property
     def e_yy_root(self) -> np.ndarray:
@@ -171,12 +179,15 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
             f"y has {ens.y.shape[0]} rows, partition expects {part.n_total}"
         )
     s = ens.s
-    e_xx = (ens.x @ ens.x.T) / s
-    e_xy = (ens.x @ ens.y.T) / s
-    e_yy = (ens.y @ ens.y.T) / s
-    # remove rounding asymmetry before any eigendecomposition downstream
-    e_xx = (e_xx + e_xx.T) / 2.0
-    e_yy = (e_yy + e_yy.T) / 2.0
+    # moments beyond the float range come out infinite or NaN, and the model
+    # rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_xx = (ens.x @ ens.x.T) / s
+        e_xy = (ens.x @ ens.y.T) / s
+        e_yy = (ens.y @ ens.y.T) / s
+        # remove rounding asymmetry before any eigendecomposition downstream
+        e_xx = (e_xx + e_xx.T) / 2.0
+        e_yy = (e_yy + e_yy.T) / 2.0
     return SecondMomentModel(
         partition=part,
         e_xx=e_xx,

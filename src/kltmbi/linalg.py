@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives: SVD, truncation, pseudo-inverse, PSD root.
 
 All functions are pure and deterministic for a fixed input. Numerical rank is
-decided by the backward-stable threshold ``sigma_max * max(rows, cols) * eps``.
+decided by the backward-stable threshold ``sigma_max * max(rows, cols) * eps``,
+which :func:`psd_sqrt` applies to eigenvalues.
 """
 
 from __future__ import annotations
@@ -111,10 +112,14 @@ def pinv(c) -> np.ndarray:
 def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in ``[-1e-8 * ||c||, 0)`` are clamped to zero (tolerated
-    estimation noise); anything more negative raises :class:`NotPsd`.
-    The eigendecomposition of the symmetrized input keeps the root exactly
-    symmetric.
+    The root's rank is decided on the eigenvalues with the module's rank
+    rule: every eigenvalue at or below ``N * eps * max(lambda_max, 0)`` of
+    the N x N input is an exact zero, so round-off in a rank-deficient input
+    (such as a sample moment from fewer samples than rows) adds no rank.
+    This also clamps eigenvalues in ``[-1e-8 * max(1, ||c||), 0)``
+    (tolerated estimation noise); anything more negative raises
+    :class:`NotPsd`. The eigendecomposition of the symmetrized input keeps
+    the root exactly symmetric.
     """
     c = _as_matrix(c)
     if c.shape[0] != c.shape[1]:
@@ -126,6 +131,7 @@ def psd_sqrt(c) -> np.ndarray:
     w, vecs = np.linalg.eigh(sym)
     if w.size and w[0] < -_PSD_REL_TOL * scale:
         raise NotPsd(f"eigenvalue {w[0]:.3e} below -{_PSD_REL_TOL:.0e} * ||c||")
-    w = np.clip(w, 0.0, None)
+    tol = c.shape[0] * _EPS * max(float(w[-1]), 0.0) if w.size else 0.0
+    w = np.where(w > tol, w, 0.0)
     root = (vecs * np.sqrt(w)) @ vecs.T
     return (root + root.T) / 2.0

@@ -25,6 +25,9 @@ from .errors import InvalidInput, ParseError
 
 KINDS = ("exact_example1", "additive_noise", "pure_noise_obs", "linear_mixing", "image")
 
+# Kinds whose every sensor observes a signal of the source's shape (n_j = m).
+_SQUARE_KINDS = ("additive_noise", "linear_mixing", "image")
+
 # Largest scenario accepted (2 GiB), in bytes of float64 data: the samples x
 # and y, (m + N) * s numbers for the sampled kinds, plus the joint second
 # moments E_xx, E_xy and E_yy, at most (m + N)^2 numbers. An image scenario's
@@ -37,7 +40,9 @@ class ScenarioSpec:
     """One simulation study: a scenario family, its partition, sample count,
     per-sensor noise scales, PRNG seed, and (for image runs) a source image.
 
-    Raises :class:`InvalidInput` when the scenario needs more than
+    Raises :class:`InvalidInput` when the partition does not fit the kind
+    (n_j = m for additive_noise, linear_mixing and image; m = 3 and
+    n = (3, 3) for exact_example1) or when the scenario needs more than
     :data:`MAX_SCENARIO_BYTES`, before anything is allocated.
     """
 
@@ -58,20 +63,30 @@ class ScenarioSpec:
         object.__setattr__(self, "seed", _dimension(self.seed, "seed"))
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
+        part = self.partition
+        if self.kind == "exact_example1" and (part.m, part.n) != (3, (3, 3)):
+            raise InvalidInput(
+                "exact_example1 requires m = 3 and n = (3, 3); "
+                f"got m={part.m}, n={part.n}"
+            )
+        if self.kind in _SQUARE_KINDS and any(nj != part.m for nj in part.n):
+            raise InvalidInput(
+                f"{self.kind} scenario requires n_j = m for every sensor"
+            )
         if self.s < 1:
             raise InvalidInput(f"sample count must be >= 1, got {self.s}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
-        if self.kind != "exact_example1" and len(self.sigmas) != self.partition.p:
+        if self.kind != "exact_example1" and len(self.sigmas) != part.p:
             raise InvalidInput(
-                f"sigmas must have one entry per sensor ({self.partition.p}), "
+                f"sigmas must have one entry per sensor ({part.p}), "
                 f"got {len(self.sigmas)}"
             )
         if not all(np.isfinite(self.sigmas)):
             raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
         if self.kind == "image" and not self.image_path:
             raise InvalidInput("image scenario requires image_path")
-        dim = self.partition.m + self.partition.n_total
+        dim = part.m + part.n_total
         samples = 0 if self.kind in ("exact_example1", "image") else self.s
         need = 8 * dim * (samples + dim)
         if need > MAX_SCENARIO_BYTES:
@@ -81,17 +96,15 @@ class ScenarioSpec:
             )
 
 
-def _require_square_obs(part: SensorPartition, kind: str) -> None:
-    if any(nj != part.m for nj in part.n):
-        raise InvalidInput(f"{kind} scenario requires n_j = m for every sensor")
-
-
 def _fill_noisy(rng, out: np.ndarray, sigma: float, signal: np.ndarray) -> None:
     """out = signal + sigma * N(0, 1), with the noise drawn straight into
     ``out``. Callers draw what ``signal`` needs (A_j) from ``rng`` first, so
-    the stream order is A_j, then its noise, as the references record."""
+    the stream order is A_j, then its noise, as the references record.
+    A noise scale so large that samples overflow leaves infinities, which
+    the model built from them rejects."""
     rng.standard_normal(out=out)
-    out *= sigma
+    with np.errstate(over="ignore"):
+        out *= sigma
     out += signal
 
 
@@ -107,11 +120,6 @@ def generate(spec: ScenarioSpec) -> SampleEnsemble | SecondMomentModel:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "exact_example1":
         base = example1_model()
-        if (part.m, part.n) != (base.partition.m, base.partition.n):
-            raise InvalidInput(
-                "exact_example1 requires m = 3 and n = (3, 3); "
-                f"got m={part.m}, n={part.n}"
-            )
         return SecondMomentModel(
             partition=part, e_xx=base.e_xx, e_xy=base.e_xy, e_yy=base.e_yy
         )
@@ -122,7 +130,6 @@ def generate(spec: ScenarioSpec) -> SampleEnsemble | SecondMomentModel:
     if spec.kind == "image":
         return image_scenario(spec).ensemble
     # additive_noise and linear_mixing
-    _require_square_obs(part, spec.kind)
     x = rng.random((part.m, spec.s))
     y = np.empty((part.n_total, spec.s))
     for j in range(part.p):
@@ -156,7 +163,6 @@ def image_scenario(spec: ScenarioSpec) -> ImageScenarioData:
         )
     if x_full.shape[1] < 2:
         raise InvalidInput("image must have at least 2 columns")
-    _require_square_obs(part, spec.kind)
     rng = np.random.default_rng(spec.seed)
     y_full = np.empty((part.n_total, x_full.shape[1]))
     for j in range(part.p):

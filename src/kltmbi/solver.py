@@ -23,12 +23,6 @@ from .linalg import SvdFactors, pinv, psd_sqrt, svd, truncated
 # Rounding unit of _screen's bounds: eps with a safety factor of 8.
 _SCREEN_EPS = 8.0 * np.finfo(np.float64).eps
 
-# Above this cond(G_j), G_j's smallest singular values square to eigenvalues
-# of E_yy at its rounding level (eps times the largest), so its numeric rank
-# is set by rounding, as in a model estimated from fewer samples than the
-# sensor has observations.
-_ROUNDING_COND = 1.0 / np.sqrt(np.finfo(np.float64).eps)
-
 
 @dataclass(frozen=True)
 class ReducedProblem:
@@ -38,9 +32,7 @@ class ReducedProblem:
     numeric rank k_j; the screen's V_j and U_j S_j, the row-space projector
     V_j V_j^T and G_j^+ all come from it. With ``h`` and the ``g_blocks``
     that is about two n_total x n_total arrays in all, whatever p is; a
-    projector is built only for a block that is solved in full, and
-    :func:`mbi_solve` keeps all p of them only where its screen rules no
-    block out.
+    projector is built only while its block is solved in full.
     """
 
     h: np.ndarray
@@ -221,35 +213,13 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
-def _candidate(
-    rp: ReducedProblem, bank: CompressorBank, total, j: int, projector: np.ndarray
-):
+def _candidate(rp: ReducedProblem, bank: CompressorBank, total, j: int):
     gj = rp.g_blocks[j]
+    f = rp.factors[j]
     s_j = rp.h - total + bank.blocks[j] @ gj
-    cand = truncated(s_j @ projector, rp.partition.r[j]) @ rp.factors[j].pinv()
+    cand = truncated(s_j @ f.row_projector(), rp.partition.r[j]) @ f.pinv()
     f_j = float(np.linalg.norm(s_j - cand @ gj) ** 2)
     return cand, f_j
-
-
-def _all_projectors(rp: ReducedProblem) -> tuple[np.ndarray, ...]:
-    return tuple(f.row_projector() for f in rp.factors)
-
-
-def _cond(f: SvdFactors) -> float:
-    """cond(G_j) = sigma_1 / sigma_{k_j} over the numeric rank of G_j."""
-    k = f.numeric_rank
-    return f.sigma[0] / f.sigma[k - 1] if k else 1.0
-
-
-def _initial_projectors(rp: ReducedProblem) -> tuple[np.ndarray, ...] | None:
-    """All p projectors when every block's rank is set by rounding, else None.
-
-    :func:`_screen`'s bounds grow with cond(G_j); on such models they admitted
-    every block on every sweep measured, so the screen would only add work.
-    """
-    if all(_cond(f) > _ROUNDING_COND for f in rp.factors):
-        return _all_projectors(rp)
-    return None
 
 
 def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
@@ -282,8 +252,9 @@ def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
         sigma = np.linalg.svd(w, compute_uv=False)
         f_j = e2 - ev2 + float(np.sum(sigma[rp.partition.r[j] :] ** 2))
         s_norm = np.sqrt(max(e2 - ev2 + float(np.vdot(w, w)), 0.0))
-        g_max = f.sigma[0] if k else 0.0
-        scale = e_norm + np.linalg.norm(bank.blocks[j]) * g_max + _cond(f) * s_norm
+        # ||G_j|| and cond(G_j) over the numeric rank of G_j
+        g_max, cond = (f.sigma[0], f.sigma[0] / f.sigma[k - 1]) if k else (0.0, 1.0)
+        scale = e_norm + np.linalg.norm(bank.blocks[j]) * g_max + cond * s_norm
         d = _SCREEN_EPS * (m + n_total) * scale
         err = 2.0 * s_norm * d + d * d
         lo[j] = f_j - err
@@ -291,53 +262,35 @@ def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
     return lo, hi
 
 
-def _step(
-    rp: ReducedProblem,
-    bank: CompressorBank,
-    total,
-    f_cur: float,
-    projectors: tuple[np.ndarray, ...] | None = None,
-):
-    """One MBI sweep. Returns (bank, chosen j, objective, total, projectors),
-    with the objective and total recomputed exactly from the committed bank.
-    Keeps the incumbent when no block strictly improves, so the objective
-    never increases and an exact fixed point reports zero change.
+def _step(rp: ReducedProblem, bank: CompressorBank, total, f_cur: float):
+    """One MBI sweep. Returns (bank, chosen j, objective, total), with the
+    objective and total recomputed exactly from the committed bank. Keeps the
+    incumbent when no block strictly improves, so the objective never
+    increases and an exact fixed point reports zero change.
 
-    Without ``projectors``, :func:`_screen` brackets every candidate's
-    objective, and only the blocks whose lower bound is at or below the
-    smallest upper bound are solved by :func:`_candidate`, each with its
-    projector built on demand. When the screen rules out no block, as happens
-    once the objective nears its rounding floor, the sweep returns all p
-    projectors; a sweep given them skips the screen and solves every block.
-    Candidates are ranked on :func:`_candidate`'s objective, ties going to
-    the lowest index. The chosen block, the committed bank and the objective
-    are those of solving every block in full whenever the screen's rounding
-    bound holds. That bound is derived, with a safety factor of 8, not proven
-    for LAPACK's SVD; it held on every sweep of 121 compared configurations.
+    :func:`_screen` brackets every candidate's objective, and only the blocks
+    whose lower bound is at or below the smallest upper bound are solved by
+    :func:`_candidate`, each with its projector built on demand. Candidates
+    are ranked on :func:`_candidate`'s objective, ties going to the lowest
+    index. The chosen block, the committed bank and the objective are those
+    of solving every block in full whenever the screen's rounding bound
+    holds. That bound is derived, with a safety factor of 8, not proven for
+    LAPACK's SVD; it held on every sweep of 121 compared configurations.
     Were it ever too tight, the sweep would still be a valid MBI step, but
     not always the same one. A :class:`DegenerateTruncationWarning` comes
     only from a block that is solved in full, never from one the screen
     rules out.
     """
-    p = rp.partition.p
-    if projectors is None:
-        lo, hi = _screen(rp, bank, rp.h - total)
-        shortlist = [j for j in range(p) if lo[j] <= hi.min()]
-        if len(shortlist) == p:
-            projectors = _all_projectors(rp)
-    else:
-        shortlist = range(p)
-    results = {}
-    for j in shortlist:
-        proj = rp.factors[j].row_projector() if projectors is None else projectors[j]
-        results[j] = _candidate(rp, bank, total, j, proj)
+    lo, hi = _screen(rp, bank, rp.h - total)
+    shortlist = [j for j in range(rp.partition.p) if lo[j] <= hi.min()]
+    results = {j: _candidate(rp, bank, total, j) for j in shortlist}
     best_j = min(shortlist, key=lambda j: results[j][1])  # ties -> lowest index
     new_bank = bank.replace(best_j, results[best_j][0])
     new_total = _total(rp, new_bank)
     f_best = float(np.linalg.norm(rp.h - new_total) ** 2)
     if f_best >= f_cur:
-        return bank, best_j, f_cur, total, projectors
-    return new_bank, best_j, f_best, new_total, projectors
+        return bank, best_j, f_cur, total
+    return new_bank, best_j, f_best, new_total
 
 
 def mbi_solve(
@@ -352,11 +305,8 @@ def mbi_solve(
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
     converged = False
-    projectors = _initial_projectors(rp)
     for _ in range(cfg.max_iterations):
-        new_bank, j, f_new, total_new, projectors = _step(
-            rp, bank, total, f_cur, projectors
-        )
+        new_bank, j, f_new, total_new = _step(rp, bank, total, f_cur)
         if abs(f_new - f_cur) <= cfg.epsilon:
             converged = True
             break

@@ -6,12 +6,14 @@ Each test covers one numbered acceptance criterion and prints a single
 
 import json
 import time
+import warnings
 
 import numpy as np
 
 from conftest import ONE_SWEEP, noisy_model, random_model
 from kltmbi import (
     CompressorBank,
+    DegenerateTruncationWarning,
     MbiConfig,
     SampleEnsemble,
     ScenarioSpec,
@@ -146,8 +148,10 @@ def test_criterion_5_monotone_convergence_and_stationarity():
     )
 
 
-def test_criterion_6_empirical_analytic_identity():
-    rng = np.random.default_rng(60)
+def _worst_identity_mismatch(rng, draw_s):
+    """Largest relative |analytic - empirical| MSE over 50 estimated
+    ensembles, each checked at a random bank and at the MBI solution;
+    ``draw_s(rng, part)`` picks each ensemble's sample count."""
     worst = 0.0
     for _ in range(50):
         p = int(rng.integers(1, 4))
@@ -155,9 +159,7 @@ def test_criterion_6_empirical_analytic_identity():
         n = tuple(int(v) for v in rng.integers(2, 7, size=p))
         r = tuple(int(rng.integers(1, nj + 1)) for nj in n)
         part = SensorPartition(m=m, n=n, r=r)
-        # s >= 2 * n_total keeps the sample covariance well conditioned, so
-        # the exact identity is not blurred by pseudo-inverse round-off.
-        s = int(rng.integers(2 * part.n_total, 3 * part.n_total))
+        s = draw_s(rng, part)
         ens = SampleEnsemble(
             x=rng.standard_normal((m, s)),
             y=rng.standard_normal((part.n_total, s)),
@@ -179,10 +181,32 @@ def test_criterion_6_empirical_analytic_identity():
             a = analytic_mse(model, bank)
             e = empirical_mse(ens, bank)
             worst = max(worst, abs(a - e) / max(abs(a), 1.0))
+    return worst
+
+
+def test_criterion_6_empirical_analytic_identity():
+    # s >= 2 * n_total keeps the sample covariance well conditioned
+    worst = _worst_identity_mismatch(
+        np.random.default_rng(60),
+        lambda rng, part: int(rng.integers(2 * part.n_total, 3 * part.n_total)),
+    )
+    # s < n_total: E_yy has rank s, and its pseudo-inverses must not
+    # amplify the round-off in its null space
+    with warnings.catch_warnings():
+        # an MBI solution that fits exactly truncates rounding-level values
+        warnings.simplefilter("ignore", DegenerateTruncationWarning)
+        worst_deficient = _worst_identity_mismatch(
+            np.random.default_rng(61),
+            lambda rng, part: int(rng.integers(1, part.n_total)),
+        )
     assert worst <= 1e-8, f"worst relative mismatch {worst}"
+    assert worst_deficient <= 1e-8, (
+        f"worst relative mismatch for s < n_total {worst_deficient}"
+    )
     print(
         "\nPASS criterion 6: empirical MSE equals model MSE on 50 estimated "
-        f"ensembles (worst rel. mismatch {worst:.2e})"
+        f"ensembles with s >= 2 n_total (worst rel. mismatch {worst:.2e}) and "
+        f"50 with s < n_total ({worst_deficient:.2e})"
     )
 
 

@@ -292,6 +292,20 @@ _NOISE_SCENARIO = {
         # scenarios beyond the size limit, in samples and in moments
         {"scenario": dict(_NOISE_SCENARIO, m=1, n=[1], s=10**15)},
         {"scenario": dict(_NOISE_SCENARIO, kind="pure_noise_obs", m=10**5, s=1)},
+        # partitions that do not fit the kind
+        {"scenario": dict(_NOISE_SCENARIO, m=2)},
+        {
+            "scenario": dict(
+                _NOISE_SCENARIO, kind="linear_mixing", n=[3, 2], r=[1, 1],
+                sigmas=[0.1, 0.1],
+            )
+        },
+        {
+            "scenario": dict(_NOISE_SCENARIO, kind="image", n=[4], image_path="x.pgm"),
+            "outputs": {"image_out_dir": "out"},
+        },
+        {"scenario": {"kind": "exact_example1", "m": 4, "n": [4, 4], "seed": 0}},
+        {"scenario": {"kind": "exact_example1", "n": [3, 2], "seed": 0}},
     ],
     ids=[
         "max_iterations_str",
@@ -315,6 +329,11 @@ _NOISE_SCENARIO = {
         "sigmas_inf",
         "s_too_large",
         "moments_too_large",
+        "additive_noise_n_not_m",
+        "linear_mixing_n_not_m",
+        "image_n_not_m",
+        "exact_example1_m",
+        "exact_example1_n",
     ],
 )
 def test_malformed_field_is_config_error(tmp_path, capsys, doc):
@@ -327,6 +346,25 @@ def test_malformed_field_is_config_error(tmp_path, capsys, doc):
     assert "invalid" in capsys.readouterr().out
     assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sigma", [1e150, 1e200, 1.7e308], ids=["norm", "entries", "samples"]
+)
+def test_overflowing_moments_are_config_error(tmp_path, capsys, sigma):
+    # the sampled moments overflow in their Frobenius norm (1e150), in their
+    # entries (1e200), or the samples themselves do and the products meet
+    # inf - inf (1.7e308); only a run draws the samples, so validate passes
+    cfg = _write_config(
+        tmp_path,
+        {"scenario": dict(_NOISE_SCENARIO, m=2, n=[2], s=40, sigmas=[sigma])},
+    )
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert caught == []
+    assert "not finite" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -109,6 +109,18 @@ class TestEstimateMoments:
             estimate_moments(ens, part)
 
 
+class TestSecondMomentModel:
+    @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_moment_or_norm_rejected(self, name, value):
+        # 1e200 is finite, but the Frobenius norm of a matrix of them is not
+        model = example1_model()
+        moments = {k: getattr(model, k).copy() for k in ("e_xx", "e_xy", "e_yy")}
+        moments[name][...] = value
+        with pytest.raises(InvalidInput, match=f"{name} or its norm"):
+            SecondMomentModel(partition=model.partition, **moments)
+
+
 class TestJointModelFromFactor:
     def test_identity_factor(self):
         part = SensorPartition(m=2, n=(3,), r=(1,))

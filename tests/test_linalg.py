@@ -155,6 +155,22 @@ class TestPsdSqrt:
         s = psd_sqrt(c)
         assert np.all(np.linalg.eigvalsh(s) >= 0)
 
+    def test_rounding_level_eigenvalue_is_exact_zero(self):
+        # 1e-17 is below the rank threshold 2 * eps * 1
+        root = psd_sqrt(np.diag([1.0, 1e-17]))
+        assert np.array_equal(root, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("s", [1, 5, 16, 31])
+    def test_sample_moment_keeps_its_rank(self, s):
+        # from s < N samples E_yy has rank s; the round-off in its null space
+        # must add no rank to the root
+        part = SensorPartition(m=8, n=(8, 8, 8, 8), r=(2, 2, 2, 2))
+        spec = ScenarioSpec(
+            kind="linear_mixing", partition=part, s=s, sigmas=(0.3,) * 4, seed=s
+        )
+        model = estimate_moments(generate(spec), part)
+        assert svd(psd_sqrt(model.e_yy)).numeric_rank == s
+
     def test_indefinite_rejected(self):
         with pytest.raises(NotPsd):
             psd_sqrt(np.diag([1.0, -1.0]))

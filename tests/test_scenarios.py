@@ -174,12 +174,12 @@ class TestGenerate:
         assert ens.y.shape == (15, 7)
 
     def test_square_observation_required(self):
+        # the spec itself rejects the partition, before generate can run
         part = SensorPartition(m=3, n=(4, 4), r=(1, 1))
-        spec = ScenarioSpec(
-            kind="additive_noise", partition=part, s=3, sigmas=(0.1, 0.1), seed=0
-        )
         with pytest.raises(InvalidInput):
-            generate(spec)
+            ScenarioSpec(
+                kind="additive_noise", partition=part, s=3, sigmas=(0.1, 0.1), seed=0
+            )
 
     def test_uniform_source_range(self):
         ens = generate(_two_sensor_spec(kind="pure_noise_obs", s=200))

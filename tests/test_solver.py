@@ -13,6 +13,7 @@ from kltmbi import (
     MbiConfig,
     ScenarioSpec,
     SensorPartition,
+    analytic_mse,
     estimate_moments,
     example1_model,
     generate,
@@ -390,8 +391,8 @@ def _identical_sensors_model(rng):
 
 
 def _sampled_model(seed):
-    # s = 3 samples of N = 12 observations: E_yy has rank 3, and each G_j keeps
-    # a singular value ~1e-8 from rounding, so cond(G_j) is ~1e8
+    # s = 3 samples of N = 12 observations: E_yy has rank 3, psd_sqrt keeps
+    # no round-off rank, so each G_j has numeric rank 3 and cond(G_j) < 30
     part = SensorPartition(m=4, n=(4, 4, 4), r=(2, 1, 2))
     spec = ScenarioSpec(
         kind="linear_mixing", partition=part, s=3, sigmas=(0.3,) * 3, seed=seed
@@ -449,23 +450,15 @@ class TestScreenedSweepEquivalence:
                 )
 
     @pytest.mark.parametrize(
-        "make_model, screens",
+        "make_model",
         [
-            # every cond(G_j) is above 1/sqrt(eps): no sweep is screened
-            (lambda: _sampled_model(3), 0),
-            # one cond(G_j) is 6.5e7: the first screen admits every block,
-            # and the later sweeps solve every block with the kept projectors
-            (lambda: _sampled_model(5), 1),
-            (
-                lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
-                None,
-            ),
+            lambda: _sampled_model(3),
+            lambda: _sampled_model(5),
+            lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
         ],
-        ids=["rounding_rank", "screen_admits_all", "noisy"],
+        ids=["sampled_seed3", "sampled_seed5", "noisy"],
     )
-    def test_screen_runs_only_while_it_can_rule_out(
-        self, monkeypatch, make_model, screens
-    ):
+    def test_screen_runs_every_sweep(self, monkeypatch, make_model):
         calls = []
         real = solver._screen
 
@@ -477,10 +470,36 @@ class TestScreenedSweepEquivalence:
         model = make_model()
         rp = reduce_problem(model)
         start = init_bank(model)
-        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=20))
+        # the sampled models start at an exact fit, where every truncation
+        # cuts between rounding-level singular values
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateTruncationWarning)
+            bank, trace = mbi_solve(
+                rp, start, MbiConfig(epsilon=0.0, max_iterations=20)
+            )
+            ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 20)
         sweeps = trace.iterations_used + int(trace.converged)
         assert sweeps > 1
-        assert len(calls) == (sweeps if screens is None else screens)
-        ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 20)
+        assert len(calls) == sweeps
         assert trace.chosen_block_per_iteration == ref_chosen
         assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks))
+
+
+def test_rank_deficient_model_reaches_exact_fit():
+    # s = 16 samples of N = 256 observations, 32 per sensor: every G_j has
+    # rank 16 < n_j, and the bank can fit h exactly
+    part = SensorPartition(m=32, n=(32,) * 8, r=(8,) * 8)
+    spec = ScenarioSpec(
+        kind="linear_mixing", partition=part, s=16, sigmas=(0.3,) * 8, seed=1
+    )
+    model = estimate_moments(generate(spec), part)
+    rp = reduce_problem(model)
+    start = init_bank(model)
+    with warnings.catch_warnings():
+        # at an exact fit every truncation cuts between rounding-level values
+        warnings.simplefilter("ignore", DegenerateTruncationWarning)
+        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=60))
+        ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 60)
+    assert trace.chosen_block_per_iteration == ref_chosen
+    assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks))
+    assert analytic_mse(model, bank) <= 1e-12 * np.trace(model.e_xx)
