@@ -84,16 +84,19 @@ def truncated(c, r: int) -> np.ndarray:
     When the spectrum has no gap at the cut (``sigma_r == sigma_{r+1}``) the
     minimizer is not unique; the leading triplets as ordered by the SVD are
     kept deterministically and a :class:`DegenerateTruncationWarning` is
-    emitted. An MBI sweep truncates only for the blocks it solves in full, so
-    a candidate that its screen rules out never warns.
+    emitted. Ties are judged to within ``tol = 1e-12 * max(1, sigma_1)``: a
+    cut warns when ``sigma_r - sigma_{r+1} <= tol`` and ``sigma_r > tol``. A
+    cut between values that are both within ``tol`` of zero, as in a
+    residual that is all round-off, is unique to within ``tol`` and does not
+    warn. An MBI sweep truncates only for the one block it solves in full.
     """
     if r < 0:
         raise InvalidInput(f"truncation rank must be >= 0, got {r}")
     f = svd(c)
     k = min(r, f.numeric_rank)
     if 0 < k < f.sigma.size:
-        gap = f.sigma[k - 1] - f.sigma[k]
-        if gap <= 1e-12 * max(1.0, f.sigma[0]):
+        tol = 1e-12 * max(1.0, f.sigma[0])
+        if f.sigma[k - 1] > tol and f.sigma[k - 1] - f.sigma[k] <= tol:
             warnings.warn(
                 f"singular values {k} and {k + 1} coincide; truncation is "
                 "not unique",

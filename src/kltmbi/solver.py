@@ -20,10 +20,6 @@ from .errors import InvalidInput
 from .linalg import SvdFactors, pinv, psd_sqrt, svd, truncated
 
 
-# Rounding unit of _screen's bounds: eps with a safety factor of 8.
-_SCREEN_EPS = 8.0 * np.finfo(np.float64).eps
-
-
 @dataclass(frozen=True)
 class ReducedProblem:
     """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
@@ -32,7 +28,7 @@ class ReducedProblem:
     numeric rank k_j; the screen's V_j and U_j S_j, the row-space projector
     V_j V_j^T and G_j^+ all come from it. With ``h`` and the ``g_blocks``
     that is about two n_total x n_total arrays in all, whatever p is; a
-    projector is built only while its block is solved in full.
+    sweep builds one projector, for the one block it solves in full.
     """
 
     h: np.ndarray
@@ -217,49 +213,28 @@ def _candidate(rp: ReducedProblem, bank: CompressorBank, total, j: int):
     gj = rp.g_blocks[j]
     f = rp.factors[j]
     s_j = rp.h - total + bank.blocks[j] @ gj
-    cand = truncated(s_j @ f.row_projector(), rp.partition.r[j]) @ f.pinv()
-    f_j = float(np.linalg.norm(s_j - cand @ gj) ** 2)
-    return cand, f_j
+    return truncated(s_j @ f.row_projector(), rp.partition.r[j]) @ f.pinv()
 
 
 def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
-    """Bounds (lo, hi) on the objective :func:`_candidate` computes for each
-    block, found without solving any block.
+    """The objective each block's candidate attains, found without solving
+    any block.
 
     With E = h - sum_i F_i G_i and G_j = U_j S_j V_j^T, block j's candidate
-    leaves s_j = E + F_j G_j with the exact objective
-    f_j = ||E||^2 - ||E V_j||^2 + sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j):
+    leaves s_j = E + F_j G_j with the objective
+    ||E||^2 - ||E V_j||^2 + sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j):
     one m x N x k_j product and the singular values of an m x k_j matrix.
-    Both this value and :func:`_candidate`'s are within rounding of f_j. Each
-    rounds s_j with an error of order (m + N) eps (||E|| + ||F_j|| ||G_j||),
-    and :func:`_candidate` maps the truncation through G_j^+ G_j, which adds
-    cond(G_j) ||s_j|| to that scale. A perturbation d of s_j moves f_j by at
-    most 2 ||s_j|| d + d^2, so the bounds scale with ||s_j||^2 and not with
-    f_j, which can be far smaller.
     """
-    m, n_total = resid.shape
     e2 = float(np.vdot(resid, resid))
-    e_norm = np.sqrt(e2)
-    p = rp.partition.p
-    lo = np.empty(p)
-    hi = np.empty(p)
-    for j in range(p):
-        f = rp.factors[j]
+    scores = np.empty(rp.partition.p)
+    for j, f in enumerate(rp.factors):
         k = f.numeric_rank
         ev = resid @ f.v[:, :k]
         w = ev + bank.blocks[j] @ (f.u[:, :k] * f.sigma[:k])
-        ev2 = float(np.vdot(ev, ev))
         sigma = np.linalg.svd(w, compute_uv=False)
-        f_j = e2 - ev2 + float(np.sum(sigma[rp.partition.r[j] :] ** 2))
-        s_norm = np.sqrt(max(e2 - ev2 + float(np.vdot(w, w)), 0.0))
-        # ||G_j|| and cond(G_j) over the numeric rank of G_j
-        g_max, cond = (f.sigma[0], f.sigma[0] / f.sigma[k - 1]) if k else (0.0, 1.0)
-        scale = e_norm + np.linalg.norm(bank.blocks[j]) * g_max + cond * s_norm
-        d = _SCREEN_EPS * (m + n_total) * scale
-        err = 2.0 * s_norm * d + d * d
-        lo[j] = f_j - err
-        hi[j] = f_j + err
-    return lo, hi
+        tail = float(np.sum(sigma[rp.partition.r[j] :] ** 2))
+        scores[j] = e2 - float(np.vdot(ev, ev)) + tail
+    return scores
 
 
 def _step(rp: ReducedProblem, bank: CompressorBank, total, f_cur: float):
@@ -268,24 +243,15 @@ def _step(rp: ReducedProblem, bank: CompressorBank, total, f_cur: float):
     incumbent when no block strictly improves, so the objective never
     increases and an exact fixed point reports zero change.
 
-    :func:`_screen` brackets every candidate's objective, and only the blocks
-    whose lower bound is at or below the smallest upper bound are solved by
-    :func:`_candidate`, each with its projector built on demand. Candidates
-    are ranked on :func:`_candidate`'s objective, ties going to the lowest
-    index. The chosen block, the committed bank and the objective are those
-    of solving every block in full whenever the screen's rounding bound
-    holds. That bound is derived, with a safety factor of 8, not proven for
-    LAPACK's SVD; it held on every sweep of 121 compared configurations.
-    Were it ever too tight, the sweep would still be a valid MBI step, but
-    not always the same one. A :class:`DegenerateTruncationWarning` comes
-    only from a block that is solved in full, never from one the screen
-    rules out.
+    :func:`_screen` scores all p blocks and only the best-scored one, the
+    lowest index on equal scores, is solved in full by :func:`_candidate`.
+    MBI may commit any block of maximal improvement; where scores differ
+    only by rounding, the block chosen may differ from the one an
+    exhaustive sweep of full solves would rank first, but its objective is
+    within rounding of that sweep's best.
     """
-    lo, hi = _screen(rp, bank, rp.h - total)
-    shortlist = [j for j in range(rp.partition.p) if lo[j] <= hi.min()]
-    results = {j: _candidate(rp, bank, total, j) for j in shortlist}
-    best_j = min(shortlist, key=lambda j: results[j][1])  # ties -> lowest index
-    new_bank = bank.replace(best_j, results[best_j][0])
+    best_j = int(np.argmin(_screen(rp, bank, rp.h - total)))
+    new_bank = bank.replace(best_j, _candidate(rp, bank, total, best_j))
     new_total = _total(rp, new_bank)
     f_best = float(np.linalg.norm(rp.h - new_total) ** 2)
     if f_best >= f_cur:

@@ -6,14 +6,12 @@ Each test covers one numbered acceptance criterion and prints a single
 
 import json
 import time
-import warnings
 
 import numpy as np
 
 from conftest import ONE_SWEEP, noisy_model, random_model
 from kltmbi import (
     CompressorBank,
-    DegenerateTruncationWarning,
     MbiConfig,
     SampleEnsemble,
     ScenarioSpec,
@@ -192,13 +190,10 @@ def test_criterion_6_empirical_analytic_identity():
     )
     # s < n_total: E_yy has rank s, and its pseudo-inverses must not
     # amplify the round-off in its null space
-    with warnings.catch_warnings():
-        # an MBI solution that fits exactly truncates rounding-level values
-        warnings.simplefilter("ignore", DegenerateTruncationWarning)
-        worst_deficient = _worst_identity_mismatch(
-            np.random.default_rng(61),
-            lambda rng, part: int(rng.integers(1, part.n_total)),
-        )
+    worst_deficient = _worst_identity_mismatch(
+        np.random.default_rng(61),
+        lambda rng, part: int(rng.integers(1, part.n_total)),
+    )
     assert worst <= 1e-8, f"worst relative mismatch {worst}"
     assert worst_deficient <= 1e-8, (
         f"worst relative mismatch for s < n_total {worst_deficient}"

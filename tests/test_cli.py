@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 from unittest import mock
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kltmbi
 from kltmbi import (
     DegenerateTruncationWarning,
     NotPsd,
@@ -120,6 +124,43 @@ class TestRun:
         ana = [float(r[3]) for r in rows]
         for e, a in zip(emp, ana):
             assert e == pytest.approx(a, rel=1e-8)
+
+    def test_exact_fit_from_few_samples_is_quiet(self, tmp_path):
+        # s = 3 < N = 12: the warm start already fits exactly, and the one
+        # block a sweep solves truncates a residual that is all round-off
+        cfg = _write_config(
+            tmp_path,
+            {
+                "scenario": {
+                    "kind": "additive_noise",
+                    "m": 4,
+                    "n": [4, 4, 4],
+                    "r": [2, 1, 2],
+                    "s": 3,
+                    "sigmas": [0.3, 0.3, 0.3],
+                    "seed": 2,
+                }
+            },
+        )
+        src = str(pathlib.Path(kltmbi.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from kltmbi.cli import main; sys.exit(main())",
+                "run",
+                "--config",
+                cfg,
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
     def test_infinite_epsilon_single_row(self, tmp_path):
         cfg = _write_config(

@@ -356,22 +356,26 @@ class TestMbiSolve:
         assert (cfg.epsilon, cfg.max_iterations) == (0.5, 3)
 
 
+def _full_block_solves(rp, bank):
+    """Yield (s_j, candidate) for each block: its full solve from ``bank``
+    with the public block solver."""
+    total = sum(fj @ gj for fj, gj in zip(bank.blocks, rp.g_blocks))
+    for j, gj in enumerate(rp.g_blocks):
+        s_j = rp.h - total + bank.blocks[j] @ gj
+        yield s_j, rank_constrained_lsq(s_j, gj, rp.partition.r[j])
+
+
 def _exhaustive_mbi(rp, bank, max_iterations):
     """Reference MBI with epsilon = 0: every sweep solves all p blocks in
     full with the public block solver and commits the best one."""
-    part = rp.partition
     f_cur = objective(rp, bank)
     chosen = []
     for _ in range(max_iterations):
-        total = np.zeros_like(rp.h)
-        for fj, gj in zip(bank.blocks, rp.g_blocks):
-            total += fj @ gj
-        cands = []
-        for j, gj in enumerate(rp.g_blocks):
-            s_j = rp.h - total + bank.blocks[j] @ gj
-            cand = rank_constrained_lsq(s_j, gj, part.r[j])
-            cands.append((float(np.linalg.norm(s_j - cand @ gj) ** 2), cand))
-        j = min(range(part.p), key=lambda i: cands[i][0])  # ties -> lowest index
+        cands = [
+            (float(np.linalg.norm(s_j - cand @ gj) ** 2), cand)
+            for (s_j, cand), gj in zip(_full_block_solves(rp, bank), rp.g_blocks)
+        ]
+        j = min(range(rp.partition.p), key=lambda i: cands[i][0])  # ties -> lowest index
         new_bank = bank.replace(j, cands[j][1])
         f_new = objective(rp, new_bank)
         if f_new >= f_cur:
@@ -408,20 +412,54 @@ def _silent_sensor_model(rng):
     return joint_model_from_factor(a, part)
 
 
+def _best_block_objective(rp, bank):
+    """Smallest objective that one full block solve from ``bank`` reaches."""
+    return min(
+        objective(rp, bank.replace(j, cand))
+        for j, (_, cand) in enumerate(_full_block_solves(rp, bank))
+    )
+
+
+def _assert_best_block_sweeps(rp, trace):
+    """Every sweep commits a bank whose objective is within 1e-12 ||h||^2 of
+    the best full block solve from the bank before it; a sweep that keeps
+    the incumbent ends the solve, and then no block does better either."""
+    tol = 1e-12 * np.linalg.norm(rp.h) ** 2
+    banks = trace.banks
+    for before, after in zip(banks, banks[1:]):
+        assert objective(rp, after) <= _best_block_objective(rp, before) + tol
+    if trace.converged:
+        assert objective(rp, banks[-1]) <= _best_block_objective(rp, banks[-1]) + tol
+
+
+def _count_candidates(monkeypatch):
+    calls = []
+    real = solver._candidate
+
+    def spy(rp, bank, total, j):
+        calls.append(j)
+        return real(rp, bank, total, j)
+
+    monkeypatch.setattr(solver, "_candidate", spy)
+    return calls
+
+
 class TestScreenedSweepEquivalence:
-    """mbi_solve scores candidates from the row bases and solves only the
-    near-best ones in full; it must commit exactly what an exhaustive sweep
-    of full block solves commits."""
+    """mbi_solve scores every candidate from the row bases and solves only
+    the best-scored one in full. Where no scores tie it commits exactly what
+    an exhaustive sweep of full block solves commits; where blocks tie to
+    rounding (``ties``) it may commit another of them, so each sweep is
+    checked against the best full block solve from the same bank."""
 
     @pytest.mark.parametrize(
-        "make_model",
+        "make_model, ties",
         [
-            lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
-            lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
-            lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
-            lambda rng: _sampled_model(int(rng.integers(1000))),
-            _identical_sensors_model,
-            _silent_sensor_model,
+            (lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)), False),
+            (lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)), False),
+            (lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)), False),
+            (lambda rng: _sampled_model(int(rng.integers(1000))), True),
+            (_identical_sensors_model, True),
+            (_silent_sensor_model, False),
         ],
         ids=[
             "r_is_1",
@@ -432,60 +470,60 @@ class TestScreenedSweepEquivalence:
             "silent_sensor",
         ],
     )
-    def test_matches_exhaustive_sweep(self, make_model):
+    def test_matches_exhaustive_sweep(self, make_model, ties):
         # from the zero bank, tied blocks are separated only by rounding
         for seed in range(10):
             model = make_model(np.random.default_rng(100 + seed))
             rp = reduce_problem(model)
             for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegenerateTruncationWarning)
-                    bank, trace = mbi_solve(
-                        rp, start, MbiConfig(epsilon=0.0, max_iterations=30)
-                    )
-                    ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 30)
+                bank, trace = mbi_solve(
+                    rp, start, MbiConfig(epsilon=0.0, max_iterations=30)
+                )
+                if ties:
+                    _assert_best_block_sweeps(rp, trace)
+                    continue
+                ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 30)
                 assert trace.chosen_block_per_iteration == ref_chosen
                 assert all(
                     np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks)
                 )
 
     @pytest.mark.parametrize(
-        "make_model",
+        "make_model, ties",
         [
-            lambda: _sampled_model(3),
-            lambda: _sampled_model(5),
-            lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
+            (lambda: _sampled_model(3), True),
+            (lambda: _sampled_model(5), True),
+            (lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)), False),
         ],
         ids=["sampled_seed3", "sampled_seed5", "noisy"],
     )
-    def test_screen_runs_every_sweep(self, monkeypatch, make_model):
-        calls = []
+    def test_screen_runs_every_sweep(self, monkeypatch, make_model, ties):
+        screens = []
         real = solver._screen
 
         def spy(rp, bank, resid):
-            calls.append(1)
+            screens.append(1)
             return real(rp, bank, resid)
 
         monkeypatch.setattr(solver, "_screen", spy)
+        solves = _count_candidates(monkeypatch)
         model = make_model()
         rp = reduce_problem(model)
         start = init_bank(model)
-        # the sampled models start at an exact fit, where every truncation
-        # cuts between rounding-level singular values
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateTruncationWarning)
-            bank, trace = mbi_solve(
-                rp, start, MbiConfig(epsilon=0.0, max_iterations=20)
-            )
-            ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 20)
+        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=20))
         sweeps = trace.iterations_used + int(trace.converged)
         assert sweeps > 1
-        assert len(calls) == sweeps
+        assert len(screens) == sweeps
+        assert len(solves) == sweeps
+        if ties:
+            _assert_best_block_sweeps(rp, trace)
+            return
+        ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 20)
         assert trace.chosen_block_per_iteration == ref_chosen
         assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks))
 
 
-def test_rank_deficient_model_reaches_exact_fit():
+def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
     # s = 16 samples of N = 256 observations, 32 per sensor: every G_j has
     # rank 16 < n_j, and the bank can fit h exactly
     part = SensorPartition(m=32, n=(32,) * 8, r=(8,) * 8)
@@ -494,12 +532,11 @@ def test_rank_deficient_model_reaches_exact_fit():
     )
     model = estimate_moments(generate(spec), part)
     rp = reduce_problem(model)
-    start = init_bank(model)
-    with warnings.catch_warnings():
-        # at an exact fit every truncation cuts between rounding-level values
-        warnings.simplefilter("ignore", DegenerateTruncationWarning)
-        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=60))
-        ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 60)
-    assert trace.chosen_block_per_iteration == ref_chosen
-    assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks))
+    solves = _count_candidates(monkeypatch)
+    bank, trace = mbi_solve(
+        rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=60)
+    )
+    assert trace.converged
+    assert len(solves) == trace.iterations_used + 1
+    _assert_best_block_sweeps(rp, trace)
     assert analytic_mse(model, bank) <= 1e-12 * np.trace(model.e_xx)
