@@ -144,11 +144,13 @@ def parse_config(
 
 def load_config(path, **overrides) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"config file cannot be read: {exc}") from None
+    # a UnicodeDecodeError is a ValueError; nesting too deep for the
+    # decoder raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc, **overrides)
 
@@ -309,18 +311,11 @@ def main(argv: list[str] | None = None) -> int:
             epsilon=args.epsilon,
             max_iters=args.max_iters,
         )
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return run(cfg, quiet=args.quiet)
     except NotPsd as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
+    except (InvalidInput, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -228,9 +228,9 @@ def load_pgm(path) -> np.ndarray:
         raise ParseError(f"invalid PGM dimensions {width}x{height}, maxval {maxval}")
     if magic == b"P2":
         try:
-            values = np.array(data[end:].split(), dtype=np.float64)
-        except ValueError:
-            raise ParseError("non-numeric P2 pixel data") from None
+            values = np.array([int(t) for t in data[end:].split()], dtype=np.float64)
+        except (ValueError, OverflowError):
+            raise ParseError("non-integer P2 pixel data") from None
         if values.size != width * height:
             raise ParseError(
                 f"expected {width * height} pixels, found {values.size}"
@@ -249,8 +249,8 @@ def load_pgm(path) -> np.ndarray:
             .astype(np.float64)
             .reshape(height, width)
         )
-    if pixels.max(initial=0) > maxval:
-        raise ParseError("pixel value exceeds declared maxval")
+    if pixels.min(initial=0) < 0 or pixels.max(initial=0) > maxval:
+        raise ParseError(f"pixel value outside [0, {maxval}]")
     return pixels / maxval
 
 

@@ -25,10 +25,11 @@ class ReducedProblem:
     """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
 
     ``factors[j]`` is the thin SVD G_j = U_j S_j V_j^T of block j, with
-    numeric rank k_j; the screen's V_j and U_j S_j, the row-space projector
-    V_j V_j^T and G_j^+ all come from it. With ``h`` and the ``g_blocks``
-    that is about two n_total x n_total arrays in all, whatever p is; a
-    sweep builds one projector, for the one block it solves in full.
+    numeric rank k_j; the screen's V_j and U_j S_j, and the row-space
+    projector V_j V_j^T and G_j^+ of :func:`_block_solve`, all come from it.
+    With ``h`` and the ``g_blocks`` that is about two n_total x n_total
+    arrays in all, whatever p is; a sweep builds one projector, for the one
+    block it solves in full.
     """
 
     h: np.ndarray
@@ -81,8 +82,9 @@ class CompressorBank:
 
 @dataclass(frozen=True)
 class MbiConfig:
-    """Stopping rule |f_new - f_old| <= epsilon (absolute, as stated) with an
-    iteration budget. ``record_trace`` keeps every intermediate bank."""
+    """Stopping rule f_old - f_new <= epsilon (absolute, as stated; the sweep
+    that meets it is not committed) with an iteration budget.
+    ``record_trace`` keeps every intermediate bank."""
 
     epsilon: float = 1e-8
     max_iterations: int = 100
@@ -133,14 +135,22 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
 
 def objective(rp: ReducedProblem, bank: CompressorBank) -> float:
     """Squared Frobenius norm of h - sum_j F_j G_j."""
-    return float(np.linalg.norm(rp.h - _total(rp, bank)) ** 2)
+    return _residual(rp, bank)[1]
 
 
-def _total(rp: ReducedProblem, bank: CompressorBank) -> np.ndarray:
+def _residual(rp: ReducedProblem, bank: CompressorBank) -> tuple[np.ndarray, float]:
+    """The residual E = h - sum_j F_j G_j, formed in the product buffer, and
+    ||E||^2."""
     t = np.zeros_like(rp.h)
     for fj, gj in zip(bank.blocks, rp.g_blocks):
         t += fj @ gj
-    return t
+    np.subtract(rp.h, t, out=t)
+    return t, float(np.linalg.norm(t) ** 2)
+
+
+def _block_solve(s: np.ndarray, f: SvdFactors, r: int) -> np.ndarray:
+    """``[s R]_r G^+`` for the block G whose thin SVD is ``f``."""
+    return truncated(s @ f.row_projector(), r) @ f.pinv()
 
 
 def rank_constrained_lsq(s_j: np.ndarray, g_j: np.ndarray, r_j: int) -> np.ndarray:
@@ -155,8 +165,7 @@ def rank_constrained_lsq(s_j: np.ndarray, g_j: np.ndarray, r_j: int) -> np.ndarr
         )
     if not 1 <= r_j <= g_j.shape[0]:
         raise InvalidInput(f"need 1 <= r_j <= {g_j.shape[0]}, got {r_j}")
-    f = svd(g_j)
-    return truncated(s_j @ f.row_projector(), r_j) @ f.pinv()
+    return _block_solve(s_j, svd(g_j), r_j)
 
 
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
@@ -209,23 +218,15 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
-def _candidate(rp: ReducedProblem, bank: CompressorBank, total, j: int):
-    gj = rp.g_blocks[j]
-    f = rp.factors[j]
-    s_j = rp.h - total + bank.blocks[j] @ gj
-    return truncated(s_j @ f.row_projector(), rp.partition.r[j]) @ f.pinv()
-
-
 def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
-    """The objective each block's candidate attains, found without solving
-    any block.
+    """Each block's objective change Delta_j if its candidate were committed,
+    found without solving any block.
 
     With E = h - sum_i F_i G_i and G_j = U_j S_j V_j^T, block j's candidate
-    leaves s_j = E + F_j G_j with the objective
-    ||E||^2 - ||E V_j||^2 + sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j):
+    fits s_j = E + F_j G_j and changes the objective ||E||^2 by
+    Delta_j = sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j) - ||E V_j||^2 <= 0:
     one m x N x k_j product and the singular values of an m x k_j matrix.
     """
-    e2 = float(np.vdot(resid, resid))
     scores = np.empty(rp.partition.p)
     for j, f in enumerate(rp.factors):
         k = f.numeric_rank
@@ -233,50 +234,41 @@ def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
         w = ev + bank.blocks[j] @ (f.u[:, :k] * f.sigma[:k])
         sigma = np.linalg.svd(w, compute_uv=False)
         tail = float(np.sum(sigma[rp.partition.r[j] :] ** 2))
-        scores[j] = e2 - float(np.vdot(ev, ev)) + tail
+        scores[j] = tail - float(np.vdot(ev, ev))
     return scores
-
-
-def _step(rp: ReducedProblem, bank: CompressorBank, total, f_cur: float):
-    """One MBI sweep. Returns (bank, chosen j, objective, total), with the
-    objective and total recomputed exactly from the committed bank. Keeps the
-    incumbent when no block strictly improves, so the objective never
-    increases and an exact fixed point reports zero change.
-
-    :func:`_screen` scores all p blocks and only the best-scored one, the
-    lowest index on equal scores, is solved in full by :func:`_candidate`.
-    MBI may commit any block of maximal improvement; where scores differ
-    only by rounding, the block chosen may differ from the one an
-    exhaustive sweep of full solves would rank first, but its objective is
-    within rounding of that sweep's best.
-    """
-    best_j = int(np.argmin(_screen(rp, bank, rp.h - total)))
-    new_bank = bank.replace(best_j, _candidate(rp, bank, total, best_j))
-    new_total = _total(rp, new_bank)
-    f_best = float(np.linalg.norm(rp.h - new_total) ** 2)
-    if f_best >= f_cur:
-        return bank, best_j, f_cur, total
-    return new_bank, best_j, f_best, new_total
 
 
 def mbi_solve(
     rp: ReducedProblem, init: CompressorBank, cfg: MbiConfig = MbiConfig()
 ) -> tuple[CompressorBank, MbiTrace]:
-    """Iterate MBI steps until |f_new - f_old| <= epsilon or the budget runs
-    out. Non-convergence within the budget is reported via the trace flag."""
+    """Run MBI sweeps on the residual E = h - sum_j F_j G_j.
+
+    Each sweep solves in full only the block :func:`_screen` scores lowest
+    (the lowest index on equal scores) and recomputes E and the objective f
+    from the new bank. The solve stops once a sweep improves f by at most
+    epsilon, keeping the incumbent, so f never increases; running out of
+    budget is reported via the trace flag. Where scores differ only by
+    rounding, the block chosen may not be the one an exhaustive sweep of full
+    solves would rank first, but its objective is within rounding of that
+    sweep's best.
+    """
     bank = init
-    total = _total(rp, bank)
-    f_cur = float(np.linalg.norm(rp.h - total) ** 2)
+    resid, f_cur = _residual(rp, bank)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
     converged = False
     for _ in range(cfg.max_iterations):
-        new_bank, j, f_new, total_new = _step(rp, bank, total, f_cur)
-        if abs(f_new - f_cur) <= cfg.epsilon:
+        j = int(np.argmin(_screen(rp, bank, resid)))
+        s_j = resid + bank.blocks[j] @ rp.g_blocks[j]
+        new_bank = bank.replace(
+            j, _block_solve(s_j, rp.factors[j], rp.partition.r[j])
+        )
+        new_resid, f_new = _residual(rp, new_bank)
+        if f_cur - f_new <= cfg.epsilon:
             converged = True
             break
-        bank, f_cur, total = new_bank, f_new, total_new
+        bank, resid, f_cur = new_bank, new_resid, f_new
         objectives.append(f_cur)
         chosen.append(j)
         if banks is not None:

@@ -288,6 +288,40 @@ class TestExitCodes:
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("config", ["directory", "not_utf8", "too_deep"])
+def test_unreadable_config_is_config_error(tmp_path, command, config):
+    # run in a child process so that an uncaught error shows as a traceback
+    path = tmp_path / "config.json"
+    if config == "directory":
+        path.mkdir()
+    elif config == "not_utf8":
+        path.write_bytes('{"scenario": {"kind": "caf\xe9"}}'.encode("latin-1"))
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    src = str(pathlib.Path(kltmbi.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from kltmbi.cli import main; sys.exit(main())",
+            command,
+            "--config",
+            str(path),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    if command == "validate":
+        assert proc.stdout.startswith("invalid: ")
+
+
 _NOISE_SCENARIO = {
     "kind": "additive_noise",
     "m": 3,

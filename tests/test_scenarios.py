@@ -362,6 +362,9 @@ class TestPgm:
             b"P2\n2 2\n255\n1 2 3",
             b"P5\n2 2\n255\nab",
             b"P2\n2 2\n255\n1 x 3 4",
+            b"P2\n2 2\n255\n-5 10 20 30",
+            b"P2\n2 2\n255\n1.5 10 20 30",
+            pytest.param(b"P2\n2 2\n255\n1 2 3 1" + b"0" * 400, id="beyond_float"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, content):

@@ -289,6 +289,29 @@ class TestMbiSolve:
         assert trace.converged
         assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, start.blocks))
 
+    def test_finite_epsilon_stops_on_incumbent(self):
+        # epsilon set to sweep t's gain in an epsilon=0 run, where every
+        # earlier sweep gained more, stops the solve at sweep t uncommitted
+        model = noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1))
+        rp = reduce_problem(model)
+        start = init_bank(model)
+        _, ref = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=30))
+        assert not ref.converged
+        gains = -np.diff(ref.objective_per_iteration)
+        stops = [t for t in range(2, 31) if gains[t - 1] < gains[: t - 1].min()]
+        assert len(stops) > 10
+        for t in stops:
+            bank, trace = mbi_solve(
+                rp, start, MbiConfig(epsilon=gains[t - 1], max_iterations=30)
+            )
+            assert trace.converged and trace.iterations_used == t - 1
+            assert trace.objective_per_iteration == ref.objective_per_iteration[:t]
+            assert trace.chosen_block_per_iteration == (
+                ref.chosen_block_per_iteration[: t - 1]
+            )
+            ref_bank = ref.banks[t - 1]
+            assert all(map(np.array_equal, bank.blocks, ref_bank.blocks))
+
     def test_benchmark_model_converges(self):
         model = example1_model()
         rp = reduce_problem(model)
@@ -434,13 +457,13 @@ def _assert_best_block_sweeps(rp, trace):
 
 def _count_candidates(monkeypatch):
     calls = []
-    real = solver._candidate
+    real = solver._block_solve
 
-    def spy(rp, bank, total, j):
-        calls.append(j)
-        return real(rp, bank, total, j)
+    def spy(s, f, r):
+        calls.append(r)
+        return real(s, f, r)
 
-    monkeypatch.setattr(solver, "_candidate", spy)
+    monkeypatch.setattr(solver, "_block_solve", spy)
     return calls
 
 
