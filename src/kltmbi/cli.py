@@ -24,7 +24,13 @@ from .covariance import SensorPartition, estimate_moments
 from .errors import InvalidInput, NotPsd, ParseError
 from .scenarios import ScenarioSpec, generate, image_scenario, save_pgm
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
-from .wsn import analytic_mse, atomic_write, empirical_mse, factorize_wsn, save_wsn_json
+from .wsn import (
+    _running_empirical_mse,
+    analytic_mse,
+    atomic_write,
+    factorize_wsn,
+    save_wsn_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,14 +190,19 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     final_mse = analytic_mse(model, bank)
 
     if config.trace_csv_path:
+        # Row i's analytic MSE is the model's Wiener MSE plus the objective
+        # f_i the solve recorded, summed as analytic_mse sums it. The
+        # empirical column comes from one running m x s residual, updated by
+        # each committed block step.
+        if ens is None:
+            emp = [""] * len(trace.banks)
+        else:
+            emp = [_fmt(v) for v in _running_empirical_mse(ens, trace.banks)]
         lines = ["iteration,objective,chosen_block,analytic_mse,empirical_mse"]
         for i, f_i in enumerate(trace.objective_per_iteration):
-            bank_i = trace.banks[i]
             chosen = "" if i == 0 else str(trace.chosen_block_per_iteration[i - 1])
-            emp = "" if ens is None else _fmt(empirical_mse(ens, bank_i))
-            lines.append(
-                f"{i},{_fmt(f_i)},{chosen},{_fmt(analytic_mse(model, bank_i))},{emp}"
-            )
+            ana = max(float(model.wiener_mse + f_i), 0.0)
+            lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(ana)},{emp[i]}")
         text = "\n".join(lines) + "\n"
         atomic_write(
             config.trace_csv_path, lambda tmp: Path(tmp).write_text(text, newline="")

@@ -135,6 +135,13 @@ class SecondMomentModel:
         """H = E_xy (E_yy^(1/2))^+, the target of the reduced problem."""
         return self.e_xy @ pinv(self.e_yy_root)
 
+    @cached_property
+    def wiener_mse(self) -> np.float64:
+        """tr E_xx - ||H||^2: the MSE of the best estimator without rank
+        constraints, and the part of a bank's analytic MSE that does not
+        depend on the bank, which adds ||H - F E_yy^(1/2)||^2."""
+        return np.trace(self.e_xx) - np.linalg.norm(self.h) ** 2
+
     def e_xy_block(self, j: int) -> np.ndarray:
         """Columns of E_xy belonging to sensor j (an m x n_j block)."""
         return self.e_xy[:, self.partition.y_slice(j)]

@@ -104,14 +104,14 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     """Model-based mean square error of the bank:
     tr(E_xx) - ||H||^2 + ||H - F E_yy^(1/2)||^2 with H = E_xy (E_yy^(1/2))^+.
 
-    Works identically for exact and sample-estimated moments. E_yy^(1/2) and
-    H are cached on the model, so each call costs one m x N x N product.
+    Works identically for exact and sample-estimated moments. E_yy^(1/2), H
+    and tr(E_xx) - ||H||^2 (``model.wiener_mse``) are cached on the model, so
+    each call costs one m x N x N product.
     """
     if bank.partition.n != model.partition.n or bank.partition.m != model.partition.m:
         raise InvalidInput("bank and model partitions disagree")
-    h = model.h
-    tail = np.linalg.norm(h - bank.full() @ model.e_yy_root) ** 2
-    mse = float(np.trace(model.e_xx) - np.linalg.norm(h) ** 2 + tail)
+    tail = np.linalg.norm(model.h - bank.full() @ model.e_yy_root) ** 2
+    mse = float(model.wiener_mse + tail)
     # The three terms cancel almost completely for near-perfect banks, so
     # round-off can leave a tiny negative residue; the true value is >= 0.
     return max(mse, 0.0)
@@ -131,6 +131,63 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
     resid = bank.apply(ens.y)
     np.subtract(ens.x, resid, out=resid)
     return float(np.linalg.norm(resid) ** 2 / ens.s)
+
+
+# Columns per chunk of the running residual's update: its buffer is m x
+# _CHUNK, about 1 MB at m = 32.
+_CHUNK = 4096
+# The running residual is formed again from scratch once its norm falls
+# below this fraction of a bound on the norms subtracted from X to form it:
+# past that point cancellation would cost it more digits than the trace
+# prints.
+_REFRESH_RATIO = 1e3
+
+
+def _running_empirical_mse(
+    ens: SampleEnsemble, banks: list[CompressorBank]
+) -> list[float]:
+    """:func:`empirical_mse` of each bank in ``banks``, from one running
+    residual R = X - F Y.
+
+    For each bank after the first, every block that is not the previous
+    bank's block object (consecutive MBI banks share their unchanged blocks)
+    updates R -= (F_j' - F_j) Y_j, in column chunks of at most _CHUNK
+    through one m x _CHUNK buffer. A one-block step costs m x n_j x s flops
+    instead of m x N x s, and no second m x s array is allocated.
+
+    R is formed from scratch, as :func:`empirical_mse` forms it, for the
+    first bank and whenever ||R|| falls below 1/_REFRESH_RATIO of
+    sum_j ||F_j|| ||Y_j|| plus sum ||F_j' - F_j|| ||Y_j|| over the steps
+    since, as it does on every row of a near-exact fit. Such a row equals
+    :func:`empirical_mse` bit for bit.
+    """
+    part = banks[0].partition
+    y_norms = [np.linalg.norm(ens.y[part.y_slice(j)]) for j in range(part.p)]
+    resid = np.empty((part.m, ens.s))
+    chunk = min(_CHUNK, ens.s)
+    buf = np.empty(part.m * chunk)
+    out = []
+    for i, bank in enumerate(banks):
+        if i:
+            for j, (old, new) in enumerate(zip(banks[i - 1].blocks, bank.blocks)):
+                if new is old:
+                    continue
+                delta = new - old
+                drift += np.linalg.norm(delta) * y_norms[j]
+                y_j = ens.y[part.y_slice(j)]
+                for start in range(0, ens.s, chunk):
+                    cols = slice(start, min(start + chunk, ens.s))
+                    step = buf[: part.m * (cols.stop - start)].reshape(part.m, -1)
+                    np.matmul(delta, y_j[:, cols], out=step)
+                    resid[:, cols] -= step
+            norm = np.linalg.norm(resid)
+        if i == 0 or drift > _REFRESH_RATIO * norm:
+            drift = sum(np.linalg.norm(f) * y for f, y in zip(bank.blocks, y_norms))
+            np.matmul(bank.full(), ens.y, out=resid)
+            np.subtract(ens.x, resid, out=resid)
+            norm = np.linalg.norm(resid)
+        out.append(float(norm**2 / ens.s))
+    return out
 
 
 def wsn_to_dict(wsn: FactorizedWsn, provenance: dict | None = None) -> dict:
@@ -217,9 +274,11 @@ def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> N
 
 
 def load_wsn_json(path) -> FactorizedWsn:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        # a UnicodeDecodeError is a ValueError; nesting too deep for the
+        # decoder raises RecursionError
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path} is not JSON: {exc}") from None
     return wsn_from_dict(doc)

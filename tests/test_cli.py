@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -19,6 +20,7 @@ from kltmbi import (
     NotPsd,
     ParseError,
     analytic_mse,
+    empirical_mse,
     init_bank,
     save_pgm,
 )
@@ -29,6 +31,7 @@ from kltmbi.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     RunConfig,
+    _fmt,
     load_config,
     main,
     parse_config,
@@ -41,6 +44,38 @@ def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# additive noise, s = 10 > N = 8
+_SAMPLED_SCENARIO = {
+    "kind": "additive_noise",
+    "m": 4,
+    "n": [4, 4],
+    "r": [2, 2],
+    "s": 10,
+    "sigmas": [0.1, 0.2],
+    "seed": 7,
+}
+# s = 3 < N = 12: the warm start already fits exactly, and the one block a
+# sweep solves truncates a residual that is all round-off
+_EXACT_FIT_SCENARIO = {
+    "kind": "additive_noise",
+    "m": 4,
+    "n": [4, 4, 4],
+    "r": [2, 1, 2],
+    "s": 3,
+    "sigmas": [0.3, 0.3, 0.3],
+    "seed": 2,
+}
+_MIXING_SCENARIO = {
+    "kind": "linear_mixing",
+    "m": 5,
+    "n": [5, 5],
+    "r": [2, 3],
+    "s": 12,
+    "sigmas": [0.1, 0.3],
+    "seed": 90,
+}
 
 
 def _example1_config(tmp_path, **extra):
@@ -102,15 +137,7 @@ class TestRun:
         cfg = _write_config(
             tmp_path,
             {
-                "scenario": {
-                    "kind": "additive_noise",
-                    "m": 4,
-                    "n": [4, 4],
-                    "r": [2, 2],
-                    "s": 10,
-                    "sigmas": [0.1, 0.2],
-                    "seed": 7,
-                },
+                "scenario": _SAMPLED_SCENARIO,
                 "mbi": {"max_iterations": 30},
                 "outputs": {"trace_csv": str(tmp_path / "t.csv")},
             },
@@ -126,22 +153,7 @@ class TestRun:
             assert e == pytest.approx(a, rel=1e-8)
 
     def test_exact_fit_from_few_samples_is_quiet(self, tmp_path):
-        # s = 3 < N = 12: the warm start already fits exactly, and the one
-        # block a sweep solves truncates a residual that is all round-off
-        cfg = _write_config(
-            tmp_path,
-            {
-                "scenario": {
-                    "kind": "additive_noise",
-                    "m": 4,
-                    "n": [4, 4, 4],
-                    "r": [2, 1, 2],
-                    "s": 3,
-                    "sigmas": [0.3, 0.3, 0.3],
-                    "seed": 2,
-                }
-            },
-        )
+        cfg = _write_config(tmp_path, {"scenario": _EXACT_FIT_SCENARIO})
         src = str(pathlib.Path(kltmbi.__file__).parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -161,6 +173,102 @@ class TestRun:
             timeout=300,
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize(
+        "scenario, mbi",
+        [
+            (_SAMPLED_SCENARIO, {"max_iterations": 30}),
+            (_MIXING_SCENARIO, {"epsilon": 1e-10, "max_iterations": 200}),
+            # epsilon 0 commits the steps that only move round-off
+            (_EXACT_FIT_SCENARIO, {"epsilon": 0}),
+            (
+                {"kind": "exact_example1", "r": [1, 1], "seed": 0},
+                {"epsilon": 1e-10, "max_iterations": 2000},
+            ),
+        ],
+        ids=["additive_noise", "linear_mixing", "exact_fit", "exact_example1"],
+    )
+    def test_trace_columns_match_full_recomputes(
+        self, tmp_path, monkeypatch, scenario, mbi
+    ):
+        # the trace derives its MSE columns from the solve; each row must
+        # print what analytic_mse and empirical_mse of that row's bank print
+        import kltmbi.cli as cli_mod
+
+        calls = {}  # name -> (arguments, result) of the run's call
+        for name in ("estimate_moments", "reduce_problem", "mbi_solve"):
+            def spy(*args, _fn=getattr(cli_mod, name), _name=name):
+                calls[_name] = (args, _fn(*args))
+                return calls[_name][1]
+
+            monkeypatch.setattr(cli_mod, name, spy)
+        cfg = _write_config(
+            tmp_path,
+            {
+                "scenario": scenario,
+                "mbi": mbi,
+                "outputs": {"trace_csv": str(tmp_path / "t.csv")},
+            },
+        )
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "t.csv").read_text().splitlines()[1:]
+        ]
+        model = calls["reduce_problem"][0][0]
+        ens = calls["estimate_moments"][0][0] if "estimate_moments" in calls else None
+        banks = calls["mbi_solve"][1][1].banks
+        assert len(rows) == len(banks) >= 2
+        for row, bank in zip(rows, banks):
+            assert row[3] == _fmt(analytic_mse(model, bank))
+            assert row[4] == ("" if ens is None else _fmt(empirical_mse(ens, bank)))
+
+    def test_trace_holds_one_residual(self, tmp_path, monkeypatch):
+        # the empirical column keeps one m x s residual and a chunk buffer;
+        # an update through a second m x s array exceeds the bound
+        import kltmbi.cli as cli_mod
+        from kltmbi import wsn
+
+        m, p, s = 8, 4, 50_000
+        running = cli_mod._running_empirical_mse
+        peaks = []
+
+        def measured(ens, banks):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = running(ens, banks)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(cli_mod, "_running_empirical_mse", measured)
+        cfg = _write_config(
+            tmp_path,
+            {
+                "scenario": {
+                    "kind": "additive_noise",
+                    "m": m,
+                    "n": [m] * p,
+                    "r": [2] * p,
+                    "s": s,
+                    "sigmas": [0.3] * p,
+                    "seed": 1,
+                },
+                "mbi": {"epsilon": 0, "max_iterations": 8},
+                "outputs": {"trace_csv": str(tmp_path / "t.csv")},
+            },
+        )
+        bound = m * s * 8 + m * wsn._CHUNK * 8 + 256 * 1024
+        # the second run has one chunk as wide as the samples: the bound
+        # must tell it apart
+        for chunk in (wsn._CHUNK, s):
+            monkeypatch.setattr(wsn, "_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+            finally:
+                tracemalloc.stop()
+        chunked, unchunked = peaks
+        assert chunked <= bound < unchunked
 
     def test_infinite_epsilon_single_row(self, tmp_path):
         cfg = _write_config(

@@ -1,13 +1,17 @@
 """Tests for encoder/decoder factorization and error evaluation."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kltmbi
 from conftest import joint_model_from_factor
 from kltmbi import (
     CompressorBank,
@@ -16,6 +20,7 @@ from kltmbi import (
     MbiConfig,
     ParseError,
     SampleEnsemble,
+    ScenarioSpec,
     SensorPartition,
     analytic_mse,
     compress,
@@ -23,16 +28,20 @@ from kltmbi import (
     estimate_moments,
     example1_model,
     factorize_wsn,
+    generate,
+    image_scenario,
     init_bank,
     load_wsn_json,
     mbi_solve,
     reconstruct,
     reduce_problem,
+    save_pgm,
     save_wsn_json,
 )
 from kltmbi.covariance import SecondMomentModel
 from kltmbi.linalg import pinv, psd_sqrt
-from kltmbi.wsn import atomic_write
+from kltmbi import wsn
+from kltmbi.wsn import _running_empirical_mse, atomic_write
 
 
 def _rank_feasible_bank(rng, part):
@@ -208,6 +217,79 @@ class TestEmpiricalMse:
         assert peak <= m * s * 8 + 64 * 1024
 
 
+def _mbi_banks(ens, part, start=None):
+    """Every bank of an MBI solve on the moments of ``ens``, from the zero
+    bank unless a ``start`` is given."""
+    model = estimate_moments(ens, part)
+    _, trace = mbi_solve(
+        reduce_problem(model),
+        CompressorBank.zeros(part) if start is None else start(model),
+        MbiConfig(epsilon=0.0, max_iterations=30),
+    )
+    return trace.banks
+
+
+class TestRunningEmpiricalMse:
+    @staticmethod
+    def _sampled(kind, m, p, s):
+        part = SensorPartition(m=m, n=(m,) * p, r=(2,) * p)
+        spec = ScenarioSpec(
+            kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=3
+        )
+        return generate(spec), part
+
+    @staticmethod
+    def _image(tmp_path):
+        rng = np.random.default_rng(13)
+        img = tmp_path / "src.pgm"
+        save_pgm(rng.random((8, 40)), img)
+        part = SensorPartition(m=8, n=(8, 8), r=(3, 3))
+        spec = ScenarioSpec(
+            kind="image", partition=part, s=1, sigmas=(0.2, 0.1), seed=3,
+            image_path=str(img),
+        )
+        return image_scenario(spec).ensemble, part
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("linear_mixing", 6, 3, 300),
+            ("additive_noise", 6, 3, 2 * wsn._CHUNK + 100),
+            ("additive_noise", 5, 1, 500),
+            "image",
+        ],
+        ids=["s_below_chunk", "s_not_chunk_multiple", "one_sensor", "image"],
+    )
+    def test_rows_agree_with_empirical_mse(self, tmp_path, monkeypatch, case):
+        ens, part = self._image(tmp_path) if case == "image" else self._sampled(*case)
+        banks = _mbi_banks(ens, part)
+        assert len(banks) >= 2
+        want = [empirical_mse(ens, b) for b in banks]
+        # count full products: past the first row, every row must come from
+        # the running residual, not from a fresh one
+        full_products = []
+        full = CompressorBank.full
+        monkeypatch.setattr(
+            CompressorBank, "full", lambda b: full_products.append(b) or full(b)
+        )
+        got = _running_empirical_mse(ens, banks)
+        assert len(full_products) == 1
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+
+    def test_near_exact_fit_rows_are_recomputed(self):
+        # s = 6 < N = 32: the warm start fits the samples up to round-off,
+        # which a running update would print as different noise
+        ens, part = self._sampled("additive_noise", 8, 4, 6)
+        banks = _mbi_banks(ens, part, start=init_bank)
+        assert len(banks) >= 2
+        want = [empirical_mse(ens, b) for b in banks]
+        assert max(want) < 1e-20
+        assert _running_empirical_mse(ens, banks) == want
+
+
 class TestJsonExport:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -315,6 +397,45 @@ class TestJsonExport:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_wsn_json(path)
+
+    def test_nesting_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ParseError):
+            load_wsn_json(path)
+
+    def test_not_utf8(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["provenance"] = {"note": "caf\xe9"}
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(ParseError):
+            load_wsn_json(path)
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # a child process whose locale encoding is ASCII reads a document
+        # with non-ASCII text
+        doc = self._doc(tmp_path)
+        doc["provenance"] = {"note": "\u03c3 = 0.3"}
+        path = tmp_path / "utf8.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        src = str(pathlib.Path(kltmbi.__file__).parent.parent)
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from kltmbi import load_wsn_json; "
+                "load_wsn_json(sys.argv[1])",
+                str(path),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_direct_construction_checks_blocks(self):
         part = SensorPartition(m=2, n=(2,), r=(1,))
