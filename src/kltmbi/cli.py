@@ -22,15 +22,9 @@ import numpy as np
 
 from .covariance import SensorPartition, estimate_moments
 from .errors import InvalidInput, NotPsd, ParseError
-from .scenarios import ScenarioSpec, generate, image_scenario, save_pgm
+from .scenarios import ScenarioSpec, _load_image, generate, image_scenario, save_pgm
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
-from .wsn import (
-    _running_empirical_mse,
-    analytic_mse,
-    atomic_write,
-    factorize_wsn,
-    save_wsn_json,
-)
+from .wsn import _running_empirical_mse, atomic_write, factorize_wsn, save_wsn_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,6 +105,11 @@ def parse_config(
     except InvalidInput as exc:
         raise ParseError(f"invalid scenario: {exc}") from None
 
+    outputs = doc.get("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ParseError("'outputs' must be an object")
+    trace_csv = _str_field(outputs.get("trace_csv"), "outputs.trace_csv")
+
     mbi_doc = doc.get("mbi", {})
     if not isinstance(mbi_doc, dict):
         raise ParseError("'mbi' must be an object")
@@ -121,13 +120,13 @@ def parse_config(
     )
     iters = mbi_doc.get("max_iterations", 100) if max_iters is None else max_iters
     try:
-        mbi = MbiConfig(epsilon=eps, max_iterations=iters, record_trace=True)
+        # only the trace CSV reads the intermediate banks
+        mbi = MbiConfig(
+            epsilon=eps, max_iterations=iters, record_trace=bool(trace_csv)
+        )
     except InvalidInput as exc:
         raise ParseError(f"invalid mbi settings: {exc}") from None
 
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ParseError("'outputs' must be an object")
     report_baseline = doc.get("report_baseline", False)
     if not isinstance(report_baseline, bool):
         raise ParseError(
@@ -136,14 +135,14 @@ def parse_config(
     cfg = RunConfig(
         scenario=spec,
         mbi=mbi,
-        trace_csv_path=_str_field(outputs.get("trace_csv"), "outputs.trace_csv"),
+        trace_csv_path=trace_csv,
         wsn_json_path=_str_field(outputs.get("wsn_json"), "outputs.wsn_json"),
         image_out_dir=_str_field(
             outputs.get("image_out_dir"), "outputs.image_out_dir"
         ),
         report_baseline=report_baseline,
     )
-    if spec.kind == "image" and cfg.image_out_dir is None:
+    if spec.kind == "image" and not cfg.image_out_dir:
         raise ParseError("image scenario requires outputs.image_out_dir")
     return cfg
 
@@ -172,37 +171,34 @@ def _fmt(v: float) -> str:
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute one configured scenario. Returns a process exit status."""
     spec = config.scenario
-    image_data = None
-    if spec.kind == "exact_example1":
-        model = generate(spec)
-        ens = None
-    elif spec.kind == "image":
-        image_data = image_scenario(spec)
-        ens = image_data.ensemble
-        model = estimate_moments(ens, spec.partition)
+    image_data = image_scenario(spec) if spec.kind == "image" else None
+    ens = generate(spec) if image_data is None else image_data.ensemble
+    if spec.kind == "exact_example1":  # the exact model, without samples
+        model, ens = ens, None
     else:
-        ens = generate(spec)
         model = estimate_moments(ens, spec.partition)
 
     rp = reduce_problem(model)
     start = init_bank(model)
     bank, trace = mbi_solve(rp, start, config.mbi)
-    final_mse = analytic_mse(model, bank)
+    # analytic_mse of the bank after step i, bit for bit: the Wiener MSE plus
+    # the objective f_i the solve recorded. Step 0 is the warm start.
+    analytic = [
+        max(float(model.wiener_mse + f_i), 0.0)
+        for f_i in trace.objective_per_iteration
+    ]
 
     if config.trace_csv_path:
-        # Row i's analytic MSE is the model's Wiener MSE plus the objective
-        # f_i the solve recorded, summed as analytic_mse sums it. The
-        # empirical column comes from one running m x s residual, updated by
-        # each committed block step.
+        # the empirical column comes from one running m x s residual,
+        # updated by each committed block step
         if ens is None:
-            emp = [""] * len(trace.banks)
+            emp = [""] * len(analytic)
         else:
-            emp = [_fmt(v) for v in _running_empirical_mse(ens, trace.banks)]
+            emp = [_fmt(v) for v in _running_empirical_mse(ens, trace)]
         lines = ["iteration,objective,chosen_block,analytic_mse,empirical_mse"]
         for i, f_i in enumerate(trace.objective_per_iteration):
             chosen = "" if i == 0 else str(trace.chosen_block_per_iteration[i - 1])
-            ana = max(float(model.wiener_mse + f_i), 0.0)
-            lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(ana)},{emp[i]}")
+            lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(analytic[i])},{emp[i]}")
         text = "\n".join(lines) + "\n"
         atomic_write(
             config.trace_csv_path, lambda tmp: Path(tmp).write_text(text, newline="")
@@ -218,69 +214,67 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         }
         save_wsn_json(factorize_wsn(bank), config.wsn_json_path, provenance)
 
-    # the warm start is the per-sensor baseline the report compares against
-    baseline = start if config.report_baseline else None
-    baseline_mse = None if baseline is None else analytic_mse(model, baseline)
-
     if image_data is not None:
         out = config.image_out_dir
         os.makedirs(out, exist_ok=True)
-        x_hat = bank.apply(image_data.y_full)
-        _atomic_save_pgm(x_hat, os.path.join(out, "reconstruction.pgm"))
-        _atomic_save_pgm(
-            np.abs(image_data.x_full - x_hat), os.path.join(out, "error_map.pgm")
-        )
-        if baseline is not None:
-            b_hat = baseline.apply(image_data.y_full)
-            _atomic_save_pgm(b_hat, os.path.join(out, "baseline_reconstruction.pgm"))
-            _atomic_save_pgm(
-                np.abs(image_data.x_full - b_hat),
-                os.path.join(out, "baseline_error_map.pgm"),
-            )
+        # the warm start is the per-sensor baseline the report compares against
+        shown = {"": bank, "baseline_": start} if config.report_baseline else {"": bank}
+        for prefix, b in shown.items():
+            x_hat = b.apply(image_data.y_full)
+            _atomic_save_pgm(x_hat, os.path.join(out, f"{prefix}reconstruction.pgm"))
+            err = np.abs(image_data.x_full - x_hat)
+            _atomic_save_pgm(err, os.path.join(out, f"{prefix}error_map.pgm"))
 
     if not quiet:
         print(
-            f"final_mse={_fmt(final_mse)} iterations={trace.iterations_used} "
+            f"final_mse={_fmt(analytic[-1])} iterations={trace.iterations_used} "
             f"converged={str(trace.converged).lower()}"
         )
-        if baseline_mse is not None:
-            print(f"baseline_mse={_fmt(baseline_mse)}")
+        if config.report_baseline:
+            print(f"baseline_mse={_fmt(analytic[0])}")
     return EXIT_OK
 
 
 def validate(config_path) -> tuple[bool, list[str]]:
     """Check a config file without running it: partition invariants, scenario
-    completeness and output-path writability. Returns (ok, report lines)."""
-    report: list[str] = []
+    completeness, the image checks ``run`` makes before it allocates, and
+    output paths ``run`` can write. Returns (ok, report lines)."""
     try:
         cfg = load_config(config_path)
     except ParseError as exc:
         return False, [f"invalid: {exc}"]
-    report.append(f"scenario: {cfg.scenario.kind} (seed {cfg.scenario.seed})")
     part = cfg.scenario.partition
-    report.append(f"partition: m={part.m} n={list(part.n)} r={list(part.r)}")
-    ok = True
+    report = [
+        f"scenario: {cfg.scenario.kind} (seed {cfg.scenario.seed})",
+        f"partition: m={part.m} n={list(part.n)} r={list(part.r)}",
+    ]
     if cfg.scenario.kind == "image":
         path = cfg.scenario.image_path
-        if not os.path.isfile(path):
+        try:
+            _load_image(cfg.scenario)
+        except FileNotFoundError:
             report.append(f"invalid: image file not found: {path}")
-            ok = False
+        except (ValueError, OSError) as exc:
+            report.append(f"invalid: image {path}: {exc}")
     for label, path in (
         ("trace_csv", cfg.trace_csv_path),
         ("wsn_json", cfg.wsn_json_path),
     ):
         if path is None:
             continue
-        parent = os.path.dirname(os.path.abspath(path)) or "."
-        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            report.append(f"invalid: {label} is a directory: {path}")
+        elif not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             report.append(f"invalid: {label} directory not writable: {parent}")
-            ok = False
     if cfg.image_out_dir is not None:
-        parent = os.path.abspath(cfg.image_out_dir)
-        probe = parent if os.path.isdir(parent) else os.path.dirname(parent) or "."
-        if not os.access(probe, os.W_OK):
-            report.append(f"invalid: image_out_dir not writable: {parent}")
-            ok = False
+        out = os.path.abspath(cfg.image_out_dir)
+        probe = out if os.path.isdir(out) else os.path.dirname(out)
+        if os.path.exists(out) and not os.path.isdir(out):
+            report.append(f"invalid: image_out_dir is not a directory: {out}")
+        elif not os.access(probe, os.W_OK):
+            report.append(f"invalid: image_out_dir not writable: {out}")
+    ok = not any(line.startswith("invalid:") for line in report)
     if ok:
         report.append("config ok")
     return ok, report

@@ -139,7 +139,7 @@ class SecondMomentModel:
     def wiener_mse(self) -> np.float64:
         """tr E_xx - ||H||^2: the MSE of the best estimator without rank
         constraints, and the part of a bank's analytic MSE that does not
-        depend on the bank, which adds ||H - F E_yy^(1/2)||^2."""
+        depend on the bank, which adds the solver's objective."""
         return np.trace(self.e_xx) - np.linalg.norm(self.h) ** 2
 
     def e_xy_block(self, j: int) -> np.ndarray:

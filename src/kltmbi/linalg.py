@@ -52,8 +52,6 @@ class SvdFactors:
         """Moore-Penrose pseudo-inverse; singular values at or below the rank
         threshold count as exact zeros."""
         k = self.numeric_rank
-        if k == 0:
-            return np.zeros((self.v.shape[0], self.u.shape[0]))
         return (self.v[:, :k] / self.sigma[:k]) @ self.u[:, :k].T
 
     def row_projector(self) -> np.ndarray:

@@ -29,10 +29,22 @@ KINDS = ("exact_example1", "additive_noise", "pure_noise_obs", "linear_mixing", 
 _SQUARE_KINDS = ("additive_noise", "linear_mixing", "image")
 
 # Largest scenario accepted (2 GiB), in bytes of float64 data: the samples x
-# and y, (m + N) * s numbers for the sampled kinds, plus the joint second
-# moments E_xx, E_xy and E_yy, at most (m + N)^2 numbers. An image scenario's
-# sample count is that of its image file, not s.
+# and y, (m + N) * s numbers, plus the joint second moments E_xx, E_xy and
+# E_yy, at most (m + N)^2 numbers. An image scenario's samples are its
+# image's columns, counted when the image is loaded.
 MAX_SCENARIO_BYTES = 2 * 1024**3
+
+
+def _check_size(part: SensorPartition, samples: int) -> None:
+    """Raise :class:`InvalidInput` if ``samples`` samples of ``part`` and
+    their second moments exceed :data:`MAX_SCENARIO_BYTES`."""
+    dim = part.m + part.n_total
+    need = 8 * dim * (samples + dim)
+    if need > MAX_SCENARIO_BYTES:
+        raise InvalidInput(
+            f"scenario needs {need} bytes, more than the "
+            f"{MAX_SCENARIO_BYTES}-byte limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,8 @@ class ScenarioSpec:
     Raises :class:`InvalidInput` when the partition does not fit the kind
     (n_j = m for additive_noise, linear_mixing and image; m = 3 and
     n = (3, 3) for exact_example1) or when the scenario needs more than
-    :data:`MAX_SCENARIO_BYTES`, before anything is allocated.
+    :data:`MAX_SCENARIO_BYTES`, before anything is allocated. An image
+    scenario's image is checked when it is loaded.
     """
 
     kind: str
@@ -86,14 +99,7 @@ class ScenarioSpec:
             raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
         if self.kind == "image" and not self.image_path:
             raise InvalidInput("image scenario requires image_path")
-        dim = part.m + part.n_total
-        samples = 0 if self.kind in ("exact_example1", "image") else self.s
-        need = 8 * dim * (samples + dim)
-        if need > MAX_SCENARIO_BYTES:
-            raise InvalidInput(
-                f"scenario needs {need} bytes, more than the "
-                f"{MAX_SCENARIO_BYTES}-byte limit"
-            )
+        _check_size(part, 0 if self.kind in ("exact_example1", "image") else self.s)
 
 
 def _fill_noisy(rng, out: np.ndarray, sigma: float, signal: np.ndarray) -> None:
@@ -156,13 +162,7 @@ def image_scenario(spec: ScenarioSpec) -> ImageScenarioData:
     if spec.kind != "image":
         raise InvalidInput(f"image_scenario needs kind='image', got {spec.kind!r}")
     part = spec.partition
-    x_full = load_pgm(spec.image_path)
-    if x_full.shape[0] != part.m:
-        raise InvalidInput(
-            f"image has {x_full.shape[0]} rows, partition expects m={part.m}"
-        )
-    if x_full.shape[1] < 2:
-        raise InvalidInput("image must have at least 2 columns")
+    x_full = _load_image(spec)
     rng = np.random.default_rng(spec.seed)
     y_full = np.empty((part.n_total, x_full.shape[1]))
     for j in range(part.p):
@@ -173,6 +173,20 @@ def image_scenario(spec: ScenarioSpec) -> ImageScenarioData:
         x=subsample_even_columns(x_full), y=subsample_even_columns(y_full)
     )
     return ImageScenarioData(x_full=x_full, y_full=y_full, ensemble=ens)
+
+
+def _load_image(spec: ScenarioSpec) -> np.ndarray:
+    """An image scenario's source image, with m rows, at least 2 columns and
+    no more than :data:`MAX_SCENARIO_BYTES` with its columns as samples.
+    Raises :class:`ParseError` or :class:`InvalidInput` otherwise."""
+    part = spec.partition
+    x = load_pgm(spec.image_path)
+    if x.shape[0] != part.m:
+        raise InvalidInput(f"image has {x.shape[0]} rows, partition expects m={part.m}")
+    if x.shape[1] < 2:
+        raise InvalidInput("image must have at least 2 columns")
+    _check_size(part, x.shape[1])
+    return x
 
 
 def subsample_even_columns(a: np.ndarray) -> np.ndarray:
@@ -204,7 +218,6 @@ def _pgm_tokens(data: bytes):
         while i < n and data[i : i + 1] not in b" \t\r\n":
             i += 1
         yield data[start:i], i
-    return
 
 
 def load_pgm(path) -> np.ndarray:

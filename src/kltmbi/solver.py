@@ -107,17 +107,21 @@ class MbiConfig:
 class MbiTrace:
     """Record of one solve: objective after every committed step (index 0 is
     the initial objective), the sensor index chosen at each step, and, when
-    requested, the bank after every step. Consecutive banks share the blocks
-    a step left unchanged, so each step adds one m x n_j block. ``klt-mbi
-    run`` builds its trace CSV from these: the analytic MSE of step i is
-    tr E_xx - ||H||^2 + objective_per_iteration[i], and the empirical MSE
-    follows one residual that each changed block updates."""
+    requested, the bank after every step, each differing from the one before
+    only in the chosen block. Every MSE ``klt-mbi run`` prints comes from
+    this record: the analytic MSE after step i is
+    max(tr E_xx - ||H||^2 + objective_per_iteration[i], 0), which is
+    :func:`~kltmbi.wsn.analytic_mse` of ``banks[i]`` bit for bit, and the
+    empirical MSE follows one residual that each chosen block updates."""
 
     objective_per_iteration: list[float]
     chosen_block_per_iteration: list[int]
     converged: bool
-    iterations_used: int
     banks: list[CompressorBank] | None = None
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.chosen_block_per_iteration)
 
 
 def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
@@ -139,16 +143,18 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
 
 def objective(rp: ReducedProblem, bank: CompressorBank) -> float:
     """Squared Frobenius norm of h - sum_j F_j G_j."""
-    return _residual(rp, bank)[1]
+    return _residual(rp.h, rp.g_blocks, bank)[1]
 
 
-def _residual(rp: ReducedProblem, bank: CompressorBank) -> tuple[np.ndarray, float]:
+def _residual(
+    h: np.ndarray, g_blocks, bank: CompressorBank
+) -> tuple[np.ndarray, float]:
     """The residual E = h - sum_j F_j G_j, formed in the product buffer, and
-    ||E||^2."""
-    t = np.zeros_like(rp.h)
-    for fj, gj in zip(bank.blocks, rp.g_blocks):
+    ||E||^2. Every objective and analytic MSE of the library comes from it."""
+    t = np.zeros_like(h)
+    for fj, gj in zip(bank.blocks, g_blocks):
         t += fj @ gj
-    np.subtract(rp.h, t, out=t)
+    np.subtract(h, t, out=t)
     return t, float(np.linalg.norm(t) ** 2)
 
 
@@ -185,14 +191,10 @@ def allocate_x_blocks(part: SensorPartition) -> list[int] | None:
     m, p = part.m, part.p
     if m < p:
         return None
-    # start from 1 per sensor so every block is non-empty
-    alloc = [1] * p
+    # 1 per sensor so every block is non-empty, the rest in proportion
     spare = m - p
-    weights = [nj / part.n_total for nj in part.n]
-    extra = [int(spare * w) for w in weights]
-    for j in range(p):
-        alloc[j] += extra[j]
-    for j in range(spare - sum(extra)):
+    alloc = [1 + int(spare * (nj / part.n_total)) for nj in part.n]
+    for j in range(m - sum(alloc)):
         alloc[j] += 1
     return alloc
 
@@ -257,7 +259,7 @@ def mbi_solve(
     sweep's best.
     """
     bank = init
-    resid, f_cur = _residual(rp, bank)
+    resid, f_cur = _residual(rp.h, rp.g_blocks, bank)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
@@ -268,7 +270,7 @@ def mbi_solve(
         new_bank = bank.replace(
             j, _block_solve(s_j, rp.factors[j], rp.partition.r[j])
         )
-        new_resid, f_new = _residual(rp, new_bank)
+        new_resid, f_new = _residual(rp.h, rp.g_blocks, new_bank)
         if f_cur - f_new <= cfg.epsilon:
             converged = True
             break
@@ -281,7 +283,6 @@ def mbi_solve(
         objective_per_iteration=objectives,
         chosen_block_per_iteration=chosen,
         converged=converged,
-        iterations_used=len(chosen),
         banks=banks,
     )
     return bank, trace

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
 from .errors import InvalidInput, ParseError
 from .linalg import svd
-from .solver import CompressorBank
+from .solver import CompressorBank, MbiTrace, _residual
 
 
 @dataclass(frozen=True)
@@ -94,27 +95,36 @@ def reconstruct(wsn: FactorizedWsn, u: list[np.ndarray]) -> np.ndarray:
             raise InvalidInput(
                 f"compressed block {j} must have {part.r[j]} rows, got {uj.shape[0]}"
             )
-    out = wsn.decoder_blocks[0] @ u[0]
-    for j in range(1, part.p):
-        out = out + wsn.decoder_blocks[j] @ u[j]
-    return out
+    return sum(wsn.decoder_blocks[j] @ u[j] for j in range(part.p))
 
 
 def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     """Model-based mean square error of the bank:
-    tr(E_xx) - ||H||^2 + ||H - F E_yy^(1/2)||^2 with H = E_xy (E_yy^(1/2))^+.
+    tr(E_xx) - ||H||^2 + ||H - sum_j F_j G_j||^2 with H = E_xy (E_yy^(1/2))^+
+    and G_j the row blocks of E_yy^(1/2).
 
-    Works identically for exact and sample-estimated moments. E_yy^(1/2), H
-    and tr(E_xx) - ||H||^2 (``model.wiener_mse``) are cached on the model, so
-    each call costs one m x N x N product.
+    That is the model's Wiener MSE (``model.wiener_mse``) plus the solver's
+    objective, with the objective's residual formed by the solver's own
+    function, so it equals ``model.wiener_mse + objective(rp, bank)`` bit
+    for bit. Works identically for exact and sample-estimated moments.
     """
-    if bank.partition.n != model.partition.n or bank.partition.m != model.partition.m:
+    part = model.partition
+    if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
-    tail = np.linalg.norm(model.h - bank.full() @ model.e_yy_root) ** 2
-    mse = float(model.wiener_mse + tail)
-    # The three terms cancel almost completely for near-perfect banks, so
+    root = model.e_yy_root
+    _, tail = _residual(model.h, [root[part.y_slice(j)] for j in range(part.p)], bank)
+    # The terms cancel almost completely for near-perfect banks, so
     # round-off can leave a tiny negative residue; the true value is >= 0.
-    return max(mse, 0.0)
+    return max(float(model.wiener_mse + tail), 0.0)
+
+
+def _sample_residual(
+    ens: SampleEnsemble, bank: CompressorBank, out: np.ndarray | None = None
+) -> np.ndarray:
+    """X - F Y, formed in the product's buffer (``out`` when given)."""
+    out = np.matmul(bank.full(), ens.y, out=out)
+    np.subtract(ens.x, out, out=out)
+    return out
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
@@ -127,10 +137,7 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
         raise InvalidInput(
             f"x has {ens.x.shape[0]} rows, bank expects {bank.partition.m}"
         )
-    # the product's buffer becomes the residual: one m x s array per call
-    resid = bank.apply(ens.y)
-    np.subtract(ens.x, resid, out=resid)
-    return float(np.linalg.norm(resid) ** 2 / ens.s)
+    return float(np.linalg.norm(_sample_residual(ens, bank)) ** 2 / ens.s)
 
 
 # Columns per chunk of the running residual's update: its buffer is m x
@@ -143,17 +150,14 @@ _CHUNK = 4096
 _REFRESH_RATIO = 1e3
 
 
-def _running_empirical_mse(
-    ens: SampleEnsemble, banks: list[CompressorBank]
-) -> list[float]:
-    """:func:`empirical_mse` of each bank in ``banks``, from one running
-    residual R = X - F Y.
+def _running_empirical_mse(ens: SampleEnsemble, trace: MbiTrace) -> list[float]:
+    """:func:`empirical_mse` of each bank in ``trace.banks``, from one
+    running residual R = X - F Y.
 
-    For each bank after the first, every block that is not the previous
-    bank's block object (consecutive MBI banks share their unchanged blocks)
-    updates R -= (F_j' - F_j) Y_j, in column chunks of at most _CHUNK
-    through one m x _CHUNK buffer. A one-block step costs m x n_j x s flops
-    instead of m x N x s, and no second m x s array is allocated.
+    Step i changes only block j = ``trace.chosen_block_per_iteration[i-1]``,
+    which updates R -= (F_j' - F_j) Y_j in column chunks of at most _CHUNK
+    through one m x _CHUNK buffer. A step costs m x n_j x s flops instead of
+    m x N x s, and no second m x s array is allocated.
 
     R is formed from scratch, as :func:`empirical_mse` forms it, for the
     first bank and whenever ||R|| falls below 1/_REFRESH_RATIO of
@@ -161,6 +165,7 @@ def _running_empirical_mse(
     since, as it does on every row of a near-exact fit. Such a row equals
     :func:`empirical_mse` bit for bit.
     """
+    banks = trace.banks
     part = banks[0].partition
     y_norms = [np.linalg.norm(ens.y[part.y_slice(j)]) for j in range(part.p)]
     resid = np.empty((part.m, ens.s))
@@ -169,45 +174,21 @@ def _running_empirical_mse(
     out = []
     for i, bank in enumerate(banks):
         if i:
-            for j, (old, new) in enumerate(zip(banks[i - 1].blocks, bank.blocks)):
-                if new is old:
-                    continue
-                delta = new - old
-                drift += np.linalg.norm(delta) * y_norms[j]
-                y_j = ens.y[part.y_slice(j)]
-                for start in range(0, ens.s, chunk):
-                    cols = slice(start, min(start + chunk, ens.s))
-                    step = buf[: part.m * (cols.stop - start)].reshape(part.m, -1)
-                    np.matmul(delta, y_j[:, cols], out=step)
-                    resid[:, cols] -= step
+            j = trace.chosen_block_per_iteration[i - 1]
+            delta = bank.blocks[j] - banks[i - 1].blocks[j]
+            drift += np.linalg.norm(delta) * y_norms[j]
+            y_j = ens.y[part.y_slice(j)]
+            for start in range(0, ens.s, chunk):
+                cols = slice(start, min(start + chunk, ens.s))
+                step = buf[: part.m * (cols.stop - start)].reshape(part.m, -1)
+                np.matmul(delta, y_j[:, cols], out=step)
+                resid[:, cols] -= step
             norm = np.linalg.norm(resid)
         if i == 0 or drift > _REFRESH_RATIO * norm:
             drift = sum(np.linalg.norm(f) * y for f, y in zip(bank.blocks, y_norms))
-            np.matmul(bank.full(), ens.y, out=resid)
-            np.subtract(ens.x, resid, out=resid)
-            norm = np.linalg.norm(resid)
+            norm = np.linalg.norm(_sample_residual(ens, bank, out=resid))
         out.append(float(norm**2 / ens.s))
     return out
-
-
-def wsn_to_dict(wsn: FactorizedWsn, provenance: dict | None = None) -> dict:
-    """JSON-ready document: partition, per-sensor matrices, metadata."""
-    from . import __version__
-
-    part = wsn.partition
-    return {
-        "format": "klt-mbi-wsn",
-        "library_version": __version__,
-        "partition": {"m": part.m, "n": list(part.n), "r": list(part.r)},
-        "provenance": provenance or {},
-        "sensors": [
-            {
-                "encoder": wsn.encoders[j].tolist(),
-                "decoder": wsn.decoder_blocks[j].tolist(),
-            }
-            for j in range(part.p)
-        ],
-    }
 
 
 def _json_matrix(rows, name: str) -> np.ndarray:
@@ -222,11 +203,55 @@ def _json_matrix(rows, name: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def wsn_from_dict(doc: dict) -> FactorizedWsn:
-    """Inverse of :func:`wsn_to_dict`. A document with a missing key, a
-    matrix entry that is not a JSON number, a partition dimension that is not
-    a JSON integer or matrices that contradict its partition raises
-    :class:`ParseError`."""
+def atomic_write(path, write: Callable[[str], object]) -> None:
+    """Have ``write`` fill a temporary file next to ``path``, then rename it
+    onto ``path``. If anything fails, the temporary file is removed and an
+    existing ``path`` keeps its old contents."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
+    """Atomically write the WSN document (temp file + rename): partition,
+    per-sensor matrices, metadata."""
+    part = wsn.partition
+    doc = {
+        "format": "klt-mbi-wsn",
+        "library_version": __version__,
+        "partition": {"m": part.m, "n": list(part.n), "r": list(part.r)},
+        "provenance": provenance or {},
+        "sensors": [
+            {
+                "encoder": wsn.encoders[j].tolist(),
+                "decoder": wsn.decoder_blocks[j].tolist(),
+            }
+            for j in range(part.p)
+        ],
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def load_wsn_json(path) -> FactorizedWsn:
+    """Inverse of :func:`save_wsn_json`. A file that is not JSON, a document
+    with a missing key, a matrix entry that is not a JSON number, a partition
+    dimension that is not a JSON integer or matrices that contradict its
+    partition raises :class:`ParseError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        # a UnicodeDecodeError is a ValueError; nesting too deep for the
+        # decoder raises RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path} is not JSON: {exc}") from None
     try:
         part = SensorPartition(
             m=doc["partition"]["m"],
@@ -249,36 +274,3 @@ def wsn_from_dict(doc: dict) -> FactorizedWsn:
         # ValueError covers InvalidInput from the partition and the shapes;
         # OverflowError an integer literal beyond the float range
         raise ParseError(f"malformed network document: {exc}") from None
-
-
-def atomic_write(path, write: Callable[[str], object]) -> None:
-    """Have ``write`` fill a temporary file next to ``path``, then rename it
-    onto ``path``. If anything fails, the temporary file is removed and an
-    existing ``path`` keeps its old contents."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
-    """Atomically write the WSN document (temp file + rename)."""
-    text = json.dumps(wsn_to_dict(wsn, provenance), indent=2) + "\n"
-    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
-
-
-def load_wsn_json(path) -> FactorizedWsn:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        # a UnicodeDecodeError is a ValueError; nesting too deep for the
-        # decoder raises RecursionError
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path} is not JSON: {exc}") from None
-    return wsn_from_dict(doc)

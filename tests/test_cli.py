@@ -67,6 +67,17 @@ _EXACT_FIT_SCENARIO = {
     "sigmas": [0.3, 0.3, 0.3],
     "seed": 2,
 }
+# s = 10 < N = 32 with full ranks: the solve drives the objective to
+# round-off, where the Wiener MSE and the objective nearly cancel
+_NEAR_EXACT_SCENARIO = {
+    "kind": "linear_mixing",
+    "m": 8,
+    "n": [8] * 4,
+    "r": [8] * 4,
+    "s": 10,
+    "sigmas": [0.3] * 4,
+    "seed": 1,
+}
 _MIXING_SCENARIO = {
     "kind": "linear_mixing",
     "m": 5,
@@ -181,18 +192,26 @@ class TestRun:
             (_MIXING_SCENARIO, {"epsilon": 1e-10, "max_iterations": 200}),
             # epsilon 0 commits the steps that only move round-off
             (_EXACT_FIT_SCENARIO, {"epsilon": 0}),
+            (_NEAR_EXACT_SCENARIO, {"epsilon": 0, "max_iterations": 30}),
             (
                 {"kind": "exact_example1", "r": [1, 1], "seed": 0},
                 {"epsilon": 1e-10, "max_iterations": 2000},
             ),
         ],
-        ids=["additive_noise", "linear_mixing", "exact_fit", "exact_example1"],
+        ids=[
+            "additive_noise",
+            "linear_mixing",
+            "exact_fit",
+            "near_exact_fit",
+            "exact_example1",
+        ],
     )
     def test_trace_columns_match_full_recomputes(
-        self, tmp_path, monkeypatch, scenario, mbi
+        self, tmp_path, monkeypatch, capsys, scenario, mbi
     ):
         # the trace derives its MSE columns from the solve; each row must
-        # print what analytic_mse and empirical_mse of that row's bank print
+        # print what analytic_mse and empirical_mse of that row's bank print,
+        # and stdout what the first and last rows print
         import kltmbi.cli as cli_mod
 
         calls = {}  # name -> (arguments, result) of the run's call
@@ -208,9 +227,10 @@ class TestRun:
                 "scenario": scenario,
                 "mbi": mbi,
                 "outputs": {"trace_csv": str(tmp_path / "t.csv")},
+                "report_baseline": True,
             },
         )
-        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert main(["run", "--config", cfg]) == EXIT_OK
         rows = [
             line.split(",")
             for line in (tmp_path / "t.csv").read_text().splitlines()[1:]
@@ -222,6 +242,9 @@ class TestRun:
         for row, bank in zip(rows, banks):
             assert row[3] == _fmt(analytic_mse(model, bank))
             assert row[4] == ("" if ens is None else _fmt(empirical_mse(ens, bank)))
+        out = capsys.readouterr().out.split()
+        assert f"final_mse={rows[-1][3]}" in out
+        assert f"baseline_mse={rows[0][3]}" in out
 
     def test_trace_holds_one_residual(self, tmp_path, monkeypatch):
         # the empirical column keeps one m x s residual and a chunk buffer;
@@ -233,10 +256,10 @@ class TestRun:
         running = cli_mod._running_empirical_mse
         peaks = []
 
-        def measured(ens, banks):
+        def measured(ens, trace):
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            out = running(ens, banks)
+            out = running(ens, trace)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             return out
 
@@ -617,6 +640,71 @@ class TestValidate:
         ok, report = validate(cfg)
         assert not ok
         assert any("image file not found" in line for line in report)
+
+    @staticmethod
+    def _image_config(tmp_path, image, outputs=None):
+        return _write_config(
+            tmp_path,
+            {
+                "scenario": {
+                    "kind": "image",
+                    "m": 5,
+                    "n": [5],
+                    "r": [2],
+                    "s": 2,
+                    "sigmas": [0.1],
+                    "seed": 0,
+                    "image_path": str(image),
+                },
+                "outputs": outputs or {"image_out_dir": str(tmp_path / "out")},
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "contents",
+        [
+            np.zeros((6, 4)),  # 6 rows where m = 5
+            np.zeros((5, 1)),
+            b"P7\n4 5\n255\n" + bytes(20),
+        ],
+        ids=["rows_not_m", "one_column", "p7_magic"],
+    )
+    def test_image_checked_as_run_checks_it(self, tmp_path, contents):
+        image = tmp_path / "src.pgm"
+        if isinstance(contents, bytes):
+            image.write_bytes(contents)
+        else:
+            save_pgm(contents, image)
+        cfg = self._image_config(tmp_path, image)
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        ok, report = validate(cfg)
+        assert not ok
+        assert report[-1].startswith(f"invalid: image {image}: ")
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field", ["trace_csv", "wsn_json", "image_out_dir"])
+    def test_output_path_run_cannot_write(self, tmp_path, field):
+        taken = tmp_path / "taken"
+        if field == "image_out_dir":
+            taken.write_text("")
+        else:
+            taken.mkdir()
+        image = tmp_path / "src.pgm"
+        save_pgm(np.random.default_rng(0).random((5, 6)), image)
+        outputs = {"image_out_dir": str(tmp_path / "out"), field: str(taken)}
+        cfg = self._image_config(tmp_path, image, outputs)
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
+        ok, report = validate(cfg)
+        assert not ok
+        assert report[-1].startswith(f"invalid: {field} ")
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+
+    def test_empty_image_out_dir(self, tmp_path):
+        image = tmp_path / "src.pgm"
+        save_pgm(np.random.default_rng(0).random((5, 6)), image)
+        cfg = self._image_config(tmp_path, image, {"image_out_dir": ""})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
 
     def test_unwritable_output_dir(self, tmp_path):
         cfg = _write_config(

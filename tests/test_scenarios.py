@@ -25,6 +25,7 @@ from kltmbi import (
     save_pgm,
     subsample_even_columns,
 )
+from kltmbi import scenarios
 from kltmbi.covariance import SampleEnsemble, SecondMomentModel
 from kltmbi.scenarios import MAX_SCENARIO_BYTES
 
@@ -414,6 +415,16 @@ class TestImageScenario:
         )
         with pytest.raises(InvalidInput):
             image_scenario(bad)
+
+    def test_size_cap_counts_image_columns(self, tmp_path, monkeypatch):
+        # 8 (m + N) (cols + m + N) bytes, with m + N = 12 and 10 columns
+        spec = self._spec(tmp_path, rows=4, cols=10)
+        need = 8 * 12 * (10 + 12)
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_BYTES", need)
+        image_scenario(spec)
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_BYTES", need - 1)
+        with pytest.raises(InvalidInput, match="limit"):
+            image_scenario(spec)
 
 
 class TestDecoupledBaseline:

@@ -33,6 +33,7 @@ from kltmbi import (
     init_bank,
     load_wsn_json,
     mbi_solve,
+    objective,
     reconstruct,
     reduce_problem,
     save_pgm,
@@ -150,6 +151,34 @@ class TestAnalyticMse:
         for _ in range(2):
             assert analytic_mse(model, bank) == want
 
+    @pytest.mark.parametrize(
+        "kind, m, p, r, s",
+        [
+            # s = 10 < N = 32 with full ranks: a near-exact fit
+            ("linear_mixing", 8, 4, 8, 10),
+            ("additive_noise", 6, 3, 2, 300),
+            ("additive_noise", 4, 3, 2, 3),
+            ("exact_example1", 3, 2, 1, 1),
+        ],
+        ids=["near_exact_fit", "sampled", "few_samples", "exact_example1"],
+    )
+    def test_is_wiener_mse_plus_objective(self, kind, m, p, r, s):
+        # one formula: analytic_mse of every bank of a solve is the Wiener
+        # MSE plus the objective the solve records for it
+        part = SensorPartition(m=m, n=(m,) * p, r=(r,) * p)
+        spec = ScenarioSpec(kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=1)
+        data = generate(spec)
+        model = data if kind == "exact_example1" else estimate_moments(data, part)
+        rp = reduce_problem(model)
+        _, trace = mbi_solve(
+            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=30)
+        )
+        assert len(trace.banks) >= 2
+        for bank, f in zip(trace.banks, trace.objective_per_iteration):
+            want = max(float(model.wiener_mse + objective(rp, bank)), 0.0)
+            assert objective(rp, bank) == f
+            assert analytic_mse(model, bank) == want
+
     def test_nonnegative_for_solved_banks(self):
         rng = np.random.default_rng(4)
         part = SensorPartition(m=3, n=(3, 3), r=(2, 1))
@@ -217,16 +246,16 @@ class TestEmpiricalMse:
         assert peak <= m * s * 8 + 64 * 1024
 
 
-def _mbi_banks(ens, part, start=None):
-    """Every bank of an MBI solve on the moments of ``ens``, from the zero
-    bank unless a ``start`` is given."""
+def _mbi_trace(ens, part, start=None):
+    """The trace, with every bank, of an MBI solve on the moments of ``ens``,
+    from the zero bank unless a ``start`` is given."""
     model = estimate_moments(ens, part)
     _, trace = mbi_solve(
         reduce_problem(model),
         CompressorBank.zeros(part) if start is None else start(model),
         MbiConfig(epsilon=0.0, max_iterations=30),
     )
-    return trace.banks
+    return trace
 
 
 class TestRunningEmpiricalMse:
@@ -262,7 +291,8 @@ class TestRunningEmpiricalMse:
     )
     def test_rows_agree_with_empirical_mse(self, tmp_path, monkeypatch, case):
         ens, part = self._image(tmp_path) if case == "image" else self._sampled(*case)
-        banks = _mbi_banks(ens, part)
+        trace = _mbi_trace(ens, part)
+        banks = trace.banks
         assert len(banks) >= 2
         want = [empirical_mse(ens, b) for b in banks]
         # count full products: past the first row, every row must come from
@@ -272,7 +302,7 @@ class TestRunningEmpiricalMse:
         monkeypatch.setattr(
             CompressorBank, "full", lambda b: full_products.append(b) or full(b)
         )
-        got = _running_empirical_mse(ens, banks)
+        got = _running_empirical_mse(ens, trace)
         assert len(full_products) == 1
         assert got[0] == want[0]
         assert len(got) == len(want)
@@ -283,11 +313,11 @@ class TestRunningEmpiricalMse:
         # s = 6 < N = 32: the warm start fits the samples up to round-off,
         # which a running update would print as different noise
         ens, part = self._sampled("additive_noise", 8, 4, 6)
-        banks = _mbi_banks(ens, part, start=init_bank)
-        assert len(banks) >= 2
-        want = [empirical_mse(ens, b) for b in banks]
+        trace = _mbi_trace(ens, part, start=init_bank)
+        assert len(trace.banks) >= 2
+        want = [empirical_mse(ens, b) for b in trace.banks]
         assert max(want) < 1e-20
-        assert _running_empirical_mse(ens, banks) == want
+        assert _running_empirical_mse(ens, trace) == want
 
 
 class TestJsonExport:
