@@ -33,7 +33,6 @@ from .scenarios import (
     image_scenario,
     load_pgm,
     save_pgm,
-    subsample_even_columns,
 )
 from .solver import (
     CompressorBank,
@@ -44,7 +43,6 @@ from .solver import (
     klt_matrix,
     mbi_solve,
     objective,
-    rank_constrained_lsq,
     reduce_problem,
 )
 from .wsn import (
@@ -91,12 +89,10 @@ __all__ = [
     "objective",
     "pinv",
     "psd_sqrt",
-    "rank_constrained_lsq",
     "reconstruct",
     "reduce_problem",
     "save_pgm",
     "save_wsn_json",
-    "subsample_even_columns",
     "svd",
     "truncated",
 ]

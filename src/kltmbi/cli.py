@@ -12,19 +12,25 @@ Exit codes: 0 success, 2 bad config, 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .covariance import SensorPartition, estimate_moments
+from .covariance import EXAMPLE1_PARTITION, SensorPartition, estimate_moments
 from .errors import InvalidInput, NotPsd, ParseError
 from .scenarios import ScenarioSpec, _load_image, generate, image_scenario, save_pgm
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
-from .wsn import _running_empirical_mse, atomic_write, factorize_wsn, save_wsn_json
+from .wsn import (
+    _objective_mse,
+    _read_json,
+    _running_empirical_mse,
+    atomic_write,
+    factorize_wsn,
+    save_wsn_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,8 +50,9 @@ class RunConfig:
 
 # The config's numbers go on as JSON gave them: SensorPartition, ScenarioSpec
 # and MbiConfig raise InvalidInput for a bool, a string, a float where an
-# integer is due or an integer beyond the float range. The helpers below
-# check only the JSON shapes.
+# integer is due or an integer beyond the float range, and supply the
+# defaults of the fields a config leaves out. The helpers below check only
+# the JSON shapes.
 def _float_field(value, name: str):
     # JSON has no infinity literal; accept the strings "inf"/"infinity"
     if isinstance(value, str):
@@ -56,15 +63,31 @@ def _float_field(value, name: str):
     return value
 
 
-def _list_field(value, name: str) -> tuple:
+def _list_field(value, name: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
+    return value
 
 
 def _str_field(value, name: str) -> str | None:
     if value is not None and not isinstance(value, str):
         raise ParseError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _path_field(value, name: str) -> str | None:
+    if _str_field(value, name) == "":
+        raise ParseError(f"{name} must not be empty")
+    return value
+
+
+def _object(value, name: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object whose every key is one of ``keys``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be an object")
+    unknown = [k for k in value if k not in keys]
+    if unknown:
+        raise ParseError(f"{name} has unknown keys: {', '.join(map(repr, unknown))}")
     return value
 
 
@@ -76,53 +99,54 @@ def parse_config(
     max_iters: int | None = None,
 ) -> RunConfig:
     """Build a RunConfig from a parsed JSON document plus flag overrides."""
-    if not isinstance(doc, dict):
-        raise ParseError("config root must be a JSON object")
-    sc = doc.get("scenario")
-    if not isinstance(sc, dict):
+    doc = _object(doc, "config", ("scenario", "mbi", "outputs", "report_baseline"))
+    if "scenario" not in doc:
         raise ParseError("missing 'scenario' object")
+    sc = _object(
+        doc["scenario"],
+        "scenario",
+        ("kind", "m", "n", "r", "s", "sigmas", "seed", "image_path"),
+    )
     kind = _str_field(sc.get("kind"), "scenario.kind")
+    _str_field(sc.get("image_path"), "scenario.image_path")
+    for key in ("n", "r", "sigmas"):
+        if key in sc:
+            _list_field(sc[key], f"scenario.{key}")
+    # exact_example1 takes the dimensions it is not given from example 1
+    ex1 = asdict(EXAMPLE1_PARTITION) if kind == "exact_example1" else {}
     try:
-        if kind == "exact_example1":
-            m = sc.get("m", 3)
-            n = sc.get("n", [3, 3])
-            r = sc.get("r", [1, 1])
-        else:
-            m, n, r = sc["m"], sc["n"], sc["r"]
         part = SensorPartition(
-            m=m, n=_list_field(n, "scenario.n"), r=_list_field(r, "scenario.r")
+            **{k: sc[k] if k in sc else ex1[k] for k in ("m", "n", "r")}
         )
         spec = ScenarioSpec(
             kind=kind,
             partition=part,
-            s=sc.get("s", 1),
-            sigmas=_list_field(sc.get("sigmas", []), "scenario.sigmas"),
             seed=sc["seed"] if seed is None else seed,
-            image_path=_str_field(sc.get("image_path"), "scenario.image_path"),
+            **{k: sc[k] for k in ("s", "sigmas", "image_path") if k in sc},
         )
     except KeyError as exc:
         raise ParseError(f"scenario is missing field {exc}") from None
     except InvalidInput as exc:
         raise ParseError(f"invalid scenario: {exc}") from None
 
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ParseError("'outputs' must be an object")
-    trace_csv = _str_field(outputs.get("trace_csv"), "outputs.trace_csv")
-
-    mbi_doc = doc.get("mbi", {})
-    if not isinstance(mbi_doc, dict):
-        raise ParseError("'mbi' must be an object")
-    eps = (
-        _float_field(mbi_doc.get("epsilon", 1e-8), "mbi.epsilon")
-        if epsilon is None
-        else epsilon
+    outputs = _object(
+        doc.get("outputs", {}), "outputs", ("trace_csv", "wsn_json", "image_out_dir")
     )
-    iters = mbi_doc.get("max_iterations", 100) if max_iters is None else max_iters
+    paths = {k: _path_field(v, f"outputs.{k}") for k, v in outputs.items()}
+
+    # MbiConfig supplies epsilon and max_iterations when they are left out
+    mbi_doc = _object(doc.get("mbi", {}), "mbi", ("epsilon", "max_iterations"))
+    mbi_fields = dict(mbi_doc)
+    if "epsilon" in mbi_fields:
+        mbi_fields["epsilon"] = _float_field(mbi_fields["epsilon"], "mbi.epsilon")
+    if epsilon is not None:
+        mbi_fields["epsilon"] = epsilon
+    if max_iters is not None:
+        mbi_fields["max_iterations"] = max_iters
     try:
         # only the trace CSV reads the intermediate banks
         mbi = MbiConfig(
-            epsilon=eps, max_iterations=iters, record_trace=bool(trace_csv)
+            record_trace=paths.get("trace_csv") is not None, **mbi_fields
         )
     except InvalidInput as exc:
         raise ParseError(f"invalid mbi settings: {exc}") from None
@@ -135,28 +159,21 @@ def parse_config(
     cfg = RunConfig(
         scenario=spec,
         mbi=mbi,
-        trace_csv_path=trace_csv,
-        wsn_json_path=_str_field(outputs.get("wsn_json"), "outputs.wsn_json"),
-        image_out_dir=_str_field(
-            outputs.get("image_out_dir"), "outputs.image_out_dir"
-        ),
+        trace_csv_path=paths.get("trace_csv"),
+        wsn_json_path=paths.get("wsn_json"),
+        image_out_dir=paths.get("image_out_dir"),
         report_baseline=report_baseline,
     )
-    if spec.kind == "image" and not cfg.image_out_dir:
+    if spec.kind == "image" and cfg.image_out_dir is None:
         raise ParseError("image scenario requires outputs.image_out_dir")
     return cfg
 
 
 def load_config(path, **overrides) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
     except OSError as exc:
         raise ParseError(f"config file cannot be read: {exc}") from None
-    # a UnicodeDecodeError is a ValueError; nesting too deep for the
-    # decoder raises RecursionError
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc, **overrides)
 
 
@@ -181,12 +198,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     rp = reduce_problem(model)
     start = init_bank(model)
     bank, trace = mbi_solve(rp, start, config.mbi)
-    # analytic_mse of the bank after step i, bit for bit: the Wiener MSE plus
-    # the objective f_i the solve recorded. Step 0 is the warm start.
-    analytic = [
-        max(float(model.wiener_mse + f_i), 0.0)
-        for f_i in trace.objective_per_iteration
-    ]
+    # analytic_mse of the bank after step i, bit for bit, from the objective
+    # f_i the solve recorded. Step 0 is the warm start.
+    analytic = [_objective_mse(model, f_i) for f_i in trace.objective_per_iteration]
 
     if config.trace_csv_path:
         # the empirical column comes from one running m x s residual,
@@ -208,7 +222,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         provenance = {
             "scenario_kind": spec.kind,
             "seed": spec.seed,
-            "moments": model.provenance,
+            "moments": "exact" if ens is None else "estimated",
             "iterations": trace.iterations_used,
             "converged": trace.converged,
         }
@@ -268,10 +282,12 @@ def validate(config_path) -> tuple[bool, list[str]]:
         elif not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             report.append(f"invalid: {label} directory not writable: {parent}")
     if cfg.image_out_dir is not None:
-        out = os.path.abspath(cfg.image_out_dir)
-        probe = out if os.path.isdir(out) else os.path.dirname(out)
-        if os.path.exists(out) and not os.path.isdir(out):
-            report.append(f"invalid: image_out_dir is not a directory: {out}")
+        # run creates the missing directories below the nearest existing one
+        out = probe = os.path.abspath(cfg.image_out_dir)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            report.append(f"invalid: image_out_dir is not a directory: {probe}")
         elif not os.access(probe, os.W_OK):
             report.append(f"invalid: image_out_dir not writable: {out}")
     ok = not any(line.startswith("invalid:") for line in report)

@@ -93,9 +93,6 @@ class SensorPartition:
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
-    ``provenance`` is ``"exact"`` for analytically known matrices or
-    ``"estimated"`` when built from training samples.
-
     Raises :class:`InvalidInput` when a moment matrix, or its Frobenius
     norm, is not finite. The moment arrays are treated as immutable:
     ``e_yy_root`` and ``h`` are computed from them on first use and cached
@@ -107,7 +104,6 @@ class SecondMomentModel:
     e_xx: np.ndarray
     e_xy: np.ndarray
     e_yy: np.ndarray
-    provenance: str = "exact"
 
     def __post_init__(self):
         m, n = self.partition.m, self.partition.n_total
@@ -141,14 +137,6 @@ class SecondMomentModel:
         constraints, and the part of a bank's analytic MSE that does not
         depend on the bank, which adds the solver's objective."""
         return np.trace(self.e_xx) - np.linalg.norm(self.h) ** 2
-
-    def e_xy_block(self, j: int) -> np.ndarray:
-        """Columns of E_xy belonging to sensor j (an m x n_j block)."""
-        return self.e_xy[:, self.partition.y_slice(j)]
-
-    def e_yy_block(self, i: int, j: int) -> np.ndarray:
-        """(i, j) sensor block of E_yy (an n_i x n_j block)."""
-        return self.e_yy[self.partition.y_slice(i), self.partition.y_slice(j)]
 
 
 @dataclass(frozen=True)
@@ -195,13 +183,7 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
         # remove rounding asymmetry before any eigendecomposition downstream
         e_xx = (e_xx + e_xx.T) / 2.0
         e_yy = (e_yy + e_yy.T) / 2.0
-    return SecondMomentModel(
-        partition=part,
-        e_xx=e_xx,
-        e_xy=e_xy,
-        e_yy=e_yy,
-        provenance="estimated",
-    )
+    return SecondMomentModel(partition=part, e_xx=e_xx, e_xy=e_xy, e_yy=e_yy)
 
 
 # Two-sensor benchmark: three-dimensional source observed through additive
@@ -214,15 +196,16 @@ _EX1_EXX = np.array(
     ]
 )
 _EX1_SIGMAS = (0.2, 0.4)
+# Example 1's partition: a scenario may choose r, but not m or n.
+EXAMPLE1_PARTITION = SensorPartition(m=3, n=(3, 3), r=(1, 1))
 
 
 def example1_model() -> SecondMomentModel:
-    """Exact two-sensor benchmark model (m = 3, n = (3, 3), r = (1, 1)).
+    """Exact two-sensor benchmark model on :data:`EXAMPLE1_PARTITION`.
 
     Observations are y_j = x + xi_j with E[xi_j xi_j^T] = sigma_j^2 I, hence
     E_xy = [E_xx, E_xx] and E_yy has E_xx + sigma_j^2 I diagonal blocks.
     """
-    part = SensorPartition(m=3, n=(3, 3), r=(1, 1))
     exx = _EX1_EXX.copy()
     s1, s2 = (sig**2 for sig in _EX1_SIGMAS)
     e_xy = np.hstack([exx, exx])
@@ -232,4 +215,6 @@ def example1_model() -> SecondMomentModel:
             [exx, exx + s2 * np.eye(3)],
         ]
     )
-    return SecondMomentModel(partition=part, e_xx=exx, e_xy=e_xy, e_yy=e_yy)
+    return SecondMomentModel(
+        partition=EXAMPLE1_PARTITION, e_xx=exx, e_xy=e_xy, e_yy=e_yy
+    )

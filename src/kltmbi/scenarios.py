@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import (
+    EXAMPLE1_PARTITION,
     SampleEnsemble,
     SecondMomentModel,
     SensorPartition,
@@ -53,10 +54,10 @@ class ScenarioSpec:
     per-sensor noise scales, PRNG seed, and (for image runs) a source image.
 
     Raises :class:`InvalidInput` when the partition does not fit the kind
-    (n_j = m for additive_noise, linear_mixing and image; m = 3 and
-    n = (3, 3) for exact_example1) or when the scenario needs more than
-    :data:`MAX_SCENARIO_BYTES`, before anything is allocated. An image
-    scenario's image is checked when it is loaded.
+    (n_j = m for additive_noise, linear_mixing and image; the m and n of
+    ``EXAMPLE1_PARTITION`` for exact_example1) or when the scenario needs
+    more than :data:`MAX_SCENARIO_BYTES`, before anything is allocated. An
+    image scenario's image is checked when it is loaded.
     """
 
     kind: str
@@ -77,9 +78,10 @@ class ScenarioSpec:
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
         part = self.partition
-        if self.kind == "exact_example1" and (part.m, part.n) != (3, (3, 3)):
+        ex1 = EXAMPLE1_PARTITION
+        if self.kind == "exact_example1" and (part.m, part.n) != (ex1.m, ex1.n):
             raise InvalidInput(
-                "exact_example1 requires m = 3 and n = (3, 3); "
+                f"exact_example1 requires m = {ex1.m} and n = {ex1.n}; "
                 f"got m={part.m}, n={part.n}"
             )
         if self.kind in _SQUARE_KINDS and any(nj != part.m for nj in part.n):
@@ -169,9 +171,8 @@ def image_scenario(spec: ScenarioSpec) -> ImageScenarioData:
         a_j = rng.random(x_full.shape)
         a_j *= x_full
         _fill_noisy(rng, y_full[part.y_slice(j)], spec.sigmas[j], a_j)
-    ens = SampleEnsemble(
-        x=subsample_even_columns(x_full), y=subsample_even_columns(y_full)
-    )
+    # the even columns (2nd, 4th, ... in 1-based counting) train
+    ens = SampleEnsemble(x=x_full[:, 1::2].copy(), y=y_full[:, 1::2].copy())
     return ImageScenarioData(x_full=x_full, y_full=y_full, ensemble=ens)
 
 
@@ -187,13 +188,6 @@ def _load_image(spec: ScenarioSpec) -> np.ndarray:
         raise InvalidInput("image must have at least 2 columns")
     _check_size(part, x.shape[1])
     return x
-
-
-def subsample_even_columns(a: np.ndarray) -> np.ndarray:
-    """Keep the even columns (2nd, 4th, ... in 1-based counting)."""
-    if a.ndim != 2 or a.shape[1] < 2:
-        raise InvalidInput("need a 2-d array with at least 2 columns")
-    return a[:, 1::2].copy()
 
 
 # ---------------------------------------------------------------------------

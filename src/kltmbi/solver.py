@@ -159,23 +159,10 @@ def _residual(
 
 
 def _block_solve(s: np.ndarray, f: SvdFactors, r: int) -> np.ndarray:
-    """``[s R]_r G^+`` for the block G whose thin SVD is ``f``."""
+    """Minimum-norm minimizer of ||s - F G||_F over rank-<=r matrices F, for
+    the block G whose thin SVD is ``f``: ``[s R]_r G^+``, where ``R``
+    projects onto the row space of G."""
     return truncated(s @ f.row_projector(), r) @ f.pinv()
-
-
-def rank_constrained_lsq(s_j: np.ndarray, g_j: np.ndarray, r_j: int) -> np.ndarray:
-    """Minimum-norm minimizer of ||s_j - F g_j||_F over rank-<=r_j matrices F.
-
-    Returns ``[s_j R]_{r_j} g_j^+`` where ``R`` projects onto the row space of
-    ``g_j``; both come from one SVD of ``g_j``.
-    """
-    if s_j.shape[1] != g_j.shape[1]:
-        raise InvalidInput(
-            f"column counts differ: s is {s_j.shape}, g is {g_j.shape}"
-        )
-    if not 1 <= r_j <= g_j.shape[0]:
-        raise InvalidInput(f"need 1 <= r_j <= {g_j.shape[0]}, got {r_j}")
-    return _block_solve(s_j, svd(g_j), r_j)
 
 
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
@@ -214,11 +201,11 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
     blocks = []
     row = 0
     for j in range(part.p):
-        mj = x_blocks[j]
-        e_xj_yj = model.e_xy_block(j)[row : row + mj]
-        e_yj_yj = model.e_yy_block(j, j)
+        mj, yj = x_blocks[j], part.y_slice(j)
         fj = np.zeros((part.m, part.n[j]))
-        fj[row : row + mj] = klt_matrix(e_xj_yj, e_yj_yj, part.r[j])
+        fj[row : row + mj] = klt_matrix(
+            model.e_xy[row : row + mj, yj], model.e_yy[yj, yj], part.r[j]
+        )
         blocks.append(fj)
         row += mj
     return CompressorBank(blocks=tuple(blocks), partition=part)

@@ -112,10 +112,16 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
     root = model.e_yy_root
-    _, tail = _residual(model.h, [root[part.y_slice(j)] for j in range(part.p)], bank)
+    _, f = _residual(model.h, [root[part.y_slice(j)] for j in range(part.p)], bank)
+    return _objective_mse(model, f)
+
+
+def _objective_mse(model: SecondMomentModel, f: float) -> float:
+    """The analytic MSE of a bank whose solver objective is ``f``:
+    ``model.wiener_mse + f``, clamped at 0."""
     # The terms cancel almost completely for near-perfect banks, so
     # round-off can leave a tiny negative residue; the true value is >= 0.
-    return max(float(model.wiener_mse + tail), 0.0)
+    return max(float(model.wiener_mse + f), 0.0)
 
 
 def _sample_residual(
@@ -240,18 +246,24 @@ def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> N
     atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _read_json(path):
+    """The document in the UTF-8 JSON file at ``path``. A file that does not
+    decode raises :class:`ParseError`; :class:`OSError` passes through."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # a UnicodeDecodeError is a ValueError; nesting too deep for the
+        # decoder raises RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_wsn_json(path) -> FactorizedWsn:
     """Inverse of :func:`save_wsn_json`. A file that is not JSON, a document
     with a missing key, a matrix entry that is not a JSON number, a partition
     dimension that is not a JSON integer or matrices that contradict its
     partition raises :class:`ParseError`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        # a UnicodeDecodeError is a ValueError; nesting too deep for the
-        # decoder raises RecursionError
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path} is not JSON: {exc}") from None
+    doc = _read_json(path)
     try:
         part = SensorPartition(
             m=doc["partition"]["m"],

@@ -1,5 +1,6 @@
 """Tests for the CLI: config handling, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -17,10 +18,14 @@ from hypothesis import given, settings, strategies as st
 import kltmbi
 from kltmbi import (
     DegenerateTruncationWarning,
+    MbiConfig,
     NotPsd,
     ParseError,
+    ScenarioSpec,
+    SensorPartition,
     analytic_mse,
     empirical_mse,
+    example1_model,
     init_bank,
     save_pgm,
 )
@@ -293,6 +298,26 @@ class TestRun:
         chunked, unchunked = peaks
         assert chunked <= bound < unchunked
 
+    @pytest.mark.parametrize(
+        "scenario, moments",
+        [
+            ({"kind": "exact_example1", "seed": 0}, "exact"),
+            (_SAMPLED_SCENARIO, "estimated"),
+        ],
+        ids=["exact", "estimated"],
+    )
+    def test_network_json_names_the_moments(self, tmp_path, scenario, moments):
+        path = tmp_path / "wsn.json"
+        cfg = _write_config(
+            tmp_path, {"scenario": scenario, "outputs": {"wsn_json": str(path)}}
+        )
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        provenance = json.loads(path.read_text())["provenance"]
+        assert list(provenance) == [
+            "scenario_kind", "seed", "moments", "iterations", "converged"
+        ]
+        assert provenance["moments"] == moments
+
     def test_infinite_epsilon_single_row(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -488,6 +513,8 @@ _NOISE_SCENARIO = {
         {"scenario": _NOISE_SCENARIO, "mbi": {"max_iterations": 2.9}},
         {"scenario": _NOISE_SCENARIO, "report_baseline": "false"},
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": 1}},
+        {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": ""}},
+        {"scenario": _NOISE_SCENARIO, "outputs": {"wsn_json": ""}},
         {"scenario": dict(_NOISE_SCENARIO, seed=-1)},
         # integer literals beyond the float range
         {"scenario": dict(_NOISE_SCENARIO, sigmas=[10**400])},
@@ -528,6 +555,8 @@ _NOISE_SCENARIO = {
         "max_iterations_float",
         "report_baseline_str",
         "output_path_not_str",
+        "trace_csv_empty",
+        "wsn_json_empty",
         "seed_negative",
         "sigmas_int_overflow",
         "epsilon_int_overflow",
@@ -706,6 +735,30 @@ class TestValidate:
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
 
+    def test_image_out_dir_below_missing_directories(self, tmp_path):
+        # run creates the missing directories, so validate accepts them
+        image = tmp_path / "src.pgm"
+        save_pgm(np.random.default_rng(0).random((5, 6)), image)
+        out = tmp_path / "new" / "deeper" / "out"
+        cfg = self._image_config(tmp_path, image, {"image_out_dir": str(out)})
+        ok, report = validate(cfg)
+        assert ok, report
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert (out / "reconstruction.pgm").is_file()
+
+    def test_image_out_dir_below_a_file(self, tmp_path):
+        image = tmp_path / "src.pgm"
+        save_pgm(np.random.default_rng(0).random((5, 6)), image)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "new" / "out"
+        cfg = self._image_config(tmp_path, image, {"image_out_dir": str(out)})
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
+        ok, report = validate(cfg)
+        assert not ok
+        assert report[-1] == (
+            f"invalid: image_out_dir is not a directory: {tmp_path / 'file'}"
+        )
+
     def test_unwritable_output_dir(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -717,6 +770,59 @@ class TestValidate:
         ok, report = validate(cfg)
         assert not ok
         assert any("not writable" in line for line in report)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (
+            {"scenario": {"kind": "exact_example1", "seed": 0}, "outptus": {}},
+            "outptus",
+        ),
+        ({"scenario": dict(_SAMPLED_SCENARIO, sigma=[0.1, 0.2])}, "sigma"),
+        (
+            {
+                "scenario": {"kind": "exact_example1", "seed": 0},
+                "mbi": {"max_iteration": 3},
+            },
+            "max_iteration",
+        ),
+        (
+            {
+                "scenario": {"kind": "exact_example1", "seed": 0},
+                "outputs": {"trace": "t.csv"},
+            },
+            "trace",
+        ),
+    ],
+    ids=["top_level", "scenario", "mbi", "outputs"],
+)
+def test_unknown_key_is_config_error(tmp_path, capsys, doc, key):
+    cfg = _write_config(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert f"unknown keys: {key!r}" in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert f"unknown keys: {key!r}" in capsys.readouterr().err
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def test_left_out_fields_take_the_dataclass_defaults():
+    sc = {k: v for k, v in _SAMPLED_SCENARIO.items() if k != "s"}
+    cfg = parse_config({"scenario": sc})
+    mbi = _field_defaults(MbiConfig)
+    assert cfg.mbi.epsilon == mbi["epsilon"]
+    assert cfg.mbi.max_iterations == mbi["max_iterations"]
+    assert cfg.scenario.s == _field_defaults(ScenarioSpec)["s"]
+
+
+def test_exact_example1_defaults_to_its_partition():
+    cfg = parse_config({"scenario": {"kind": "exact_example1", "seed": 0}})
+    assert cfg.scenario.partition == example1_model().partition
+    cfg = parse_config({"scenario": {"kind": "exact_example1", "r": [2, 3], "seed": 0}})
+    assert cfg.scenario.partition == SensorPartition(m=3, n=(3, 3), r=(2, 3))
 
 
 def test_load_config_overrides(tmp_path):

@@ -60,7 +60,6 @@ class TestEstimateMoments:
         part = SensorPartition(m=2, n=(2,), r=(1,))
         model = estimate_moments(SampleEnsemble(x=v, y=v), part)
         assert np.allclose(model.e_xy, v @ v.T)
-        assert model.provenance == "estimated"
 
     def test_orthonormal_design(self):
         # rows of X orthogonal with norm sqrt(s) -> e_xx = I
@@ -98,7 +97,10 @@ class TestEstimateMoments:
         )
         model = estimate_moments(ens, part)
         rebuilt = np.block(
-            [[model.e_yy_block(i, j) for j in range(3)] for i in range(3)]
+            [
+                [model.e_yy[part.y_slice(i), part.y_slice(j)] for j in range(3)]
+                for i in range(3)
+            ]
         )
         assert np.array_equal(rebuilt, model.e_yy)
 

@@ -23,7 +23,6 @@ from kltmbi import (
     mbi_solve,
     reduce_problem,
     save_pgm,
-    subsample_even_columns,
 )
 from kltmbi import scenarios
 from kltmbi.covariance import SampleEnsemble, SecondMomentModel
@@ -147,8 +146,8 @@ class TestGenerate:
         sub = SecondMomentModel(
             partition=part1,
             e_xx=model.e_xx,
-            e_xy=model.e_xy_block(0),
-            e_yy=model.e_yy_block(0, 0),
+            e_xy=model.e_xy[:, :4],
+            e_yy=model.e_yy[:4, :4],
         )
         f = klt_matrix(sub.e_xy, sub.e_yy, 4)
         assert np.linalg.norm(ens.x - f @ ens.y[:4]) <= 1e-8
@@ -307,23 +306,39 @@ def test_tiny_pure_noise_fixture():
 
 
 class TestSubsample:
-    def test_halves_columns(self):
-        a = np.arange(12.0).reshape(3, 4)
-        out = subsample_even_columns(a)
-        assert out.shape == (3, 2)
-        assert np.array_equal(out, a[:, [1, 3]])
+    """An image scenario trains on the image's even columns (2nd, 4th, ...
+    in 1-based counting)."""
 
-    def test_two_columns(self):
-        out = subsample_even_columns(np.array([[1.0, 2.0]]))
-        assert np.array_equal(out, [[2.0]])
+    @staticmethod
+    def _training_x(tmp_path, image):
+        path = tmp_path / "src.pgm"
+        save_pgm(image, path)
+        m = image.shape[0]
+        spec = ScenarioSpec(
+            kind="image",
+            partition=SensorPartition(m=m, n=(m,), r=(1,)),
+            sigmas=(0.1,),
+            image_path=str(path),
+        )
+        data = image_scenario(spec)
+        return data.x_full, data.ensemble.x
 
-    def test_constant_image(self):
-        out = subsample_even_columns(np.full((4, 6), 0.5))
-        assert np.array_equal(out, np.full((4, 3), 0.5))
+    def test_halves_columns(self, tmp_path):
+        x_full, x = self._training_x(tmp_path, np.arange(12.0).reshape(3, 4) / 11)
+        assert x.shape == (3, 2)
+        assert np.array_equal(x, x_full[:, [1, 3]])
 
-    def test_single_column_rejected(self):
+    def test_two_columns(self, tmp_path):
+        x_full, x = self._training_x(tmp_path, np.array([[0.0, 1.0]]))
+        assert np.array_equal(x, [[1.0]])
+
+    def test_constant_image(self, tmp_path):
+        x_full, x = self._training_x(tmp_path, np.full((4, 6), 0.5))
+        assert np.array_equal(x, np.full((4, 3), x_full[0, 0]))
+
+    def test_single_column_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):
-            subsample_even_columns(np.ones((3, 1)))
+            self._training_x(tmp_path, np.ones((3, 1)))
 
 
 class TestPgm:
@@ -397,6 +412,7 @@ class TestImageScenario:
         assert data.y_full.shape == (16, 8)
         assert data.ensemble.x.shape == (8, 4)
         assert np.array_equal(data.ensemble.x, data.x_full[:, 1::2])
+        assert np.array_equal(data.ensemble.y, data.y_full[:, 1::2])
 
     def test_deterministic(self, tmp_path):
         spec = self._spec(tmp_path)
