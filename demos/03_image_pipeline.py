@@ -35,7 +35,6 @@ config = {
         "m": 128,
         "n": [128, 128],
         "r": [64, 64],
-        "s": 64,
         "sigmas": [0.2, 0.1],
         "seed": 5,
         "image_path": image_path,

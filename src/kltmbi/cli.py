@@ -19,9 +19,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import EXAMPLE1_PARTITION, SensorPartition, estimate_moments
+from .covariance import (
+    EXAMPLE1_PARTITION,
+    SensorPartition,
+    estimate_moments,
+    example1_model,
+)
 from .errors import InvalidInput, NotPsd, ParseError
-from .scenarios import ScenarioSpec, _load_image, generate, image_scenario, save_pgm
+from .scenarios import (
+    KIND_FIELDS,
+    ScenarioSpec,
+    _load_image,
+    generate,
+    image_scenario,
+    save_pgm,
+)
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
 from .wsn import (
     _objective_mse,
@@ -53,65 +65,54 @@ class RunConfig:
 # integer is due or an integer beyond the float range, and supply the
 # defaults of the fields a config leaves out. The helpers below check only
 # the JSON shapes.
-def _float_field(value, name: str):
-    # JSON has no infinity literal; accept the strings "inf"/"infinity"
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"{name} is not a number: {value!r}") from None
-    return value
-
-
 def _list_field(value, name: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{name} must be a list, got {value!r}")
     return value
 
 
-def _str_field(value, name: str) -> str | None:
+def _path_field(value, name: str) -> str | None:
     if value is not None and not isinstance(value, str):
         raise ParseError(f"{name} must be a string, got {value!r}")
+    try:  # a name the OS takes: not empty, no NUL, in the file-system encoding
+        ok = value is None or (value and "\0" not in value and os.fsencode(value))
+    except UnicodeEncodeError:
+        ok = False
+    if not ok:
+        raise ParseError(f"{name} is not a file name: {value!r}")
     return value
 
 
-def _path_field(value, name: str) -> str | None:
-    if _str_field(value, name) == "":
-        raise ParseError(f"{name} must not be empty")
-    return value
-
-
-def _object(value, name: str, keys: tuple[str, ...]) -> dict:
-    """A JSON object whose every key is one of ``keys``."""
+def _object(value, name: str, keys: tuple[str, ...], kind: str | None = None) -> dict:
+    """A JSON object whose every key is one of ``keys``; the error for any
+    other key names the scenario ``kind`` that reads only ``keys``, if given."""
     if not isinstance(value, dict):
         raise ParseError(f"{name} must be an object")
-    unknown = [k for k in value if k not in keys]
+    unknown = ", ".join(repr(k) for k in value if k not in keys)
     if unknown:
-        raise ParseError(f"{name} has unknown keys: {', '.join(map(repr, unknown))}")
+        owner = "" if kind is None else f" for kind {kind!r}"
+        raise ParseError(f"{name} has unknown keys: {unknown}{owner}")
     return value
 
 
-def parse_config(
-    doc: dict,
-    *,
-    seed: int | None = None,
-    epsilon: float | None = None,
-    max_iters: int | None = None,
-) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document plus flag overrides."""
+def parse_config(doc: dict) -> RunConfig:
+    """Build a RunConfig from a parsed JSON document. Each scenario kind
+    accepts the fields :data:`~kltmbi.scenarios.KIND_FIELDS` says it reads,
+    and ``image_out_dir`` only when it reads an image."""
     doc = _object(doc, "config", ("scenario", "mbi", "outputs", "report_baseline"))
-    if "scenario" not in doc:
-        raise ParseError("missing 'scenario' object")
-    sc = _object(
-        doc["scenario"],
-        "scenario",
-        ("kind", "m", "n", "r", "s", "sigmas", "seed", "image_path"),
-    )
-    kind = _str_field(sc.get("kind"), "scenario.kind")
-    _str_field(sc.get("image_path"), "scenario.image_path")
+    sc = doc.get("scenario")
+    if not isinstance(sc, dict):
+        raise ParseError("config needs a 'scenario' object")
+    kind = sc.get("kind")
+    if not isinstance(kind, str) or kind not in KIND_FIELDS:
+        raise ParseError(f"unknown scenario kind {kind!r}")
+    reads = KIND_FIELDS[kind]
+    _object(sc, "scenario", ("kind", "m", "n", "r", "seed", *reads), kind)
     for key in ("n", "r", "sigmas"):
         if key in sc:
             _list_field(sc[key], f"scenario.{key}")
+    if "image_path" in sc:
+        _path_field(sc["image_path"], "scenario.image_path")
     # exact_example1 takes the dimensions it is not given from example 1
     ex1 = asdict(EXAMPLE1_PARTITION) if kind == "exact_example1" else {}
     try:
@@ -121,33 +122,34 @@ def parse_config(
         spec = ScenarioSpec(
             kind=kind,
             partition=part,
-            seed=sc["seed"] if seed is None else seed,
-            **{k: sc[k] for k in ("s", "sigmas", "image_path") if k in sc},
+            seed=sc["seed"],
+            **{k: sc[k] for k in reads if k in sc},
         )
     except KeyError as exc:
         raise ParseError(f"scenario is missing field {exc}") from None
     except InvalidInput as exc:
         raise ParseError(f"invalid scenario: {exc}") from None
 
+    # a kind that reads an image writes its reconstructions to image_out_dir
+    writes_images = "image_path" in reads
     outputs = _object(
-        doc.get("outputs", {}), "outputs", ("trace_csv", "wsn_json", "image_out_dir")
+        doc.get("outputs", {}),
+        "outputs",
+        ("trace_csv", "wsn_json") + (("image_out_dir",) if writes_images else ()),
+        kind,
     )
     paths = {k: _path_field(v, f"outputs.{k}") for k, v in outputs.items()}
+    if writes_images and paths.get("image_out_dir") is None:
+        raise ParseError(f"{kind} scenario requires outputs.image_out_dir")
+    trace, net = paths.get("trace_csv"), paths.get("wsn_json")
+    if trace and net and os.path.realpath(trace) == os.path.realpath(net):
+        raise ParseError(f"outputs.trace_csv and outputs.wsn_json are one file: {net}")
 
     # MbiConfig supplies epsilon and max_iterations when they are left out
     mbi_doc = _object(doc.get("mbi", {}), "mbi", ("epsilon", "max_iterations"))
-    mbi_fields = dict(mbi_doc)
-    if "epsilon" in mbi_fields:
-        mbi_fields["epsilon"] = _float_field(mbi_fields["epsilon"], "mbi.epsilon")
-    if epsilon is not None:
-        mbi_fields["epsilon"] = epsilon
-    if max_iters is not None:
-        mbi_fields["max_iterations"] = max_iters
     try:
         # only the trace CSV reads the intermediate banks
-        mbi = MbiConfig(
-            record_trace=paths.get("trace_csv") is not None, **mbi_fields
-        )
+        mbi = MbiConfig(record_trace=paths.get("trace_csv") is not None, **mbi_doc)
     except InvalidInput as exc:
         raise ParseError(f"invalid mbi settings: {exc}") from None
 
@@ -156,7 +158,7 @@ def parse_config(
         raise ParseError(
             f"report_baseline must be true or false, got {report_baseline!r}"
         )
-    cfg = RunConfig(
+    return RunConfig(
         scenario=spec,
         mbi=mbi,
         trace_csv_path=paths.get("trace_csv"),
@@ -164,17 +166,14 @@ def parse_config(
         image_out_dir=paths.get("image_out_dir"),
         report_baseline=report_baseline,
     )
-    if spec.kind == "image" and cfg.image_out_dir is None:
-        raise ParseError("image scenario requires outputs.image_out_dir")
-    return cfg
 
 
-def load_config(path, **overrides) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         doc = _read_json(path)
     except OSError as exc:
         raise ParseError(f"config file cannot be read: {exc}") from None
-    return parse_config(doc, **overrides)
+    return parse_config(doc)
 
 
 def _atomic_save_pgm(a, path) -> None:
@@ -189,10 +188,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute one configured scenario. Returns a process exit status."""
     spec = config.scenario
     image_data = image_scenario(spec) if spec.kind == "image" else None
-    ens = generate(spec) if image_data is None else image_data.ensemble
     if spec.kind == "exact_example1":  # the exact model, without samples
-        model, ens = ens, None
+        model, ens = example1_model(spec.partition.r), None
     else:
+        ens = generate(spec) if image_data is None else image_data.ensemble
         model = estimate_moments(ens, spec.partition)
 
     rp = reduce_problem(model)
@@ -305,13 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute a scenario end to end")
     p_run.add_argument("--config", required=True, help="JSON config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override seed")
-    p_run.add_argument(
-        "--epsilon", type=float, default=None, help="override stopping tolerance"
-    )
-    p_run.add_argument(
-        "--max-iters", type=int, default=None, help="override iteration budget"
-    )
     p_run.add_argument("--quiet", action="store_true", help="suppress stdout")
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("--config", required=True, help="JSON config file")
@@ -326,13 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         return EXIT_OK if ok else EXIT_CONFIG
     try:
-        cfg = load_config(
-            args.config,
-            seed=args.seed,
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-        )
-        return run(cfg, quiet=args.quiet)
+        return run(load_config(args.config), quiet=args.quiet)
     except NotPsd as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

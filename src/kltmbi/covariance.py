@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -200,8 +200,10 @@ _EX1_SIGMAS = (0.2, 0.4)
 EXAMPLE1_PARTITION = SensorPartition(m=3, n=(3, 3), r=(1, 1))
 
 
-def example1_model() -> SecondMomentModel:
-    """Exact two-sensor benchmark model on :data:`EXAMPLE1_PARTITION`.
+def example1_model(r=(1, 1)) -> SecondMomentModel:
+    """Exact two-sensor benchmark model on :data:`EXAMPLE1_PARTITION` with
+    the compression ranks ``r = (r_1, r_2)``, 1 <= r_j <= 3; other ranks
+    raise :class:`InvalidInput`.
 
     Observations are y_j = x + xi_j with E[xi_j xi_j^T] = sigma_j^2 I, hence
     E_xy = [E_xx, E_xx] and E_yy has E_xx + sigma_j^2 I diagonal blocks.
@@ -216,5 +218,8 @@ def example1_model() -> SecondMomentModel:
         ]
     )
     return SecondMomentModel(
-        partition=EXAMPLE1_PARTITION, e_xx=exx, e_xy=e_xy, e_yy=e_yy
+        partition=replace(EXAMPLE1_PARTITION, r=r),
+        e_xx=exx,
+        e_xy=e_xy,
+        e_yy=e_yy,
     )

@@ -16,15 +16,21 @@ import numpy as np
 from .covariance import (
     EXAMPLE1_PARTITION,
     SampleEnsemble,
-    SecondMomentModel,
     SensorPartition,
     _dimension,
     _real,
-    example1_model,
 )
 from .errors import InvalidInput, ParseError
 
-KINDS = ("exact_example1", "additive_noise", "pure_noise_obs", "linear_mixing", "image")
+# The fields each scenario kind reads besides kind, m, n, r and seed. A
+# spec, or a config, that gives a kind a field it does not read is rejected.
+KIND_FIELDS = {
+    "exact_example1": (),
+    "additive_noise": ("s", "sigmas"),
+    "linear_mixing": ("s", "sigmas"),
+    "pure_noise_obs": ("s",),
+    "image": ("sigmas", "image_path"),
+}
 
 # Kinds whose every sensor observes a signal of the source's shape (n_j = m).
 _SQUARE_KINDS = ("additive_noise", "linear_mixing", "image")
@@ -50,11 +56,14 @@ def _check_size(part: SensorPartition, samples: int) -> None:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One simulation study: a scenario family, its partition, sample count,
-    per-sensor noise scales, PRNG seed, and (for image runs) a source image.
+    """One simulation study: a scenario family, its partition, PRNG seed and
+    the fields :data:`KIND_FIELDS` says the kind reads: the sample count
+    ``s`` (1 when left out), per-sensor noise scales ``sigmas`` (one per
+    sensor) and, for image runs, the source image's path.
 
-    Raises :class:`InvalidInput` when the partition does not fit the kind
-    (n_j = m for additive_noise, linear_mixing and image; the m and n of
+    Raises :class:`InvalidInput` when a field is given to a kind that does
+    not read it, when the partition does not fit the kind (n_j = m for
+    additive_noise, linear_mixing and image; the m and n of
     ``EXAMPLE1_PARTITION`` for exact_example1) or when the scenario needs
     more than :data:`MAX_SCENARIO_BYTES`, before anything is allocated. An
     image scenario's image is checked when it is loaded.
@@ -62,22 +71,27 @@ class ScenarioSpec:
 
     kind: str
     partition: SensorPartition
-    s: int = 1
-    sigmas: tuple[float, ...] = ()
+    s: int | None = None
+    sigmas: tuple[float, ...] | None = None
     seed: int = 0
     image_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "sigmas",
-            tuple(_real(v, f"sigmas[{j}]") for j, v in enumerate(self.sigmas)),
-        )
-        object.__setattr__(self, "s", _dimension(self.s, "s"))
-        object.__setattr__(self, "seed", _dimension(self.seed, "seed"))
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KIND_FIELDS:
             raise InvalidInput(f"unknown scenario kind {self.kind!r}")
+        reads = KIND_FIELDS[self.kind]
+        for name in ("s", "sigmas", "image_path"):
+            if name not in reads and getattr(self, name) is not None:
+                raise InvalidInput(f"kind {self.kind!r} does not read {name}")
         part = self.partition
+        if "s" in reads:
+            s = _dimension(1 if self.s is None else self.s, "s")
+            object.__setattr__(self, "s", s)
+        if "sigmas" in reads:
+            given = () if self.sigmas is None else self.sigmas
+            sigmas = tuple(_real(v, f"sigmas[{j}]") for j, v in enumerate(given))
+            object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "seed", _dimension(self.seed, "seed"))
         ex1 = EXAMPLE1_PARTITION
         if self.kind == "exact_example1" and (part.m, part.n) != (ex1.m, ex1.n):
             raise InvalidInput(
@@ -88,20 +102,21 @@ class ScenarioSpec:
             raise InvalidInput(
                 f"{self.kind} scenario requires n_j = m for every sensor"
             )
-        if self.s < 1:
+        if self.s is not None and self.s < 1:
             raise InvalidInput(f"sample count must be >= 1, got {self.s}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
-        if self.kind != "exact_example1" and len(self.sigmas) != part.p:
+        if self.sigmas is not None and len(self.sigmas) != part.p:
             raise InvalidInput(
                 f"sigmas must have one entry per sensor ({part.p}), "
                 f"got {len(self.sigmas)}"
             )
-        if not all(np.isfinite(self.sigmas)):
+        if self.sigmas is not None and not all(np.isfinite(self.sigmas)):
             raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
-        if self.kind == "image" and not self.image_path:
+        if "image_path" in reads and not self.image_path:
             raise InvalidInput("image scenario requires image_path")
-        _check_size(part, 0 if self.kind in ("exact_example1", "image") else self.s)
+        # an exact scenario holds no samples; an image's are its columns
+        _check_size(part, self.s or 0)
 
 
 def _fill_noisy(rng, out: np.ndarray, sigma: float, signal: np.ndarray) -> None:
@@ -116,29 +131,20 @@ def _fill_noisy(rng, out: np.ndarray, sigma: float, signal: np.ndarray) -> None:
     out += signal
 
 
-def generate(spec: ScenarioSpec) -> SampleEnsemble | SecondMomentModel:
-    """Materialize a scenario.
-
-    ``exact_example1`` returns the exact two-sensor benchmark model (with the
-    spec's compression ranks); every other kind returns a seeded training
-    ensemble. Source samples and mixing matrices have uniform entries in
-    [0, 1); noise is standard normal scaled by sigma_j.
-    """
+def generate(spec: ScenarioSpec) -> SampleEnsemble:
+    """Seeded training samples of ``additive_noise`` (y_j = x + sigma_j N_j),
+    ``linear_mixing`` (y_j = A_j x + sigma_j N_j) or ``pure_noise_obs`` (y is
+    unit normal noise independent of x). x and A_j are uniform on [0, 1).
+    Other kinds raise :class:`InvalidInput`: ``exact_example1`` has no
+    samples (see ``example1_model``) and ``image`` has ``image_scenario``."""
+    if "s" not in KIND_FIELDS[spec.kind]:
+        raise InvalidInput(f"generate needs a sampled kind, got {spec.kind!r}")
     part = spec.partition
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "exact_example1":
-        base = example1_model()
-        return SecondMomentModel(
-            partition=part, e_xx=base.e_xx, e_xy=base.e_xy, e_yy=base.e_yy
-        )
+    x = rng.random((part.m, spec.s))
     if spec.kind == "pure_noise_obs":
-        x = rng.random((part.m, spec.s))
         # one draw fills the stacked blocks in the order per-block draws would
         return SampleEnsemble(x=x, y=rng.standard_normal((part.n_total, spec.s)))
-    if spec.kind == "image":
-        return image_scenario(spec).ensemble
-    # additive_noise and linear_mixing
-    x = rng.random((part.m, spec.s))
     y = np.empty((part.n_total, spec.s))
     for j in range(part.p):
         signal = x

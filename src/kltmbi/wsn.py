@@ -91,10 +91,10 @@ def reconstruct(wsn: FactorizedWsn, u: list[np.ndarray]) -> np.ndarray:
     if len(u) != part.p:
         raise InvalidInput(f"expected {part.p} compressed blocks, got {len(u)}")
     for j, uj in enumerate(u):
-        if uj.shape[0] != part.r[j]:
-            raise InvalidInput(
-                f"compressed block {j} must have {part.r[j]} rows, got {uj.shape[0]}"
-            )
+        # r_j rows, and the samples (columns) block 0 holds
+        want = (part.r[j], *u[0].shape[1:])
+        if uj.shape != want:
+            raise InvalidInput(f"compressed block {j} has shape {uj.shape}, not {want}")
     return sum(wsn.decoder_blocks[j] @ u[j] for j in range(part.p))
 
 

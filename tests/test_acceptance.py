@@ -259,7 +259,6 @@ def test_criterion_8_image_pipeline(tmp_path):
         "m": 128,
         "n": [128, 128],
         "r": [64, 64],
-        "s": 64,
         "sigmas": [0.2, 0.1],
         "seed": 80,
         "image_path": str(img_path),
@@ -288,7 +287,6 @@ def test_criterion_8_image_pipeline(tmp_path):
     spec = ScenarioSpec(
         kind="image",
         partition=SensorPartition(m=128, n=(128, 128), r=(64, 64)),
-        s=64,
         sigmas=(0.2, 0.1),
         seed=80,
         image_path=str(img_path),

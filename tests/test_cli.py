@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import kltmbi
 from kltmbi import (
     DegenerateTruncationWarning,
+    InvalidInput,
     MbiConfig,
     NotPsd,
     ParseError,
@@ -42,7 +43,7 @@ from kltmbi.cli import (
     parse_config,
     validate,
 )
-from kltmbi.scenarios import KINDS
+from kltmbi.scenarios import KIND_FIELDS
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -323,7 +324,8 @@ class TestRun:
             tmp_path,
             {
                 "scenario": {"kind": "exact_example1", "seed": 0},
-                "mbi": {"epsilon": "inf"},
+                # json.dumps writes Infinity, which json.load reads back
+                "mbi": {"epsilon": float("inf")},
                 "outputs": {"trace_csv": str(tmp_path / "t.csv")},
             },
         )
@@ -339,25 +341,26 @@ class TestRun:
         assert (tmp_path / "trace.csv").read_bytes() == first_csv
         assert (tmp_path / "wsn.json").read_bytes() == first_json
 
-    def test_seed_override_changes_sampled_run(self, tmp_path):
-        doc = {
-            "scenario": {
-                "kind": "pure_noise_obs",
-                "m": 3,
-                "n": [3, 3],
-                "r": [1, 1],
-                "s": 6,
-                "sigmas": [0.0, 0.0],
-                "seed": 1,
-            },
-            "mbi": {"max_iterations": 10},
-            "outputs": {"trace_csv": str(tmp_path / "t.csv")},
+    def test_seed_changes_sampled_run(self, tmp_path):
+        scenario = {
+            "kind": "pure_noise_obs",
+            "m": 3,
+            "n": [3, 3],
+            "r": [1, 1],
+            "s": 6,
+            "seed": 1,
         }
-        cfg = _write_config(tmp_path, doc)
-        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
-        a = (tmp_path / "t.csv").read_bytes()
-        assert main(["run", "--config", cfg, "--quiet", "--seed", "2"]) == EXIT_OK
-        assert (tmp_path / "t.csv").read_bytes() != a
+        traces = []
+        for seed in (1, 2):
+            doc = {
+                "scenario": dict(scenario, seed=seed),
+                "mbi": {"max_iterations": 10},
+                "outputs": {"trace_csv": str(tmp_path / "t.csv")},
+            }
+            cfg = _write_config(tmp_path, doc)
+            assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+            traces.append((tmp_path / "t.csv").read_bytes())
+        assert traces[0] != traces[1]
 
     def test_image_pipeline_outputs(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -372,7 +375,6 @@ class TestRun:
                     "m": 8,
                     "n": [8, 8],
                     "r": [3, 3],
-                    "s": 4,
                     "sigmas": [0.2, 0.1],
                     "seed": 3,
                     "image_path": str(img),
@@ -414,7 +416,6 @@ class TestExitCodes:
                     "n": [2],
                     "r": [5],
                     "s": 2,
-                    "sigmas": [0.1],
                     "seed": 0,
                 }
             },
@@ -487,6 +488,14 @@ _NOISE_SCENARIO = {
     "sigmas": [0.1],
     "seed": 0,
 }
+# the same partition for the kinds that read other fields
+_PURE_NOISE_SCENARIO = {
+    "kind": "pure_noise_obs", "m": 3, "n": [3], "r": [1], "s": 4, "seed": 0
+}
+_IMAGE_SCENARIO = {
+    "kind": "image", "m": 3, "n": [3], "r": [1], "sigmas": [0.1], "seed": 0,
+    "image_path": "x.pgm",
+}
 
 
 @pytest.mark.parametrize(
@@ -515,16 +524,27 @@ _NOISE_SCENARIO = {
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": 1}},
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": ""}},
         {"scenario": _NOISE_SCENARIO, "outputs": {"wsn_json": ""}},
+        # a NUL character, which no file name holds, and a lone surrogate,
+        # which the file-system encoding cannot encode
+        {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": "t\0.csv"}},
+        {"scenario": _NOISE_SCENARIO, "outputs": {"wsn_json": "t\ud800.json"}},
+        {
+            "scenario": dict(_IMAGE_SCENARIO, image_path="x\0.pgm"),
+            "outputs": {"image_out_dir": "out"},
+        },
         {"scenario": dict(_NOISE_SCENARIO, seed=-1)},
         # integer literals beyond the float range
         {"scenario": dict(_NOISE_SCENARIO, sigmas=[10**400])},
         {"scenario": _NOISE_SCENARIO, "mbi": {"epsilon": 10**400}},
+        # epsilon is a JSON number; json.load reads Infinity as one
+        {"scenario": _NOISE_SCENARIO, "mbi": {"epsilon": "0.5"}},
+        {"scenario": _NOISE_SCENARIO, "mbi": {"epsilon": "inf"}},
         # non-finite noise scales, which JSON reads from NaN and Infinity
         {"scenario": dict(_NOISE_SCENARIO, n=[3, 3], r=[1, 1], sigmas=[np.nan, 0.1])},
         {"scenario": dict(_NOISE_SCENARIO, n=[3, 3], r=[1, 1], sigmas=[np.inf, 0.1])},
         # scenarios beyond the size limit, in samples and in moments
         {"scenario": dict(_NOISE_SCENARIO, m=1, n=[1], s=10**15)},
-        {"scenario": dict(_NOISE_SCENARIO, kind="pure_noise_obs", m=10**5, s=1)},
+        {"scenario": {**_PURE_NOISE_SCENARIO, "m": 10**5, "s": 1}},
         # partitions that do not fit the kind
         {"scenario": dict(_NOISE_SCENARIO, m=2)},
         {
@@ -534,7 +554,7 @@ _NOISE_SCENARIO = {
             )
         },
         {
-            "scenario": dict(_NOISE_SCENARIO, kind="image", n=[4], image_path="x.pgm"),
+            "scenario": {**_IMAGE_SCENARIO, "n": [4]},
             "outputs": {"image_out_dir": "out"},
         },
         {"scenario": {"kind": "exact_example1", "m": 4, "n": [4, 4], "seed": 0}},
@@ -557,9 +577,14 @@ _NOISE_SCENARIO = {
         "output_path_not_str",
         "trace_csv_empty",
         "wsn_json_empty",
+        "output_path_nul",
+        "output_path_surrogate",
+        "image_path_nul",
         "seed_negative",
         "sigmas_int_overflow",
         "epsilon_int_overflow",
+        "epsilon_str",
+        "epsilon_str_inf",
         "sigmas_nan",
         "sigmas_inf",
         "s_too_large",
@@ -639,7 +664,6 @@ class TestValidate:
                     "m": 4,
                     "n": [4],
                     "r": [2],
-                    "s": 2,
                     "sigmas": [0.1],
                     "seed": 0,
                 },
@@ -658,7 +682,6 @@ class TestValidate:
                     "m": 4,
                     "n": [4],
                     "r": [2],
-                    "s": 2,
                     "sigmas": [0.1],
                     "seed": 0,
                     "image_path": str(tmp_path / "absent.pgm"),
@@ -680,7 +703,6 @@ class TestValidate:
                     "m": 5,
                     "n": [5],
                     "r": [2],
-                    "s": 2,
                     "sigmas": [0.1],
                     "seed": 0,
                     "image_path": str(image),
@@ -805,6 +827,88 @@ def test_unknown_key_is_config_error(tmp_path, capsys, doc, key):
     assert f"unknown keys: {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("exact_example1", "s"),
+        ("exact_example1", "sigmas"),
+        ("exact_example1", "image_path"),
+        ("additive_noise", "image_path"),
+        ("linear_mixing", "image_path"),
+        ("pure_noise_obs", "sigmas"),
+        ("pure_noise_obs", "image_path"),
+        ("image", "s"),
+        ("exact_example1", "image_out_dir"),
+        ("additive_noise", "image_out_dir"),
+        ("linear_mixing", "image_out_dir"),
+        ("pure_noise_obs", "image_out_dir"),
+    ],
+)
+def test_field_the_kind_does_not_read_is_config_error(tmp_path, capsys, kind, field):
+    # each kind owns the fields it reads; a field it would ignore is an
+    # error, not a value that silently has no effect on the run
+    image = tmp_path / "src.pgm"
+    save_pgm(np.random.default_rng(0).random((3, 4)), image)
+    scenario = {
+        "exact_example1": {"kind": "exact_example1", "seed": 0},
+        "additive_noise": _NOISE_SCENARIO,
+        "linear_mixing": dict(_NOISE_SCENARIO, kind="linear_mixing"),
+        "pure_noise_obs": _PURE_NOISE_SCENARIO,
+        "image": dict(_IMAGE_SCENARIO, image_path=str(image)),
+    }[kind]
+    outputs = {"image_out_dir": str(tmp_path / "out")} if kind == "image" else {}
+    base = _write_config(
+        tmp_path, {"scenario": scenario, "outputs": outputs}, "base.json"
+    )
+    assert main(["validate", "--config", base]) == EXIT_OK
+    capsys.readouterr()
+
+    p = 2 if kind == "exact_example1" else 1
+    value = {
+        "s": 5,
+        "sigmas": [5.0] * p,
+        "image_path": str(image),
+        "image_out_dir": str(tmp_path / "out"),
+    }[field]
+    if field == "image_out_dir":
+        outputs = {field: value}
+    else:
+        scenario = dict(scenario, **{field: value})
+        spec = {k: v for k, v in scenario.items() if k not in ("m", "n", "r")}
+        ex1 = {"m": 3, "n": [3, 3], "r": [1, 1]}  # exact_example1's partition
+        part = SensorPartition(**{k: scenario.get(k, ex1[k]) for k in ex1})
+        with pytest.raises(InvalidInput, match=f"{kind!r} does not read {field}"):
+            ScenarioSpec(partition=part, **spec)
+    cfg = _write_config(tmp_path, {"scenario": scenario, "outputs": outputs})
+    message = f"unknown keys: {field!r} for kind {kind!r}"
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alias", ["dot", "symlink"])
+def test_outputs_naming_one_file_are_config_error(tmp_path, monkeypatch, capsys, alias):
+    # the network JSON would overwrite the trace CSV
+    monkeypatch.chdir(tmp_path)
+    if alias == "symlink":
+        (tmp_path / "link.txt").symlink_to(tmp_path / "out.txt")
+    wsn_json = {"dot": "./out.txt", "symlink": str(tmp_path / "link.txt")}[alias]
+    cfg = _write_config(
+        tmp_path,
+        {
+            "scenario": {"kind": "exact_example1", "seed": 0},
+            "outputs": {"trace_csv": "out.txt", "wsn_json": wsn_json},
+        },
+    )
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert "one file" in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert "one file" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
 def _field_defaults(cls) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls)}
 
@@ -815,7 +919,7 @@ def test_left_out_fields_take_the_dataclass_defaults():
     mbi = _field_defaults(MbiConfig)
     assert cfg.mbi.epsilon == mbi["epsilon"]
     assert cfg.mbi.max_iterations == mbi["max_iterations"]
-    assert cfg.scenario.s == _field_defaults(ScenarioSpec)["s"]
+    assert cfg.scenario.s == 1  # ScenarioSpec's count for a sampled kind
 
 
 def test_exact_example1_defaults_to_its_partition():
@@ -823,14 +927,6 @@ def test_exact_example1_defaults_to_its_partition():
     assert cfg.scenario.partition == example1_model().partition
     cfg = parse_config({"scenario": {"kind": "exact_example1", "r": [2, 3], "seed": 0}})
     assert cfg.scenario.partition == SensorPartition(m=3, n=(3, 3), r=(2, 3))
-
-
-def test_load_config_overrides(tmp_path):
-    cfg_path = _example1_config(tmp_path)
-    cfg = load_config(cfg_path, seed=42, epsilon=0.5, max_iters=7)
-    assert cfg.scenario.seed == 42
-    assert cfg.mbi.epsilon == 0.5
-    assert cfg.mbi.max_iterations == 7
 
 
 # Any JSON value: what json.load can return, NaN and the infinities included.
@@ -869,7 +965,7 @@ _config_docs = _documents(
     {
         "scenario": _documents(
             {
-                "kind": st.sampled_from(KINDS),
+                "kind": st.sampled_from(sorted(KIND_FIELDS)),
                 "m": _small,
                 "n": _one_sensor,
                 "r": _one_sensor,
@@ -911,31 +1007,35 @@ _run_paths = st.sampled_from(["", "out", "img.pgm", "absent.pgm", "missing/out"]
 @st.composite
 def _run_docs(draw) -> dict:
     """A config whose fields mostly agree with each other (p entries in n, r
-    and sigmas, r_j <= n_j, often n_j = m), so that many examples run, with
-    up to two fields left out or replaced by any JSON value."""
+    and sigmas, r_j <= n_j, often n_j = m, the fields its kind reads), so
+    that many examples run, with up to two fields left out or replaced by
+    any JSON value. The sweep budget is never replaced, so runs stay short."""
+    kind = draw(st.sampled_from(sorted(KIND_FIELDS)))
     p = draw(st.integers(1, 2))
     m = draw(_small | st.integers(4, 20) | st.integers(21, 10**6))
     if draw(st.booleans()):
         n = [m] * p
     else:
         n = draw(st.lists(st.integers(1, 20), min_size=p, max_size=p))
+    optional = {
+        "s": draw(_small | st.integers(4, 2000) | st.integers(2001, 10**15)),
+        "sigmas": draw(
+            st.lists(st.floats(0, 1) | st.floats(), min_size=p, max_size=p)
+        ),
+        "image_path": draw(_run_paths),
+    }
+    outputs = ["trace_csv", "wsn_json"] + ["image_out_dir"] * (kind == "image")
     doc = {
         "scenario": {
-            "kind": draw(st.sampled_from(KINDS)),
+            "kind": kind,
             "m": m,
             "n": n,
             "r": [draw(st.integers(1, min(nj, 8))) for nj in n],
-            "s": draw(_small | st.integers(4, 2000) | st.integers(2001, 10**15)),
-            "sigmas": draw(
-                st.lists(st.floats(0, 1) | st.floats(), min_size=p, max_size=p)
-            ),
             "seed": draw(_small),
-            "image_path": draw(_run_paths),
+            **{k: v for k, v in optional.items() if k in KIND_FIELDS[kind]},
         },
         "mbi": {"epsilon": draw(st.floats(0, 1))},
-        "outputs": {
-            key: draw(_run_paths) for key in ("trace_csv", "wsn_json", "image_out_dir")
-        },
+        "outputs": {key: draw(_run_paths) for key in outputs},
         "report_baseline": draw(st.booleans()),
     }
     fields = [(doc, key) for key in doc] + [
@@ -948,6 +1048,8 @@ def _run_docs(draw) -> dict:
             section.pop(key, None)
         else:
             section[key] = draw(_json_values)
+    if isinstance(doc.get("mbi"), dict):
+        doc["mbi"]["max_iterations"] = draw(st.integers(1, 20))
     return doc
 
 
@@ -960,8 +1062,8 @@ def _under(root: str, section) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_run_docs(), st.integers(1, 20))
-def test_run_ends_in_a_documented_exit_code(doc, max_iters):
+@given(_run_docs())
+def test_run_ends_in_a_documented_exit_code(doc):
     # a low size limit keeps every accepted scenario small
     with tempfile.TemporaryDirectory() as root, mock.patch.object(
         scenarios, "MAX_SCENARIO_BYTES", 2**20
@@ -975,5 +1077,5 @@ def test_run_ends_in_a_documented_exit_code(doc, max_iters):
             json.dump(doc, fh)
         argv = ["--config", path]
         assert main(["validate", *argv]) in (EXIT_OK, EXIT_CONFIG)
-        code = main(["run", *argv, "--max-iters", str(max_iters), "--quiet"])
+        code = main(["run", *argv, "--quiet"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)

@@ -15,6 +15,7 @@ from kltmbi import (
     SensorPartition,
     analytic_mse,
     estimate_moments,
+    example1_model,
     generate,
     image_scenario,
     init_bank,
@@ -59,6 +60,8 @@ def tiny_pure_noise_fixture() -> tuple[SampleEnsemble, SensorPartition]:
 
 def _two_sensor_spec(kind="additive_noise", seed=3, sigmas=(0.1, 0.2), s=12):
     part = SensorPartition(m=4, n=(4, 4), r=(2, 3))
+    if kind == "pure_noise_obs":  # its observations have no noise scale
+        sigmas = None
     return ScenarioSpec(kind=kind, partition=part, s=s, sigmas=sigmas, seed=seed)
 
 
@@ -76,7 +79,7 @@ class TestScenarioSpec:
     def test_image_requires_path(self):
         part = SensorPartition(m=2, n=(2,), r=(1,))
         with pytest.raises(InvalidInput):
-            ScenarioSpec(kind="image", partition=part, s=1, sigmas=(0.1,))
+            ScenarioSpec(kind="image", partition=part, sigmas=(0.1,))
 
     @pytest.mark.parametrize(
         "field",
@@ -113,28 +116,52 @@ class TestScenarioSpec:
         # 8 (m + N) (s + m + N) bytes: 16 (s + 2) at m = N = 1
         part = SensorPartition(m=1, n=(1,), r=(1,))
         s_max = MAX_SCENARIO_BYTES // 16 - 2
-        for kind in ("additive_noise", "pure_noise_obs", "linear_mixing"):
-            ScenarioSpec(kind=kind, partition=part, s=s_max, sigmas=(0.1,))
+        for kind, sigmas in (
+            ("additive_noise", (0.1,)),
+            ("pure_noise_obs", None),
+            ("linear_mixing", (0.1,)),
+        ):
+            ScenarioSpec(kind=kind, partition=part, s=s_max, sigmas=sigmas)
             with pytest.raises(InvalidInput, match="limit"):
-                ScenarioSpec(kind=kind, partition=part, s=s_max + 1, sigmas=(0.1,))
+                ScenarioSpec(kind=kind, partition=part, s=s_max + 1, sigmas=sigmas)
 
     def test_size_cap_counts_moments(self):
-        # the exact scenario holds no samples, however large s is
+        # the exact scenario holds no samples, only its 9 x 9 moments
         exact = SensorPartition(m=3, n=(3, 3), r=(1, 1))
-        ScenarioSpec(kind="exact_example1", partition=exact, s=10**15)
+        ScenarioSpec(kind="exact_example1", partition=exact)
         # one sensor with a huge source: E_xx alone is m x m
         wide = SensorPartition(m=20_000, n=(1,), r=(1,))
         with pytest.raises(InvalidInput, match="limit"):
-            ScenarioSpec(kind="pure_noise_obs", partition=wide, s=1, sigmas=(0.1,))
+            ScenarioSpec(kind="pure_noise_obs", partition=wide, s=1)
+
+    def test_read_fields_default_to_none_or_one_sample(self):
+        part = SensorPartition(m=3, n=(3, 3), r=(1, 1))
+        exact = ScenarioSpec(kind="exact_example1", partition=part)
+        assert (exact.s, exact.sigmas, exact.image_path) == (None, None, None)
+        assert ScenarioSpec(kind="pure_noise_obs", partition=part).s == 1
 
 
 class TestGenerate:
     def test_exact_benchmark_model(self):
-        part = SensorPartition(m=3, n=(3, 3), r=(2, 2))
-        model = generate(ScenarioSpec(kind="exact_example1", partition=part))
+        model = example1_model(r=(2, 2))
         assert isinstance(model, SecondMomentModel)
         assert model.e_xx[0, 0] == 0.585
-        assert model.partition.r == (2, 2)  # ranks come from the requested partition
+        assert model.partition == SensorPartition(m=3, n=(3, 3), r=(2, 2))
+        with pytest.raises(InvalidInput):
+            example1_model(r=(4, 1))
+
+    def test_only_sampled_kinds(self, tmp_path):
+        # exact_example1 has no samples and image samples an image; neither
+        # is a second route through generate
+        part = SensorPartition(m=3, n=(3, 3), r=(1, 1))
+        for spec in (
+            ScenarioSpec(kind="exact_example1", partition=part),
+            ScenarioSpec(
+                kind="image", partition=part, sigmas=(0.1, 0.1), image_path="x.pgm"
+            ),
+        ):
+            with pytest.raises(InvalidInput, match="sampled kind"):
+                generate(spec)
 
     def test_additive_noiseless_recovers_signal(self):
         spec = _two_sensor_spec(sigmas=(0.0, 0.0), s=30)
@@ -244,7 +271,7 @@ class TestPinnedSamples:
     )
     def test_generate_digest(self, kind, n, s, digest):
         part = SensorPartition(m=3, n=n, r=(1,) * len(n))
-        sigmas = (0.1, 0.25, 0.4)[: len(n)]
+        sigmas = None if kind == "pure_noise_obs" else (0.1, 0.25, 0.4)[: len(n)]
         ens = generate(
             ScenarioSpec(kind=kind, partition=part, s=s, sigmas=sigmas, seed=13)
         )
@@ -257,7 +284,6 @@ class TestPinnedSamples:
         spec = ScenarioSpec(
             kind="image",
             partition=part,
-            s=3,
             sigmas=(0.2, 0.1),
             seed=8,
             image_path=str(img_path),
@@ -266,7 +292,7 @@ class TestPinnedSamples:
         assert _sha(data.x_full, data.y_full) == (
             "2ef0a2663ba80b88eba77d4aa133822f146ea3a63c0e0bf3785bf5212b858cf2"
         )
-        ens = generate(spec)
+        ens = data.ensemble
         assert _sha(ens.x, ens.y) == (
             "ce852d882a17218202d38e4d421ff99a0bb3354d0b499a3aebff52c6fb01eb86"
         )
@@ -279,9 +305,8 @@ class TestPinnedSamples:
         # the generator's own small objects
         m, p, s = 8, 4, 20_000
         part = SensorPartition(m=m, n=(m,) * p, r=(1,) * p)
-        spec = ScenarioSpec(
-            kind=kind, partition=part, s=s, sigmas=(0.1,) * p, seed=2
-        )
+        sigmas = None if kind == "pure_noise_obs" else (0.1,) * p
+        spec = ScenarioSpec(kind=kind, partition=part, s=s, sigmas=sigmas, seed=2)
         tracemalloc.start()
         try:
             ens = generate(spec)
@@ -399,7 +424,6 @@ class TestImageScenario:
         return ScenarioSpec(
             kind="image",
             partition=part,
-            s=cols // 2,
             sigmas=(0.2, 0.1),
             seed=5,
             image_path=str(img_path),
@@ -424,7 +448,6 @@ class TestImageScenario:
         bad = ScenarioSpec(
             kind="image",
             partition=SensorPartition(m=9, n=(9, 9), r=(3, 3)),
-            s=4,
             sigmas=(0.2, 0.1),
             seed=5,
             image_path=spec.image_path,

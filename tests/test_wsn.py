@@ -124,6 +124,20 @@ class TestCompressReconstruct:
         with pytest.raises(InvalidInput):
             reconstruct(wsn, [np.zeros((2, 1)), np.zeros((1, 1))])
 
+    def test_blocks_must_hold_the_same_samples(self):
+        # a 1-column block beside a 5-column one would broadcast to a 5-column
+        # estimate
+        rng = np.random.default_rng(3)
+        part = SensorPartition(m=3, n=(2, 2), r=(1, 1))
+        wsn = factorize_wsn(_rank_feasible_bank(rng, part))
+        for u in (
+            [np.zeros((1, 1)), np.zeros((1, 5))],
+            [np.zeros(1), np.zeros((1, 5))],
+        ):
+            with pytest.raises(InvalidInput, match="block 1"):
+                reconstruct(wsn, u)
+        assert reconstruct(wsn, [np.zeros(1), np.zeros(1)]).shape == (3,)
+
 
 class TestAnalyticMse:
     def test_zero_bank_gives_signal_energy(self):
@@ -166,9 +180,13 @@ class TestAnalyticMse:
         # one formula: analytic_mse of every bank of a solve is the Wiener
         # MSE plus the objective the solve records for it
         part = SensorPartition(m=m, n=(m,) * p, r=(r,) * p)
-        spec = ScenarioSpec(kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=1)
-        data = generate(spec)
-        model = data if kind == "exact_example1" else estimate_moments(data, part)
+        if kind == "exact_example1":
+            model = example1_model(part.r)
+        else:
+            spec = ScenarioSpec(
+                kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=1
+            )
+            model = estimate_moments(generate(spec), part)
         rp = reduce_problem(model)
         _, trace = mbi_solve(
             rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=30)
@@ -274,7 +292,7 @@ class TestRunningEmpiricalMse:
         save_pgm(rng.random((8, 40)), img)
         part = SensorPartition(m=8, n=(8, 8), r=(3, 3))
         spec = ScenarioSpec(
-            kind="image", partition=part, s=1, sigmas=(0.2, 0.1), seed=3,
+            kind="image", partition=part, sigmas=(0.2, 0.1), seed=3,
             image_path=str(img),
         )
         return image_scenario(spec).ensemble, part
