@@ -54,10 +54,13 @@ EXIT_IO = 4
 class RunConfig:
     scenario: ScenarioSpec
     mbi: MbiConfig
-    trace_csv_path: str | None
-    wsn_json_path: str | None
-    image_out_dir: str | None
+    outputs: dict[str, str]  # each file run writes, by name, to its path
     report_baseline: bool
+
+
+# the images an image run writes to image_out_dir: a bank's estimate x_hat of
+# the source image x and |x - x_hat|; "baseline_" + name holds the warm start's
+_IMAGES = ("reconstruction.pgm", "error_map.pgm")
 
 
 # The config's numbers go on as JSON gave them: SensorPartition, ScenarioSpec
@@ -132,40 +135,37 @@ def parse_config(doc: dict) -> RunConfig:
 
     # a kind that reads an image writes its reconstructions to image_out_dir
     writes_images = "image_path" in reads
-    outputs = _object(
-        doc.get("outputs", {}),
-        "outputs",
-        ("trace_csv", "wsn_json") + (("image_out_dir",) if writes_images else ()),
-        kind,
-    )
+    keys = ("trace_csv", "wsn_json") + (("image_out_dir",) if writes_images else ())
+    outputs = _object(doc.get("outputs", {}), "outputs", keys, kind)
     paths = {k: _path_field(v, f"outputs.{k}") for k, v in outputs.items()}
-    if writes_images and paths.get("image_out_dir") is None:
-        raise ParseError(f"{kind} scenario requires outputs.image_out_dir")
-    trace, net = paths.get("trace_csv"), paths.get("wsn_json")
-    if trace and net and os.path.realpath(trace) == os.path.realpath(net):
-        raise ParseError(f"outputs.trace_csv and outputs.wsn_json are one file: {net}")
-
-    # MbiConfig supplies epsilon and max_iterations when they are left out
-    mbi_doc = _object(doc.get("mbi", {}), "mbi", ("epsilon", "max_iterations"))
-    try:
-        # only the trace CSV reads the intermediate banks
-        mbi = MbiConfig(record_trace=paths.get("trace_csv") is not None, **mbi_doc)
-    except InvalidInput as exc:
-        raise ParseError(f"invalid mbi settings: {exc}") from None
-
+    files = {k: v for k, v in paths.items() if v is not None}  # null: no file
     report_baseline = doc.get("report_baseline", False)
     if not isinstance(report_baseline, bool):
         raise ParseError(
             f"report_baseline must be true or false, got {report_baseline!r}"
         )
-    return RunConfig(
-        scenario=spec,
-        mbi=mbi,
-        trace_csv_path=paths.get("trace_csv"),
-        wsn_json_path=paths.get("wsn_json"),
-        image_out_dir=paths.get("image_out_dir"),
-        report_baseline=report_baseline,
-    )
+    if writes_images:
+        out = files.pop("image_out_dir", None)
+        if out is None:
+            raise ParseError(f"{kind} scenario requires outputs.image_out_dir")
+        for prefix in ("", "baseline_") if report_baseline else ("",):
+            files.update({prefix + f: os.path.join(out, prefix + f) for f in _IMAGES})
+    # no output may overwrite another or the image the run reads
+    image = {"scenario.image_path": spec.image_path} if spec.image_path else {}
+    seen = {}
+    for label, path in {**image, **files}.items():
+        first = seen.setdefault(os.path.realpath(path), label)
+        if first != label:
+            raise ParseError(f"{first} and {label} are one file: {path}")
+
+    # MbiConfig supplies epsilon and max_iterations when they are left out
+    mbi_doc = _object(doc.get("mbi", {}), "mbi", ("epsilon", "max_iterations"))
+    try:
+        # only the trace CSV reads the intermediate banks
+        mbi = MbiConfig(record_trace="trace_csv" in files, **mbi_doc)
+    except InvalidInput as exc:
+        raise ParseError(f"invalid mbi settings: {exc}") from None
+    return RunConfig(spec, mbi, files, report_baseline)
 
 
 def load_config(path) -> RunConfig:
@@ -176,17 +176,17 @@ def load_config(path) -> RunConfig:
     return parse_config(doc)
 
 
-def _atomic_save_pgm(a, path) -> None:
-    atomic_write(path, lambda tmp: save_pgm(a, tmp))
-
-
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
-    """Execute one configured scenario. Returns a process exit status."""
-    spec = config.scenario
+    """Execute one configured scenario. Returns a process exit status. An
+    output it could not write raises :class:`OSError` before any work."""
+    problems = _unwritable(config)
+    if problems:
+        raise OSError("; ".join(problems))
+    spec, files = config.scenario, config.outputs
     image_data = image_scenario(spec) if spec.kind == "image" else None
     if spec.kind == "exact_example1":  # the exact model, without samples
         model, ens = example1_model(spec.partition.r), None
@@ -201,7 +201,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     # f_i the solve recorded. Step 0 is the warm start.
     analytic = [_objective_mse(model, f_i) for f_i in trace.objective_per_iteration]
 
-    if config.trace_csv_path:
+    if "trace_csv" in files:
         # the empirical column comes from one running m x s residual,
         # updated by each committed block step
         if ens is None:
@@ -212,12 +212,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         for i, f_i in enumerate(trace.objective_per_iteration):
             chosen = "" if i == 0 else str(trace.chosen_block_per_iteration[i - 1])
             lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(analytic[i])},{emp[i]}")
-        text = "\n".join(lines) + "\n"
-        atomic_write(
-            config.trace_csv_path, lambda tmp: Path(tmp).write_text(text, newline="")
-        )
+        text = ("\n".join(lines) + "\n").encode()
+        atomic_write(files["trace_csv"], lambda tmp: Path(tmp).write_bytes(text))
 
-    if config.wsn_json_path:
+    if "wsn_json" in files:
         provenance = {
             "scenario_kind": spec.kind,
             "seed": spec.seed,
@@ -225,18 +223,18 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             "iterations": trace.iterations_used,
             "converged": trace.converged,
         }
-        save_wsn_json(factorize_wsn(bank), config.wsn_json_path, provenance)
+        save_wsn_json(factorize_wsn(bank), files["wsn_json"], provenance)
 
     if image_data is not None:
-        out = config.image_out_dir
-        os.makedirs(out, exist_ok=True)
         # the warm start is the per-sensor baseline the report compares against
         shown = {"": bank, "baseline_": start} if config.report_baseline else {"": bank}
         for prefix, b in shown.items():
             x_hat = b.apply(image_data.y_full)
-            _atomic_save_pgm(x_hat, os.path.join(out, f"{prefix}reconstruction.pgm"))
-            err = np.abs(image_data.x_full - x_hat)
-            _atomic_save_pgm(err, os.path.join(out, f"{prefix}error_map.pgm"))
+            pgms = (x_hat, np.abs(image_data.x_full - x_hat))
+            for name, pgm in zip(_IMAGES, pgms):
+                path = files[prefix + name]
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                atomic_write(path, lambda tmp: save_pgm(pgm, tmp))
 
     if not quiet:
         print(
@@ -246,6 +244,21 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         if config.report_baseline:
             print(f"baseline_mse={_fmt(analytic[0])}")
     return EXIT_OK
+
+
+def _unwritable(config: RunConfig) -> list[str]:
+    """A line for each output ``run`` could not write: the path is a directory,
+    or no writable directory holds it (``run`` makes those above an image)."""
+    problems = []
+    for label, path in config.outputs.items():
+        probe = os.path.dirname(os.path.abspath(path))
+        while label.endswith(".pgm") and not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if os.path.isdir(path):
+            problems.append(f"{label} is a directory: {path}")
+        elif not os.path.isdir(probe) or not os.access(probe, os.W_OK):
+            problems.append(f"{label} directory not writable: {probe}")
+    return problems
 
 
 def validate(config_path) -> tuple[bool, list[str]]:
@@ -262,33 +275,11 @@ def validate(config_path) -> tuple[bool, list[str]]:
         f"partition: m={part.m} n={list(part.n)} r={list(part.r)}",
     ]
     if cfg.scenario.kind == "image":
-        path = cfg.scenario.image_path
         try:
             _load_image(cfg.scenario)
-        except FileNotFoundError:
-            report.append(f"invalid: image file not found: {path}")
-        except (ValueError, OSError) as exc:
-            report.append(f"invalid: image {path}: {exc}")
-    for label, path in (
-        ("trace_csv", cfg.trace_csv_path),
-        ("wsn_json", cfg.wsn_json_path),
-    ):
-        if path is None:
-            continue
-        parent = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path):
-            report.append(f"invalid: {label} is a directory: {path}")
-        elif not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-            report.append(f"invalid: {label} directory not writable: {parent}")
-    if cfg.image_out_dir is not None:
-        # run creates the missing directories below the nearest existing one
-        out = probe = os.path.abspath(cfg.image_out_dir)
-        while not os.path.exists(probe):
-            probe = os.path.dirname(probe)
-        if not os.path.isdir(probe):
-            report.append(f"invalid: image_out_dir is not a directory: {probe}")
-        elif not os.access(probe, os.W_OK):
-            report.append(f"invalid: image_out_dir not writable: {out}")
+        except ValueError as exc:  # ParseError or InvalidInput
+            report.append(f"invalid: image {cfg.scenario.image_path}: {exc}")
+    report += [f"invalid: {problem}" for problem in _unwritable(cfg)]
     ok = not any(line.startswith("invalid:") for line in report)
     if ok:
         report.append("config ok")

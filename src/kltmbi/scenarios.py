@@ -187,7 +187,12 @@ def _load_image(spec: ScenarioSpec) -> np.ndarray:
     no more than :data:`MAX_SCENARIO_BYTES` with its columns as samples.
     Raises :class:`ParseError` or :class:`InvalidInput` otherwise."""
     part = spec.partition
-    x = load_pgm(spec.image_path)
+    try:
+        x = load_pgm(spec.image_path)
+    except FileNotFoundError:
+        raise ParseError(f"image file not found: {spec.image_path}") from None
+    except OSError as exc:
+        raise ParseError(f"image file cannot be read: {exc}") from None
     if x.shape[0] != part.m:
         raise InvalidInput(f"image has {x.shape[0]} rows, partition expects m={part.m}")
     if x.shape[1] < 2:

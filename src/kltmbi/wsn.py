@@ -7,9 +7,10 @@ sensor j, P_j (m x r_j) the corresponding block of the fusion-center decoder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
+import secrets
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,11 +213,14 @@ def _json_matrix(rows, name: str) -> np.ndarray:
 def atomic_write(path, write: Callable[[str], object]) -> None:
     """Have ``write`` fill a temporary file next to ``path``, then rename it
     onto ``path``. If anything fails, the temporary file is removed and an
-    existing ``path`` keeps its old contents."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    existing ``path`` keeps its old contents. A new ``path`` gets the mode
+    ``open`` gives (0o666 less the umask); an existing one keeps its own."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
     try:
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         write(tmp)
         os.replace(tmp, path)
     except BaseException:

@@ -747,7 +747,10 @@ class TestValidate:
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
         ok, report = validate(cfg)
         assert not ok
-        assert report[-1].startswith(f"invalid: {field} ")
+        # below an image_out_dir that is a file, run cannot write its images
+        label = "error_map.pgm" if field == "image_out_dir" else field
+        assert report[-1].startswith(f"invalid: {label} ")
+        assert report[-1].endswith(str(taken))
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
 
     def test_empty_image_out_dir(self, tmp_path):
@@ -778,7 +781,7 @@ class TestValidate:
         ok, report = validate(cfg)
         assert not ok
         assert report[-1] == (
-            f"invalid: image_out_dir is not a directory: {tmp_path / 'file'}"
+            f"invalid: error_map.pgm directory not writable: {tmp_path / 'file'}"
         )
 
     def test_unwritable_output_dir(self, tmp_path):
@@ -907,6 +910,104 @@ def test_outputs_naming_one_file_are_config_error(tmp_path, monkeypatch, capsys,
     assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
     assert "one file" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "outputs, shared",
+    [
+        ({"wsn_json": "src.pgm", "image_out_dir": "out"}, "src.pgm"),
+        (
+            {"trace_csv": "out/reconstruction.pgm", "image_out_dir": "out"},
+            "out/reconstruction.pgm",
+        ),
+    ],
+    ids=["wsn_json_is_image_path", "trace_csv_is_an_image_output"],
+)
+def test_outputs_naming_the_image_or_an_image_are_config_error(
+    tmp_path, monkeypatch, capsys, outputs, shared
+):
+    # the network JSON would overwrite the source image, or the trace CSV
+    # would be overwritten by the reconstruction
+    monkeypatch.chdir(tmp_path)
+    save_pgm(np.random.default_rng(0).random((5, 6)), tmp_path / "src.pgm")
+    source = (tmp_path / "src.pgm").read_bytes()
+    scenario = dict(_IMAGE_SCENARIO, m=5, n=[5], image_path="src.pgm")
+    cfg = _write_config(tmp_path, {"scenario": scenario, "outputs": outputs})
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert f"are one file: {shared}" in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert f"are one file: {shared}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "src.pgm"]
+    assert (tmp_path / "src.pgm").read_bytes() == source
+
+
+def test_outputs_get_ordinary_file_modes(tmp_path):
+    image = tmp_path / "src.pgm"
+    save_pgm(np.random.default_rng(0).random((5, 6)), image)
+    out = tmp_path / "out"
+    outputs = {
+        "trace_csv": str(tmp_path / "t.csv"),
+        "wsn_json": str(tmp_path / "w.json"),
+        "image_out_dir": str(out),
+    }
+    scenario = dict(_IMAGE_SCENARIO, m=5, n=[5], image_path=str(image))
+    doc = {"scenario": scenario, "outputs": outputs, "report_baseline": True}
+    cfg = _write_config(tmp_path, doc)
+    written = [tmp_path / "t.csv", tmp_path / "w.json"] + [
+        out / f"{prefix}{name}"
+        for prefix in ("", "baseline_")
+        for name in ("reconstruction.pgm", "error_map.pgm")
+    ]
+    umask = os.umask(0o022)
+    try:
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert {oct(p.stat().st_mode & 0o777) for p in written} == {"0o644"}
+        # a file that is overwritten keeps its mode
+        for p in written:
+            p.chmod(0o640)
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert {oct(p.stat().st_mode & 0o777) for p in written} == {"0o640"}
+    finally:
+        os.umask(umask)
+
+
+def test_run_checks_its_outputs_before_it_starts(tmp_path, monkeypatch, capsys):
+    (tmp_path / "net").mkdir()
+    cfg = _write_config(
+        tmp_path,
+        {
+            "scenario": {"kind": "exact_example1", "seed": 0},
+            "outputs": {
+                "trace_csv": str(tmp_path / "t.csv"),
+                "wsn_json": str(tmp_path / "net"),
+            },
+        },
+    )
+    import kltmbi.cli as cli_mod
+
+    def no_work(*args):
+        raise AssertionError("run started work on a config it cannot write")
+
+    monkeypatch.setattr(cli_mod, "example1_model", no_work)
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
+    assert f"wsn_json is a directory: {tmp_path / 'net'}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("image", ["missing", "directory"])
+def test_unreadable_image_is_config_error(tmp_path, capsys, image):
+    path = tmp_path / "src.pgm"
+    if image == "directory":
+        path.mkdir()
+    scenario = dict(_IMAGE_SCENARIO, m=5, n=[5], image_path=str(path))
+    outputs = {"image_out_dir": str(tmp_path / "out")}
+    cfg = _write_config(tmp_path, {"scenario": scenario, "outputs": outputs})
+    message = {"missing": "image file not found", "directory": "cannot be read"}
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message[image] in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert message[image] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _field_defaults(cls) -> dict:
