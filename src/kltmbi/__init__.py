@@ -38,11 +38,9 @@ from .solver import (
     CompressorBank,
     MbiConfig,
     MbiTrace,
-    ReducedProblem,
     init_bank,
     klt_matrix,
     mbi_solve,
-    objective,
     reduce_problem,
 )
 from .wsn import (
@@ -67,7 +65,6 @@ __all__ = [
     "MbiTrace",
     "NotPsd",
     "ParseError",
-    "ReducedProblem",
     "SampleEnsemble",
     "ScenarioSpec",
     "SecondMomentModel",
@@ -86,7 +83,6 @@ __all__ = [
     "load_pgm",
     "load_wsn_json",
     "mbi_solve",
-    "objective",
     "pinv",
     "psd_sqrt",
     "reconstruct",

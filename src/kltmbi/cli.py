@@ -74,11 +74,11 @@ def _list_field(value, name: str) -> list:
     return value
 
 
-def _path_field(value, name: str) -> str | None:
-    if value is not None and not isinstance(value, str):
+def _path_field(value, name: str) -> str:
+    if not isinstance(value, str):
         raise ParseError(f"{name} must be a string, got {value!r}")
     try:  # a name the OS takes: not empty, no NUL, in the file-system encoding
-        ok = value is None or (value and "\0" not in value and os.fsencode(value))
+        ok = value and "\0" not in value and os.fsencode(value)
     except UnicodeEncodeError:
         ok = False
     if not ok:
@@ -137,8 +137,7 @@ def parse_config(doc: dict) -> RunConfig:
     writes_images = "image_path" in reads
     keys = ("trace_csv", "wsn_json") + (("image_out_dir",) if writes_images else ())
     outputs = _object(doc.get("outputs", {}), "outputs", keys, kind)
-    paths = {k: _path_field(v, f"outputs.{k}") for k, v in outputs.items()}
-    files = {k: v for k, v in paths.items() if v is not None}  # null: no file
+    files = {k: _path_field(v, f"outputs.{k}") for k, v in outputs.items()}
     report_baseline = doc.get("report_baseline", False)
     if not isinstance(report_baseline, bool):
         raise ParseError(

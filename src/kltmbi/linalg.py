@@ -16,8 +16,8 @@ from .errors import InvalidInput, NotPsd
 
 _EPS = np.finfo(np.float64).eps
 
-# psd_sqrt's tolerance, relative to max(1, ||c||), for asymmetry and for
-# negative eigenvalues that are clamped to zero as estimation noise.
+# psd_sqrt's tolerance, relative to ||c||, for asymmetry and for negative
+# eigenvalues that are clamped to zero as estimation noise.
 _PSD_REL_TOL = 1e-8
 
 
@@ -53,13 +53,6 @@ class SvdFactors:
         threshold count as exact zeros."""
         k = self.numeric_rank
         return (self.v[:, :k] / self.sigma[:k]) @ self.u[:, :k].T
-
-    def row_projector(self) -> np.ndarray:
-        """Orthogonal projector ``V_k V_k^T`` onto the row space (range of
-        ``c.T``). NumPy forms ``v @ v.T`` with a symmetric rank-k update, so
-        the result is exactly symmetric."""
-        v = self.v[:, : self.numeric_rank]
-        return v @ v.T
 
 
 def svd(c) -> SvdFactors:
@@ -117,15 +110,17 @@ def psd_sqrt(c) -> np.ndarray:
     rule: every eigenvalue at or below ``N * eps * max(lambda_max, 0)`` of
     the N x N input is an exact zero, so round-off in a rank-deficient input
     (such as a sample moment from fewer samples than rows) adds no rank.
-    This also clamps eigenvalues in ``[-1e-8 * max(1, ||c||), 0)``
-    (tolerated estimation noise); anything more negative raises
-    :class:`NotPsd`. The eigendecomposition of the symmetrized input keeps
-    the root exactly symmetric.
+    This also clamps eigenvalues in ``[-1e-8 * ||c||, 0)`` (tolerated
+    estimation noise); anything more negative raises :class:`NotPsd`, and
+    an asymmetry ``||c - c^T||`` above ``1e-8 * ||c||`` raises
+    :class:`InvalidInput`. Both tolerances are relative to ``||c||``, so the
+    decision does not depend on the scale of ``c``. The eigendecomposition
+    of the symmetrized input keeps the root exactly symmetric.
     """
     c = _as_matrix(c)
     if c.shape[0] != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
-    scale = max(1.0, float(np.linalg.norm(c)))
+    scale = float(np.linalg.norm(c))
     if np.linalg.norm(c - c.T) > _PSD_REL_TOL * scale:
         raise InvalidInput("psd_sqrt input is not symmetric within tolerance")
     sym = (c + c.T) / 2.0

@@ -11,13 +11,13 @@ candidates per sweep, solves only the best in full and commits it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
 from .errors import InvalidInput
-from .linalg import SvdFactors, pinv, psd_sqrt, svd, truncated
+from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, svd, truncated
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,10 @@ class ReducedProblem:
     """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
 
     ``factors[j]`` is the thin SVD G_j = U_j S_j V_j^T of block j, with
-    numeric rank k_j; the screen's V_j and U_j S_j, and the row-space
-    projector V_j V_j^T and G_j^+ of :func:`_block_solve`, all come from it.
+    numeric rank k_j, the count of its singular values above
+    ``N * eps * max_i sigma_1(G_i)``; the screen's V_j and U_j S_j, and the
+    row-space projector V_j V_j^T and G_j^+ of :func:`_block_solve`, all
+    come from it.
     With ``h`` and the ``g_blocks`` that is about two n_total x n_total
     arrays in all, whatever p is; a sweep builds one projector, for the one
     block it solves in full.
@@ -133,17 +135,20 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
     part = model.partition
     root = model.e_yy_root
     g_blocks = tuple(root[part.y_slice(j)] for j in range(part.p))
+    factors = [svd(g) for g in g_blocks]
+    # the G_j are slices of one root, so each is ranked on the root's scale:
+    # a G_j of pure round-off (a sensor with E_jj = 0) gets rank 0, where its
+    # own sigma_1 would give it the rank of its noise
+    tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
     return ReducedProblem(
         h=model.h,
         g_blocks=g_blocks,
-        factors=tuple(svd(g) for g in g_blocks),
+        factors=tuple(
+            replace(f, numeric_rank=int(np.count_nonzero(f.sigma > tol)))
+            for f in factors
+        ),
         partition=part,
     )
-
-
-def objective(rp: ReducedProblem, bank: CompressorBank) -> float:
-    """Squared Frobenius norm of h - sum_j F_j G_j."""
-    return _residual(rp.h, rp.g_blocks, bank)[1]
 
 
 def _residual(
@@ -162,7 +167,8 @@ def _block_solve(s: np.ndarray, f: SvdFactors, r: int) -> np.ndarray:
     """Minimum-norm minimizer of ||s - F G||_F over rank-<=r matrices F, for
     the block G whose thin SVD is ``f``: ``[s R]_r G^+``, where ``R``
     projects onto the row space of G."""
-    return truncated(s @ f.row_projector(), r) @ f.pinv()
+    v = f.v[:, : f.numeric_rank]
+    return truncated(s @ (v @ v.T), r) @ f.pinv()
 
 
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:

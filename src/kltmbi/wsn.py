@@ -106,8 +106,9 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
 
     That is the model's Wiener MSE (``model.wiener_mse``) plus the solver's
     objective, with the objective's residual formed by the solver's own
-    function, so it equals ``model.wiener_mse + objective(rp, bank)`` bit
-    for bit. Works identically for exact and sample-estimated moments.
+    function, so it equals ``model.wiener_mse`` plus the objective
+    :func:`~kltmbi.solver.mbi_solve` records for the bank, bit for bit.
+    Works identically for exact and sample-estimated moments.
     """
     part = model.partition
     if bank.partition.n != part.n or bank.partition.m != part.m:

@@ -1,12 +1,26 @@
-"""Model builders shared by the test modules.
+"""Model builders and the per-block KLT oracle shared by the test modules.
 
 Each builder draws from the generator it is given, so a seeded test sees the
-same model whichever module builds it.
+same model whichever module builds it. The oracle reads only a model's
+moments and a bank, never the solver's reduced form, so the solver is
+checked against the paper's statement of each MBI step rather than its own
+internals.
 """
+
+import warnings
 
 import numpy as np
 
-from kltmbi import InvalidInput, MbiConfig, SensorPartition
+from kltmbi import (
+    CompressorBank,
+    DegenerateTruncationWarning,
+    InvalidInput,
+    MbiConfig,
+    SensorPartition,
+    klt_matrix,
+    mbi_solve,
+    reduce_problem,
+)
 from kltmbi.covariance import SecondMomentModel
 
 # One MBI sweep from a given bank: what the benchmark's library workload runs
@@ -47,3 +61,48 @@ def noisy_model(rng, m, n, r, noise=0.5, extra_cols=20):
     return SecondMomentModel(
         partition=model.partition, e_xx=model.e_xx, e_xy=model.e_xy, e_yy=e_yy
     )
+
+
+def recorded_objective(rp, bank) -> float:
+    """The objective a solve records for ``bank``, its analytic MSE less the
+    Wiener MSE before clamping: a solve that stops at once records only its
+    start's."""
+    _, trace = mbi_solve(rp, bank, MbiConfig(epsilon=np.inf, record_trace=False))
+    return trace.objective_per_iteration[0]
+
+
+def direct_mse(model, bank) -> float:
+    """The MSE of ``bank`` expanded from the moments alone:
+    tr E_xx - 2 <F, E_xy> + <F E_yy, F> with F = [F_1, ..., F_p]."""
+    f = bank.full()
+    return float(
+        np.trace(model.e_xx) - 2 * np.vdot(f, model.e_xy) + np.vdot(f @ model.e_yy, f)
+    )
+
+
+def best_block(model, bank, j) -> np.ndarray:
+    """The per-block KLT step: the best rank-r_j F_j with the other blocks of
+    ``bank`` fixed, the single-sensor KLT of y_j for the target left by them,
+    klt_matrix(E_{x y_j} - sum_{i != j} F_i E_{y_i y_j}, E_jj, r_j)."""
+    part = model.partition
+    yj = part.y_slice(j)
+    target = model.e_xy[:, yj].copy()
+    for i in range(part.p):
+        if i != j:
+            target -= bank.blocks[i] @ model.e_yy[part.y_slice(i), yj]
+    # callers compare candidates within a tolerance, so a tie at the cut is
+    # theirs to judge
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTruncationWarning)
+        return klt_matrix(target, model.e_yy[yj, yj], part.r[j])
+
+
+def block_step(s, g, r) -> np.ndarray:
+    """The solver's step on one block G = ``g`` toward the target ``s``: one
+    MBI sweep from F = 0 on the single-sensor model of the factor [s; g]
+    (E_xx = s s^T, E_xy = s g^T, E_yy = g g^T), whose MSE of F is
+    ||s - F g||_F^2."""
+    part = SensorPartition(m=s.shape[0], n=(g.shape[0],), r=(r,))
+    model = joint_model_from_factor(np.vstack([s, g]), part)
+    bank, _ = mbi_solve(reduce_problem(model), CompressorBank.zeros(part), ONE_SWEEP)
+    return bank.blocks[0]

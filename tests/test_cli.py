@@ -524,6 +524,10 @@ _IMAGE_SCENARIO = {
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": 1}},
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": ""}},
         {"scenario": _NOISE_SCENARIO, "outputs": {"wsn_json": ""}},
+        # null is no path; an output left out is not written
+        {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": None}},
+        {"scenario": _NOISE_SCENARIO, "outputs": {"wsn_json": None}},
+        {"scenario": _IMAGE_SCENARIO, "outputs": {"image_out_dir": None}},
         # a NUL character, which no file name holds, and a lone surrogate,
         # which the file-system encoding cannot encode
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": "t\0.csv"}},
@@ -577,6 +581,9 @@ _IMAGE_SCENARIO = {
         "output_path_not_str",
         "trace_csv_empty",
         "wsn_json_empty",
+        "trace_csv_null",
+        "wsn_json_null",
+        "image_out_dir_null",
         "output_path_nul",
         "output_path_surrogate",
         "image_path_nul",
@@ -1155,7 +1162,8 @@ def _run_docs(draw) -> dict:
 
 
 def _under(root: str, section) -> None:
-    # move the paths of a config section into root; "" stays "no output"
+    # move the paths of a config section into root; "" stays empty, which
+    # no file has as its name
     if isinstance(section, dict):
         for key in ("image_path", "trace_csv", "wsn_json", "image_out_dir"):
             if isinstance(section.get(key), str) and section[key]:

@@ -14,7 +14,6 @@ from kltmbi import (
     generate,
     pinv,
     psd_sqrt,
-    reduce_problem,
     svd,
     truncated,
 )
@@ -179,33 +178,62 @@ class TestPsdSqrt:
         with pytest.raises(InvalidInput):
             psd_sqrt(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "c, error",
+        [
+            (np.diag([1.0, -0.5]), NotPsd),
+            (np.array([[1.0, 0.1], [0.0, 1.0]]), InvalidInput),  # 10% asymmetric
+            (np.diag([1.0, -1e-12]), None),  # clamped
+            (np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]]), None),  # symmetrized
+        ],
+        ids=["indefinite", "asymmetric", "clamped", "near_symmetric"],
+    )
+    def test_decision_is_scale_free(self, c, error):
+        # both tolerances are relative to ||c||, so every scale 4^k c, exact
+        # in floating point, gets the decision c gets
+        for k in range(-30, 11):
+            scaled = 4.0**k * c
+            if error is None:
+                psd_sqrt(scaled)
+            else:
+                with pytest.raises(error):
+                    psd_sqrt(scaled)
+
+
+def _projector(c):
+    """``V_k V_k^T`` from :func:`svd`'s factors, as the block solve forms the
+    projector onto the row space of ``c`` (the range of ``c.T``)."""
+    f = svd(c)
+    v = f.v[:, : f.numeric_rank]
+    return v @ v.T
+
 
 class TestProjectors:
     def test_full_column_rank_right_projector_is_identity(self):
         rng = np.random.default_rng(6)
         c = _random_matrix(rng, 6, 3)  # full column rank a.s.
-        assert np.allclose(svd(c).row_projector(), np.eye(3), atol=1e-9)
+        assert np.allclose(_projector(c), np.eye(3), atol=1e-9)
 
     def test_zero_matrix(self):
-        assert np.array_equal(svd(np.zeros((3, 2))).row_projector(), np.zeros((2, 2)))
-        assert np.array_equal(svd(np.zeros((2, 3))).row_projector(), np.zeros((3, 3)))
+        assert np.array_equal(_projector(np.zeros((3, 2))), np.zeros((2, 2)))
+        assert np.array_equal(_projector(np.zeros((2, 3))), np.zeros((3, 3)))
 
     def test_trace_equals_rank(self):
         rng = np.random.default_rng(7)
         c = _random_matrix(rng, 4, 2) @ _random_matrix(rng, 2, 4)  # rank 2
-        assert np.trace(svd(c).row_projector()) == pytest.approx(2.0, abs=1e-9)
+        assert np.trace(_projector(c)) == pytest.approx(2.0, abs=1e-9)
 
     def test_projection_action(self):
         rng = np.random.default_rng(8)
         c = _random_matrix(rng, 5, 3) @ _random_matrix(rng, 3, 6)
         scale = np.linalg.norm(c)
-        assert np.linalg.norm(c @ svd(c).row_projector() - c) <= 1e-9 * scale
-        assert np.linalg.norm(svd(c.T).row_projector() @ c - c) <= 1e-9 * scale
+        assert np.linalg.norm(c @ _projector(c) - c) <= 1e-9 * scale
+        assert np.linalg.norm(_projector(c.T) @ c - c) <= 1e-9 * scale
 
     def test_idempotent_and_symmetric(self):
         rng = np.random.default_rng(9)
         for c in (_random_matrix(rng, 4, 6), _random_matrix(rng, 3, 2)):
-            for p in (svd(c).row_projector(), svd(c.T).row_projector()):
+            for p in (_projector(c), _projector(c.T)):
                 scale = max(1.0, np.linalg.norm(p))
                 assert np.linalg.norm(p @ p - p) <= 1e-9 * scale
                 assert np.linalg.norm(p - p.T) <= 1e-9 * scale
@@ -214,8 +242,8 @@ class TestProjectors:
         rng = np.random.default_rng(10)
         c = _random_matrix(rng, 5, 4)
         cp = pinv(c)
-        assert np.allclose(svd(c).row_projector(), cp @ c, atol=1e-9)
-        assert np.allclose(svd(c.T).row_projector(), c @ cp, atol=1e-9)
+        assert np.allclose(_projector(c), cp @ c, atol=1e-9)
+        assert np.allclose(_projector(c.T), c @ cp, atol=1e-9)
 
     @pytest.mark.parametrize(
         "shape, rank", [((3, 7), 3), ((7, 3), 3), ((6, 9), 2), ((9, 6), 2)]
@@ -224,20 +252,20 @@ class TestProjectors:
         # wide, tall and rank-deficient: no symmetrization step is needed
         rng = np.random.default_rng(11)
         c = _random_matrix(rng, shape[0], rank) @ _random_matrix(rng, rank, shape[1])
-        f = svd(c)
-        assert f.numeric_rank == rank
-        p = f.row_projector()
+        assert svd(c).numeric_rank == rank
+        p = _projector(c)
         assert np.array_equal(p, p.T)
 
     def test_exactly_symmetric_in_reduce_problem_layout(self):
-        # the G_j are row blocks of E_yy^(1/2) at N = 512, as in reduce_problem
+        # the G_j are row blocks of E_yy^(1/2) at N = 512, as the solver
+        # slices them
         part = SensorPartition(m=32, n=(32,) * 16, r=(8,) * 16)
         spec = ScenarioSpec(
             kind="linear_mixing", partition=part, s=600, sigmas=(0.3,) * 16, seed=1
         )
-        rp = reduce_problem(estimate_moments(generate(spec), part))
-        for f in rp.factors:
-            p = f.row_projector()
+        root = psd_sqrt(estimate_moments(generate(spec), part).e_yy)
+        for j in range(part.p):
+            p = _projector(root[part.y_slice(j)])
             assert np.array_equal(p, p.T)
 
 

@@ -1,11 +1,24 @@
-"""Tests for problem reduction, the block solver and the MBI iteration."""
+"""Tests for the block solver and the MBI iteration, stated through the
+public contract: ``reduce_problem``'s result is a handle passed only to
+``mbi_solve``; a bank's objective is what a solve records for it, its
+analytic MSE less the Wiener MSE; and each step is checked against the
+per-block KLT oracle of ``conftest``."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ONE_SWEEP, joint_model_from_factor, noisy_model, random_model
+from conftest import (
+    ONE_SWEEP,
+    best_block,
+    block_step,
+    direct_mse,
+    joint_model_from_factor,
+    noisy_model,
+    random_model,
+    recorded_objective,
+)
 from kltmbi import (
     CompressorBank,
     DegenerateTruncationWarning,
@@ -20,27 +33,34 @@ from kltmbi import (
     init_bank,
     klt_matrix,
     mbi_solve,
-    objective,
+    pinv,
     psd_sqrt,
     reduce_problem,
-    svd,
 )
 from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
-from kltmbi.solver import _block_solve
 
 
 class TestReduceProblem:
     def test_identity_e_yy(self):
+        # E_yy = I leaves the target E_xy as it is: the objective of F is
+        # ||E_xy - F||^2
+        rng = np.random.default_rng(0)
         part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
         e_xy = np.arange(8.0).reshape(2, 4)
         model = SecondMomentModel(
             partition=part, e_xx=np.eye(2), e_xy=e_xy, e_yy=np.eye(4)
         )
         rp = reduce_problem(model)
-        assert np.allclose(rp.h, e_xy)
-        assert np.allclose(rp.g_blocks[0], np.eye(4)[:2])
-        assert np.allclose(rp.g_blocks[1], np.eye(4)[2:])
+        for bank in (
+            CompressorBank.zeros(part),
+            CompressorBank(
+                blocks=(rng.standard_normal((2, 2)), rng.standard_normal((2, 2))),
+                partition=part,
+            ),
+        ):
+            want = np.linalg.norm(e_xy - bank.full()) ** 2
+            assert recorded_objective(rp, bank) == pytest.approx(want, rel=1e-12)
 
     def test_noiseless_single_sensor(self):
         part = SensorPartition(m=3, n=(3,), r=(3,))
@@ -48,30 +68,37 @@ class TestReduceProblem:
             partition=part, e_xx=np.eye(3), e_xy=np.eye(3), e_yy=np.eye(3)
         )
         rp = reduce_problem(model)
-        assert np.allclose(rp.h, np.eye(3))
-        assert np.allclose(rp.g_blocks[0], np.eye(3))
+        zero = CompressorBank.zeros(part)
+        assert recorded_objective(rp, zero) == pytest.approx(3.0)
+        identity = CompressorBank(blocks=(np.eye(3),), partition=part)
+        assert recorded_objective(rp, identity) == pytest.approx(0.0, abs=1e-18)
+        bank, _ = mbi_solve(rp, zero, ONE_SWEEP)
+        assert np.allclose(bank.blocks[0], np.eye(3))
 
     def test_g_blocks_stack_to_root(self):
+        # the solve reads the root and target analytic_mse reads: every
+        # objective it records is the bank's analytic MSE less the Wiener
+        # MSE, bit for bit
         rng = np.random.default_rng(0)
         model = random_model(rng, 3, (2, 3), (1, 2))
         rp = reduce_problem(model)
-        assert np.array_equal(np.vstack(rp.g_blocks), psd_sqrt(model.e_yy))
-        assert np.array_equal(np.vstack(rp.g_blocks), model.e_yy_root)
-        assert np.array_equal(rp.h, model.h)
+        for _ in range(3):
+            bank = CompressorBank(
+                blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 3))),
+                partition=model.partition,
+            )
+            f = recorded_objective(rp, bank)
+            assert analytic_mse(model, bank) == max(float(model.wiener_mse + f), 0.0)
 
     def test_cached_projectors(self):
-        # each stored SVD's row basis V_j is orthonormal and spans the row
-        # space of G_j, and G_j V_j = U_j S_j
+        # the screen's bases and the block solve's projectors pick and
+        # reach the oracle's best block at every step, from either start
         rng = np.random.default_rng(1)
         model = random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
         rp = reduce_problem(model)
-        for g, f in zip(rp.g_blocks, rp.factors):
-            k = f.numeric_rank
-            v, us = f.v[:, :k], f.u[:, :k] * f.sigma[:k]
-            scale = max(1, np.linalg.norm(g))
-            assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
-            assert np.linalg.norm(g @ v @ v.T - g) <= 1e-9 * scale
-            assert np.linalg.norm(g @ v - us) <= 1e-9 * scale
+        for start in (init_bank(model), CompressorBank.zeros(model.partition)):
+            _, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=10))
+            _assert_oracle_sweeps(model, trace)
 
     def test_trace_expansion_identity(self):
         # the reduced objective and the direct second-moment expansion of the
@@ -84,19 +111,9 @@ class TestReduceProblem:
                 blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 2))),
                 partition=model.partition,
             )
-            f_full = bank.full()
-            direct = np.trace(
-                model.e_xx
-                - model.e_xy @ f_full.T
-                - f_full @ model.e_xy.T
-                + f_full @ model.e_yy @ f_full.T
-            )
-            reduced = (
-                np.trace(model.e_xx)
-                - np.linalg.norm(rp.h) ** 2
-                + objective(rp, bank)
-            )
-            assert direct == pytest.approx(reduced, rel=1e-8)
+            reduced = model.wiener_mse + recorded_objective(rp, bank)
+            assert direct_mse(model, bank) == pytest.approx(reduced, rel=1e-8)
+            assert analytic_mse(model, bank) == pytest.approx(reduced, rel=1e-8)
 
 
 class TestObjective:
@@ -105,7 +122,10 @@ class TestObjective:
         model = random_model(rng, 2, (2, 2), (1, 1))
         rp = reduce_problem(model)
         bank = CompressorBank.zeros(model.partition)
-        assert objective(rp, bank) == pytest.approx(np.linalg.norm(rp.h) ** 2)
+        # ||H||^2 = tr E_xx - wiener_mse
+        want = np.trace(model.e_xx) - model.wiener_mse
+        assert recorded_objective(rp, bank) == pytest.approx(want)
+        assert analytic_mse(model, bank) == pytest.approx(np.trace(model.e_xx))
 
     def test_exact_fit_single_sensor(self):
         part = SensorPartition(m=2, n=(3,), r=(3,))
@@ -116,10 +136,13 @@ class TestObjective:
             e_yy=np.eye(3),
         )
         rp = reduce_problem(model)
-        bank = CompressorBank(blocks=(rp.h @ rp.factors[0].pinv(),), partition=part)
-        assert objective(rp, bank) == pytest.approx(0.0, abs=1e-18)
+        # the Wiener filter E_xy E_yy^+
+        bank = CompressorBank(blocks=(model.e_xy @ pinv(model.e_yy),), partition=part)
+        assert recorded_objective(rp, bank) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_entrywise_sum(self):
+        # ||H - F E_yy^(1/2)||^2 with H = E_xy (E_yy^(1/2))^+, summed entry
+        # by entry from a root formed here
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, (2, 3), (1, 2))
         rp = reduce_problem(model)
@@ -127,23 +150,25 @@ class TestObjective:
             blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 3))),
             partition=model.partition,
         )
-        resid = rp.h - bank.blocks[0] @ rp.g_blocks[0] - bank.blocks[1] @ rp.g_blocks[1]
+        root = psd_sqrt(model.e_yy)
+        resid = model.e_xy @ pinv(root) - bank.full() @ root
         brute = sum(v * v for v in resid.ravel())
-        assert objective(rp, bank) == pytest.approx(brute, rel=1e-12)
+        assert recorded_objective(rp, bank) == pytest.approx(brute, rel=1e-12)
 
 
 class TestRankConstrainedLsq:
-    """The block step: the minimum-norm minimizer of ||s - F G||_F over
-    rank-<=r matrices F."""
+    """The block step: the minimum-norm minimizer of ||s - F g||_F over
+    rank-<=r matrices F, taken by one MBI sweep on the single-sensor model
+    whose MSE of F is that residual (``conftest.block_step``)."""
 
     def test_identity_g_unconstrained(self):
         rng = np.random.default_rng(5)
         s = rng.standard_normal((3, 4))
-        assert np.allclose(_block_solve(s, svd(np.eye(4)), 4), s)
+        assert np.allclose(block_step(s, np.eye(4), 4), s)
 
     def test_zero_g(self):
         s = np.ones((2, 3))
-        out = _block_solve(s, svd(np.zeros((3, 3))), 1)
+        out = block_step(s, np.zeros((3, 3)), 1)
         assert np.array_equal(out, np.zeros((2, 3)))
 
     def test_beats_random_candidates(self):
@@ -151,7 +176,7 @@ class TestRankConstrainedLsq:
         m, nj, r = 3, 5, 2
         s = rng.standard_normal((m, 5))
         g = rng.standard_normal((nj, 5)) + np.eye(5)
-        f_opt = _block_solve(s, svd(g), r)
+        f_opt = block_step(s, g, r)
         assert np.linalg.matrix_rank(f_opt) <= r
         res_opt = np.linalg.norm(s - f_opt @ g)
         cand_a = rng.standard_normal((2000, m, r))
@@ -164,7 +189,7 @@ class TestRankConstrainedLsq:
         s = rng.standard_normal((4, 5))
         g = rng.standard_normal((5, 5)) + 3 * np.eye(5)
         for r in (1, 2, 3):
-            f_opt = _block_solve(s, svd(g), r)
+            f_opt = block_step(s, g, r)
             sigma = np.linalg.svd(s, compute_uv=False)  # R_G = I here
             tail = np.sqrt((sigma[r:] ** 2).sum())
             assert np.linalg.norm(s - f_opt @ g) == pytest.approx(tail, abs=1e-8)
@@ -173,16 +198,16 @@ class TestRankConstrainedLsq:
     def test_strict_gap_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegenerateTruncationWarning)
-            _block_solve(np.diag([3.0, 1.0]), svd(np.eye(2)), 1)
+            block_step(np.diag([3.0, 1.0]), np.eye(2), 1)
 
     def test_tied_singular_values_warn(self):
         with pytest.warns(DegenerateTruncationWarning):
-            _block_solve(2 * np.eye(2), svd(np.eye(2)), 1)
+            block_step(2 * np.eye(2), np.eye(2), 1)
 
     def test_full_rank_cut_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegenerateTruncationWarning)
-            _block_solve(np.diag([2.0, 2.0]), svd(np.eye(2)), 2)
+            block_step(np.diag([2.0, 2.0]), np.eye(2), 2)
 
 
 class TestKltSingle:
@@ -222,7 +247,7 @@ class TestInitBank:
         model = joint_model_from_factor(np.vstack([ax, ax]), part)
         bank = init_bank(model)  # splits x into rows (0, 1) and (2, 3)
         rp = reduce_problem(model)
-        assert objective(rp, bank) == pytest.approx(0.0, abs=1e-16)
+        assert recorded_objective(rp, bank) == pytest.approx(0.0, abs=1e-16)
 
     def test_fallback_zero_bank_when_m_below_p(self):
         rng = np.random.default_rng(11)
@@ -243,8 +268,10 @@ class TestMbiStep:
         rng = np.random.default_rng(13)
         model = noisy_model(rng, 3, (3, 3), (2, 2))
         rp = reduce_problem(model)
-        bank, _ = mbi_solve(rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200))
-        f_before = objective(rp, bank)
+        bank, solved = mbi_solve(
+            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
+        )
+        f_before = solved.objective_per_iteration[-1]
         _, trace = mbi_solve(rp, bank, ONE_SWEEP)
         assert abs(trace.objective_per_iteration[-1] - f_before) <= 1e-12
 
@@ -261,7 +288,7 @@ class TestMbiStep:
         rp = reduce_problem(model)
         start = init_bank(model)
         _, trace = mbi_solve(rp, start, ONE_SWEEP)
-        assert trace.objective_per_iteration[-1] < objective(rp, start)
+        assert trace.objective_per_iteration[-1] < trace.objective_per_iteration[0]
 
     def test_tie_breaks_to_lowest_index(self):
         # symmetric two-sensor setup: both candidates improve equally
@@ -341,15 +368,10 @@ class TestMbiSolve:
             rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=300)
         )
         assert trace.converged
-        f0 = objective(rp, bank)
+        f0 = direct_mse(model, bank)
         for j in range(model.partition.p):
-            s_j = rp.h - sum(
-                bank.blocks[i] @ rp.g_blocks[i]
-                for i in range(model.partition.p)
-                if i != j
-            )
-            cand = _block_solve(s_j, rp.factors[j], model.partition.r[j])
-            assert f0 - objective(rp, bank.replace(j, cand)) < 1e-9
+            cand = best_block(model, bank, j)
+            assert f0 - direct_mse(model, bank.replace(j, cand)) < 1e-9
 
     def test_trace_off_skips_banks(self):
         model = example1_model()
@@ -380,35 +402,6 @@ class TestMbiSolve:
         assert (cfg.epsilon, cfg.max_iterations) == (0.5, 3)
 
 
-def _full_block_solves(rp, bank):
-    """Yield (s_j, candidate) for each block: its full solve from ``bank``
-    with the block solver."""
-    total = sum(fj @ gj for fj, gj in zip(bank.blocks, rp.g_blocks))
-    for j, gj in enumerate(rp.g_blocks):
-        s_j = rp.h - total + bank.blocks[j] @ gj
-        yield s_j, _block_solve(s_j, svd(gj), rp.partition.r[j])
-
-
-def _exhaustive_mbi(rp, bank, max_iterations):
-    """Reference MBI with epsilon = 0: every sweep solves all p blocks in
-    full with the block solver and commits the best one."""
-    f_cur = objective(rp, bank)
-    chosen = []
-    for _ in range(max_iterations):
-        cands = [
-            (float(np.linalg.norm(s_j - cand @ gj) ** 2), cand)
-            for (s_j, cand), gj in zip(_full_block_solves(rp, bank), rp.g_blocks)
-        ]
-        j = min(range(rp.partition.p), key=lambda i: cands[i][0])  # ties -> lowest index
-        new_bank = bank.replace(j, cands[j][1])
-        f_new = objective(rp, new_bank)
-        if f_new >= f_cur:
-            break
-        bank, f_cur = new_bank, f_new
-        chosen.append(j)
-    return bank, chosen
-
-
 def _identical_sensors_model(rng):
     # sensors 0 and 1 observe the same signal: in exact arithmetic they tie
     part = SensorPartition(m=3, n=(3, 3, 2), r=(1, 1, 1))
@@ -429,31 +422,43 @@ def _sampled_model(seed):
 
 
 def _silent_sensor_model(rng):
-    # sensor 1 observes nothing: G_1 = 0 has numeric rank 0
+    # sensor 1 observes nothing: E_11 = 0 exactly, and its rows of E_yy^(1/2)
+    # are round-off, which must count for rank 0
     part = SensorPartition(m=3, n=(3, 2, 3), r=(1, 1, 2))
     a = rng.standard_normal((11, 14))
     a[6:8] = 0.0
     return joint_model_from_factor(a, part)
 
 
-def _best_block_objective(rp, bank):
-    """Smallest objective that one full block solve from ``bank`` reaches."""
-    return min(
-        objective(rp, bank.replace(j, cand))
-        for j, (_, cand) in enumerate(_full_block_solves(rp, bank))
-    )
-
-
-def _assert_best_block_sweeps(rp, trace):
-    """Every sweep commits a bank whose objective is within 1e-12 ||h||^2 of
-    the best full block solve from the bank before it; a sweep that keeps
-    the incumbent ends the solve, and then no block does better either."""
-    tol = 1e-12 * np.linalg.norm(rp.h) ** 2
-    banks = trace.banks
-    for before, after in zip(banks, banks[1:]):
-        assert objective(rp, after) <= _best_block_objective(rp, before) + tol
-    if trace.converged:
-        assert objective(rp, banks[-1]) <= _best_block_objective(rp, banks[-1]) + tol
+def _assert_oracle_sweeps(model, trace):
+    """Check a recorded solve against the per-block KLT oracle, to within
+    tol = 1e-12 ||H||^2 (||H||^2 = tr E_xx - wiener_mse). Each recorded
+    objective plus the Wiener MSE is its bank's direct MSE. From each
+    recorded bank, every block's oracle step is scored by its direct MSE;
+    the committed step reaches the best of them to within tol, and it is the
+    best one wherever no other block is within tol of it, so that without
+    such near-ties the chosen sequence is the oracle's. A converged solve
+    ends where no oracle block does better."""
+    p = model.partition.p
+    tol = 1e-12 * (np.trace(model.e_xx) - model.wiener_mse)
+    mse = [model.wiener_mse + f for f in trace.objective_per_iteration]
+    for f, bank in zip(mse, trace.banks):
+        assert abs(f - direct_mse(model, bank)) <= tol
+    chosen = trace.chosen_block_per_iteration
+    checked = trace.banks if trace.converged else trace.banks[:-1]
+    for t, bank in enumerate(checked):
+        scores = [
+            direct_mse(model, bank.replace(j, best_block(model, bank, j)))
+            for j in range(p)
+        ]
+        best = min(scores)
+        if t == len(chosen):  # the sweep that stopped the solve
+            assert mse[t] <= best + tol
+            continue
+        assert mse[t + 1] <= best + tol
+        runner_up = sorted(scores)[1] if p > 1 else np.inf
+        if runner_up > best + tol:
+            assert chosen[t] == scores.index(best)
 
 
 def _count_candidates(monkeypatch):
@@ -470,20 +475,20 @@ def _count_candidates(monkeypatch):
 
 class TestScreenedSweepEquivalence:
     """mbi_solve scores every candidate from the row bases and solves only
-    the best-scored one in full. Where no scores tie it commits exactly what
-    an exhaustive sweep of full block solves commits; where blocks tie to
-    rounding (``ties``) it may commit another of them, so each sweep is
-    checked against the best full block solve from the same bank."""
+    the best-scored one in full. Each sweep is checked against an exhaustive
+    sweep of the per-block KLT oracle from the same bank: it commits the
+    oracle's best block, or, where blocks tie to rounding, one within
+    rounding of it."""
 
     @pytest.mark.parametrize(
-        "make_model, ties",
+        "make_model",
         [
-            (lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)), False),
-            (lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)), False),
-            (lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)), False),
-            (lambda rng: _sampled_model(int(rng.integers(1000))), True),
-            (_identical_sensors_model, True),
-            (_silent_sensor_model, False),
+            lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
+            lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
+            lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
+            lambda rng: _sampled_model(int(rng.integers(1000))),
+            _identical_sensors_model,
+            _silent_sensor_model,
         ],
         ids=[
             "r_is_1",
@@ -494,34 +499,27 @@ class TestScreenedSweepEquivalence:
             "silent_sensor",
         ],
     )
-    def test_matches_exhaustive_sweep(self, make_model, ties):
+    def test_matches_exhaustive_sweep(self, make_model):
         # from the zero bank, tied blocks are separated only by rounding
         for seed in range(10):
             model = make_model(np.random.default_rng(100 + seed))
             rp = reduce_problem(model)
             for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-                bank, trace = mbi_solve(
+                _, trace = mbi_solve(
                     rp, start, MbiConfig(epsilon=0.0, max_iterations=30)
                 )
-                if ties:
-                    _assert_best_block_sweeps(rp, trace)
-                    continue
-                ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 30)
-                assert trace.chosen_block_per_iteration == ref_chosen
-                assert all(
-                    np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks)
-                )
+                _assert_oracle_sweeps(model, trace)
 
     @pytest.mark.parametrize(
-        "make_model, ties",
+        "make_model",
         [
-            (lambda: _sampled_model(3), True),
-            (lambda: _sampled_model(5), True),
-            (lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)), False),
+            lambda: _sampled_model(3),
+            lambda: _sampled_model(5),
+            lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
         ],
         ids=["sampled_seed3", "sampled_seed5", "noisy"],
     )
-    def test_screen_runs_every_sweep(self, monkeypatch, make_model, ties):
+    def test_screen_runs_every_sweep(self, monkeypatch, make_model):
         screens = []
         real = solver._screen
 
@@ -533,18 +531,29 @@ class TestScreenedSweepEquivalence:
         solves = _count_candidates(monkeypatch)
         model = make_model()
         rp = reduce_problem(model)
-        start = init_bank(model)
-        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=20))
+        _, trace = mbi_solve(
+            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=20)
+        )
         sweeps = trace.iterations_used + int(trace.converged)
         assert sweeps > 1
         assert len(screens) == sweeps
         assert len(solves) == sweeps
-        if ties:
-            _assert_best_block_sweeps(rp, trace)
-            return
-        ref_bank, ref_chosen = _exhaustive_mbi(rp, start, 20)
-        assert trace.chosen_block_per_iteration == ref_chosen
-        assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, ref_bank.blocks))
+        _assert_oracle_sweeps(model, trace)
+
+
+def test_silent_sensor_gets_rank_zero():
+    # the rows of E_yy^(1/2) of a sensor with E_11 = 0 are round-off; ranked
+    # on their own scale they were fitted with ||F_1|| ~ 1e15, and the
+    # analytic MSE fell 12-27% below the direct expansion
+    for seed in range(10):
+        model = _silent_sensor_model(np.random.default_rng(100 + seed))
+        rp = reduce_problem(model)
+        for start in (init_bank(model), CompressorBank.zeros(model.partition)):
+            _, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=30))
+            for bank in trace.banks:
+                assert not bank.blocks[1].any()
+                want = direct_mse(model, bank)
+                assert analytic_mse(model, bank) == pytest.approx(want, rel=1e-9)
 
 
 def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
@@ -562,5 +571,5 @@ def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
     )
     assert trace.converged
     assert len(solves) == trace.iterations_used + 1
-    _assert_best_block_sweeps(rp, trace)
+    _assert_oracle_sweeps(model, trace)
     assert analytic_mse(model, bank) <= 1e-12 * np.trace(model.e_xx)
