@@ -6,6 +6,10 @@ fusion center reconstructs the source. Sensor encoders and the decoder are
 jointly optimized (in the mean-square sense) by a greedy maximum-block-
 improvement iteration over rank-constrained per-sensor compressors, built
 entirely from pseudo-inverses so degenerate covariances are handled.
+
+The names exported here are the pipeline's, listed by stage in the README's
+Public API section; the linear algebra it is built from stays in
+:mod:`kltmbi.linalg` and :mod:`kltmbi.solver`.
 """
 
 __version__ = "0.1.0"
@@ -18,14 +22,7 @@ from .covariance import (
     example1_model,
 )
 from .errors import InvalidInput, NotPsd, ParseError
-from .linalg import (
-    DegenerateTruncationWarning,
-    SvdFactors,
-    pinv,
-    psd_sqrt,
-    svd,
-    truncated,
-)
+from .linalg import DegenerateTruncationWarning
 from .scenarios import (
     ImageScenarioData,
     ScenarioSpec,
@@ -39,7 +36,6 @@ from .solver import (
     MbiConfig,
     MbiTrace,
     init_bank,
-    klt_matrix,
     mbi_solve,
     reduce_problem,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "ScenarioSpec",
     "SecondMomentModel",
     "SensorPartition",
-    "SvdFactors",
     "analytic_mse",
     "compress",
     "empirical_mse",
@@ -79,16 +74,11 @@ __all__ = [
     "generate",
     "image_scenario",
     "init_bank",
-    "klt_matrix",
     "load_pgm",
     "load_wsn_json",
     "mbi_solve",
-    "pinv",
-    "psd_sqrt",
     "reconstruct",
     "reduce_problem",
     "save_pgm",
     "save_wsn_json",
-    "svd",
-    "truncated",
 ]

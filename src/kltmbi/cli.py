@@ -98,10 +98,12 @@ def _object(value, name: str, keys: tuple[str, ...], kind: str | None = None) ->
     return value
 
 
-def parse_config(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document. Each scenario kind
-    accepts the fields :data:`~kltmbi.scenarios.KIND_FIELDS` says it reads,
-    and ``image_out_dir`` only when it reads an image."""
+def parse_config(doc: dict, source=None) -> RunConfig:
+    """Build a RunConfig from a parsed JSON document, read from the file
+    ``source`` if given. Each scenario kind accepts the fields
+    :data:`~kltmbi.scenarios.KIND_FIELDS` says it reads, and
+    ``image_out_dir`` only when it reads an image. No output may be another
+    output, the image the run reads or ``source``."""
     doc = _object(doc, "config", ("scenario", "mbi", "outputs", "report_baseline"))
     sc = doc.get("scenario")
     if not isinstance(sc, dict):
@@ -149,10 +151,12 @@ def parse_config(doc: dict) -> RunConfig:
             raise ParseError(f"{kind} scenario requires outputs.image_out_dir")
         for prefix in ("", "baseline_") if report_baseline else ("",):
             files.update({prefix + f: os.path.join(out, prefix + f) for f in _IMAGES})
-    # no output may overwrite another or the image the run reads
-    image = {"scenario.image_path": spec.image_path} if spec.image_path else {}
+    # no output may overwrite another, the image the run reads or the config
+    inputs = {"config": source} if source is not None else {}
+    if spec.image_path:
+        inputs["scenario.image_path"] = spec.image_path
     seen = {}
-    for label, path in {**image, **files}.items():
+    for label, path in {**inputs, **files}.items():
         first = seen.setdefault(os.path.realpath(path), label)
         if first != label:
             raise ParseError(f"{first} and {label} are one file: {path}")
@@ -172,7 +176,7 @@ def load_config(path) -> RunConfig:
         doc = _read_json(path)
     except OSError as exc:
         raise ParseError(f"config file cannot be read: {exc}") from None
-    return parse_config(doc)
+    return parse_config(doc, source=path)
 
 
 def _fmt(v: float) -> str:

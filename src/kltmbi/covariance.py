@@ -89,7 +89,7 @@ class SensorPartition:
         return slice(start, start + self.n[j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
@@ -97,7 +97,7 @@ class SecondMomentModel:
     norm, is not finite. The moment arrays are treated as immutable:
     ``e_yy_root`` and ``h`` are computed from them on first use and cached
     on the model, so mutating an array in place afterwards would leave the
-    cache stale.
+    cache stale. Compared by identity: ``==`` is ``is``, and a model hashes.
     """
 
     partition: SensorPartition
@@ -139,9 +139,10 @@ class SecondMomentModel:
         return np.trace(self.e_xx) - np.linalg.norm(self.h) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleEnsemble:
-    """Training samples: one column per draw, rows stacked per sensor."""
+    """Training samples: one column per draw, rows stacked per sensor.
+    Compared by identity: ``==`` is ``is``, and an ensemble hashes."""
 
     x: np.ndarray
     y: np.ndarray

@@ -2,7 +2,12 @@
 
 All functions are pure and deterministic for a fixed input. Numerical rank is
 decided by the backward-stable threshold ``sigma_max * max(rows, cols) * eps``,
-which :func:`psd_sqrt` applies to eigenvalues.
+which :func:`psd_sqrt` applies to eigenvalues: every eigenvalue at or below
+``N * eps * max(lambda_max, 0)`` becomes an exact zero, so a second moment
+estimated from s < N samples keeps rank s instead of a round-off rank whose
+pseudo-inverse would be scaled by ~1e8. Every tolerance here (rank,
+truncation ties, PSD and symmetry) is relative to the input's own scale, so
+scaling an input by a power of two changes no decision.
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ def _as_matrix(c) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD ``c = u @ diag(sigma) @ v.T`` with a numerical rank estimate.
 
     ``u`` and ``v`` have orthonormal columns; ``sigma`` is non-increasing and
     non-negative; ``numeric_rank`` counts singular values above the rank
-    threshold.
+    threshold. Compared by identity: ``==`` is ``is``, and an instance
+    hashes.
     """
 
     u: np.ndarray
@@ -75,18 +81,19 @@ def truncated(c, r: int) -> np.ndarray:
     When the spectrum has no gap at the cut (``sigma_r == sigma_{r+1}``) the
     minimizer is not unique; the leading triplets as ordered by the SVD are
     kept deterministically and a :class:`DegenerateTruncationWarning` is
-    emitted. Ties are judged to within ``tol = 1e-12 * max(1, sigma_1)``: a
-    cut warns when ``sigma_r - sigma_{r+1} <= tol`` and ``sigma_r > tol``. A
-    cut between values that are both within ``tol`` of zero, as in a
-    residual that is all round-off, is unique to within ``tol`` and does not
-    warn. An MBI sweep truncates only for the one block it solves in full.
+    emitted. Ties are judged to within ``tol = 1e-12 * sigma_1``, relative
+    to the input's own scale: a cut warns when
+    ``sigma_r - sigma_{r+1} <= tol`` and ``sigma_r > tol``. A cut between
+    values that are both within ``tol`` of zero is unique to within ``tol``
+    and does not warn. An MBI sweep truncates only for the one block it
+    solves in full.
     """
     if r < 0:
         raise InvalidInput(f"truncation rank must be >= 0, got {r}")
     f = svd(c)
     k = min(r, f.numeric_rank)
     if 0 < k < f.sigma.size:
-        tol = 1e-12 * max(1.0, f.sigma[0])
+        tol = 1e-12 * f.sigma[0]
         if f.sigma[k - 1] > tol and f.sigma[k - 1] - f.sigma[k] <= tol:
             warnings.warn(
                 f"singular values {k} and {k + 1} coincide; truncation is "
@@ -106,15 +113,11 @@ def pinv(c) -> np.ndarray:
 def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    The root's rank is decided on the eigenvalues with the module's rank
-    rule: every eigenvalue at or below ``N * eps * max(lambda_max, 0)`` of
-    the N x N input is an exact zero, so round-off in a rank-deficient input
-    (such as a sample moment from fewer samples than rows) adds no rank.
-    This also clamps eigenvalues in ``[-1e-8 * ||c||, 0)`` (tolerated
-    estimation noise); anything more negative raises :class:`NotPsd`, and
-    an asymmetry ``||c - c^T||`` above ``1e-8 * ||c||`` raises
-    :class:`InvalidInput`. Both tolerances are relative to ``||c||``, so the
-    decision does not depend on the scale of ``c``. The eigendecomposition
+    The root's rank follows the module's rank rule on the eigenvalues of the
+    N x N input. Eigenvalues in ``[-1e-8 * ||c||, 0)`` are clamped as
+    tolerated estimation noise; anything more negative raises
+    :class:`NotPsd`, and an asymmetry ``||c - c^T||`` above
+    ``1e-8 * ||c||`` raises :class:`InvalidInput`. The eigendecomposition
     of the symmetrized input keeps the root exactly symmetric.
     """
     c = _as_matrix(c)

@@ -154,9 +154,10 @@ def generate(spec: ScenarioSpec) -> SampleEnsemble:
     return SampleEnsemble(x=x, y=y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageScenarioData:
-    """Full-resolution signals plus the even-column training ensemble."""
+    """Full-resolution signals plus the even-column training ensemble.
+    Compared by identity: ``==`` is ``is``, and an instance hashes."""
 
     x_full: np.ndarray
     y_full: np.ndarray

@@ -7,6 +7,24 @@ min ||H - sum_j F_j G_j||_F^2 where H = E_xy (E_yy^(1/2))^+ and the G_j are
 the row blocks of E_yy^(1/2). Each block subproblem has the closed-form
 minimum-norm solution [S_j R_{G_j}]_{r_j} G_j^+; the MBI loop scores all p
 candidates per sweep, solves only the best in full and commits it.
+
+Scoring. With G_j = U_j S_j V_j^T (numeric rank k_j) and the residual
+E = H - sum_i F_i G_i, block j's best step changes the objective ||E||^2 by
+Delta_j = sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j) - ||E V_j||^2 <= 0:
+one m x N x k_j product and the singular values of an m x k_j matrix
+(N = n_total). The block with the lowest Delta_j is solved in full, which
+forms its one row-space projector V_j V_j^T, and E and the objective are
+recomputed from the new bank. A sweep costs O(m N^2 + n_j N^2) instead of
+the O(p m N^2) of solving every block.
+
+Rank. The G_j are slices of one root, so each k_j counts the singular
+values of G_j above N * eps * max_i sigma_1(G_i), the root's scale rather
+than the block's own: a sensor with E_jj = 0, whose G_j is round-off, gets
+k_j = 0 and F_j = 0.
+
+Memory. A :class:`ReducedProblem` keeps H, the G_j and one thin SVD per
+block, from which V_j, U_j S_j and G_j^+ are formed: about 2 N^2 + m N
+numbers whatever p is (~4.5 MB at N = 512, p = 16).
 """
 
 from __future__ import annotations
@@ -20,30 +38,29 @@ from .errors import InvalidInput
 from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, svd, truncated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedProblem:
     """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
 
-    ``factors[j]`` is the thin SVD G_j = U_j S_j V_j^T of block j, with
-    numeric rank k_j, the count of its singular values above
-    ``N * eps * max_i sigma_1(G_i)``; the screen's V_j and U_j S_j, and the
-    row-space projector V_j V_j^T and G_j^+ of :func:`_block_solve`, all
-    come from it.
-    With ``h`` and the ``g_blocks`` that is about two n_total x n_total
-    arrays in all, whatever p is; a sweep builds one projector, for the one
-    block it solves in full.
+    ``factors[j]`` is the thin SVD G_j = U_j S_j V_j^T of block j, with the
+    numeric rank k_j of the module's rank rule. ``tr_exx`` is tr E_xx, the
+    MSE of the zero estimate, which scales the stopping rule. Compared by
+    identity: ``==`` is ``is``, and an instance hashes.
     """
 
     h: np.ndarray
     g_blocks: tuple[np.ndarray, ...]
     factors: tuple[SvdFactors, ...]
     partition: SensorPartition
+    tr_exx: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressorBank:
     """The iterate F = (F_1, ..., F_p); each block maps sensor j's
-    observation into the source space and must have rank <= r_j."""
+    observation into the source space and must have rank <= r_j. Compared
+    by identity: ``==`` is ``is``, and a bank hashes, so ``bank in banks``
+    finds that very bank."""
 
     blocks: tuple[np.ndarray, ...]
     partition: SensorPartition
@@ -84,9 +101,11 @@ class CompressorBank:
 
 @dataclass(frozen=True)
 class MbiConfig:
-    """Stopping rule f_old - f_new <= epsilon (absolute, as stated; the sweep
-    that meets it is not committed) with an iteration budget.
-    ``record_trace`` keeps every intermediate bank."""
+    """Stopping rule f_old - f_new <= epsilon * tr E_xx (the sweep that meets
+    it is not committed) with an iteration budget. ``epsilon`` is relative to
+    tr E_xx, the MSE of the zero estimate, so scaling the data changes no
+    decision; 0 stops only when a sweep gains nothing. ``record_trace``
+    keeps every intermediate bank."""
 
     epsilon: float = 1e-8
     max_iterations: int = 100
@@ -105,7 +124,7 @@ class MbiConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class MbiTrace:
     """Record of one solve: objective after every committed step (index 0 is
     the initial objective), the sensor index chosen at each step, and, when
@@ -114,7 +133,8 @@ class MbiTrace:
     this record: the analytic MSE after step i is
     max(tr E_xx - ||H||^2 + objective_per_iteration[i], 0), which is
     :func:`~kltmbi.wsn.analytic_mse` of ``banks[i]`` bit for bit, and the
-    empirical MSE follows one residual that each chosen block updates."""
+    empirical MSE follows one residual that each chosen block updates.
+    Compared by identity: ``==`` is ``is``, and a trace hashes."""
 
     objective_per_iteration: list[float]
     chosen_block_per_iteration: list[int]
@@ -148,6 +168,7 @@ def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
             for f in factors
         ),
         partition=part,
+        tr_exx=float(np.trace(model.e_xx)),
     )
 
 
@@ -218,14 +239,9 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
 
 
 def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
-    """Each block's objective change Delta_j if its candidate were committed,
-    found without solving any block.
-
-    With E = h - sum_i F_i G_i and G_j = U_j S_j V_j^T, block j's candidate
-    fits s_j = E + F_j G_j and changes the objective ||E||^2 by
-    Delta_j = sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j) - ||E V_j||^2 <= 0:
-    one m x N x k_j product and the singular values of an m x k_j matrix.
-    """
+    """Each block's objective change Delta_j (see the module docstring) if
+    its candidate, the fit of s_j = E + F_j G_j, were committed, found
+    without solving any block."""
     scores = np.empty(rp.partition.p)
     for j, f in enumerate(rp.factors):
         k = f.numeric_rank
@@ -245,11 +261,11 @@ def mbi_solve(
     Each sweep solves in full only the block :func:`_screen` scores lowest
     (the lowest index on equal scores) and recomputes E and the objective f
     from the new bank. The solve stops once a sweep improves f by at most
-    epsilon, keeping the incumbent, so f never increases; running out of
-    budget is reported via the trace flag. Where scores differ only by
-    rounding, the block chosen may not be the one an exhaustive sweep of full
-    solves would rank first, but its objective is within rounding of that
-    sweep's best.
+    epsilon * tr E_xx (by at most 0 when tr E_xx is not positive), keeping
+    the incumbent, so f never increases; running out of budget is reported
+    via the trace flag. Where scores differ only by rounding, the block
+    chosen may not be the one an exhaustive sweep of full solves would rank
+    first, but its objective is within rounding of that sweep's best.
     """
     bank = init
     resid, f_cur = _residual(rp.h, rp.g_blocks, bank)
@@ -257,6 +273,8 @@ def mbi_solve(
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
     converged = False
+    # inf * 0 would be NaN, which no improvement is at or below
+    tol = cfg.epsilon * rp.tr_exx if rp.tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
         j = int(np.argmin(_screen(rp, bank, resid)))
         s_j = resid + bank.blocks[j] @ rp.g_blocks[j]
@@ -264,7 +282,7 @@ def mbi_solve(
             j, _block_solve(s_j, rp.factors[j], rp.partition.r[j])
         )
         new_resid, f_new = _residual(rp.h, rp.g_blocks, new_bank)
-        if f_cur - f_new <= cfg.epsilon:
+        if f_cur - f_new <= tol:
             converged = True
             break
         bank, resid, f_cur = new_bank, new_resid, f_new

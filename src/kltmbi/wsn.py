@@ -24,12 +24,13 @@ from .linalg import svd
 from .solver import CompressorBank, MbiTrace, _residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorizedWsn:
     """Per-sensor encoders Q_j and fusion decoder blocks P_j with
     P_j Q_j = F_j. Encoder row counts are exactly r_j (the wire dimension),
     zero-padded when rank F_j < r_j. Raises :class:`InvalidInput` unless
-    there are p finite encoders (r_j x n_j) and decoder blocks (m x r_j)."""
+    there are p finite encoders (r_j x n_j) and decoder blocks (m x r_j).
+    Compared by identity: ``==`` is ``is``, and an instance hashes."""
 
     encoders: tuple[np.ndarray, ...]
     decoder_blocks: tuple[np.ndarray, ...]

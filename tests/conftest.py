@@ -17,11 +17,11 @@ from kltmbi import (
     InvalidInput,
     MbiConfig,
     SensorPartition,
-    klt_matrix,
     mbi_solve,
     reduce_problem,
 )
 from kltmbi.covariance import SecondMomentModel
+from kltmbi.solver import klt_matrix
 
 # One MBI sweep from a given bank: what the benchmark's library workload runs
 # per mbi_solve call.

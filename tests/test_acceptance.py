@@ -30,12 +30,12 @@ from kltmbi import (
     generate,
     image_scenario,
     init_bank,
-    klt_matrix,
     mbi_solve,
     reduce_problem,
     save_pgm,
 )
 from kltmbi.cli import main
+from kltmbi.solver import klt_matrix
 
 
 def _solve_example1(max_iterations):

@@ -920,6 +920,30 @@ def test_outputs_naming_one_file_are_config_error(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize(
+    "label, path",
+    [("trace_csv", "cfg.json"), ("wsn_json", "./cfg.json"), ("trace_csv", "link.json")],
+    ids=["trace_csv", "wsn_json", "symlink"],
+)
+def test_output_naming_the_config_is_config_error(
+    tmp_path, monkeypatch, capsys, label, path
+):
+    # the output would overwrite the config the run was read from
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to(tmp_path / "cfg.json")
+    scenario = {"kind": "exact_example1", "seed": 0}
+    doc = {"scenario": scenario, "outputs": {label: path}}
+    cfg = _write_config(tmp_path, doc, name="cfg.json")
+    text = (tmp_path / "cfg.json").read_bytes()
+    message = f"config and {label} are one file: {path}"
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "cfg.json").read_bytes() == text
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.json"]
+
+
+@pytest.mark.parametrize(
     "outputs, shared",
     [
         ({"wsn_json": "src.pgm", "image_out_dir": "out"}, "src.pgm"),

@@ -12,11 +12,8 @@ from kltmbi import (
     SensorPartition,
     estimate_moments,
     generate,
-    pinv,
-    psd_sqrt,
-    svd,
-    truncated,
 )
+from kltmbi.linalg import pinv, psd_sqrt, svd, truncated
 
 
 def _random_matrix(rng, m, n):
@@ -104,6 +101,14 @@ class TestTruncated:
         with pytest.warns(DegenerateTruncationWarning):
             b = truncated(np.eye(3), 1)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [-30, -10, 10, 30])
+    def test_tie_decision_is_scale_free(self, k):
+        # the tie tolerance is relative to sigma_1, so a tie at any scale 4^k
+        # warns and a clear gap does not
+        with pytest.warns(DegenerateTruncationWarning):
+            truncated(4.0**k * np.eye(3), 1)
+        truncated(4.0**k * np.diag([1.0, 1.0 - 1e-9, 0.5]), 1)
 
     def test_negative_rank_rejected(self):
         with pytest.raises(InvalidInput):

@@ -19,7 +19,6 @@ from kltmbi import (
     generate,
     image_scenario,
     init_bank,
-    klt_matrix,
     load_pgm,
     mbi_solve,
     reduce_problem,
@@ -28,6 +27,7 @@ from kltmbi import (
 from kltmbi import scenarios
 from kltmbi.covariance import SampleEnsemble, SecondMomentModel
 from kltmbi.scenarios import MAX_SCENARIO_BYTES
+from kltmbi.solver import klt_matrix
 
 # Tiny two-sensor regression fixture: a 2-dimensional source with four
 # training draws whose observations are pure noise (no signal component).

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     ONE_SWEEP,
@@ -24,6 +25,7 @@ from kltmbi import (
     DegenerateTruncationWarning,
     InvalidInput,
     MbiConfig,
+    NotPsd,
     ScenarioSpec,
     SensorPartition,
     analytic_mse,
@@ -31,14 +33,13 @@ from kltmbi import (
     example1_model,
     generate,
     init_bank,
-    klt_matrix,
     mbi_solve,
-    pinv,
-    psd_sqrt,
     reduce_problem,
 )
 from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
+from kltmbi.linalg import pinv, psd_sqrt
+from kltmbi.solver import klt_matrix
 
 
 class TestReduceProblem:
@@ -317,9 +318,26 @@ class TestMbiSolve:
         assert trace.converged
         assert all(np.array_equal(a, b) for a, b in zip(bank.blocks, start.blocks))
 
+    def test_zero_source_stops_once_nothing_improves(self):
+        # tr E_xx = 0 scales no threshold: even epsilon = inf stops only once
+        # a sweep gains nothing, where the NaN of inf * 0 would never stop
+        part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
+        model = SecondMomentModel(
+            partition=part,
+            e_xx=np.zeros((2, 2)),
+            e_xy=np.zeros((2, 4)),
+            e_yy=np.eye(4),
+        )
+        start = CompressorBank(blocks=(np.ones((2, 2)),) * 2, partition=part)
+        cfg = MbiConfig(epsilon=np.inf)
+        bank, trace = mbi_solve(reduce_problem(model), start, cfg)
+        assert trace.converged and trace.iterations_used == 2
+        assert analytic_mse(model, bank) == 0.0
+
     def test_finite_epsilon_stops_on_incumbent(self):
-        # epsilon set to sweep t's gain in an epsilon=0 run, where every
-        # earlier sweep gained more, stops the solve at sweep t uncommitted
+        # epsilon whose threshold epsilon * tr E_xx is sweep t's gain in an
+        # epsilon=0 run, where every earlier sweep gained more, stops the
+        # solve at sweep t uncommitted
         model = noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1))
         rp = reduce_problem(model)
         start = init_bank(model)
@@ -328,9 +346,13 @@ class TestMbiSolve:
         gains = -np.diff(ref.objective_per_iteration)
         stops = [t for t in range(2, 31) if gains[t - 1] < gains[: t - 1].min()]
         assert len(stops) > 10
+        tr = float(np.trace(model.e_xx))
         for t in stops:
+            epsilon = gains[t - 1] / tr
+            while epsilon * tr < gains[t - 1]:  # undo the quotient's rounding
+                epsilon = np.nextafter(epsilon, np.inf)
             bank, trace = mbi_solve(
-                rp, start, MbiConfig(epsilon=gains[t - 1], max_iterations=30)
+                rp, start, MbiConfig(epsilon=epsilon, max_iterations=30)
             )
             assert trace.converged and trace.iterations_used == t - 1
             assert trace.objective_per_iteration == ref.objective_per_iteration[:t]
@@ -573,3 +595,60 @@ def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
     assert len(solves) == trace.iterations_used + 1
     _assert_oracle_sweeps(model, trace)
     assert analytic_mse(model, bank) <= 1e-12 * np.trace(model.e_xx)
+
+
+# m = 8, p = 4 and uneven ranks; the property adds s = 500 and 60 sweeps
+_SCALED_PART = SensorPartition(m=8, n=(8,) * 4, r=(2, 3, 2, 1))
+
+
+def _solve_recording_warnings(model, cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bank, trace = mbi_solve(reduce_problem(model), init_bank(model), cfg)
+    warned = [(w.category, str(w.message)) for w in caught]
+    return trace, analytic_mse(model, bank), warned
+
+
+def _not_psd(c) -> bool:
+    try:
+        psd_sqrt(c)
+    except NotPsd:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear_mixing", "additive_noise"]),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-60, 60),
+    epsilon=st.sampled_from([0.0, 1e-8]),
+    shift=st.floats(0.0, 2.0),
+)
+def test_scaling_the_moments_by_a_power_of_four_changes_no_decision(
+    kind, seed, k, epsilon, shift
+):
+    # scaling x and y by 2^k scales every moment by 4^k, exactly in floating
+    # point, so every step, stop and warning must stay and every MSE scale
+    spec = ScenarioSpec(
+        kind=kind, partition=_SCALED_PART, s=500, sigmas=(0.3,) * 4, seed=seed
+    )
+    model = estimate_moments(generate(spec), _SCALED_PART)
+    c = 4.0**k
+    scaled = SecondMomentModel(
+        partition=_SCALED_PART,
+        e_xx=c * model.e_xx,
+        e_xy=c * model.e_xy,
+        e_yy=c * model.e_yy,
+    )
+    cfg = MbiConfig(epsilon=epsilon, max_iterations=60)
+    trace, mse, caught = _solve_recording_warnings(model, cfg)
+    trace_c, mse_c, caught_c = _solve_recording_warnings(scaled, cfg)
+    assert trace_c.chosen_block_per_iteration == trace.chosen_block_per_iteration
+    assert trace_c.converged == trace.converged
+    assert caught_c == caught
+    assert mse_c / c == mse
+    # lowering the spectrum by up to twice its smallest eigenvalue crosses
+    # psd_sqrt's NotPsd threshold for some shifts
+    low = model.e_yy - shift * np.linalg.eigvalsh(model.e_yy)[0] * np.eye(32)
+    assert _not_psd(c * low) == _not_psd(low)
