@@ -19,18 +19,16 @@ from kltmbi import (
     example1_model,
     init_bank,
     mbi_solve,
-    reduce_problem,
 )
 
 model = example1_model()
-rp = reduce_problem(model)
 
 baseline = init_bank(model)
 print(f"decoupled baseline MSE : {analytic_mse(model, baseline):.4f}")
 
 # Five iterations already land within a hair of the optimum; a tight
 # epsilon would keep polishing the last digits for hundreds of steps.
-bank, trace = mbi_solve(rp, baseline, MbiConfig(epsilon=0.0, max_iterations=5))
+bank, trace = mbi_solve(model, baseline, MbiConfig(epsilon=0.0, max_iterations=5))
 print(f"MBI after 5 iterations : {analytic_mse(model, bank):.4f}")
 
 print("\nobjective per iteration:")
@@ -39,7 +37,7 @@ for q, f in enumerate(trace.objective_per_iteration):
     print(f"  iter {q}: f = {f:.6f}  (updated sensor {chosen})")
 
 bank, trace = mbi_solve(
-    rp, baseline, MbiConfig(epsilon=1e-12, max_iterations=2000)
+    model, baseline, MbiConfig(epsilon=1e-12, max_iterations=2000)
 )
 print(
     f"\nfully converged MSE    : {analytic_mse(model, bank):.4f} "

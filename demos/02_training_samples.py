@@ -29,7 +29,6 @@ from kltmbi import (
     init_bank,
     mbi_solve,
     reconstruct,
-    reduce_problem,
 )
 
 part = SensorPartition(m=20, n=(20, 20, 20), r=(5, 5, 5))
@@ -38,11 +37,10 @@ spec = ScenarioSpec(
 )
 ens = generate(spec)
 model = estimate_moments(ens, part)
-rp = reduce_problem(model)
 
 baseline = init_bank(model)
 bank, trace = mbi_solve(
-    rp, baseline, MbiConfig(epsilon=1e-10, max_iterations=1000)
+    model, baseline, MbiConfig(epsilon=1e-10, max_iterations=1000)
 )
 
 print(f"samples: {ens.s}, sensors: {part.p}, ranks: {part.r}")

@@ -37,7 +37,6 @@ from .solver import (
     MbiTrace,
     init_bank,
     mbi_solve,
-    reduce_problem,
 )
 from .wsn import (
     FactorizedWsn,
@@ -78,7 +77,6 @@ __all__ = [
     "load_wsn_json",
     "mbi_solve",
     "reconstruct",
-    "reduce_problem",
     "save_pgm",
     "save_wsn_json",
 ]

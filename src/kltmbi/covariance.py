@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import pinv, psd_sqrt
+from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, svd
 
 
 def _dimension(value, name: str) -> int:
@@ -94,10 +94,11 @@ class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
     Raises :class:`InvalidInput` when a moment matrix, or its Frobenius
-    norm, is not finite. The moment arrays are treated as immutable:
-    ``e_yy_root`` and ``h`` are computed from them on first use and cached
-    on the model, so mutating an array in place afterwards would leave the
-    cache stale. Compared by identity: ``==`` is ``is``, and a model hashes.
+    norm, is not finite. The moment arrays are treated as immutable: the
+    solver's set-up (``e_yy_root``, ``h``, ``wiener_mse`` and the private
+    ``_g_factors``) is computed from them on first use and cached on the
+    model, so mutating an array in place afterwards would leave the cache
+    stale. Compared by identity: ``==`` is ``is``, and a model hashes.
     """
 
     partition: SensorPartition
@@ -128,8 +129,26 @@ class SecondMomentModel:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """H = E_xy (E_yy^(1/2))^+, the target of the reduced problem."""
+        """H = E_xy (E_yy^(1/2))^+, the target of the solver's objective."""
         return self.e_xy @ pinv(self.e_yy_root)
+
+    @cached_property
+    def _g_factors(self) -> tuple[SvdFactors, ...]:
+        """Thin SVD G_j = U_j S_j V_j^T of each row block of E_yy^(1/2).
+
+        The G_j are slices of one root, so each numeric rank k_j counts the
+        singular values above N * eps * max_i sigma_1(G_i), the root's scale
+        rather than the block's own: a sensor with E_jj = 0, whose G_j is
+        round-off, gets k_j = 0 and F_j = 0.
+        """
+        part = self.partition
+        root = self.e_yy_root
+        factors = [svd(root[part.y_slice(j)]) for j in range(part.p)]
+        tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
+        return tuple(
+            replace(f, numeric_rank=int(np.count_nonzero(f.sigma > tol)))
+            for f in factors
+        )
 
     @cached_property
     def wiener_mse(self) -> np.float64:

@@ -1,5 +1,5 @@
-"""Core solver: problem reduction, rank-constrained block least squares, and
-the greedy maximum-block-improvement (MBI) iteration.
+"""Core solver: rank-constrained block least squares and the greedy
+maximum-block-improvement (MBI) iteration.
 
 The estimation problem min ||x - sum_j F_j y_j||^2 over banks of per-sensor
 matrices F_j with rank F_j <= r_j reduces to the matrix problem
@@ -17,42 +17,22 @@ forms its one row-space projector V_j V_j^T, and E and the objective are
 recomputed from the new bank. A sweep costs O(m N^2 + n_j N^2) instead of
 the O(p m N^2) of solving every block.
 
-Rank. The G_j are slices of one root, so each k_j counts the singular
-values of G_j above N * eps * max_i sigma_1(G_i), the root's scale rather
-than the block's own: a sensor with E_jj = 0, whose G_j is round-off, gets
-k_j = 0 and F_j = 0.
-
-Memory. A :class:`ReducedProblem` keeps H, the G_j and one thin SVD per
-block, from which V_j, U_j S_j and G_j^+ are formed: about 2 N^2 + m N
+Set-up. E_yy^(1/2), H and the thin SVD of each G_j, with the rank rule
+:class:`~kltmbi.covariance.SecondMomentModel` documents, are computed on
+first use and cached on the model. Every solve on a model, and
+:func:`~kltmbi.wsn.analytic_mse`, reads that one set-up: about 2 N^2 + m N
 numbers whatever p is (~4.5 MB at N = 512, p = 16).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
 from .errors import InvalidInput
-from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, svd, truncated
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedProblem:
-    """Data of the reduced objective ||h - sum_j F_j g_blocks[j]||^2.
-
-    ``factors[j]`` is the thin SVD G_j = U_j S_j V_j^T of block j, with the
-    numeric rank k_j of the module's rank rule. ``tr_exx`` is tr E_xx, the
-    MSE of the zero estimate, which scales the stopping rule. Compared by
-    identity: ``==`` is ``is``, and an instance hashes.
-    """
-
-    h: np.ndarray
-    g_blocks: tuple[np.ndarray, ...]
-    factors: tuple[SvdFactors, ...]
-    partition: SensorPartition
-    tr_exx: float
+from .linalg import SvdFactors, pinv, psd_sqrt, truncated
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +53,8 @@ class CompressorBank:
             want = (self.partition.m, self.partition.n[j])
             if b.shape != want:
                 raise InvalidInput(f"block {j} must be {want}, got {b.shape}")
+            if not np.isfinite(b).all():
+                raise InvalidInput(f"block {j} contains NaN or Inf entries")
 
     @classmethod
     def zeros(cls, partition: SensorPartition) -> "CompressorBank":
@@ -146,30 +128,14 @@ class MbiTrace:
         return len(self.chosen_block_per_iteration)
 
 
-def reduce_problem(model: SecondMomentModel) -> ReducedProblem:
-    """Build h = E_xy (E_yy^(1/2))^+ and the row blocks of E_yy^(1/2),
-    both read from the model's cache.
-
-    Propagates :class:`NotPsd` when E_yy fails the PSD tolerance.
-    """
-    part = model.partition
-    root = model.e_yy_root
-    g_blocks = tuple(root[part.y_slice(j)] for j in range(part.p))
-    factors = [svd(g) for g in g_blocks]
-    # the G_j are slices of one root, so each is ranked on the root's scale:
-    # a G_j of pure round-off (a sensor with E_jj = 0) gets rank 0, where its
-    # own sigma_1 would give it the rank of its noise
-    tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
-    return ReducedProblem(
-        h=model.h,
-        g_blocks=g_blocks,
-        factors=tuple(
-            replace(f, numeric_rank=int(np.count_nonzero(f.sigma > tol)))
-            for f in factors
-        ),
-        partition=part,
-        tr_exx=float(np.trace(model.e_xx)),
-    )
+def reduce_problem(model: SecondMomentModel) -> SecondMomentModel:
+    """Form the set-up :func:`mbi_solve` reads on ``model`` and return the
+    model. Not part of the pipeline: the CLI calls it only so that the
+    benchmark can time the set-up apart from the solve, and the next
+    benchmark revision (ROADMAP.md, item 1) deletes it."""
+    model._g_factors
+    model.h
+    return model
 
 
 def _residual(
@@ -238,25 +204,28 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
-def _screen(rp: ReducedProblem, bank: CompressorBank, resid: np.ndarray):
+def _screen(
+    resid: np.ndarray, blocks, factors: tuple[SvdFactors, ...], r: tuple[int, ...]
+) -> np.ndarray:
     """Each block's objective change Delta_j (see the module docstring) if
     its candidate, the fit of s_j = E + F_j G_j, were committed, found
-    without solving any block."""
-    scores = np.empty(rp.partition.p)
-    for j, f in enumerate(rp.factors):
+    without solving any block. ``factors[j]`` is the SVD of G_j and ``r[j]``
+    its rank bound."""
+    scores = np.empty(len(factors))
+    for j, (fj, f, rj) in enumerate(zip(blocks, factors, r)):
         k = f.numeric_rank
         ev = resid @ f.v[:, :k]
-        w = ev + bank.blocks[j] @ (f.u[:, :k] * f.sigma[:k])
+        w = ev + fj @ (f.u[:, :k] * f.sigma[:k])
         sigma = np.linalg.svd(w, compute_uv=False)
-        tail = float(np.sum(sigma[rp.partition.r[j] :] ** 2))
+        tail = float(np.sum(sigma[rj:] ** 2))
         scores[j] = tail - float(np.vdot(ev, ev))
     return scores
 
 
 def mbi_solve(
-    rp: ReducedProblem, init: CompressorBank, cfg: MbiConfig = MbiConfig()
+    model: SecondMomentModel, start: CompressorBank, cfg: MbiConfig = MbiConfig()
 ) -> tuple[CompressorBank, MbiTrace]:
-    """Run MBI sweeps on the residual E = h - sum_j F_j G_j.
+    """Run MBI sweeps from ``start`` on the residual E = H - sum_j F_j G_j.
 
     Each sweep solves in full only the block :func:`_screen` scores lowest
     (the lowest index on equal scores) and recomputes E and the objective f
@@ -266,22 +235,30 @@ def mbi_solve(
     via the trace flag. Where scores differ only by rounding, the block
     chosen may not be the one an exhaustive sweep of full solves would rank
     first, but its objective is within rounding of that sweep's best.
+
+    Raises :class:`InvalidInput` when ``start`` is not a bank of the
+    model's partition, and :class:`NotPsd`, before any step, when E_yy has
+    an eigenvalue below -1e-8 * ||E_yy||.
     """
-    bank = init
-    resid, f_cur = _residual(rp.h, rp.g_blocks, bank)
+    part = model.partition
+    if start.partition != part:
+        raise InvalidInput(f"start bank is for {start.partition}, model is {part}")
+    factors = model._g_factors
+    g_blocks = [model.e_yy_root[part.y_slice(j)] for j in range(part.p)]
+    tr_exx = float(np.trace(model.e_xx))
+    bank = start
+    resid, f_cur = _residual(model.h, g_blocks, bank)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
     converged = False
     # inf * 0 would be NaN, which no improvement is at or below
-    tol = cfg.epsilon * rp.tr_exx if rp.tr_exx > 0 else 0.0
+    tol = cfg.epsilon * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
-        j = int(np.argmin(_screen(rp, bank, resid)))
-        s_j = resid + bank.blocks[j] @ rp.g_blocks[j]
-        new_bank = bank.replace(
-            j, _block_solve(s_j, rp.factors[j], rp.partition.r[j])
-        )
-        new_resid, f_new = _residual(rp.h, rp.g_blocks, new_bank)
+        j = int(np.argmin(_screen(resid, bank.blocks, factors, part.r)))
+        s_j = resid + bank.blocks[j] @ g_blocks[j]
+        new_bank = bank.replace(j, _block_solve(s_j, factors[j], part.r[j]))
+        new_resid, f_new = _residual(model.h, g_blocks, new_bank)
         if f_cur - f_new <= tol:
             converged = True
             break

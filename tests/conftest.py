@@ -18,7 +18,6 @@ from kltmbi import (
     MbiConfig,
     SensorPartition,
     mbi_solve,
-    reduce_problem,
 )
 from kltmbi.covariance import SecondMomentModel
 from kltmbi.solver import klt_matrix
@@ -63,11 +62,11 @@ def noisy_model(rng, m, n, r, noise=0.5, extra_cols=20):
     )
 
 
-def recorded_objective(rp, bank) -> float:
+def recorded_objective(model, bank) -> float:
     """The objective a solve records for ``bank``, its analytic MSE less the
     Wiener MSE before clamping: a solve that stops at once records only its
     start's."""
-    _, trace = mbi_solve(rp, bank, MbiConfig(epsilon=np.inf, record_trace=False))
+    _, trace = mbi_solve(model, bank, MbiConfig(epsilon=np.inf, record_trace=False))
     return trace.objective_per_iteration[0]
 
 
@@ -104,5 +103,5 @@ def block_step(s, g, r) -> np.ndarray:
     ||s - F g||_F^2."""
     part = SensorPartition(m=s.shape[0], n=(g.shape[0],), r=(r,))
     model = joint_model_from_factor(np.vstack([s, g]), part)
-    bank, _ = mbi_solve(reduce_problem(model), CompressorBank.zeros(part), ONE_SWEEP)
+    bank, _ = mbi_solve(model, CompressorBank.zeros(part), ONE_SWEEP)
     return bank.blocks[0]

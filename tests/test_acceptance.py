@@ -31,7 +31,6 @@ from kltmbi import (
     image_scenario,
     init_bank,
     mbi_solve,
-    reduce_problem,
     save_pgm,
 )
 from kltmbi.cli import main
@@ -40,10 +39,9 @@ from kltmbi.solver import klt_matrix
 
 def _solve_example1(max_iterations):
     model = example1_model()
-    rp = reduce_problem(model)
     init = init_bank(model)
     cfg = MbiConfig(epsilon=0.0, max_iterations=max_iterations)
-    bank, trace = mbi_solve(rp, init, cfg)
+    bank, trace = mbi_solve(model, init, cfg)
     return model, bank, trace
 
 
@@ -79,8 +77,7 @@ def test_criterion_3_single_sensor_klt_degeneracy():
         n = int(rng.integers(2, 13))
         r = int(rng.integers(1, n + 1))
         model = random_model(rng, m, (n,), (r,))
-        rp = reduce_problem(model)
-        stepped, _ = mbi_solve(rp, CompressorBank.zeros(model.partition), ONE_SWEEP)
+        stepped, _ = mbi_solve(model, CompressorBank.zeros(model.partition), ONE_SWEEP)
         direct = klt_matrix(model.e_xy, model.e_yy, r)
         denom = max(np.linalg.norm(direct), 1.0)
         worst = max(worst, np.linalg.norm(stepped.blocks[0] - direct) / denom)
@@ -135,9 +132,8 @@ def test_criterion_5_monotone_convergence_and_stationarity():
         m = int(rng.integers(2, 7))
         r = tuple(int(rng.integers(1, nj + 1)) for nj in n)
         model = noisy_model(rng, m, n, r)
-        rp = reduce_problem(model)
         bank, trace = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
         )
         assert trace.converged, "did not converge within 200 iterations"
         obj = trace.objective_per_iteration
@@ -171,7 +167,6 @@ def _worst_identity_mismatch(rng, draw_s):
             y=rng.standard_normal((part.n_total, s)),
         )
         model = estimate_moments(ens, part)
-        rp = reduce_problem(model)
 
         random_bank = CompressorBank(
             blocks=tuple(
@@ -181,7 +176,7 @@ def _worst_identity_mismatch(rng, draw_s):
             partition=part,
         )
         mbi_bank, _ = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
         )
         for bank in (random_bank, mbi_bank):
             a = analytic_mse(model, bank)
@@ -216,9 +211,8 @@ def test_criterion_6_empirical_analytic_identity():
 def _mse_curve_beats_baseline(spec):
     ens = generate(spec)
     model = estimate_moments(ens, spec.partition)
-    rp = reduce_problem(model)
     bank, trace = mbi_solve(
-        rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
+        model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
     )
     curve = [analytic_mse(model, b) for b in trace.banks]
     assert all(b <= a + 1e-10 for a, b in zip(curve, curve[1:])), (
@@ -300,9 +294,8 @@ def test_criterion_8_image_pipeline(tmp_path):
     )
     data = image_scenario(spec)
     model = estimate_moments(data.ensemble, spec.partition)
-    rp = reduce_problem(model)
     baseline = init_bank(model)
-    bank, _ = mbi_solve(rp, baseline, MbiConfig(epsilon=1e-8, max_iterations=50))
+    bank, _ = mbi_solve(model, baseline, MbiConfig(epsilon=1e-8, max_iterations=50))
     full = SampleEnsemble(x=data.x_full, y=data.y_full)
     mse_mbi = empirical_mse(full, bank)
     mse_base = empirical_mse(full, baseline)

@@ -221,7 +221,7 @@ class TestRun:
         import kltmbi.cli as cli_mod
 
         calls = {}  # name -> (arguments, result) of the run's call
-        for name in ("estimate_moments", "reduce_problem", "mbi_solve"):
+        for name in ("estimate_moments", "mbi_solve"):
             def spy(*args, _fn=getattr(cli_mod, name), _name=name):
                 calls[_name] = (args, _fn(*args))
                 return calls[_name][1]
@@ -241,7 +241,7 @@ class TestRun:
             line.split(",")
             for line in (tmp_path / "t.csv").read_text().splitlines()[1:]
         ]
-        model = calls["reduce_problem"][0][0]
+        model = calls["mbi_solve"][0][0]
         ens = calls["estimate_moments"][0][0] if "estimate_moments" in calls else None
         banks = calls["mbi_solve"][1][1].banks
         assert len(rows) == len(banks) >= 2
@@ -438,10 +438,10 @@ class TestExitCodes:
         cfg = _example1_config(tmp_path)
         import kltmbi.cli as cli_mod
 
-        def boom(_):
+        def boom(*_):
             raise NotPsd("forced")
 
-        monkeypatch.setattr(cli_mod, "reduce_problem", boom)
+        monkeypatch.setattr(cli_mod, "mbi_solve", boom)
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_NUMERICAL
 
 

@@ -8,13 +8,14 @@ from conftest import joint_model_from_factor
 from kltmbi import (
     CompressorBank,
     InvalidInput,
+    MbiConfig,
     NotPsd,
     SampleEnsemble,
     SensorPartition,
     analytic_mse,
     estimate_moments,
     example1_model,
-    reduce_problem,
+    mbi_solve,
 )
 from kltmbi.covariance import SecondMomentModel
 
@@ -180,8 +181,8 @@ class TestModelCache:
         rng = np.random.default_rng(7)
         part = SensorPartition(m=3, n=(3, 2), r=(2, 1))
         model = joint_model_from_factor(rng.standard_normal((8, 10)), part)
-        reduce_problem(model)
         bank = CompressorBank.zeros(part)
+        mbi_solve(model, bank, MbiConfig(max_iterations=2))
         for _ in range(4):
             analytic_mse(model, bank)
         assert calls == [(5, 5)]
@@ -197,6 +198,6 @@ class TestModelCache:
         bank = CompressorBank.zeros(part)
         for _ in range(2):  # a failed root is not cached
             with pytest.raises(NotPsd):
-                reduce_problem(model)
+                mbi_solve(model, bank)
             with pytest.raises(NotPsd):
                 analytic_mse(model, bank)

@@ -261,7 +261,7 @@ class TestProjectors:
         p = _projector(c)
         assert np.array_equal(p, p.T)
 
-    def test_exactly_symmetric_in_reduce_problem_layout(self):
+    def test_exactly_symmetric_in_the_solver_layout(self):
         # the G_j are row blocks of E_yy^(1/2) at N = 512, as the solver
         # slices them
         part = SensorPartition(m=32, n=(32,) * 16, r=(8,) * 16)

@@ -1,10 +1,10 @@
 """The package's public surface is what the README's Public API list names,
 and the tests, demos and README reach the solver only through its public
-contract: ``reduce_problem``'s result is a handle passed to ``mbi_solve``,
-and a bank is judged by ``analytic_mse``, the recorded trace and the
-per-block KLT oracle of ``conftest``. The solver's reduced form (H, the G_j,
-their SVDs, the residual and the block solve) can then change without
-touching any of them."""
+contract: ``mbi_solve`` solves from the model itself, and a bank is judged
+by ``analytic_mse``, the recorded trace and the per-block KLT oracle of
+``conftest``. The solver's set-up (H, the G_j, their SVDs, the benchmark's
+hook that forms them, the residual and the block solve) can then change
+without touching any of them."""
 
 import inspect
 import pathlib
@@ -22,7 +22,6 @@ from kltmbi import (
     factorize_wsn,
     init_bank,
     mbi_solve,
-    reduce_problem,
 )
 from kltmbi.linalg import svd
 
@@ -57,11 +56,11 @@ def test_all_the_namespace_and_the_readme_list_are_one_set():
     assert set(listed) == public
 
 
-# Names of the reduced form. Each is written so that this pattern does not
-# match its own text.
+# Names of the solver's set-up. Each is written so that this pattern does
+# not match its own text.
 _INTERNALS = re.compile(
     r"r[p]\.[a-z_]+|e_yy_roo[t]|model\.[h]\b|\bobjectiv[e]\(|row_projecto[r]"
-    r"|\b_residua[l]\(|_block_solv[e]\("
+    r"|\b_residua[l]\(|_block_solv[e]\(|reduce_proble[m]"
 )
 
 
@@ -84,7 +83,6 @@ def _two_of_each():
     """Two instances with equal arrays of each type that holds arrays."""
     model = example1_model()
     bank = init_bank(model)
-    rp = reduce_problem(model)
     ens = SampleEnsemble(x=np.ones((2, 3)), y=np.ones((6, 3)))
     cfg = MbiConfig(epsilon=0.0, max_iterations=3)
 
@@ -100,8 +98,7 @@ def _two_of_each():
         "FactorizedWsn": (factorize_wsn(bank), factorize_wsn(bank)),
         "ImageScenarioData": (image(), image()),
         "SvdFactors": (svd(np.eye(2)), svd(np.eye(2))),
-        "ReducedProblem": (rp, reduce_problem(model)),
-        "MbiTrace": (mbi_solve(rp, bank, cfg)[1], mbi_solve(rp, bank, cfg)[1]),
+        "MbiTrace": (mbi_solve(model, bank, cfg)[1], mbi_solve(model, bank, cfg)[1]),
     }
 
 
@@ -118,7 +115,7 @@ def test_types_holding_arrays_compare_by_identity(kind):
 def test_a_recorded_bank_is_found_in_the_trace():
     model = example1_model()
     cfg = MbiConfig(epsilon=0.0, max_iterations=5)
-    _, trace = mbi_solve(reduce_problem(model), init_bank(model), cfg)
+    _, trace = mbi_solve(model, init_bank(model), cfg)
     bank = trace.banks[3]
     assert bank in trace.banks
     assert trace.banks.index(bank) == 3

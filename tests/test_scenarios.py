@@ -21,7 +21,6 @@ from kltmbi import (
     init_bank,
     load_pgm,
     mbi_solve,
-    reduce_problem,
     save_pgm,
 )
 from kltmbi import scenarios
@@ -325,8 +324,7 @@ def test_tiny_pure_noise_fixture():
     assert ens.y[2, 0] == 0.4660
     # the solver runs end to end on this rank-deficient instance
     model = estimate_moments(ens, part)
-    rp = reduce_problem(model)
-    bank, trace = mbi_solve(rp, init_bank(model), MbiConfig(max_iterations=50))
+    bank, trace = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=50))
     assert np.all(np.diff(trace.objective_per_iteration) <= 0)
 
 
@@ -479,6 +477,5 @@ class TestDecoupledBaseline:
         spec = _two_sensor_spec(seed=9)
         model = estimate_moments(generate(spec), spec.partition)
         baseline = init_bank(model)
-        rp = reduce_problem(model)
-        bank, _ = mbi_solve(rp, baseline, MbiConfig(max_iterations=100))
+        bank, _ = mbi_solve(model, baseline, MbiConfig(max_iterations=100))
         assert analytic_mse(model, bank) <= analytic_mse(model, baseline) + 1e-9

@@ -1,8 +1,8 @@
 """Tests for the block solver and the MBI iteration, stated through the
-public contract: ``reduce_problem``'s result is a handle passed only to
-``mbi_solve``; a bank's objective is what a solve records for it, its
-analytic MSE less the Wiener MSE; and each step is checked against the
-per-block KLT oracle of ``conftest``."""
+public contract: ``mbi_solve`` solves from the model itself; a bank's
+objective is what a solve records for it, its analytic MSE less the Wiener
+MSE; and each step is checked against the per-block KLT oracle of
+``conftest``."""
 
 import warnings
 
@@ -34,7 +34,6 @@ from kltmbi import (
     generate,
     init_bank,
     mbi_solve,
-    reduce_problem,
 )
 from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
@@ -52,7 +51,6 @@ class TestReduceProblem:
         model = SecondMomentModel(
             partition=part, e_xx=np.eye(2), e_xy=e_xy, e_yy=np.eye(4)
         )
-        rp = reduce_problem(model)
         for bank in (
             CompressorBank.zeros(part),
             CompressorBank(
@@ -61,19 +59,18 @@ class TestReduceProblem:
             ),
         ):
             want = np.linalg.norm(e_xy - bank.full()) ** 2
-            assert recorded_objective(rp, bank) == pytest.approx(want, rel=1e-12)
+            assert recorded_objective(model, bank) == pytest.approx(want, rel=1e-12)
 
     def test_noiseless_single_sensor(self):
         part = SensorPartition(m=3, n=(3,), r=(3,))
         model = SecondMomentModel(
             partition=part, e_xx=np.eye(3), e_xy=np.eye(3), e_yy=np.eye(3)
         )
-        rp = reduce_problem(model)
         zero = CompressorBank.zeros(part)
-        assert recorded_objective(rp, zero) == pytest.approx(3.0)
+        assert recorded_objective(model, zero) == pytest.approx(3.0)
         identity = CompressorBank(blocks=(np.eye(3),), partition=part)
-        assert recorded_objective(rp, identity) == pytest.approx(0.0, abs=1e-18)
-        bank, _ = mbi_solve(rp, zero, ONE_SWEEP)
+        assert recorded_objective(model, identity) == pytest.approx(0.0, abs=1e-18)
+        bank, _ = mbi_solve(model, zero, ONE_SWEEP)
         assert np.allclose(bank.blocks[0], np.eye(3))
 
     def test_g_blocks_stack_to_root(self):
@@ -82,13 +79,12 @@ class TestReduceProblem:
         # MSE, bit for bit
         rng = np.random.default_rng(0)
         model = random_model(rng, 3, (2, 3), (1, 2))
-        rp = reduce_problem(model)
         for _ in range(3):
             bank = CompressorBank(
                 blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 3))),
                 partition=model.partition,
             )
-            f = recorded_objective(rp, bank)
+            f = recorded_objective(model, bank)
             assert analytic_mse(model, bank) == max(float(model.wiener_mse + f), 0.0)
 
     def test_cached_projectors(self):
@@ -96,9 +92,10 @@ class TestReduceProblem:
         # reach the oracle's best block at every step, from either start
         rng = np.random.default_rng(1)
         model = random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
-        rp = reduce_problem(model)
         for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-            _, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=10))
+            _, trace = mbi_solve(
+                model, start, MbiConfig(epsilon=0.0, max_iterations=10)
+            )
             _assert_oracle_sweeps(model, trace)
 
     def test_trace_expansion_identity(self):
@@ -106,13 +103,12 @@ class TestReduceProblem:
         # estimation error agree for consistent joint models
         rng = np.random.default_rng(2)
         model = random_model(rng, 3, (2, 2), (1, 1))
-        rp = reduce_problem(model)
         for _ in range(5):
             bank = CompressorBank(
                 blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 2))),
                 partition=model.partition,
             )
-            reduced = model.wiener_mse + recorded_objective(rp, bank)
+            reduced = model.wiener_mse + recorded_objective(model, bank)
             assert direct_mse(model, bank) == pytest.approx(reduced, rel=1e-8)
             assert analytic_mse(model, bank) == pytest.approx(reduced, rel=1e-8)
 
@@ -121,11 +117,10 @@ class TestObjective:
     def test_zero_bank(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 2, (2, 2), (1, 1))
-        rp = reduce_problem(model)
         bank = CompressorBank.zeros(model.partition)
         # ||H||^2 = tr E_xx - wiener_mse
         want = np.trace(model.e_xx) - model.wiener_mse
-        assert recorded_objective(rp, bank) == pytest.approx(want)
+        assert recorded_objective(model, bank) == pytest.approx(want)
         assert analytic_mse(model, bank) == pytest.approx(np.trace(model.e_xx))
 
     def test_exact_fit_single_sensor(self):
@@ -136,17 +131,15 @@ class TestObjective:
             e_xy=np.arange(6.0).reshape(2, 3),
             e_yy=np.eye(3),
         )
-        rp = reduce_problem(model)
         # the Wiener filter E_xy E_yy^+
         bank = CompressorBank(blocks=(model.e_xy @ pinv(model.e_yy),), partition=part)
-        assert recorded_objective(rp, bank) == pytest.approx(0.0, abs=1e-18)
+        assert recorded_objective(model, bank) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_entrywise_sum(self):
         # ||H - F E_yy^(1/2)||^2 with H = E_xy (E_yy^(1/2))^+, summed entry
         # by entry from a root formed here
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, (2, 3), (1, 2))
-        rp = reduce_problem(model)
         bank = CompressorBank(
             blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 3))),
             partition=model.partition,
@@ -154,7 +147,7 @@ class TestObjective:
         root = psd_sqrt(model.e_yy)
         resid = model.e_xy @ pinv(root) - bank.full() @ root
         brute = sum(v * v for v in resid.ravel())
-        assert recorded_objective(rp, bank) == pytest.approx(brute, rel=1e-12)
+        assert recorded_objective(model, bank) == pytest.approx(brute, rel=1e-12)
 
 
 class TestRankConstrainedLsq:
@@ -247,8 +240,7 @@ class TestInitBank:
         part = SensorPartition(m=4, n=(2, 2), r=(2, 2))
         model = joint_model_from_factor(np.vstack([ax, ax]), part)
         bank = init_bank(model)  # splits x into rows (0, 1) and (2, 3)
-        rp = reduce_problem(model)
-        assert recorded_objective(rp, bank) == pytest.approx(0.0, abs=1e-16)
+        assert recorded_objective(model, bank) == pytest.approx(0.0, abs=1e-16)
 
     def test_fallback_zero_bank_when_m_below_p(self):
         rng = np.random.default_rng(11)
@@ -268,27 +260,24 @@ class TestMbiStep:
     def test_fixed_point(self):
         rng = np.random.default_rng(13)
         model = noisy_model(rng, 3, (3, 3), (2, 2))
-        rp = reduce_problem(model)
         bank, solved = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=200)
         )
         f_before = solved.objective_per_iteration[-1]
-        _, trace = mbi_solve(rp, bank, ONE_SWEEP)
+        _, trace = mbi_solve(model, bank, ONE_SWEEP)
         assert abs(trace.objective_per_iteration[-1] - f_before) <= 1e-12
 
     def test_single_sensor_step_is_klt(self):
         rng = np.random.default_rng(14)
         model = random_model(rng, 4, (5,), (2,))
-        rp = reduce_problem(model)
-        bank, _ = mbi_solve(rp, CompressorBank.zeros(model.partition), ONE_SWEEP)
+        bank, _ = mbi_solve(model, CompressorBank.zeros(model.partition), ONE_SWEEP)
         k = klt_matrix(model.e_xy, model.e_yy, 2)
         assert np.linalg.norm(bank.blocks[0] - k) <= 1e-8 * max(1, np.linalg.norm(k))
 
     def test_strict_decrease_from_warm_start(self):
         model = example1_model()
-        rp = reduce_problem(model)
         start = init_bank(model)
-        _, trace = mbi_solve(rp, start, ONE_SWEEP)
+        _, trace = mbi_solve(model, start, ONE_SWEEP)
         assert trace.objective_per_iteration[-1] < trace.objective_per_iteration[0]
 
     def test_tie_breaks_to_lowest_index(self):
@@ -300,19 +289,17 @@ class TestMbiStep:
             e_xy=np.hstack([np.eye(2), np.eye(2)]),
             e_yy=np.block([[2 * np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), 2 * np.eye(2)]]),
         )
-        rp = reduce_problem(model)
         # the committed block's truncation is itself degenerate (sigma_1 = sigma_2)
         with pytest.warns(DegenerateTruncationWarning):
-            _, trace = mbi_solve(rp, CompressorBank.zeros(part), ONE_SWEEP)
+            _, trace = mbi_solve(model, CompressorBank.zeros(part), ONE_SWEEP)
         assert trace.chosen_block_per_iteration == [0]
 
 
 class TestMbiSolve:
     def test_infinite_epsilon_returns_init(self):
         model = example1_model()
-        rp = reduce_problem(model)
         start = init_bank(model)
-        bank, trace = mbi_solve(rp, start, MbiConfig(epsilon=np.inf))
+        bank, trace = mbi_solve(model, start, MbiConfig(epsilon=np.inf))
         assert trace.iterations_used == 0
         assert len(trace.objective_per_iteration) == 1
         assert trace.converged
@@ -330,7 +317,7 @@ class TestMbiSolve:
         )
         start = CompressorBank(blocks=(np.ones((2, 2)),) * 2, partition=part)
         cfg = MbiConfig(epsilon=np.inf)
-        bank, trace = mbi_solve(reduce_problem(model), start, cfg)
+        bank, trace = mbi_solve(model, start, cfg)
         assert trace.converged and trace.iterations_used == 2
         assert analytic_mse(model, bank) == 0.0
 
@@ -339,9 +326,8 @@ class TestMbiSolve:
         # epsilon=0 run, where every earlier sweep gained more, stops the
         # solve at sweep t uncommitted
         model = noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1))
-        rp = reduce_problem(model)
         start = init_bank(model)
-        _, ref = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=30))
+        _, ref = mbi_solve(model, start, MbiConfig(epsilon=0.0, max_iterations=30))
         assert not ref.converged
         gains = -np.diff(ref.objective_per_iteration)
         stops = [t for t in range(2, 31) if gains[t - 1] < gains[: t - 1].min()]
@@ -352,7 +338,7 @@ class TestMbiSolve:
             while epsilon * tr < gains[t - 1]:  # undo the quotient's rounding
                 epsilon = np.nextafter(epsilon, np.inf)
             bank, trace = mbi_solve(
-                rp, start, MbiConfig(epsilon=epsilon, max_iterations=30)
+                model, start, MbiConfig(epsilon=epsilon, max_iterations=30)
             )
             assert trace.converged and trace.iterations_used == t - 1
             assert trace.objective_per_iteration == ref.objective_per_iteration[:t]
@@ -364,9 +350,8 @@ class TestMbiSolve:
 
     def test_benchmark_model_converges(self):
         model = example1_model()
-        rp = reduce_problem(model)
         bank, trace = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=2000)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=2000)
         )
         assert trace.converged
         diffs = np.diff(trace.objective_per_iteration)
@@ -375,8 +360,7 @@ class TestMbiSolve:
     def test_monotone_and_rank_feasible(self):
         rng = np.random.default_rng(15)
         model = noisy_model(rng, 4, (3, 4, 2), (2, 2, 1))
-        rp = reduce_problem(model)
-        bank, trace = mbi_solve(rp, init_bank(model), MbiConfig(max_iterations=50))
+        bank, trace = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=50))
         assert np.all(np.diff(trace.objective_per_iteration) <= 0)
         for recorded in trace.banks:
             for b, r in zip(recorded.blocks, model.partition.r):
@@ -385,9 +369,8 @@ class TestMbiSolve:
     def test_stationarity_at_convergence(self):
         rng = np.random.default_rng(16)
         model = noisy_model(rng, 3, (4, 3), (2, 1))
-        rp = reduce_problem(model)
         bank, trace = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=300)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=300)
         )
         assert trace.converged
         f0 = direct_mse(model, bank)
@@ -397,9 +380,8 @@ class TestMbiSolve:
 
     def test_trace_off_skips_banks(self):
         model = example1_model()
-        rp = reduce_problem(model)
         _, trace = mbi_solve(
-            rp, init_bank(model), MbiConfig(max_iterations=3, record_trace=False)
+            model, init_bank(model), MbiConfig(max_iterations=3, record_trace=False)
         )
         assert trace.banks is None
 
@@ -422,6 +404,50 @@ class TestMbiSolve:
         cfg = MbiConfig(epsilon=np.float32(0.5), max_iterations=np.int64(3))
         assert type(cfg.epsilon) is float and type(cfg.max_iterations) is int
         assert (cfg.epsilon, cfg.max_iterations) == (0.5, 3)
+
+    def test_start_of_another_partition_is_rejected(self):
+        # another rank bound would let the solve keep a block of rank 2 where
+        # r_j = 1; another m or n would fail inside NumPy
+        model = example1_model(r=(1, 1))
+        for start in (
+            init_bank(example1_model(r=(3, 3))),
+            CompressorBank.zeros(SensorPartition(m=3, n=(3, 2), r=(1, 1))),
+            CompressorBank.zeros(SensorPartition(m=2, n=(3, 3), r=(1, 1))),
+        ):
+            with pytest.raises(InvalidInput, match="start bank"):
+                mbi_solve(model, start)
+
+    def test_not_psd_raises_before_any_step(self, monkeypatch):
+        # E_yy's negative eigenvalue lies just below, then just inside, the
+        # band [-1e-8 * ||E_yy||, 0) that is clamped as estimation noise
+        solves = _count_candidates(monkeypatch)
+        part = SensorPartition(m=1, n=(2, 1), r=(1, 1))
+        start = CompressorBank.zeros(part)
+
+        def model(neg):  # ||E_yy|| = sqrt(2) to within 1e-16
+            e_yy = np.diag([1.0, 1.0, neg * np.sqrt(2.0)])
+            return SecondMomentModel(
+                partition=part, e_xx=np.eye(1), e_xy=np.ones((1, 3)), e_yy=e_yy
+            )
+
+        with pytest.raises(NotPsd):
+            mbi_solve(model(-2e-8), start)
+        assert solves == []
+        _, trace = mbi_solve(model(-0.5e-8), start, ONE_SWEEP)
+        assert len(solves) == 1 and trace.chosen_block_per_iteration == [0]
+
+
+class TestCompressorBank:
+    def test_rejects_non_finite_blocks(self):
+        part = SensorPartition(m=2, n=(2, 1), r=(1, 1))
+        bank = CompressorBank.zeros(part)
+        for bad in (np.nan, np.inf, -np.inf):
+            block = np.zeros((2, 2))
+            block[1, 0] = bad
+            with pytest.raises(InvalidInput, match="block 0"):
+                CompressorBank(blocks=(block, np.zeros((2, 1))), partition=part)
+            with pytest.raises(InvalidInput, match="block 0"):
+                bank.replace(0, block)
 
 
 def _identical_sensors_model(rng):
@@ -525,10 +551,9 @@ class TestScreenedSweepEquivalence:
         # from the zero bank, tied blocks are separated only by rounding
         for seed in range(10):
             model = make_model(np.random.default_rng(100 + seed))
-            rp = reduce_problem(model)
             for start in (init_bank(model), CompressorBank.zeros(model.partition)):
                 _, trace = mbi_solve(
-                    rp, start, MbiConfig(epsilon=0.0, max_iterations=30)
+                    model, start, MbiConfig(epsilon=0.0, max_iterations=30)
                 )
                 _assert_oracle_sweeps(model, trace)
 
@@ -545,16 +570,15 @@ class TestScreenedSweepEquivalence:
         screens = []
         real = solver._screen
 
-        def spy(rp, bank, resid):
+        def spy(*args):
             screens.append(1)
-            return real(rp, bank, resid)
+            return real(*args)
 
         monkeypatch.setattr(solver, "_screen", spy)
         solves = _count_candidates(monkeypatch)
         model = make_model()
-        rp = reduce_problem(model)
         _, trace = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=20)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=20)
         )
         sweeps = trace.iterations_used + int(trace.converged)
         assert sweeps > 1
@@ -569,9 +593,10 @@ def test_silent_sensor_gets_rank_zero():
     # analytic MSE fell 12-27% below the direct expansion
     for seed in range(10):
         model = _silent_sensor_model(np.random.default_rng(100 + seed))
-        rp = reduce_problem(model)
         for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-            _, trace = mbi_solve(rp, start, MbiConfig(epsilon=0.0, max_iterations=30))
+            _, trace = mbi_solve(
+                model, start, MbiConfig(epsilon=0.0, max_iterations=30)
+            )
             for bank in trace.banks:
                 assert not bank.blocks[1].any()
                 want = direct_mse(model, bank)
@@ -586,10 +611,9 @@ def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
         kind="linear_mixing", partition=part, s=16, sigmas=(0.3,) * 8, seed=1
     )
     model = estimate_moments(generate(spec), part)
-    rp = reduce_problem(model)
     solves = _count_candidates(monkeypatch)
     bank, trace = mbi_solve(
-        rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=60)
+        model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=60)
     )
     assert trace.converged
     assert len(solves) == trace.iterations_used + 1
@@ -604,7 +628,7 @@ _SCALED_PART = SensorPartition(m=8, n=(8,) * 4, r=(2, 3, 2, 1))
 def _solve_recording_warnings(model, cfg):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bank, trace = mbi_solve(reduce_problem(model), init_bank(model), cfg)
+        bank, trace = mbi_solve(model, init_bank(model), cfg)
     warned = [(w.category, str(w.message)) for w in caught]
     return trace, analytic_mse(model, bank), warned
 

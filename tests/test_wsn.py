@@ -34,7 +34,6 @@ from kltmbi import (
     load_wsn_json,
     mbi_solve,
     reconstruct,
-    reduce_problem,
     save_pgm,
     save_wsn_json,
 )
@@ -87,8 +86,7 @@ class TestFactorize:
 
     def test_benchmark_encoders_shape(self):
         model = example1_model()
-        rp = reduce_problem(model)
-        bank, _ = mbi_solve(rp, init_bank(model), MbiConfig(max_iterations=20))
+        bank, _ = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=20))
         wsn = factorize_wsn(bank)
         assert wsn.encoders[0].shape == (1, 3)
         assert wsn.encoders[1].shape == (1, 3)
@@ -160,7 +158,7 @@ class TestAnalyticMse:
         h = model.e_xy @ pinv(root)
         tail = np.linalg.norm(h - bank.full() @ root) ** 2
         want = max(float(np.trace(model.e_xx) - np.linalg.norm(h) ** 2 + tail), 0.0)
-        reduce_problem(model)  # fills the model's cache
+        recorded_objective(model, bank)  # fills the model's cache
         for _ in range(2):
             assert analytic_mse(model, bank) == want
 
@@ -186,21 +184,19 @@ class TestAnalyticMse:
                 kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=1
             )
             model = estimate_moments(generate(spec), part)
-        rp = reduce_problem(model)
         _, trace = mbi_solve(
-            rp, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=30)
+            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=30)
         )
         assert len(trace.banks) >= 2
         for bank, f in zip(trace.banks, trace.objective_per_iteration):
-            assert recorded_objective(rp, bank) == f
+            assert recorded_objective(model, bank) == f
             assert analytic_mse(model, bank) == max(float(model.wiener_mse + f), 0.0)
 
     def test_nonnegative_for_solved_banks(self):
         rng = np.random.default_rng(4)
         part = SensorPartition(m=3, n=(3, 3), r=(2, 1))
         model = joint_model_from_factor(rng.standard_normal((9, 14)), part)
-        rp = reduce_problem(model)
-        bank, _ = mbi_solve(rp, init_bank(model), MbiConfig(max_iterations=50))
+        bank, _ = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=50))
         assert analytic_mse(model, bank) >= -1e-9
 
 
@@ -267,7 +263,7 @@ def _mbi_trace(ens, part, start=None):
     from the zero bank unless a ``start`` is given."""
     model = estimate_moments(ens, part)
     _, trace = mbi_solve(
-        reduce_problem(model),
+        model,
         CompressorBank.zeros(part) if start is None else start(model),
         MbiConfig(epsilon=0.0, max_iterations=30),
     )
