@@ -207,8 +207,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     analytic = [_objective_mse(model, f_i) for f_i in trace.objective_per_iteration]
 
     if "trace_csv" in files:
-        # the empirical column comes from one running m x s residual,
-        # updated by each committed block step
+        # the empirical column replays each committed block step on the
+        # samples, one column chunk at a time
         if ens is None:
             emp = [""] * len(analytic)
         else:

@@ -115,7 +115,8 @@ class MbiTrace:
     this record: the analytic MSE after step i is
     max(tr E_xx - ||H||^2 + objective_per_iteration[i], 0), which is
     :func:`~kltmbi.wsn.analytic_mse` of ``banks[i]`` bit for bit, and the
-    empirical MSE follows one residual that each chosen block updates.
+    empirical MSE follows, chunk by chunk, a residual that each chosen
+    block updates.
     Compared by identity: ``==`` is ``is``, and a trace hashes."""
 
     objective_per_iteration: list[float]

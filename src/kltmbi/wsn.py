@@ -127,17 +127,11 @@ def _objective_mse(model: SecondMomentModel, f: float) -> float:
     return max(float(model.wiener_mse + f), 0.0)
 
 
-def _sample_residual(
-    ens: SampleEnsemble, bank: CompressorBank, out: np.ndarray | None = None
-) -> np.ndarray:
-    """X - F Y, formed in the product's buffer (``out`` when given)."""
-    out = np.matmul(bank.full(), ens.y, out=out)
-    np.subtract(ens.x, out, out=out)
-    return out
-
-
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
-    """Average per-sample squared error (1/s) ||X - F Y||_F^2."""
+    """Average per-sample squared error (1/s) ||X - F Y||_F^2, computed as
+    (1/s) sum_c ||X_c - F Y_c||_F^2 over the column chunks c of at most
+    _CHUNK samples, in order, through two m x _CHUNK buffers: no m x s
+    array is allocated."""
     if ens.y.shape[0] != bank.partition.n_total:
         raise InvalidInput(
             f"y has {ens.y.shape[0]} rows, bank expects {bank.partition.n_total}"
@@ -146,58 +140,89 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
         raise InvalidInput(
             f"x has {ens.x.shape[0]} rows, bank expects {bank.partition.m}"
         )
-    return float(np.linalg.norm(_sample_residual(ens, bank)) ** 2 / ens.s)
+    return _chunked_mse(ens, [bank], [])[0]
 
 
-# Columns per chunk of the running residual's update: its buffer is m x
-# _CHUNK, about 1 MB at m = 32.
+# Columns per chunk of the sample residual: each of its two buffers is
+# m x _CHUNK, about 1 MB at m = 32.
 _CHUNK = 4096
-# The running residual is formed again from scratch once its norm falls
-# below this fraction of a bound on the norms subtracted from X to form it:
-# past that point cancellation would cost it more digits than the trace
-# prints.
+# A chunk's running residual R_c is formed again from scratch once its norm
+# falls below this fraction of a bound on the norms subtracted from X_c to
+# form it: past that point cancellation would cost it more digits than the
+# trace prints.
 _REFRESH_RATIO = 1e3
 
 
 def _running_empirical_mse(ens: SampleEnsemble, trace: MbiTrace) -> list[float]:
-    """:func:`empirical_mse` of each bank in ``trace.banks``, from one
-    running residual R = X - F Y.
+    """:func:`empirical_mse` of each bank in ``trace.banks``, replayed chunk
+    by chunk.
 
-    Step i changes only block j = ``trace.chosen_block_per_iteration[i-1]``,
-    which updates R -= (F_j' - F_j) Y_j in column chunks of at most _CHUNK
-    through one m x _CHUNK buffer. A step costs m x n_j x s flops instead of
-    m x N x s, and no second m x s array is allocated.
+    For each column chunk c of at most _CHUNK samples, R_c = X_c - F Y_c is
+    formed for the first bank, then every committed step is applied to it
+    while it is in cache: step i changes only block
+    j = ``trace.chosen_block_per_iteration[i-1]``, so R_c -= (F_j' - F_j) Y_jc.
+    A step costs m x n_j x s flops in all instead of m x N x s. Row i adds
+    ||R_c||^2 for each chunk in order and divides by s at the end.
 
-    R is formed from scratch, as :func:`empirical_mse` forms it, for the
-    first bank and whenever ||R|| falls below 1/_REFRESH_RATIO of
-    sum_j ||F_j|| ||Y_j|| plus sum ||F_j' - F_j|| ||Y_j|| over the steps
-    since, as it does on every row of a near-exact fit. Such a row equals
-    :func:`empirical_mse` bit for bit.
+    R_c is formed from scratch, as :func:`empirical_mse` forms it, for the
+    first bank and whenever ||R_c|| falls below 1/_REFRESH_RATIO of
+    sum_j ||F_j|| ||Y_jc|| plus sum ||F_j' - F_j|| ||Y_jc|| over the steps
+    since, as it does on every row of a near-exact fit. A row whose every
+    chunk is formed afresh equals :func:`empirical_mse` bit for bit.
     """
-    banks = trace.banks
+    return _chunked_mse(ens, trace.banks, trace.chosen_block_per_iteration)
+
+
+def _chunked_mse(
+    ens: SampleEnsemble, banks: list[CompressorBank], chosen: list[int]
+) -> list[float]:
+    """(1/s) ||X - F Y||_F^2 of each bank, where bank i differs from bank
+    i - 1 only in block ``chosen[i-1]``; see :func:`_running_empirical_mse`.
+    Holds two m x _CHUNK buffers, and forms each bank's stacked ``full()``
+    at most once."""
     part = banks[0].partition
-    y_norms = [np.linalg.norm(ens.y[part.y_slice(j)]) for j in range(part.p)]
-    resid = np.empty((part.m, ens.s))
-    chunk = min(_CHUNK, ens.s)
-    buf = np.empty(part.m * chunk)
-    out = []
-    for i, bank in enumerate(banks):
-        if i:
-            j = trace.chosen_block_per_iteration[i - 1]
-            delta = bank.blocks[j] - banks[i - 1].blocks[j]
-            drift += np.linalg.norm(delta) * y_norms[j]
-            y_j = ens.y[part.y_slice(j)]
-            for start in range(0, ens.s, chunk):
-                cols = slice(start, min(start + chunk, ens.s))
-                step = buf[: part.m * (cols.stop - start)].reshape(part.m, -1)
-                np.matmul(delta, y_j[:, cols], out=step)
-                resid[:, cols] -= step
-            norm = np.linalg.norm(resid)
-        if i == 0 or drift > _REFRESH_RATIO * norm:
-            drift = sum(np.linalg.norm(f) * y for f, y in zip(bank.blocks, y_norms))
-            norm = np.linalg.norm(_sample_residual(ens, bank, out=resid))
-        out.append(float(norm**2 / ens.s))
-    return out
+    m, s = part.m, ens.s
+    rows = [part.y_slice(j) for j in range(part.p)]
+    steps = [
+        (j, bank.blocks[j] - prev.blocks[j])
+        for prev, bank, j in zip(banks, banks[1:], chosen)
+    ]
+    step_norms = [np.linalg.norm(delta) for _, delta in steps]
+    fresh = {}  # bank index -> (full(), block norms)
+    chunk = min(_CHUNK, s)
+    resid_buf, step_buf = np.empty(m * chunk), np.empty(m * chunk)
+    sums = [0.0] * len(banks)
+    for start in range(0, s, chunk):
+        cols = slice(start, min(start + chunk, s))
+        resid = resid_buf[: m * (cols.stop - start)].reshape(m, -1)
+        step = step_buf[: resid.size].reshape(m, -1)
+        y_c = ens.y[:, cols]
+        if steps:
+            # row by row, without the copy a norm of the strided Y_jc makes
+            y_sq = np.einsum("ij,ij->i", y_c, y_c)
+            y_norms = [np.sqrt(y_sq[r].sum()) for r in rows]
+        else:  # a lone bank is never refreshed, so needs no bound
+            y_norms = [0.0] * part.p
+        for i, bank in enumerate(banks):
+            if i:
+                j, delta = steps[i - 1]
+                drift += step_norms[i - 1] * y_norms[j]
+                np.matmul(delta, y_c[rows[j]], out=step)
+                resid -= step
+                norm = np.linalg.norm(resid)
+            if i == 0 or drift > _REFRESH_RATIO * norm:
+                if i not in fresh:
+                    fresh[i] = bank.full(), [np.linalg.norm(f) for f in bank.blocks]
+                full, f_norms = fresh[i]
+                drift = sum(f * y for f, y in zip(f_norms, y_norms))
+                np.matmul(full, y_c, out=step)
+                # a copy, then a subtraction of contiguous arrays: one from
+                # the strided X_c would take a 64 KiB iterator buffer
+                resid[...] = ens.x[:, cols]
+                resid -= step
+                norm = np.linalg.norm(resid)
+            sums[i] += norm**2
+    return [float(v / s) for v in sums]
 
 
 def _json_matrix(rows, name: str) -> np.ndarray:

@@ -7,9 +7,11 @@ checked against the paper's statement of each MBI step rather than its own
 internals.
 """
 
+import os
 import warnings
 
 import numpy as np
+from hypothesis import settings
 
 from kltmbi import (
     CompressorBank,
@@ -21,6 +23,11 @@ from kltmbi import (
 )
 from kltmbi.covariance import SecondMomentModel
 from kltmbi.solver import klt_matrix
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# that fails in CI fails the same way locally; plain runs stay randomized.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # One MBI sweep from a given bank: what the benchmark's library workload runs
 # per mbi_solve call.

@@ -252,9 +252,9 @@ class TestRun:
         assert f"final_mse={rows[-1][3]}" in out
         assert f"baseline_mse={rows[0][3]}" in out
 
-    def test_trace_holds_one_residual(self, tmp_path, monkeypatch):
-        # the empirical column keeps one m x s residual and a chunk buffer;
-        # an update through a second m x s array exceeds the bound
+    def test_trace_holds_two_chunk_buffers(self, tmp_path, monkeypatch):
+        # the empirical column keeps two m x _CHUNK buffers; an m x s
+        # residual exceeds the bound
         import kltmbi.cli as cli_mod
         from kltmbi import wsn
 
@@ -286,7 +286,7 @@ class TestRun:
                 "outputs": {"trace_csv": str(tmp_path / "t.csv")},
             },
         )
-        bound = m * s * 8 + m * wsn._CHUNK * 8 + 256 * 1024
+        bound = 2 * m * wsn._CHUNK * 8 + 256 * 1024
         # the second run has one chunk as wide as the samples: the bound
         # must tell it apart
         for chunk in (wsn._CHUNK, s):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,7 +231,10 @@ class TestEmpiricalMse:
             ana = analytic_mse(model, bank)
             assert abs(emp - ana) <= 1e-8 * max(1.0, abs(emp))
 
-    def test_bit_equal_to_formula(self):
+    def test_bit_equal_to_formula(self, monkeypatch):
+        # sum over column chunks, in order, of ||X_c - F Y_c||^2, over s.
+        # With chunks of 128, s = 300 spans three, the last one short, and
+        # its sum differs from the one-chunk norm in the last bit
         rng = np.random.default_rng(11)
         part = SensorPartition(m=3, n=(2, 4), r=(1, 2))
         bank = _rank_feasible_bank(rng, part)
@@ -238,10 +242,11 @@ class TestEmpiricalMse:
             ens = SampleEnsemble(
                 x=rng.standard_normal((3, s)), y=rng.standard_normal((6, s))
             )
-            want = np.linalg.norm(ens.x - bank.full() @ ens.y) ** 2 / s
-            assert empirical_mse(ens, bank) == want
+            assert empirical_mse(ens, bank) == _chunked_formula(ens, bank, s)
+        monkeypatch.setattr(wsn, "_CHUNK", 128)
+        assert empirical_mse(ens, bank) == _chunked_formula(ens, bank, 128)
 
-    def test_peak_memory_is_one_residual(self):
+    def test_peak_memory_is_two_chunk_buffers(self):
         rng = np.random.default_rng(12)
         m, p, s = 8, 4, 20_000
         part = SensorPartition(m=m, n=(m,) * p, r=(2,) * p)
@@ -255,7 +260,17 @@ class TestEmpiricalMse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= m * s * 8 + 64 * 1024
+        assert peak <= 2 * m * wsn._CHUNK * 8 + 64 * 1024
+
+
+def _chunked_formula(ens, bank, chunk):
+    """sum_c ||X_c - F Y_c||_F^2 / s over column chunks of ``chunk``, in order."""
+    f = bank.full()
+    total = 0.0
+    for start in range(0, ens.s, chunk):
+        cols = slice(start, start + chunk)
+        total += np.linalg.norm(ens.x[:, cols] - f @ ens.y[:, cols]) ** 2
+    return total / ens.s
 
 
 def _mbi_trace(ens, part, start=None):
@@ -321,15 +336,43 @@ class TestRunningEmpiricalMse:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * w
 
-    def test_near_exact_fit_rows_are_recomputed(self):
+    def test_near_exact_fit_rows_are_recomputed(self, monkeypatch):
         # s = 6 < N = 32: the warm start fits the samples up to round-off,
-        # which a running update would print as different noise
+        # which a running update would print as different noise. In chunks
+        # of 2, each of the three chunks of every row is formed afresh.
         ens, part = self._sampled("additive_noise", 8, 4, 6)
         trace = _mbi_trace(ens, part, start=init_bank)
         assert len(trace.banks) >= 2
-        want = [empirical_mse(ens, b) for b in trace.banks]
-        assert max(want) < 1e-20
-        assert _running_empirical_mse(ens, trace) == want
+        for chunk in (wsn._CHUNK, 2):
+            monkeypatch.setattr(wsn, "_CHUNK", chunk)
+            want = [empirical_mse(ens, b) for b in trace.banks]
+            assert max(want) < 1e-20
+            assert _running_empirical_mse(ens, trace) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear_mixing", "additive_noise"]),
+    s=st.integers(20, 80),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_chunked_rows_agree_with_unchunked(kind, s, seed, data):
+    # N = 8 < s: no bank fits the samples exactly, so every row is a sum of
+    # chunks that each carry digits
+    part = SensorPartition(m=4, n=(4, 4), r=(2, 2))
+    spec = ScenarioSpec(kind=kind, partition=part, s=s, sigmas=(0.3, 0.3), seed=seed)
+    ens = generate(spec)
+    trace = _mbi_trace(ens, part)
+    want = [_chunked_formula(ens, b, s) for b in trace.banks]
+    chunk = data.draw(st.integers(1, s), label="chunk")
+    with mock.patch.object(wsn, "_CHUNK", chunk):
+        rows = _running_empirical_mse(ens, trace)
+        single = [empirical_mse(ens, b) for b in trace.banks]
+    for got in (rows, single):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
 
 
 class TestJsonExport:
