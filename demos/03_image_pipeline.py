@@ -34,7 +34,7 @@ config = {
         "kind": "image",
         "m": 128,
         "n": [128, 128],
-        "r": [64, 64],
+        "r": [32, 32],
         "sigmas": [0.2, 0.1],
         "seed": 5,
         "image_path": image_path,

@@ -130,8 +130,8 @@ def _objective_mse(model: SecondMomentModel, f: float) -> float:
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
     """Average per-sample squared error (1/s) ||X - F Y||_F^2, computed as
     (1/s) sum_c ||X_c - F Y_c||_F^2 over the column chunks c of at most
-    _CHUNK samples, in order, through two m x _CHUNK buffers: no m x s
-    array is allocated."""
+    _CHUNK samples, in order, through two m x _CHUNK buffers and the bank's
+    stacked m x N ``full()``: no m x s array is allocated."""
     if ens.y.shape[0] != bank.partition.n_total:
         raise InvalidInput(
             f"y has {ens.y.shape[0]} rows, bank expects {bank.partition.n_total}"
@@ -169,6 +169,10 @@ def _running_empirical_mse(ens: SampleEnsemble, trace: MbiTrace) -> list[float]:
     sum_j ||F_j|| ||Y_jc|| plus sum ||F_j' - F_j|| ||Y_jc|| over the steps
     since, as it does on every row of a near-exact fit. A row whose every
     chunk is formed afresh equals :func:`empirical_mse` bit for bit.
+
+    The replay holds two m x _CHUNK buffers and, during a fresh formation,
+    the one m x N stacked bank it multiplies by; a step's F_j' - F_j is
+    formed when the step is applied. Nothing is kept per bank.
     """
     return _chunked_mse(ens, trace.banks, trace.chosen_block_per_iteration)
 
@@ -178,17 +182,11 @@ def _chunked_mse(
 ) -> list[float]:
     """(1/s) ||X - F Y||_F^2 of each bank, where bank i differs from bank
     i - 1 only in block ``chosen[i-1]``; see :func:`_running_empirical_mse`.
-    Holds two m x _CHUNK buffers, and forms each bank's stacked ``full()``
-    at most once."""
+    Holds two m x _CHUNK buffers and, while R_c is formed afresh, the
+    bank's stacked m x N ``full()``."""
     part = banks[0].partition
     m, s = part.m, ens.s
     rows = [part.y_slice(j) for j in range(part.p)]
-    steps = [
-        (j, bank.blocks[j] - prev.blocks[j])
-        for prev, bank, j in zip(banks, banks[1:], chosen)
-    ]
-    step_norms = [np.linalg.norm(delta) for _, delta in steps]
-    fresh = {}  # bank index -> (full(), block norms)
     chunk = min(_CHUNK, s)
     resid_buf, step_buf = np.empty(m * chunk), np.empty(m * chunk)
     sums = [0.0] * len(banks)
@@ -197,25 +195,20 @@ def _chunked_mse(
         resid = resid_buf[: m * (cols.stop - start)].reshape(m, -1)
         step = step_buf[: resid.size].reshape(m, -1)
         y_c = ens.y[:, cols]
-        if steps:
-            # row by row, without the copy a norm of the strided Y_jc makes
-            y_sq = np.einsum("ij,ij->i", y_c, y_c)
-            y_norms = [np.sqrt(y_sq[r].sum()) for r in rows]
-        else:  # a lone bank is never refreshed, so needs no bound
-            y_norms = [0.0] * part.p
+        # row by row, without the copy a norm of the strided Y_jc makes
+        y_sq = np.einsum("ij,ij->i", y_c, y_c)
+        y_norms = [np.sqrt(y_sq[r].sum()) for r in rows]
         for i, bank in enumerate(banks):
             if i:
-                j, delta = steps[i - 1]
-                drift += step_norms[i - 1] * y_norms[j]
+                j = chosen[i - 1]
+                delta = bank.blocks[j] - banks[i - 1].blocks[j]
+                drift += np.linalg.norm(delta) * y_norms[j]
                 np.matmul(delta, y_c[rows[j]], out=step)
                 resid -= step
                 norm = np.linalg.norm(resid)
             if i == 0 or drift > _REFRESH_RATIO * norm:
-                if i not in fresh:
-                    fresh[i] = bank.full(), [np.linalg.norm(f) for f in bank.blocks]
-                full, f_norms = fresh[i]
-                drift = sum(f * y for f, y in zip(f_norms, y_norms))
-                np.matmul(full, y_c, out=step)
+                drift = sum(np.linalg.norm(f) * y for f, y in zip(bank.blocks, y_norms))
+                np.matmul(bank.full(), y_c, out=step)
                 # a copy, then a subtraction of contiguous arrays: one from
                 # the strided X_c would take a 64 KiB iterator buffer
                 resid[...] = ens.x[:, cols]

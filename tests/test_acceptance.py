@@ -259,7 +259,7 @@ def test_criterion_8_image_pipeline(tmp_path):
         "kind": "image",
         "m": 128,
         "n": [128, 128],
-        "r": [64, 64],
+        "r": [32, 32],
         "sigmas": [0.2, 0.1],
         "seed": 80,
         "image_path": str(img_path),
@@ -287,7 +287,7 @@ def test_criterion_8_image_pipeline(tmp_path):
 
     spec = ScenarioSpec(
         kind="image",
-        partition=SensorPartition(m=128, n=(128, 128), r=(64, 64)),
+        partition=SensorPartition(m=128, n=(128, 128), r=(32, 32)),
         sigmas=(0.2, 0.1),
         seed=80,
         image_path=str(img_path),
@@ -295,14 +295,24 @@ def test_criterion_8_image_pipeline(tmp_path):
     data = image_scenario(spec)
     model = estimate_moments(data.ensemble, spec.partition)
     baseline = init_bank(model)
-    bank, _ = mbi_solve(model, baseline, MbiConfig(epsilon=1e-8, max_iterations=50))
+    bank, trace = mbi_solve(
+        model, baseline, MbiConfig(epsilon=1e-8, max_iterations=50)
+    )
+    # r_j = 32 < 64 training columns: the warm start does not fit the
+    # training set, so the solve has steps to commit
+    assert trace.chosen_block_per_iteration
+    train_mbi = empirical_mse(data.ensemble, bank)
+    train_base = empirical_mse(data.ensemble, baseline)
+    assert train_mbi < train_base
     full = SampleEnsemble(x=data.x_full, y=data.y_full)
     mse_mbi = empirical_mse(full, bank)
     mse_base = empirical_mse(full, baseline)
     assert mse_mbi <= mse_base
     print(
         f"\nPASS criterion 8: 128x128 image pipeline in {elapsed:.1f}s; "
-        f"reconstruction MSE {mse_mbi:.4g} <= baseline {mse_base:.4g}"
+        f"{len(trace.chosen_block_per_iteration)} steps; training MSE "
+        f"{train_mbi:.4g} < baseline {train_base:.4g}; reconstruction MSE "
+        f"{mse_mbi:.4g} <= baseline {mse_base:.4g}"
     )
 
 

@@ -528,6 +528,7 @@ _IMAGE_SCENARIO = {
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": None}},
         {"scenario": _NOISE_SCENARIO, "outputs": {"wsn_json": None}},
         {"scenario": _IMAGE_SCENARIO, "outputs": {"image_out_dir": None}},
+        {"scenario": _IMAGE_SCENARIO, "outputs": {"trace_csv": "t.csv"}},
         # a NUL character, which no file name holds, and a lone surrogate,
         # which the file-system encoding cannot encode
         {"scenario": _NOISE_SCENARIO, "outputs": {"trace_csv": "t\0.csv"}},
@@ -584,6 +585,7 @@ _IMAGE_SCENARIO = {
         "trace_csv_null",
         "wsn_json_null",
         "image_out_dir_null",
+        "image_out_dir_missing",
         "output_path_nul",
         "output_path_surrogate",
         "image_path_nul",

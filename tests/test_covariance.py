@@ -110,6 +110,25 @@ class TestEstimateMoments:
         ens = SampleEnsemble(x=np.ones((3, 2)), y=np.ones((2, 2)))
         with pytest.raises(InvalidInput):
             estimate_moments(ens, part)
+        ens = SampleEnsemble(x=np.ones((2, 2)), y=np.ones((3, 2)))
+        with pytest.raises(InvalidInput, match="y has 3 rows"):
+            estimate_moments(ens, part)
+
+
+class TestSampleEnsemble:
+    @pytest.mark.parametrize(
+        "x, y, match",
+        [
+            (np.ones(3), np.ones((2, 3)), "2-d"),
+            (np.ones((2, 3)), np.ones((2, 3, 1)), "2-d"),
+            (np.ones((2, 3)), np.ones((2, 4)), "sample counts differ"),
+            (np.ones((2, 0)), np.ones((2, 0)), "at least one sample"),
+        ],
+        ids=["x_1d", "y_3d", "counts_differ", "no_samples"],
+    )
+    def test_malformed_rejected(self, x, y, match):
+        with pytest.raises(InvalidInput, match=match):
+            SampleEnsemble(x=x, y=y)
 
 
 class TestSecondMomentModel:
@@ -121,6 +140,14 @@ class TestSecondMomentModel:
         moments = {k: getattr(model, k).copy() for k in ("e_xx", "e_xy", "e_yy")}
         moments[name][...] = value
         with pytest.raises(InvalidInput, match=f"{name} or its norm"):
+            SecondMomentModel(partition=model.partition, **moments)
+
+    @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])
+    def test_wrong_shape_rejected(self, name):
+        model = example1_model()
+        moments = {k: getattr(model, k) for k in ("e_xx", "e_xy", "e_yy")}
+        moments[name] = moments[name][:, :-1]
+        with pytest.raises(InvalidInput, match=f"{name} must be"):
             SecondMomentModel(partition=model.partition, **moments)
 
 

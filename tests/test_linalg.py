@@ -68,6 +68,10 @@ class TestSvd:
         with pytest.raises(InvalidInput):
             svd(np.array([[np.inf, 1.0]]))
 
+    def test_not_2d_rejected(self):
+        with pytest.raises(InvalidInput, match="2-d"):
+            svd(np.ones(3))
+
 
 class TestTruncated:
     def test_keep_largest(self):
@@ -174,6 +178,10 @@ class TestPsdSqrt:
         )
         model = estimate_moments(generate(spec), part)
         assert svd(psd_sqrt(model.e_yy)).numeric_rank == s
+
+    def test_not_square_rejected(self):
+        with pytest.raises(InvalidInput, match="square"):
+            psd_sqrt(np.ones((2, 3)))
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPsd):

@@ -75,6 +75,11 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInput):
             ScenarioSpec(kind="additive_noise", partition=part, s=2, sigmas=(0.1,))
 
+    def test_no_samples_rejected(self):
+        part = SensorPartition(m=2, n=(2,), r=(1,))
+        with pytest.raises(InvalidInput, match="sample count"):
+            ScenarioSpec(kind="additive_noise", partition=part, s=0, sigmas=(0.1,))
+
     def test_image_requires_path(self):
         part = SensorPartition(m=2, n=(2,), r=(1,))
         with pytest.raises(InvalidInput):
@@ -404,6 +409,11 @@ class TestPgm:
             b"P2\n2 2\n255\n-5 10 20 30",
             b"P2\n2 2\n255\n1.5 10 20 30",
             pytest.param(b"P2\n2 2\n255\n1 2 3 1" + b"0" * 400, id="beyond_float"),
+            b"P2\n2 x\n255\n1 2 3 4",
+            b"P5\n2 2",
+            b"P2\n0 2\n255\n",
+            b"P2\n2 2\n0\n0 0 0 0",
+            b"P2\n2 2\n65536\n0 0 0 0",
         ],
     )
     def test_malformed_rejected(self, tmp_path, content):
@@ -411,6 +421,11 @@ class TestPgm:
         path.write_bytes(content)
         with pytest.raises(ParseError):
             load_pgm(path)
+
+    def test_save_needs_a_matrix(self, tmp_path):
+        with pytest.raises(InvalidInput, match="2-d"):
+            save_pgm(np.ones(4), tmp_path / "row.pgm")
+        assert not (tmp_path / "row.pgm").exists()
 
 
 class TestImageScenario:
@@ -452,6 +467,10 @@ class TestImageScenario:
         )
         with pytest.raises(InvalidInput):
             image_scenario(bad)
+
+    def test_only_the_image_kind(self):
+        with pytest.raises(InvalidInput, match="kind='image'"):
+            image_scenario(_two_sensor_spec())
 
     def test_size_cap_counts_image_columns(self, tmp_path, monkeypatch):
         # 8 (m + N) (cols + m + N) bytes, with m + N = 12 and 10 columns

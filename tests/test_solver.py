@@ -449,6 +449,18 @@ class TestCompressorBank:
             with pytest.raises(InvalidInput, match="block 0"):
                 bank.replace(0, block)
 
+    def test_rejects_wrong_blocks(self):
+        part = SensorPartition(m=2, n=(2, 1), r=(1, 1))
+        with pytest.raises(InvalidInput, match="one block per sensor"):
+            CompressorBank(blocks=(np.zeros((2, 2)),), partition=part)
+        with pytest.raises(InvalidInput, match="block 1 must be"):
+            CompressorBank(blocks=(np.zeros((2, 2)), np.zeros((2, 2))), partition=part)
+
+    def test_apply_needs_n_total_rows(self):
+        bank = CompressorBank.zeros(SensorPartition(m=2, n=(2, 1), r=(1, 1)))
+        with pytest.raises(InvalidInput, match="3 rows"):
+            bank.apply(np.zeros((2, 4)))
+
 
 def _identical_sensors_model(rng):
     # sensors 0 and 1 observe the same signal: in exact arithmetic they tie

@@ -121,6 +121,8 @@ class TestCompressReconstruct:
             compress(wsn, np.zeros((3, 1)))
         with pytest.raises(InvalidInput):
             reconstruct(wsn, [np.zeros((2, 1)), np.zeros((1, 1))])
+        with pytest.raises(InvalidInput, match="expected 2 compressed blocks"):
+            reconstruct(wsn, [np.zeros((1, 1))])
 
     def test_blocks_must_hold_the_same_samples(self):
         # a 1-column block beside a 5-column one would broadcast to a 5-column
@@ -193,6 +195,15 @@ class TestAnalyticMse:
             assert recorded_objective(model, bank) == f
             assert analytic_mse(model, bank) == max(float(model.wiener_mse + f), 0.0)
 
+    def test_partition_mismatch_rejected(self):
+        model = example1_model()
+        for part in (
+            SensorPartition(m=3, n=(3, 2), r=(1, 1)),
+            SensorPartition(m=2, n=(3, 3), r=(1, 1)),
+        ):
+            with pytest.raises(InvalidInput, match="partitions disagree"):
+                analytic_mse(model, CompressorBank.zeros(part))
+
     def test_nonnegative_for_solved_banks(self):
         rng = np.random.default_rng(4)
         part = SensorPartition(m=3, n=(3, 3), r=(2, 1))
@@ -230,6 +241,16 @@ class TestEmpiricalMse:
             emp = empirical_mse(ens, bank)
             ana = analytic_mse(model, bank)
             assert abs(emp - ana) <= 1e-8 * max(1.0, abs(emp))
+
+    def test_shape_mismatch_rejected(self):
+        part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
+        bank = CompressorBank.zeros(part)
+        for x, y, match in (
+            (np.ones((2, 3)), np.ones((3, 3)), "y has 3 rows"),
+            (np.ones((3, 3)), np.ones((4, 3)), "x has 3 rows"),
+        ):
+            with pytest.raises(InvalidInput, match=match):
+                empirical_mse(SampleEnsemble(x=x, y=y), bank)
 
     def test_bit_equal_to_formula(self, monkeypatch):
         # sum over column chunks, in order, of ||X_c - F Y_c||^2, over s.
@@ -322,15 +343,17 @@ class TestRunningEmpiricalMse:
         banks = trace.banks
         assert len(banks) >= 2
         want = [empirical_mse(ens, b) for b in banks]
-        # count full products: past the first row, every row must come from
-        # the running residual, not from a fresh one
+        # record full products: past the first row, every row must come from
+        # the running residual, so each chunk forms banks[0] afresh, once
         full_products = []
         full = CompressorBank.full
         monkeypatch.setattr(
             CompressorBank, "full", lambda b: full_products.append(b) or full(b)
         )
         got = _running_empirical_mse(ens, trace)
-        assert len(full_products) == 1
+        chunks = -(-ens.s // wsn._CHUNK)
+        assert len(full_products) == chunks
+        assert all(b is banks[0] for b in full_products)
         assert got[0] == want[0]
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -348,6 +371,28 @@ class TestRunningEmpiricalMse:
             want = [empirical_mse(ens, b) for b in trace.banks]
             assert max(want) < 1e-20
             assert _running_empirical_mse(ens, trace) == want
+
+    def test_near_exact_fit_replay_holds_two_chunk_buffers(self):
+        # sigma = 1e-7: the warm start already fits to about 3e-13, and every
+        # row of the replay is formed afresh. Each fresh formation stacks its
+        # bank once, and no stack outlives it
+        m, p, s = 32, 16, 3000
+        part = SensorPartition(m=m, n=(m,) * p, r=(2,) * p)
+        spec = ScenarioSpec(
+            kind="additive_noise", partition=part, s=s, sigmas=(1e-7,) * p, seed=3
+        )
+        ens = generate(spec)
+        trace = _mbi_trace(ens, part, start=init_bank)
+        assert len(trace.banks) >= 10
+        want = [empirical_mse(ens, b) for b in trace.banks]
+        tracemalloc.start()
+        try:
+            got = _running_empirical_mse(ens, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 2 * m * wsn._CHUNK * 8 + 2 * m * part.n_total * 8 + 64 * 1024
 
 
 @settings(max_examples=40, deadline=None)
