@@ -31,10 +31,10 @@ print(f"decoupled baseline MSE : {analytic_mse(model, baseline):.4f}")
 bank, trace = mbi_solve(model, baseline, MbiConfig(epsilon=0.0, max_iterations=5))
 print(f"MBI after 5 iterations : {analytic_mse(model, bank):.4f}")
 
-print("\nobjective per iteration:")
-for q, f in enumerate(trace.objective_per_iteration):
+print("\nMSE per iteration:")
+for q, mse in enumerate(trace.mse_per_iteration):
     chosen = "-" if q == 0 else str(trace.chosen_block_per_iteration[q - 1])
-    print(f"  iter {q}: f = {f:.6f}  (updated sensor {chosen})")
+    print(f"  iter {q}: MSE = {mse:.6f}  (updated sensor {chosen})")
 
 bank, trace = mbi_solve(
     model, baseline, MbiConfig(epsilon=1e-12, max_iterations=2000)

@@ -5,7 +5,7 @@ training draws of (x, y). This demo builds a three-sensor linear-mixing
 scenario (each sensor sees A_j x + noise), estimates the moments from 20
 samples, optimizes the compressor bank, and checks the key identity: on a
 sample-estimated model, the analytic MSE formula and the empirical MSE over
-the training set agree to machine precision.
+the training set are the same quantity, equal up to round-off.
 
 It then factorizes the optimized bank into per-sensor encoders plus a
 fusion-center decoder - the form you would actually deploy on a network -

@@ -36,7 +36,6 @@ from .scenarios import (
 )
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
 from .wsn import (
-    _objective_mse,
     _read_json,
     _running_empirical_mse,
     atomic_write,
@@ -202,21 +201,20 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     reduce_problem(model)
     start = init_bank(model)
     bank, trace = mbi_solve(model, start, config.mbi)
-    # analytic_mse of the bank after step i, bit for bit, from the objective
-    # f_i the solve recorded. Step 0 is the warm start.
-    analytic = [_objective_mse(model, f_i) for f_i in trace.objective_per_iteration]
+    # analytic_mse of the bank after step i, bit for bit; step 0 is the warm start
+    mse = trace.mse_per_iteration
 
     if "trace_csv" in files:
         # the empirical column replays each committed block step on the
         # samples, one column chunk at a time
         if ens is None:
-            emp = [""] * len(analytic)
+            emp = [""] * len(mse)
         else:
             emp = [_fmt(v) for v in _running_empirical_mse(ens, trace)]
         lines = ["iteration,objective,chosen_block,analytic_mse,empirical_mse"]
         for i, f_i in enumerate(trace.objective_per_iteration):
             chosen = "" if i == 0 else str(trace.chosen_block_per_iteration[i - 1])
-            lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(analytic[i])},{emp[i]}")
+            lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(mse[i])},{emp[i]}")
         text = ("\n".join(lines) + "\n").encode()
         atomic_write(files["trace_csv"], lambda tmp: Path(tmp).write_bytes(text))
 
@@ -243,11 +241,11 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
     if not quiet:
         print(
-            f"final_mse={_fmt(analytic[-1])} iterations={trace.iterations_used} "
+            f"final_mse={_fmt(mse[-1])} iterations={trace.iterations_used} "
             f"converged={str(trace.converged).lower()}"
         )
         if config.report_baseline:
-            print(f"baseline_mse={_fmt(analytic[0])}")
+            print(f"baseline_mse={_fmt(mse[0])}")
     return EXIT_OK
 
 

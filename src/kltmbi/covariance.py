@@ -95,10 +95,10 @@ class SecondMomentModel:
 
     Raises :class:`InvalidInput` when a moment matrix, or its Frobenius
     norm, is not finite. The moment arrays are treated as immutable: the
-    solver's set-up (``e_yy_root``, ``h``, ``wiener_mse`` and the private
-    ``_g_factors``) is computed from them on first use and cached on the
-    model, so mutating an array in place afterwards would leave the cache
-    stale. Compared by identity: ``==`` is ``is``, and a model hashes.
+    solver's set-up (``e_yy_root``, ``h`` and the private ``_g_factors``)
+    is computed from them on first use and cached on the model, so mutating
+    an array in place afterwards would leave the cache stale. Compared by
+    identity: ``==`` is ``is``, and a model hashes.
     """
 
     partition: SensorPartition
@@ -149,13 +149,6 @@ class SecondMomentModel:
             replace(f, numeric_rank=int(np.count_nonzero(f.sigma > tol)))
             for f in factors
         )
-
-    @cached_property
-    def wiener_mse(self) -> np.float64:
-        """tr E_xx - ||H||^2: the MSE of the best estimator without rank
-        constraints, and the part of a bank's analytic MSE that does not
-        depend on the bank, which adds the solver's objective."""
-        return np.trace(self.e_xx) - np.linalg.norm(self.h) ** 2
 
 
 @dataclass(frozen=True, eq=False)

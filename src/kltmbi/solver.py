@@ -32,7 +32,7 @@ import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
 from .errors import InvalidInput
-from .linalg import SvdFactors, pinv, psd_sqrt, truncated
+from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, truncated
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +83,12 @@ class CompressorBank:
 
 @dataclass(frozen=True)
 class MbiConfig:
-    """Stopping rule f_old - f_new <= epsilon * tr E_xx (the sweep that meets
-    it is not committed) with an iteration budget. ``epsilon`` is relative to
-    tr E_xx, the MSE of the zero estimate, so scaling the data changes no
-    decision; 0 stops only when a sweep gains nothing. ``record_trace``
-    keeps every intermediate bank."""
+    """Stopping rule f_old - f_new <= (epsilon + N * eps) * tr E_xx (the sweep
+    that meets it is not committed; N = n_total, eps the float64 machine
+    epsilon) with an iteration budget. ``epsilon`` is relative to tr E_xx,
+    the MSE of the zero estimate, so scaling the data changes no decision;
+    0 stops once no step gains more than round-off. ``record_trace`` keeps
+    every intermediate bank."""
 
     epsilon: float = 1e-8
     max_iterations: int = 100
@@ -108,18 +109,18 @@ class MbiConfig:
 
 @dataclass(eq=False)
 class MbiTrace:
-    """Record of one solve: objective after every committed step (index 0 is
-    the initial objective), the sensor index chosen at each step, and, when
-    requested, the bank after every step, each differing from the one before
-    only in the chosen block. Every MSE ``klt-mbi run`` prints comes from
-    this record: the analytic MSE after step i is
-    max(tr E_xx - ||H||^2 + objective_per_iteration[i], 0), which is
-    :func:`~kltmbi.wsn.analytic_mse` of ``banks[i]`` bit for bit, and the
-    empirical MSE follows, chunk by chunk, a residual that each chosen
-    block updates.
+    """Record of one solve: objective and analytic MSE after every committed
+    step (index 0 is the start's), the sensor index chosen at each step, and,
+    when requested, the bank after every step, each differing from the one
+    before only in the chosen block. ``mse_per_iteration[i]`` is
+    :func:`~kltmbi.wsn.analytic_mse` of ``banks[i]``, bit for bit. Every MSE
+    ``klt-mbi run`` prints comes from this record: the analytic MSE from
+    ``mse_per_iteration``, and the empirical MSE by following, chunk by
+    chunk, a residual that each chosen block updates.
     Compared by identity: ``==`` is ``is``, and a trace hashes."""
 
     objective_per_iteration: list[float]
+    mse_per_iteration: list[float]
     chosen_block_per_iteration: list[int]
     converged: bool
     banks: list[CompressorBank] | None = None
@@ -139,6 +140,15 @@ def reduce_problem(model: SecondMomentModel) -> SecondMomentModel:
     return model
 
 
+def _sq_norm(a: np.ndarray) -> np.float64:
+    """||a||^2 as the norm times itself, so that scaling ``a`` by 2^k scales
+    it by exactly 4^k. ``** 2`` on a NumPy scalar calls C ``pow``, which is
+    not correctly rounded in every libm: glibc 2.36 misrounds about 0.1% of
+    squares."""
+    n = np.linalg.norm(a)
+    return n * n
+
+
 def _residual(
     h: np.ndarray, g_blocks, bank: CompressorBank
 ) -> tuple[np.ndarray, float]:
@@ -148,7 +158,16 @@ def _residual(
     for fj, gj in zip(bank.blocks, g_blocks):
         t += fj @ gj
     np.subtract(h, t, out=t)
-    return t, float(np.linalg.norm(t) ** 2)
+    return t, float(_sq_norm(t))
+
+
+def _mse(model: SecondMomentModel, objectives) -> list[float]:
+    """The analytic MSE tr E_xx - ||H||^2 + f of a bank whose objective is
+    f, for each f in ``objectives``. The one MSE formula of the library."""
+    wiener = np.trace(model.e_xx) - _sq_norm(model.h)
+    # The terms cancel almost completely for near-perfect banks, so
+    # round-off can leave a tiny negative residue; the true value is >= 0.
+    return [max(float(wiener + f), 0.0) for f in objectives]
 
 
 def _block_solve(s: np.ndarray, f: SvdFactors, r: int) -> np.ndarray:
@@ -231,9 +250,10 @@ def mbi_solve(
     Each sweep solves in full only the block :func:`_screen` scores lowest
     (the lowest index on equal scores) and recomputes E and the objective f
     from the new bank. The solve stops once a sweep improves f by at most
-    epsilon * tr E_xx (by at most 0 when tr E_xx is not positive), keeping
-    the incumbent, so f never increases; running out of budget is reported
-    via the trace flag. Where scores differ only by rounding, the block
+    (epsilon + N * eps) * tr E_xx, where N * eps * tr E_xx is about the
+    round-off of f (by at most 0 when tr E_xx is not positive), keeping the
+    incumbent, so f never increases; running out of budget is reported via
+    the trace flag. Where scores differ only by rounding, the block
     chosen may not be the one an exhaustive sweep of full solves would rank
     first, but its objective is within rounding of that sweep's best.
 
@@ -254,7 +274,7 @@ def mbi_solve(
     banks = [bank] if cfg.record_trace else None
     converged = False
     # inf * 0 would be NaN, which no improvement is at or below
-    tol = cfg.epsilon * tr_exx if tr_exx > 0 else 0.0
+    tol = (cfg.epsilon + part.n_total * _EPS) * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
         j = int(np.argmin(_screen(resid, bank.blocks, factors, part.r)))
         s_j = resid + bank.blocks[j] @ g_blocks[j]
@@ -270,6 +290,7 @@ def mbi_solve(
             banks.append(bank)
     trace = MbiTrace(
         objective_per_iteration=objectives,
+        mse_per_iteration=_mse(model, objectives),
         chosen_block_per_iteration=chosen,
         converged=converged,
         banks=banks,

@@ -21,7 +21,7 @@ from . import __version__
 from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
 from .errors import InvalidInput, ParseError
 from .linalg import svd
-from .solver import CompressorBank, MbiTrace, _residual
+from .solver import CompressorBank, MbiTrace, _mse, _residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,28 +103,22 @@ def reconstruct(wsn: FactorizedWsn, u: list[np.ndarray]) -> np.ndarray:
 def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     """Model-based mean square error of the bank:
     tr(E_xx) - ||H||^2 + ||H - sum_j F_j G_j||^2 with H = E_xy (E_yy^(1/2))^+
-    and G_j the row blocks of E_yy^(1/2).
+    and G_j the row blocks of E_yy^(1/2), clamped at 0.
 
-    That is the model's Wiener MSE (``model.wiener_mse``) plus the solver's
-    objective, with the objective's residual formed by the solver's own
-    function, so it equals ``model.wiener_mse`` plus the objective
-    :func:`~kltmbi.solver.mbi_solve` records for the bank, bit for bit.
-    Works identically for exact and sample-estimated moments.
+    The objective ||H - sum_j F_j G_j||^2 and the MSE are formed by the
+    solver's own functions, so for every bank of a solve this equals the
+    trace's ``mse_per_iteration`` entry, bit for bit. The terms cancel at a
+    near-exact fit, so the value is accurate to about N * eps * tr(E_xx) in
+    absolute terms (N = n_total), and less where E_yy is ill-conditioned;
+    below that, :func:`empirical_mse` of the training samples is the number
+    to read. Works identically for exact and sample-estimated moments.
     """
     part = model.partition
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
     root = model.e_yy_root
     _, f = _residual(model.h, [root[part.y_slice(j)] for j in range(part.p)], bank)
-    return _objective_mse(model, f)
-
-
-def _objective_mse(model: SecondMomentModel, f: float) -> float:
-    """The analytic MSE of a bank whose solver objective is ``f``:
-    ``model.wiener_mse + f``, clamped at 0."""
-    # The terms cancel almost completely for near-perfect banks, so
-    # round-off can leave a tiny negative residue; the true value is >= 0.
-    return max(float(model.wiener_mse + f), 0.0)
+    return _mse(model, [f])[0]
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:

@@ -22,6 +22,7 @@ from kltmbi import (
     mbi_solve,
 )
 from kltmbi.covariance import SecondMomentModel
+from kltmbi.linalg import pinv
 from kltmbi.solver import klt_matrix
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
@@ -69,12 +70,28 @@ def noisy_model(rng, m, n, r, noise=0.5, extra_cols=20):
     )
 
 
-def recorded_objective(model, bank) -> float:
-    """The objective a solve records for ``bank``, its analytic MSE less the
-    Wiener MSE before clamping: a solve that stops at once records only its
-    start's."""
+def _start_record(model, bank):
+    """The trace of a solve from ``bank`` that stops at once: it records only
+    its start."""
     _, trace = mbi_solve(model, bank, MbiConfig(epsilon=np.inf, record_trace=False))
-    return trace.objective_per_iteration[0]
+    return trace
+
+
+def recorded_objective(model, bank) -> float:
+    """The objective a solve records for ``bank``."""
+    return _start_record(model, bank).objective_per_iteration[0]
+
+
+def recorded_mse(model, bank) -> float:
+    """The analytic MSE a solve records for ``bank``."""
+    return _start_record(model, bank).mse_per_iteration[0]
+
+
+def explained_energy(model) -> float:
+    """tr(E_xy E_yy^+ E_yx) from the moments alone: tr E_xx less the MSE of
+    the best estimator without rank constraints, and the objective of the
+    zero bank."""
+    return float(np.trace(model.e_xy @ pinv(model.e_yy) @ model.e_xy.T))
 
 
 def direct_mse(model, bank) -> float:

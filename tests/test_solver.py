@@ -15,9 +15,11 @@ from conftest import (
     best_block,
     block_step,
     direct_mse,
+    explained_energy,
     joint_model_from_factor,
     noisy_model,
     random_model,
+    recorded_mse,
     recorded_objective,
 )
 from kltmbi import (
@@ -74,9 +76,8 @@ class TestReduceProblem:
         assert np.allclose(bank.blocks[0], np.eye(3))
 
     def test_g_blocks_stack_to_root(self):
-        # the solve reads the root and target analytic_mse reads: every
-        # objective it records is the bank's analytic MSE less the Wiener
-        # MSE, bit for bit
+        # the solve reads the root and target analytic_mse reads: the MSE it
+        # records for a bank is the bank's analytic MSE, bit for bit
         rng = np.random.default_rng(0)
         model = random_model(rng, 3, (2, 3), (1, 2))
         for _ in range(3):
@@ -84,8 +85,7 @@ class TestReduceProblem:
                 blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 3))),
                 partition=model.partition,
             )
-            f = recorded_objective(model, bank)
-            assert analytic_mse(model, bank) == max(float(model.wiener_mse + f), 0.0)
+            assert analytic_mse(model, bank) == recorded_mse(model, bank)
 
     def test_cached_projectors(self):
         # the screen's bases and the block solve's projectors pick and
@@ -108,7 +108,7 @@ class TestReduceProblem:
                 blocks=(rng.standard_normal((3, 2)), rng.standard_normal((3, 2))),
                 partition=model.partition,
             )
-            reduced = model.wiener_mse + recorded_objective(model, bank)
+            reduced = recorded_mse(model, bank)
             assert direct_mse(model, bank) == pytest.approx(reduced, rel=1e-8)
             assert analytic_mse(model, bank) == pytest.approx(reduced, rel=1e-8)
 
@@ -118,8 +118,7 @@ class TestObjective:
         rng = np.random.default_rng(3)
         model = random_model(rng, 2, (2, 2), (1, 1))
         bank = CompressorBank.zeros(model.partition)
-        # ||H||^2 = tr E_xx - wiener_mse
-        want = np.trace(model.e_xx) - model.wiener_mse
+        want = explained_energy(model)
         assert recorded_objective(model, bank) == pytest.approx(want)
         assert analytic_mse(model, bank) == pytest.approx(np.trace(model.e_xx))
 
@@ -492,16 +491,16 @@ def _silent_sensor_model(rng):
 
 def _assert_oracle_sweeps(model, trace):
     """Check a recorded solve against the per-block KLT oracle, to within
-    tol = 1e-12 ||H||^2 (||H||^2 = tr E_xx - wiener_mse). Each recorded
-    objective plus the Wiener MSE is its bank's direct MSE. From each
+    tol = 1e-12 ||H||^2 (||H||^2 = tr(E_xy E_yy^+ E_yx), the objective of
+    the zero bank). Each recorded MSE is its bank's direct MSE. From each
     recorded bank, every block's oracle step is scored by its direct MSE;
     the committed step reaches the best of them to within tol, and it is the
     best one wherever no other block is within tol of it, so that without
     such near-ties the chosen sequence is the oracle's. A converged solve
     ends where no oracle block does better."""
     p = model.partition.p
-    tol = 1e-12 * (np.trace(model.e_xx) - model.wiener_mse)
-    mse = [model.wiener_mse + f for f in trace.objective_per_iteration]
+    tol = 1e-12 * explained_energy(model)
+    mse = trace.mse_per_iteration
     for f, bank in zip(mse, trace.banks):
         assert abs(f - direct_mse(model, bank)) <= tol
     chosen = trace.chosen_block_per_iteration
@@ -589,8 +588,12 @@ class TestScreenedSweepEquivalence:
         monkeypatch.setattr(solver, "_screen", spy)
         solves = _count_candidates(monkeypatch)
         model = make_model()
+        # from the zero bank: the warm start already fits the s = 3 sampled
+        # models to round-off, and no step below it is committed
         _, trace = mbi_solve(
-            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=20)
+            model,
+            CompressorBank.zeros(model.partition),
+            MbiConfig(epsilon=0.0, max_iterations=20),
         )
         sweeps = trace.iterations_used + int(trace.converged)
         assert sweeps > 1
@@ -631,6 +634,22 @@ def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
     assert len(solves) == trace.iterations_used + 1
     _assert_oracle_sweeps(model, trace)
     assert analytic_mse(model, bank) <= 1e-12 * np.trace(model.e_xx)
+
+
+def test_round_off_steps_are_not_committed():
+    # sigma = 1e-7: the warm start fits the samples to about 3e-14 tr E_xx,
+    # and each step a solve could commit gains under 1e-27 tr E_xx, far below
+    # the N * eps * tr E_xx round-off of the objective (N = 512)
+    part = SensorPartition(m=32, n=(32,) * 16, r=(2,) * 16)
+    spec = ScenarioSpec(
+        kind="additive_noise", partition=part, s=3000, sigmas=(1e-7,) * 16, seed=3
+    )
+    model = estimate_moments(generate(spec), part)
+    _, trace = mbi_solve(
+        model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=60)
+    )
+    assert trace.iterations_used == 0
+    assert trace.converged
 
 
 # m = 8, p = 4 and uneven ranks; the property adds s = 500 and 60 sweeps

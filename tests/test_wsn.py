@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kltmbi
-from conftest import joint_model_from_factor, recorded_objective
+from conftest import explained_energy, joint_model_from_factor, recorded_objective
 from kltmbi import (
     CompressorBank,
     FactorizedWsn,
@@ -159,8 +159,15 @@ class TestAnalyticMse:
         bank = _rank_feasible_bank(rng, part)
         root = psd_sqrt(model.e_yy)
         h = model.e_xy @ pinv(root)
-        tail = np.linalg.norm(h - bank.full() @ root) ** 2
-        want = max(float(np.trace(model.e_xx) - np.linalg.norm(h) ** 2 + tail), 0.0)
+        # sum_j F_j G_j block by block, in sensor order: one product with
+        # the stacked bank rounds differently on some BLAS kernels
+        fg = np.zeros_like(h)
+        for j, fj in enumerate(bank.blocks):
+            fg += fj @ root[part.y_slice(j)]
+        # each squared norm as the norm times itself, as the solver squares it
+        h_norm, tail_norm = np.linalg.norm(h), np.linalg.norm(h - fg)
+        wiener = np.trace(model.e_xx) - h_norm * h_norm
+        want = max(float(wiener + tail_norm * tail_norm), 0.0)
         recorded_objective(model, bank)  # fills the model's cache
         for _ in range(2):
             assert analytic_mse(model, bank) == want
@@ -171,14 +178,15 @@ class TestAnalyticMse:
             # s = 10 < N = 32 with full ranks: a near-exact fit
             ("linear_mixing", 8, 4, 8, 10),
             ("additive_noise", 6, 3, 2, 300),
-            ("additive_noise", 4, 3, 2, 3),
+            ("additive_noise", 4, 3, 1, 3),
             ("exact_example1", 3, 2, 1, 1),
         ],
         ids=["near_exact_fit", "sampled", "few_samples", "exact_example1"],
     )
     def test_is_wiener_mse_plus_objective(self, kind, m, p, r, s):
-        # one formula: analytic_mse of every bank of a solve is the Wiener
-        # MSE plus the objective the solve records for it
+        # one formula: the MSE a solve records for each bank is the bank's
+        # analytic_mse, bit for bit, and the Wiener MSE
+        # tr E_xx - tr(E_xy E_yy^+ E_yx) plus the objective it records
         part = SensorPartition(m=m, n=(m,) * p, r=(r,) * p)
         if kind == "exact_example1":
             model = example1_model(part.r)
@@ -191,9 +199,14 @@ class TestAnalyticMse:
             model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=30)
         )
         assert len(trace.banks) >= 2
-        for bank, f in zip(trace.banks, trace.objective_per_iteration):
+        assert len(trace.mse_per_iteration) == len(trace.banks)
+        tr_exx = np.trace(model.e_xx)
+        wiener = tr_exx - explained_energy(model)
+        records = zip(trace.banks, trace.objective_per_iteration, trace.mse_per_iteration)
+        for bank, f, mse in records:
             assert recorded_objective(model, bank) == f
-            assert analytic_mse(model, bank) == max(float(model.wiener_mse + f), 0.0)
+            assert analytic_mse(model, bank) == mse
+            assert abs(mse - max(wiener + f, 0.0)) <= 1e-12 * tr_exx
 
     def test_partition_mismatch_rejected(self):
         model = example1_model()
@@ -294,6 +307,14 @@ def _chunked_formula(ens, bank, chunk):
     return total / ens.s
 
 
+def _record_full(monkeypatch) -> list:
+    """The banks whose stacked ``full()`` is formed from here on, in order."""
+    stacked = []
+    full = CompressorBank.full
+    monkeypatch.setattr(CompressorBank, "full", lambda b: stacked.append(b) or full(b))
+    return stacked
+
+
 def _mbi_trace(ens, part, start=None):
     """The trace, with every bank, of an MBI solve on the moments of ``ens``,
     from the zero bank unless a ``start`` is given."""
@@ -308,10 +329,10 @@ def _mbi_trace(ens, part, start=None):
 
 class TestRunningEmpiricalMse:
     @staticmethod
-    def _sampled(kind, m, p, s):
+    def _sampled(kind, m, p, s, sigma=0.3):
         part = SensorPartition(m=m, n=(m,) * p, r=(2,) * p)
         spec = ScenarioSpec(
-            kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=3
+            kind=kind, partition=part, s=s, sigmas=(sigma,) * p, seed=3
         )
         return generate(spec), part
 
@@ -345,11 +366,7 @@ class TestRunningEmpiricalMse:
         want = [empirical_mse(ens, b) for b in banks]
         # record full products: past the first row, every row must come from
         # the running residual, so each chunk forms banks[0] afresh, once
-        full_products = []
-        full = CompressorBank.full
-        monkeypatch.setattr(
-            CompressorBank, "full", lambda b: full_products.append(b) or full(b)
-        )
+        full_products = _record_full(monkeypatch)
         got = _running_empirical_mse(ens, trace)
         chunks = -(-ens.s // wsn._CHUNK)
         assert len(full_products) == chunks
@@ -360,37 +377,39 @@ class TestRunningEmpiricalMse:
             assert abs(g - w) <= 1e-13 * w
 
     def test_near_exact_fit_rows_are_recomputed(self, monkeypatch):
-        # s = 6 < N = 32: the warm start fits the samples up to round-off,
-        # which a running update would print as different noise. In chunks
-        # of 2, each of the three chunks of every row is formed afresh.
-        ens, part = self._sampled("additive_noise", 8, 4, 6)
+        # s = 10 < N = 32 and sigma = 1e-3: the warm start fits the samples
+        # to about 6e-7 tr E_xx and each step gains about 2e-12 tr E_xx, so
+        # a running update would print round-off as different digits. Each
+        # chunk of every row is formed afresh: in chunks of 2, all five.
+        ens, part = self._sampled("additive_noise", 8, 4, 10, sigma=1e-3)
         trace = _mbi_trace(ens, part, start=init_bank)
         assert len(trace.banks) >= 2
         for chunk in (wsn._CHUNK, 2):
-            monkeypatch.setattr(wsn, "_CHUNK", chunk)
-            want = [empirical_mse(ens, b) for b in trace.banks]
-            assert max(want) < 1e-20
-            assert _running_empirical_mse(ens, trace) == want
+            with monkeypatch.context() as patch:
+                patch.setattr(wsn, "_CHUNK", chunk)
+                want = [empirical_mse(ens, b) for b in trace.banks]
+                full_products = _record_full(patch)
+                assert _running_empirical_mse(ens, trace) == want
+            assert full_products == trace.banks * -(-ens.s // chunk)
 
-    def test_near_exact_fit_replay_holds_two_chunk_buffers(self):
-        # sigma = 1e-7: the warm start already fits to about 3e-13, and every
-        # row of the replay is formed afresh. Each fresh formation stacks its
-        # bank once, and no stack outlives it
+    def test_near_exact_fit_replay_holds_two_chunk_buffers(self, monkeypatch):
+        # sigma = 1e-2: the residual of each row is under 1/_REFRESH_RATIO of
+        # what was subtracted to form it, so every row of the replay is
+        # formed afresh. Each fresh formation stacks its bank once, and no
+        # stack outlives it
         m, p, s = 32, 16, 3000
-        part = SensorPartition(m=m, n=(m,) * p, r=(2,) * p)
-        spec = ScenarioSpec(
-            kind="additive_noise", partition=part, s=s, sigmas=(1e-7,) * p, seed=3
-        )
-        ens = generate(spec)
+        ens, part = self._sampled("additive_noise", m, p, s, sigma=1e-2)
         trace = _mbi_trace(ens, part, start=init_bank)
         assert len(trace.banks) >= 10
         want = [empirical_mse(ens, b) for b in trace.banks]
+        full_products = _record_full(monkeypatch)
         tracemalloc.start()
         try:
             got = _running_empirical_mse(ens, trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert full_products == trace.banks
         assert got == want
         assert peak <= 2 * m * wsn._CHUNK * 8 + 2 * m * part.n_total * 8 + 64 * 1024
 
