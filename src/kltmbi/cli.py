@@ -36,8 +36,8 @@ from .scenarios import (
 )
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
 from .wsn import (
+    _chunked_mse,
     _read_json,
-    _running_empirical_mse,
     atomic_write,
     factorize_wsn,
     save_wsn_json,
@@ -210,7 +210,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         if ens is None:
             emp = [""] * len(mse)
         else:
-            emp = [_fmt(v) for v in _running_empirical_mse(ens, trace)]
+            rows = _chunked_mse(ens, trace.banks, trace.chosen_block_per_iteration)
+            emp = [_fmt(v) for v in rows]
         lines = ["iteration,objective,chosen_block,analytic_mse,empirical_mse"]
         for i, f_i in enumerate(trace.objective_per_iteration):
             chosen = "" if i == 0 else str(trace.chosen_block_per_iteration[i - 1])

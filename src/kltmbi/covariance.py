@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, svd
+from .linalg import _EPS, SvdFactors, psd_sqrt, svd
 
 
 def _dimension(value, name: str) -> int:
@@ -95,9 +95,9 @@ class SecondMomentModel:
 
     Raises :class:`InvalidInput` when a moment matrix, or its Frobenius
     norm, is not finite. The moment arrays are treated as immutable: the
-    solver's set-up (``e_yy_root``, ``h`` and the private ``_g_factors``)
-    is computed from them on first use and cached on the model, so mutating
-    an array in place afterwards would leave the cache stale. Compared by
+    solver's private set-up (``_e_yy_root``, ``_h`` and ``_g_factors``) is
+    computed from them on first use and cached on the model, so mutating an
+    array in place afterwards would leave the cache stale. Compared by
     identity: ``==`` is ``is``, and a model hashes.
     """
 
@@ -122,15 +122,15 @@ class SecondMomentModel:
                 raise InvalidInput(f"{name} or its norm is not finite")
 
     @cached_property
-    def e_yy_root(self) -> np.ndarray:
+    def _e_yy_root(self) -> np.ndarray:
         """Symmetric PSD square root E_yy^(1/2); raises :class:`NotPsd` when
         E_yy fails the PSD tolerance."""
         return psd_sqrt(self.e_yy)
 
     @cached_property
-    def h(self) -> np.ndarray:
+    def _h(self) -> np.ndarray:
         """H = E_xy (E_yy^(1/2))^+, the target of the solver's objective."""
-        return self.e_xy @ pinv(self.e_yy_root)
+        return self.e_xy @ svd(self._e_yy_root).pinv()
 
     @cached_property
     def _g_factors(self) -> tuple[SvdFactors, ...]:
@@ -142,7 +142,7 @@ class SecondMomentModel:
         round-off, gets k_j = 0 and F_j = 0.
         """
         part = self.partition
-        root = self.e_yy_root
+        root = self._e_yy_root
         factors = [svd(root[part.y_slice(j)]) for j in range(part.p)]
         tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
         return tuple(

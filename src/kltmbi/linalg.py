@@ -104,12 +104,6 @@ def truncated(c, r: int) -> np.ndarray:
     return (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
 
 
-def pinv(c) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; singular values below the rank threshold
-    are treated as exact zeros."""
-    return svd(c).pinv()
-
-
 def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 

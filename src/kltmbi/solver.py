@@ -32,7 +32,7 @@ import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
 from .errors import InvalidInput
-from .linalg import _EPS, SvdFactors, pinv, psd_sqrt, truncated
+from .linalg import _EPS, SvdFactors, psd_sqrt, svd, truncated
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +115,8 @@ class MbiTrace:
     before only in the chosen block. ``mse_per_iteration[i]`` is
     :func:`~kltmbi.wsn.analytic_mse` of ``banks[i]``, bit for bit. Every MSE
     ``klt-mbi run`` prints comes from this record: the analytic MSE from
-    ``mse_per_iteration``, and the empirical MSE by following, chunk by
-    chunk, a residual that each chosen block updates.
+    ``mse_per_iteration``, and the empirical MSE by replaying ``banks`` and
+    ``chosen_block_per_iteration`` on the samples chunk by chunk.
     Compared by identity: ``==`` is ``is``, and a trace hashes."""
 
     objective_per_iteration: list[float]
@@ -136,7 +136,7 @@ def reduce_problem(model: SecondMomentModel) -> SecondMomentModel:
     benchmark can time the set-up apart from the solve, and the next
     benchmark revision (ROADMAP.md, item 1) deletes it."""
     model._g_factors
-    model.h
+    model._h
     return model
 
 
@@ -150,21 +150,23 @@ def _sq_norm(a: np.ndarray) -> np.float64:
 
 
 def _residual(
-    h: np.ndarray, g_blocks, bank: CompressorBank
+    model: SecondMomentModel, bank: CompressorBank
 ) -> tuple[np.ndarray, float]:
-    """The residual E = h - sum_j F_j G_j, formed in the product buffer, and
-    ||E||^2. Every objective and analytic MSE of the library comes from it."""
-    t = np.zeros_like(h)
-    for fj, gj in zip(bank.blocks, g_blocks):
-        t += fj @ gj
-    np.subtract(h, t, out=t)
+    """The residual E = H - sum_j F_j G_j of ``bank`` on ``model``'s set-up,
+    formed in the product buffer, and ||E||^2. Every objective and analytic
+    MSE of the library comes from it."""
+    root, part = model._e_yy_root, model.partition
+    t = np.zeros_like(model._h)
+    for j, fj in enumerate(bank.blocks):
+        t += fj @ root[part.y_slice(j)]
+    np.subtract(model._h, t, out=t)
     return t, float(_sq_norm(t))
 
 
 def _mse(model: SecondMomentModel, objectives) -> list[float]:
     """The analytic MSE tr E_xx - ||H||^2 + f of a bank whose objective is
     f, for each f in ``objectives``. The one MSE formula of the library."""
-    wiener = np.trace(model.e_xx) - _sq_norm(model.h)
+    wiener = np.trace(model.e_xx) - _sq_norm(model._h)
     # The terms cancel almost completely for near-perfect banks, so
     # round-off can leave a tiny negative residue; the true value is >= 0.
     return [max(float(wiener + f), 0.0) for f in objectives]
@@ -181,7 +183,7 @@ def _block_solve(s: np.ndarray, f: SvdFactors, r: int) -> np.ndarray:
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
     """Optimal rank-<=r estimator of x from a single observation y:
     ``[E_xy (E_yy^+)^(1/2)]_r (E_yy^+)^(1/2)`` (minimum-norm choice)."""
-    root_pinv = pinv(psd_sqrt(e_yy))
+    root_pinv = svd(psd_sqrt(e_yy)).pinv()
     return truncated(e_xy @ root_pinv, r) @ root_pinv
 
 
@@ -264,11 +266,10 @@ def mbi_solve(
     part = model.partition
     if start.partition != part:
         raise InvalidInput(f"start bank is for {start.partition}, model is {part}")
-    factors = model._g_factors
-    g_blocks = [model.e_yy_root[part.y_slice(j)] for j in range(part.p)]
+    factors, root = model._g_factors, model._e_yy_root
     tr_exx = float(np.trace(model.e_xx))
     bank = start
-    resid, f_cur = _residual(model.h, g_blocks, bank)
+    resid, f_cur = _residual(model, bank)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
@@ -277,9 +278,9 @@ def mbi_solve(
     tol = (cfg.epsilon + part.n_total * _EPS) * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
         j = int(np.argmin(_screen(resid, bank.blocks, factors, part.r)))
-        s_j = resid + bank.blocks[j] @ g_blocks[j]
+        s_j = resid + bank.blocks[j] @ root[part.y_slice(j)]
         new_bank = bank.replace(j, _block_solve(s_j, factors[j], part.r[j]))
-        new_resid, f_new = _residual(model.h, g_blocks, new_bank)
+        new_resid, f_new = _residual(model, new_bank)
         if f_cur - f_new <= tol:
             converged = True
             break

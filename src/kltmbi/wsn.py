@@ -21,7 +21,7 @@ from . import __version__
 from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
 from .errors import InvalidInput, ParseError
 from .linalg import svd
-from .solver import CompressorBank, MbiTrace, _mse, _residual
+from .solver import CompressorBank, _mse, _residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +116,7 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     part = model.partition
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
-    root = model.e_yy_root
-    _, f = _residual(model.h, [root[part.y_slice(j)] for j in range(part.p)], bank)
-    return _mse(model, [f])[0]
+    return _mse(model, [_residual(model, bank)[1]])[0]
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
@@ -147,37 +145,30 @@ _CHUNK = 4096
 _REFRESH_RATIO = 1e3
 
 
-def _running_empirical_mse(ens: SampleEnsemble, trace: MbiTrace) -> list[float]:
-    """:func:`empirical_mse` of each bank in ``trace.banks``, replayed chunk
-    by chunk.
+def _chunked_mse(
+    ens: SampleEnsemble, banks: list[CompressorBank], chosen: list[int]
+) -> list[float]:
+    """:func:`empirical_mse` (1/s) ||X - F Y||_F^2 of each bank, where bank
+    i differs from bank i - 1 only in block ``chosen[i-1]``, as the
+    ``banks`` and ``chosen_block_per_iteration`` of an MBI trace do.
 
     For each column chunk c of at most _CHUNK samples, R_c = X_c - F Y_c is
     formed for the first bank, then every committed step is applied to it
-    while it is in cache: step i changes only block
-    j = ``trace.chosen_block_per_iteration[i-1]``, so R_c -= (F_j' - F_j) Y_jc.
-    A step costs m x n_j x s flops in all instead of m x N x s. Row i adds
-    ||R_c||^2 for each chunk in order and divides by s at the end.
+    while it is in cache: step i changes only block j = ``chosen[i-1]``, so
+    R_c -= (F_j' - F_j) Y_jc. A step costs m x n_j x s flops in all instead
+    of m x N x s. Row i adds ||R_c||^2 for each chunk in order and divides
+    by s at the end.
 
-    R_c is formed from scratch, as :func:`empirical_mse` forms it, for the
-    first bank and whenever ||R_c|| falls below 1/_REFRESH_RATIO of
-    sum_j ||F_j|| ||Y_jc|| plus sum ||F_j' - F_j|| ||Y_jc|| over the steps
-    since, as it does on every row of a near-exact fit. A row whose every
-    chunk is formed afresh equals :func:`empirical_mse` bit for bit.
+    R_c is formed from scratch for the first bank and whenever ||R_c|| falls
+    below 1/_REFRESH_RATIO of sum_j ||F_j|| ||Y_jc|| plus
+    sum ||F_j' - F_j|| ||Y_jc|| over the steps since, as it does on every row
+    of a near-exact fit. A row whose every chunk is formed afresh equals
+    :func:`empirical_mse` of its bank bit for bit.
 
     The replay holds two m x _CHUNK buffers and, during a fresh formation,
     the one m x N stacked bank it multiplies by; a step's F_j' - F_j is
     formed when the step is applied. Nothing is kept per bank.
     """
-    return _chunked_mse(ens, trace.banks, trace.chosen_block_per_iteration)
-
-
-def _chunked_mse(
-    ens: SampleEnsemble, banks: list[CompressorBank], chosen: list[int]
-) -> list[float]:
-    """(1/s) ||X - F Y||_F^2 of each bank, where bank i differs from bank
-    i - 1 only in block ``chosen[i-1]``; see :func:`_running_empirical_mse`.
-    Holds two m x _CHUNK buffers and, while R_c is formed afresh, the
-    bank's stacked m x N ``full()``."""
     part = banks[0].partition
     m, s = part.m, ens.s
     rows = [part.y_slice(j) for j in range(part.p)]
@@ -208,7 +199,7 @@ def _chunked_mse(
                 resid[...] = ens.x[:, cols]
                 resid -= step
                 norm = np.linalg.norm(resid)
-            sums[i] += norm**2
+            sums[i] += norm * norm  # not ``norm**2``: see solver._sq_norm
     return [float(v / s) for v in sums]
 
 

@@ -261,17 +261,17 @@ class TestRun:
         from kltmbi import wsn
 
         m, p, s = 8, 4, 50_000
-        running = cli_mod._running_empirical_mse
+        running = cli_mod._chunked_mse
         peaks = []
 
-        def measured(ens, trace):
+        def measured(ens, banks, chosen):
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            out = running(ens, trace)
+            out = running(ens, banks, chosen)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             return out
 
-        monkeypatch.setattr(cli_mod, "_running_empirical_mse", measured)
+        monkeypatch.setattr(cli_mod, "_chunked_mse", measured)
         cfg = _write_config(
             tmp_path,
             {

@@ -13,7 +13,7 @@ from kltmbi import (
     estimate_moments,
     generate,
 )
-from kltmbi.linalg import pinv, psd_sqrt, svd, truncated
+from kltmbi.linalg import psd_sqrt, svd, truncated
 
 
 def _random_matrix(rng, m, n):
@@ -124,18 +124,18 @@ class TestTruncated:
 
 class TestPinv:
     def test_identity(self):
-        assert np.allclose(pinv(np.eye(4)), np.eye(4))
+        assert np.allclose(svd(np.eye(4)).pinv(), np.eye(4))
 
     def test_zero(self):
-        assert np.array_equal(pinv(np.zeros((2, 3))), np.zeros((3, 2)))
+        assert np.array_equal(svd(np.zeros((2, 3))).pinv(), np.zeros((3, 2)))
 
     def test_diagonal(self):
-        assert np.allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+        assert np.allclose(svd(np.diag([2.0, 0.0])).pinv(), np.diag([0.5, 0.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(matrices())
     def test_moore_penrose_axioms(self, c):
-        cp = pinv(c)
+        cp = svd(c).pinv()
         scale = max(1.0, np.linalg.norm(c))
         assert np.linalg.norm(c @ cp @ c - c) <= 1e-8 * scale
         assert np.linalg.norm(cp @ c @ cp - cp) <= 1e-8 * max(1.0, np.linalg.norm(cp))
@@ -254,7 +254,7 @@ class TestProjectors:
     def test_consistent_with_pinv(self):
         rng = np.random.default_rng(10)
         c = _random_matrix(rng, 5, 4)
-        cp = pinv(c)
+        cp = svd(c).pinv()
         assert np.allclose(_projector(c), cp @ c, atol=1e-9)
         assert np.allclose(_projector(c.T), c @ cp, atol=1e-9)
 

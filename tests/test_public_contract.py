@@ -59,7 +59,7 @@ def test_all_the_namespace_and_the_readme_list_are_one_set():
 # Names of the solver's set-up. Each is written so that this pattern does
 # not match its own text.
 _INTERNALS = re.compile(
-    r"r[p]\.[a-z_]+|e_yy_roo[t]|model\.[h]\b|\bobjectiv[e]\(|row_projecto[r]"
+    r"r[p]\.[a-z_]+|e_yy_roo[t]|model\._?[h]\b|\bobjectiv[e]\(|row_projecto[r]"
     r"|\b_residua[l]\(|_block_solv[e]\(|reduce_proble[m]"
 )
 

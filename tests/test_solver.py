@@ -33,13 +33,14 @@ from kltmbi import (
     analytic_mse,
     estimate_moments,
     example1_model,
+    factorize_wsn,
     generate,
     init_bank,
     mbi_solve,
 )
 from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
-from kltmbi.linalg import pinv, psd_sqrt
+from kltmbi.linalg import psd_sqrt, svd
 from kltmbi.solver import klt_matrix
 
 
@@ -131,7 +132,8 @@ class TestObjective:
             e_yy=np.eye(3),
         )
         # the Wiener filter E_xy E_yy^+
-        bank = CompressorBank(blocks=(model.e_xy @ pinv(model.e_yy),), partition=part)
+        wiener = model.e_xy @ svd(model.e_yy).pinv()
+        bank = CompressorBank(blocks=(wiener,), partition=part)
         assert recorded_objective(model, bank) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_entrywise_sum(self):
@@ -144,7 +146,7 @@ class TestObjective:
             partition=model.partition,
         )
         root = psd_sqrt(model.e_yy)
-        resid = model.e_xy @ pinv(root) - bank.full() @ root
+        resid = model.e_xy @ svd(root).pinv() - bank.full() @ root
         brute = sum(v * v for v in resid.ravel())
         assert recorded_objective(model, bank) == pytest.approx(brute, rel=1e-12)
 
@@ -616,6 +618,28 @@ def test_silent_sensor_gets_rank_zero():
                 assert not bank.blocks[1].any()
                 want = direct_mse(model, bank)
                 assert analytic_mse(model, bank) == pytest.approx(want, rel=1e-9)
+
+
+def test_every_sensor_silent():
+    # E_yy = 0 and E_xy = 0: the root's scale, and so the rank tolerance of
+    # every G_j, is exactly 0. Every block has rank 0, nothing can be gained,
+    # and no step divides by a zero singular value or warns
+    part = SensorPartition(m=3, n=(2, 3), r=(1, 2))
+    model = SecondMomentModel(
+        partition=part,
+        e_xx=np.diag([1.0, 2.0, 3.0]),
+        e_xy=np.zeros((3, 5)),
+        e_yy=np.zeros((5, 5)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bank, trace = mbi_solve(model, init_bank(model), MbiConfig(epsilon=0.0))
+        mse = analytic_mse(model, bank)
+        wsn = factorize_wsn(bank)
+    assert trace.converged and trace.iterations_used == 0
+    assert mse == trace.mse_per_iteration[0] == np.trace(model.e_xx)
+    assert not any(b.any() for b in bank.blocks)
+    assert not any(q.any() for q in wsn.encoders)
 
 
 def test_rank_deficient_model_reaches_exact_fit(monkeypatch):

@@ -39,9 +39,9 @@ from kltmbi import (
     save_wsn_json,
 )
 from kltmbi.covariance import SecondMomentModel
-from kltmbi.linalg import pinv, psd_sqrt
+from kltmbi.linalg import psd_sqrt, svd
 from kltmbi import wsn
-from kltmbi.wsn import _running_empirical_mse, atomic_write
+from kltmbi.wsn import _chunked_mse, atomic_write
 
 
 def _rank_feasible_bank(rng, part):
@@ -158,7 +158,7 @@ class TestAnalyticMse:
         model = joint_model_from_factor(rng.standard_normal((10, 12)), part)
         bank = _rank_feasible_bank(rng, part)
         root = psd_sqrt(model.e_yy)
-        h = model.e_xy @ pinv(root)
+        h = model.e_xy @ svd(root).pinv()
         # sum_j F_j G_j block by block, in sensor order: one product with
         # the stacked bank rounds differently on some BLAS kernels
         fg = np.zeros_like(h)
@@ -280,6 +280,22 @@ class TestEmpiricalMse:
         monkeypatch.setattr(wsn, "_CHUNK", 128)
         assert empirical_mse(ens, bank) == _chunked_formula(ens, bank, 128)
 
+    def test_doubled_samples_scale_it_by_exactly_four(self):
+        # draw 55 of this stream has a chunk norm whose square C ``pow``
+        # misrounds in glibc 2.36; squared as a product, every MSE of the
+        # doubled samples, a bank's and each replayed row, is 4 times its own
+        part = SensorPartition(m=4, n=(4, 4), r=(4, 4))
+        rng = np.random.default_rng(0)
+        for _ in range(56):
+            x, y = rng.standard_normal((4, 50)), rng.standard_normal((8, 50))
+            blocks = [rng.standard_normal((4, 4)) for _ in range(2)]
+        bank = CompressorBank(blocks=blocks, partition=part)
+        ens, doubled = SampleEnsemble(x=x, y=y), SampleEnsemble(x=2 * x, y=2 * y)
+        assert empirical_mse(doubled, bank) == 4 * empirical_mse(ens, bank)
+        trace = _mbi_trace(ens, part, start=lambda model: bank)
+        assert len(trace.banks) >= 2
+        assert _replay(doubled, trace) == [4 * v for v in _replay(ens, trace)]
+
     def test_peak_memory_is_two_chunk_buffers(self):
         rng = np.random.default_rng(12)
         m, p, s = 8, 4, 20_000
@@ -298,13 +314,21 @@ class TestEmpiricalMse:
 
 
 def _chunked_formula(ens, bank, chunk):
-    """sum_c ||X_c - F Y_c||_F^2 / s over column chunks of ``chunk``, in order."""
+    """sum_c ||X_c - F Y_c||_F^2 / s over column chunks of ``chunk``, in
+    order, each squared norm the norm times itself."""
     f = bank.full()
     total = 0.0
     for start in range(0, ens.s, chunk):
         cols = slice(start, start + chunk)
-        total += np.linalg.norm(ens.x[:, cols] - f @ ens.y[:, cols]) ** 2
+        norm = np.linalg.norm(ens.x[:, cols] - f @ ens.y[:, cols])
+        total += norm * norm
     return total / ens.s
+
+
+def _replay(ens, trace) -> list[float]:
+    """The trace CSV's empirical column: every bank of ``trace`` replayed on
+    the samples of ``ens``."""
+    return _chunked_mse(ens, trace.banks, trace.chosen_block_per_iteration)
 
 
 def _record_full(monkeypatch) -> list:
@@ -367,7 +391,7 @@ class TestRunningEmpiricalMse:
         # record full products: past the first row, every row must come from
         # the running residual, so each chunk forms banks[0] afresh, once
         full_products = _record_full(monkeypatch)
-        got = _running_empirical_mse(ens, trace)
+        got = _replay(ens, trace)
         chunks = -(-ens.s // wsn._CHUNK)
         assert len(full_products) == chunks
         assert all(b is banks[0] for b in full_products)
@@ -389,7 +413,7 @@ class TestRunningEmpiricalMse:
                 patch.setattr(wsn, "_CHUNK", chunk)
                 want = [empirical_mse(ens, b) for b in trace.banks]
                 full_products = _record_full(patch)
-                assert _running_empirical_mse(ens, trace) == want
+                assert _replay(ens, trace) == want
             assert full_products == trace.banks * -(-ens.s // chunk)
 
     def test_near_exact_fit_replay_holds_two_chunk_buffers(self, monkeypatch):
@@ -405,7 +429,7 @@ class TestRunningEmpiricalMse:
         full_products = _record_full(monkeypatch)
         tracemalloc.start()
         try:
-            got = _running_empirical_mse(ens, trace)
+            got = _replay(ens, trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -430,9 +454,15 @@ def test_chunked_rows_agree_with_unchunked(kind, s, seed, data):
     trace = _mbi_trace(ens, part)
     want = [_chunked_formula(ens, b, s) for b in trace.banks]
     chunk = data.draw(st.integers(1, s), label="chunk")
+    doubled = SampleEnsemble(x=2 * ens.x, y=2 * ens.y)
     with mock.patch.object(wsn, "_CHUNK", chunk):
-        rows = _running_empirical_mse(ens, trace)
+        rows = _replay(ens, trace)
         single = [empirical_mse(ens, b) for b in trace.banks]
+        # doubling x and y doubles each chunk's residual and refresh bound
+        # exactly: the replay refreshes the same chunks, and each MSE scales
+        # by exactly 4
+        assert _replay(doubled, trace) == [4 * v for v in rows]
+        assert [empirical_mse(doubled, b) for b in trace.banks] == [4 * v for v in single]
     for got in (rows, single):
         assert len(got) == len(want)
         for g, w in zip(got, want):
