@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _EPS, SvdFactors, psd_sqrt, svd
+from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd
 
 
 def _dimension(value, name: str) -> int:
@@ -93,12 +93,12 @@ class SensorPartition:
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
-    Raises :class:`InvalidInput` when a moment matrix, or its Frobenius
-    norm, is not finite. The moment arrays are treated as immutable: the
-    solver's private set-up (``_e_yy_root``, ``_h`` and ``_g_factors``) is
-    computed from them on first use and cached on the model, so mutating an
-    array in place afterwards would leave the cache stale. Compared by
-    identity: ``==`` is ``is``, and a model hashes.
+    The moments follow the README's array rule, finite norm included, and
+    are treated as immutable: the solver's private set-up (``_e_yy_root``,
+    ``_h`` and ``_g_factors``) is computed from them on first use and
+    cached on the model, so mutating an array in place afterwards would
+    leave the cache stale. Compared by identity: ``==`` is ``is``, and a
+    model hashes.
     """
 
     partition: SensorPartition
@@ -108,18 +108,8 @@ class SecondMomentModel:
 
     def __post_init__(self):
         m, n = self.partition.m, self.partition.n_total
-        if self.e_xx.shape != (m, m):
-            raise InvalidInput(f"e_xx must be {m}x{m}, got {self.e_xx.shape}")
-        if self.e_xy.shape != (m, n):
-            raise InvalidInput(f"e_xy must be {m}x{n}, got {self.e_xy.shape}")
-        if self.e_yy.shape != (n, n):
-            raise InvalidInput(f"e_yy must be {n}x{n}, got {self.e_yy.shape}")
-        for name in ("e_xx", "e_xy", "e_yy"):
-            # a NaN or infinite entry leaves the norm non-finite too
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(getattr(self, name))
-            if not np.isfinite(norm):
-                raise InvalidInput(f"{name} or its norm is not finite")
+        for name, shape in (("e_xx", (m, m)), ("e_xy", (m, n)), ("e_yy", (n, n))):
+            _real_array(getattr(self, name), name, shape, finite=True)
 
     @cached_property
     def _e_yy_root(self) -> np.ndarray:
@@ -153,15 +143,16 @@ class SecondMomentModel:
 
 @dataclass(frozen=True, eq=False)
 class SampleEnsemble:
-    """Training samples: one column per draw, rows stacked per sensor.
-    Compared by identity: ``==`` is ``is``, and an ensemble hashes."""
+    """Training samples, arrays under the README's array rule: one column per
+    draw, rows stacked per sensor. Compared by identity: ``==`` is ``is``,
+    and an ensemble hashes."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if self.x.ndim != 2 or self.y.ndim != 2:
-            raise InvalidInput("x and y must be 2-d sample matrices")
+        _real_array(self.x, "x")
+        _real_array(self.y, "y")
         if self.x.shape[1] != self.y.shape[1]:
             raise InvalidInput(
                 f"sample counts differ: x has {self.x.shape[1]}, y has {self.y.shape[1]}"
@@ -180,12 +171,8 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
     The estimated E_yy may be rank-deficient when ``s < n_total``; this is
     accepted as-is since every downstream formula uses pseudo-inverses.
     """
-    if ens.x.shape[0] != part.m:
-        raise InvalidInput(f"x has {ens.x.shape[0]} rows, partition expects {part.m}")
-    if ens.y.shape[0] != part.n_total:
-        raise InvalidInput(
-            f"y has {ens.y.shape[0]} rows, partition expects {part.n_total}"
-        )
+    _real_array(ens.x, "x", (part.m, None))
+    _real_array(ens.y, "y", (part.n_total, None))
     s = ens.s
     # moments beyond the float range come out infinite or NaN, and the model
     # rejects them

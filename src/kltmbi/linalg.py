@@ -30,13 +30,29 @@ class DegenerateTruncationWarning(UserWarning):
     """Truncation at a repeated singular value: the result is not unique."""
 
 
-def _as_matrix(c) -> np.ndarray:
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2:
-        raise InvalidInput(f"expected a 2-d array, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidInput("matrix contains NaN or Inf entries")
-    return c
+def _real_array(a, name: str, shape=(None, None), *, sample=False, finite=False):
+    """``a``, once it passes the README's array rule: a NumPy array of integer
+    or float dtype with the sizes ``shape`` gives (None: any), the last one
+    optional with ``sample`` (a single sample) and, with ``finite``, a
+    finite Frobenius norm. Raises :class:`InvalidInput` naming ``name``."""
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in "iuf":
+        got = f"{a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+        raise InvalidInput(f"{name} must be a real NumPy array, got {got}")
+    if sample and a.ndim == 1:
+        shape = shape[:1]
+    if a.ndim != len(shape):
+        dims = "1-d or 2-d" if sample else f"{len(shape)}-d"
+        raise InvalidInput(f"{name} must be {dims}, got shape {a.shape}")
+    if shape[0] is not None and a.shape[0] != shape[0]:
+        raise InvalidInput(f"{name} has {a.shape[0]} rows, expected {shape[0]} rows")
+    if any(w is not None and w != d for d, w in zip(a.shape, shape)):
+        raise InvalidInput(f"{name} must be {shape}, got {a.shape}")
+    if finite:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        if not np.isfinite(norm):
+            raise InvalidInput(f"{name} or its norm is not finite")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +80,9 @@ class SvdFactors:
 def svd(c) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
 
-    Raises :class:`InvalidInput` on non-finite entries.
+    Raises :class:`InvalidInput` on a non-finite entry or norm.
     """
-    c = _as_matrix(c)
+    c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
     u, s, vt = np.linalg.svd(c, full_matrices=False)
     tol = float(s[0]) * max(c.shape) * _EPS if s.size else 0.0
     numeric_rank = int(np.count_nonzero(s > tol))
@@ -114,7 +130,7 @@ def psd_sqrt(c) -> np.ndarray:
     ``1e-8 * ||c||`` raises :class:`InvalidInput`. The eigendecomposition
     of the symmetrized input keeps the root exactly symmetric.
     """
-    c = _as_matrix(c)
+    c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
     if c.shape[0] != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
     scale = float(np.linalg.norm(c))

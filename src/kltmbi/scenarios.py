@@ -21,6 +21,7 @@ from .covariance import (
     _real,
 )
 from .errors import InvalidInput, ParseError
+from .linalg import _real_array
 
 # The fields each scenario kind reads besides kind, m, n, r and seed. A
 # spec, or a config, that gives a kind a field it does not read is rejected.
@@ -194,8 +195,7 @@ def _load_image(spec: ScenarioSpec) -> np.ndarray:
         raise ParseError(f"image file not found: {spec.image_path}") from None
     except OSError as exc:
         raise ParseError(f"image file cannot be read: {exc}") from None
-    if x.shape[0] != part.m:
-        raise InvalidInput(f"image has {x.shape[0]} rows, partition expects m={part.m}")
+    _real_array(x, "image", (part.m, None))
     if x.shape[1] < 2:
         raise InvalidInput("image must have at least 2 columns")
     _check_size(part, x.shape[1])
@@ -275,9 +275,11 @@ def load_pgm(path) -> np.ndarray:
 
 def save_pgm(a: np.ndarray, path) -> None:
     """Write a [0, 1]-scaled matrix as an 8-bit binary (P5) graymap; values
-    are clipped to [0, 1] and rounded."""
-    if a.ndim != 2:
-        raise InvalidInput("image must be a 2-d array")
+    are clipped to [0, 1] and rounded. ``a`` follows the README's array
+    rule, finite norm included, and is not empty, or nothing is written."""
+    _real_array(a, "image", finite=True)
+    if a.size == 0:
+        raise InvalidInput(f"image is empty, shape {a.shape}")
     q = np.rint(np.clip(a, 0.0, 1.0) * 255)
     header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + q.astype(np.uint8).tobytes())

@@ -32,15 +32,16 @@ import numpy as np
 
 from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
 from .errors import InvalidInput
-from .linalg import _EPS, SvdFactors, psd_sqrt, svd, truncated
+from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd, truncated
 
 
 @dataclass(frozen=True, eq=False)
 class CompressorBank:
     """The iterate F = (F_1, ..., F_p); each block maps sensor j's
-    observation into the source space and must have rank <= r_j. Compared
-    by identity: ``==`` is ``is``, and a bank hashes, so ``bank in banks``
-    finds that very bank."""
+    observation into the source space, must have rank <= r_j and follows
+    the README's array rule, finite norm included. Compared by identity:
+    ``==`` is ``is``, and a bank hashes, so ``bank in banks`` finds that
+    very bank."""
 
     blocks: tuple[np.ndarray, ...]
     partition: SensorPartition
@@ -51,10 +52,7 @@ class CompressorBank:
             raise InvalidInput("one block per sensor is required")
         for j, b in enumerate(self.blocks):
             want = (self.partition.m, self.partition.n[j])
-            if b.shape != want:
-                raise InvalidInput(f"block {j} must be {want}, got {b.shape}")
-            if not np.isfinite(b).all():
-                raise InvalidInput(f"block {j} contains NaN or Inf entries")
+            _real_array(b, f"block {j}", want, finite=True)
 
     @classmethod
     def zeros(cls, partition: SensorPartition) -> "CompressorBank":
@@ -69,10 +67,7 @@ class CompressorBank:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Apply the bank to stacked observations (columns are samples)."""
-        if y.shape[0] != self.partition.n_total:
-            raise InvalidInput(
-                f"y must have {self.partition.n_total} rows, got {y.shape[0]}"
-            )
+        y = _real_array(y, "y", (self.partition.n_total, None), sample=True)
         return self.full() @ y
 
     def replace(self, j: int, block: np.ndarray) -> "CompressorBank":
@@ -87,8 +82,8 @@ class MbiConfig:
     that meets it is not committed; N = n_total, eps the float64 machine
     epsilon) with an iteration budget. ``epsilon`` is relative to tr E_xx,
     the MSE of the zero estimate, so scaling the data changes no decision;
-    0 stops once no step gains more than round-off. ``record_trace`` keeps
-    every intermediate bank."""
+    0 stops once no step gains more than round-off. ``record_trace``, a
+    bool, keeps every intermediate bank."""
 
     epsilon: float = 1e-8
     max_iterations: int = 100
@@ -104,6 +99,10 @@ class MbiConfig:
         if self.max_iterations < 1:
             raise InvalidInput(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
+            )
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise InvalidInput(
+                f"record_trace must be a bool, got {self.record_trace!r}"
             )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
 from .errors import InvalidInput, ParseError
-from .linalg import svd
+from .linalg import _real_array, svd
 from .solver import CompressorBank, _mse, _residual
 
 
@@ -28,8 +28,8 @@ from .solver import CompressorBank, _mse, _residual
 class FactorizedWsn:
     """Per-sensor encoders Q_j and fusion decoder blocks P_j with
     P_j Q_j = F_j. Encoder row counts are exactly r_j (the wire dimension),
-    zero-padded when rank F_j < r_j. Raises :class:`InvalidInput` unless
-    there are p finite encoders (r_j x n_j) and decoder blocks (m x r_j).
+    zero-padded when rank F_j < r_j. The p encoders (r_j x n_j) and decoder
+    blocks (m x r_j) follow the README's array rule, finite norm included.
     Compared by identity: ``==`` is ``is``, and an instance hashes."""
 
     encoders: tuple[np.ndarray, ...]
@@ -50,10 +50,7 @@ class FactorizedWsn:
                 ("encoder", self.encoders[j], (part.r[j], part.n[j])),
                 ("decoder block", self.decoder_blocks[j], (part.m, part.r[j])),
             ):
-                if a.shape != want:
-                    raise InvalidInput(f"{what} {j} must be {want}, got {a.shape}")
-                if not np.all(np.isfinite(a)):
-                    raise InvalidInput(f"{what} {j} has NaN or Inf entries")
+                _real_array(a, f"{what} {j}", want, finite=True)
 
 
 def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
@@ -82,8 +79,7 @@ def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
 def compress(wsn: FactorizedWsn, y: np.ndarray) -> list[np.ndarray]:
     """Per-sensor transmitted vectors u_j = Q_j y_j (columns are samples)."""
     part = wsn.partition
-    if y.shape[0] != part.n_total:
-        raise InvalidInput(f"y must have {part.n_total} rows, got {y.shape[0]}")
+    y = _real_array(y, "y", (part.n_total, None), sample=True)
     return [wsn.encoders[j] @ y[part.y_slice(j)] for j in range(part.p)]
 
 
@@ -93,10 +89,9 @@ def reconstruct(wsn: FactorizedWsn, u: list[np.ndarray]) -> np.ndarray:
     if len(u) != part.p:
         raise InvalidInput(f"expected {part.p} compressed blocks, got {len(u)}")
     for j, uj in enumerate(u):
-        # r_j rows, and the samples (columns) block 0 holds
-        want = (part.r[j], *u[0].shape[1:])
-        if uj.shape != want:
-            raise InvalidInput(f"compressed block {j} has shape {uj.shape}, not {want}")
+        # r_j rows, and after block 0, the samples (columns) block 0 holds
+        cols = u[0].shape[1:] if j else (None,)
+        _real_array(uj, f"compressed block {j}", (part.r[j], *cols), sample=not j)
     return sum(wsn.decoder_blocks[j] @ u[j] for j in range(part.p))
 
 
@@ -124,14 +119,8 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
     (1/s) sum_c ||X_c - F Y_c||_F^2 over the column chunks c of at most
     _CHUNK samples, in order, through two m x _CHUNK buffers and the bank's
     stacked m x N ``full()``: no m x s array is allocated."""
-    if ens.y.shape[0] != bank.partition.n_total:
-        raise InvalidInput(
-            f"y has {ens.y.shape[0]} rows, bank expects {bank.partition.n_total}"
-        )
-    if ens.x.shape[0] != bank.partition.m:
-        raise InvalidInput(
-            f"x has {ens.x.shape[0]} rows, bank expects {bank.partition.m}"
-        )
+    _real_array(ens.y, "y", (bank.partition.n_total, None))
+    _real_array(ens.x, "x", (bank.partition.m, None))
     return _chunked_mse(ens, [bank], [])[0]
 
 

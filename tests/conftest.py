@@ -16,7 +16,6 @@ from hypothesis import settings
 from kltmbi import (
     CompressorBank,
     DegenerateTruncationWarning,
-    InvalidInput,
     MbiConfig,
     SensorPartition,
     mbi_solve,
@@ -36,15 +35,14 @@ ONE_SWEEP = MbiConfig(epsilon=0.0, max_iterations=1, record_trace=False)
 
 
 def joint_model_from_factor(a, part: SensorPartition) -> SecondMomentModel:
-    """Consistent joint model from a factor ``a`` with m + n_total rows.
+    """Consistent joint model from a factor ``a`` with m + n_total rows; the
+    model's shape check rejects any other count.
 
     The Gram matrix ``a a^T`` is partitioned into (E_xx, E_xy, E_yy), so the
     stacked joint matrix is PSD by construction.
     """
     a = np.asarray(a, dtype=np.float64)
-    m, n = part.m, part.n_total
-    if a.shape[0] != m + n:
-        raise InvalidInput(f"factor must have {m + n} rows, got {a.shape[0]}")
+    m = part.m
     gram = a @ a.T
     gram = (gram + gram.T) / 2.0
     return SecondMomentModel(

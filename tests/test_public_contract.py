@@ -60,7 +60,7 @@ def test_all_the_namespace_and_the_readme_list_are_one_set():
 # not match its own text.
 _INTERNALS = re.compile(
     r"r[p]\.[a-z_]+|e_yy_roo[t]|model\._?[h]\b|\bobjectiv[e]\(|row_projecto[r]"
-    r"|\b_residua[l]\(|_block_solv[e]\(|reduce_proble[m]"
+    r"|\b_residua[l]\(|_block_solv[e]\(|reduce_proble[m]|ReduceProble[m]"
 )
 
 

@@ -427,6 +427,20 @@ class TestPgm:
             save_pgm(np.ones(4), tmp_path / "row.pgm")
         assert not (tmp_path / "row.pgm").exists()
 
+    def test_save_rejects_an_empty_image(self, tmp_path):
+        # load_pgm would reject the "3 0" header such a file would get
+        with pytest.raises(InvalidInput, match="image"):
+            save_pgm(np.zeros((0, 3)), tmp_path / "empty.pgm")
+        assert not (tmp_path / "empty.pgm").exists()
+
+    def test_save_rejects_a_nan_pixel(self, tmp_path):
+        # the cast to uint8 would write it as 0
+        img = np.full((2, 2), 0.5)
+        img[1, 0] = np.nan
+        with pytest.raises(InvalidInput, match="image"):
+            save_pgm(img, tmp_path / "nan.pgm")
+        assert not (tmp_path / "nan.pgm").exists()
+
 
 class TestImageScenario:
     def _spec(self, tmp_path, rows=8, cols=8):

@@ -44,7 +44,7 @@ from kltmbi.linalg import psd_sqrt, svd
 from kltmbi.solver import klt_matrix
 
 
-class TestReduceProblem:
+class TestRecordedObjectiveAndMse:
     def test_identity_e_yy(self):
         # E_yy = I leaves the target E_xy as it is: the objective of F is
         # ||E_xy - F||^2
@@ -397,9 +397,18 @@ class TestMbiSolve:
             dict(max_iterations=2.5),
             dict(max_iterations=True),
             dict(max_iterations="3"),
+            # "no" is truthy: taken as it is, it would record the trace
+            dict(record_trace="no"),
+            dict(record_trace=0),
+            dict(record_trace=None),
         ):
             with pytest.raises(InvalidInput):
                 MbiConfig(**kwargs)
+
+    def test_numpy_bool_record_trace_passes(self):
+        model = example1_model()
+        cfg = MbiConfig(max_iterations=3, record_trace=np.False_)
+        assert mbi_solve(model, init_bank(model), cfg)[1].banks is None
 
     def test_numpy_numbers_pass(self):
         cfg = MbiConfig(epsilon=np.float32(0.5), max_iterations=np.int64(3))
