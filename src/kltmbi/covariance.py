@@ -89,15 +89,34 @@ class SensorPartition:
         return slice(start, start + self.n[j])
 
 
+def _partition(value) -> SensorPartition:
+    """``value``, if it is a :class:`SensorPartition`; anything else raises
+    :class:`InvalidInput` naming the partition."""
+    if not isinstance(value, SensorPartition):
+        raise InvalidInput(
+            f"partition must be a SensorPartition, got {type(value).__name__}"
+        )
+    return value
+
+
+def _sequence(value, name: str) -> tuple:
+    """``value``, a list or tuple, as a tuple. Anything else, None or a
+    generator included, raises :class:`InvalidInput` naming ``name``."""
+    if not isinstance(value, (list, tuple)):
+        got = type(value).__name__
+        raise InvalidInput(f"{name} must be a list or tuple, got {got}")
+    return tuple(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
     The moments follow the README's array rule, finite norm included, and
     are treated as immutable: the solver's private set-up (``_e_yy_root``,
-    ``_h`` and ``_g_factors``) is computed from them on first use and
-    cached on the model, so mutating an array in place afterwards would
-    leave the cache stale. Compared by identity: ``==`` is ``is``, and a
+    ``_h``, ``_g_factors`` and ``_g_bases``) is computed from them on first
+    use and cached on the model, so mutating an array in place afterwards
+    would leave the cache stale. Compared by identity: ``==`` is ``is``, and a
     model hashes.
     """
 
@@ -107,7 +126,7 @@ class SecondMomentModel:
     e_yy: np.ndarray
 
     def __post_init__(self):
-        m, n = self.partition.m, self.partition.n_total
+        m, n = _partition(self.partition).m, self.partition.n_total
         for name, shape in (("e_xx", (m, m)), ("e_xy", (m, n)), ("e_yy", (n, n))):
             _real_array(getattr(self, name), name, shape, finite=True)
 
@@ -140,6 +159,15 @@ class SecondMomentModel:
             for f in factors
         )
 
+    @cached_property
+    def _g_bases(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """What the solver's screen reads of the G_j: their numeric-rank
+        right bases side by side, [V_1 ... V_p] (N x sum_j k_j), and each
+        U_j S_j (n_j x k_j)."""
+        ranked = [(f, f.numeric_rank) for f in self._g_factors]
+        bases = np.hstack([f.v[:, :k] for f, k in ranked])
+        return bases, tuple(f.u[:, :k] * f.sigma[:k] for f, k in ranked)
+
 
 @dataclass(frozen=True, eq=False)
 class SampleEnsemble:
@@ -171,6 +199,7 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
     The estimated E_yy may be rank-deficient when ``s < n_total``; this is
     accepted as-is since every downstream formula uses pseudo-inverses.
     """
+    _partition(part)
     _real_array(ens.x, "x", (part.m, None))
     _real_array(ens.y, "y", (part.n_total, None))
     s = ens.s

@@ -18,6 +18,7 @@ from .covariance import (
     SampleEnsemble,
     SensorPartition,
     _dimension,
+    _partition,
     _real,
 )
 from .errors import InvalidInput, ParseError
@@ -84,7 +85,7 @@ class ScenarioSpec:
         for name in ("s", "sigmas", "image_path"):
             if name not in reads and getattr(self, name) is not None:
                 raise InvalidInput(f"kind {self.kind!r} does not read {name}")
-        part = self.partition
+        part = _partition(self.partition)
         if "s" in reads:
             s = _dimension(1 if self.s is None else self.s, "s")
             object.__setattr__(self, "s", s)

@@ -10,27 +10,42 @@ candidates per sweep, solves only the best in full and commits it.
 
 Scoring. With G_j = U_j S_j V_j^T (numeric rank k_j) and the residual
 E = H - sum_i F_i G_i, block j's best step changes the objective ||E||^2 by
-Delta_j = sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j) - ||E V_j||^2 <= 0:
-one m x N x k_j product and the singular values of an m x k_j matrix
-(N = n_total). The block with the lowest Delta_j is solved in full, which
-forms its one row-space projector V_j V_j^T, and E and the objective are
-recomputed from the new bank. A sweep costs O(m N^2 + n_j N^2) instead of
-the O(p m N^2) of solving every block.
+Delta_j = sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j) - ||E V_j||^2 <= 0.
+One m x N x sum_j k_j product E [V_1 ... V_p] scores every block (N =
+n_total), and one batched SVD per distinct k_j gives the singular values of
+the m x k_j matrices; F_j U_j S_j is carried from sweep to sweep and formed
+again only for the committed block. The block with the lowest Delta_j is
+solved in full. Its row-space projector V_j V_j^T costs N^2 k_j and
+applying it m N^2, which is now most of a sweep.
 
-Set-up. E_yy^(1/2), H and the thin SVD of each G_j, with the rank rule
-:class:`~kltmbi.covariance.SecondMomentModel` documents, are computed on
-first use and cached on the model. Every solve on a model, and
-:func:`~kltmbi.wsn.analytic_mse`, reads that one set-up: about 2 N^2 + m N
-numbers whatever p is (~4.5 MB at N = 512, p = 16).
+Set-up. E_yy^(1/2), H, the thin SVD of each G_j, with the rank rule
+:class:`~kltmbi.covariance.SecondMomentModel` documents, and the screen's
+[V_1 ... V_p] and U_j S_j are computed on first use and cached on the
+model. Every solve on a model, and :func:`~kltmbi.wsn.analytic_mse`, reads
+that one set-up: about 3 N^2 + m N numbers whatever p is (~6.4 MB at
+N = 512, p = 16). A solve also holds the products P_i = F_i G_i of its
+current bank, p of m x N (2 MB at N = 512, m = 32, p = 16). A committed step
+forms only its own, one m x n_j x N product, and E and the objective are
+summed again from the p products in index order: the arithmetic of forming
+E from the whole bank, bit for bit. A sweep costs O(m N sum_j k_j + N^2 k_j
++ m N^2) instead of the O(p m N^2) of solving every block.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SecondMomentModel, SensorPartition, _dimension, _real
+from .covariance import (
+    SecondMomentModel,
+    SensorPartition,
+    _dimension,
+    _partition,
+    _real,
+    _sequence,
+)
 from .errors import InvalidInput
 from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd, truncated
 
@@ -47,7 +62,8 @@ class CompressorBank:
     partition: SensorPartition
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        _partition(self.partition)
+        object.__setattr__(self, "blocks", _sequence(self.blocks, "blocks"))
         if len(self.blocks) != self.partition.p:
             raise InvalidInput("one block per sensor is required")
         for j, b in enumerate(self.blocks):
@@ -71,9 +87,15 @@ class CompressorBank:
         return self.full() @ y
 
     def replace(self, j: int, block: np.ndarray) -> "CompressorBank":
-        blocks = list(self.blocks)
-        blocks[j] = block
-        return CompressorBank(blocks=tuple(blocks), partition=self.partition)
+        """This bank with block ``j`` replaced by ``block``, the one block
+        checked: the others were checked when this bank was made."""
+        part = self.partition
+        j = range(part.p)[j]
+        _real_array(block, f"block {j}", (part.m, part.n[j]), finite=True)
+        bank = copy.copy(self)
+        blocks = self.blocks[:j] + (block,) + self.blocks[j + 1 :]
+        object.__setattr__(bank, "blocks", blocks)
+        return bank
 
 
 @dataclass(frozen=True)
@@ -136,6 +158,7 @@ def reduce_problem(model: SecondMomentModel) -> SecondMomentModel:
     benchmark revision (ROADMAP.md, item 1) deletes it."""
     model._g_factors
     model._h
+    model._g_bases
     return model
 
 
@@ -148,16 +171,19 @@ def _sq_norm(a: np.ndarray) -> np.float64:
     return n * n
 
 
-def _residual(
-    model: SecondMomentModel, bank: CompressorBank
-) -> tuple[np.ndarray, float]:
-    """The residual E = H - sum_j F_j G_j of ``bank`` on ``model``'s set-up,
-    formed in the product buffer, and ||E||^2. Every objective and analytic
-    MSE of the library comes from it."""
-    root, part = model._e_yy_root, model.partition
+def _product(model: SecondMomentModel, j: int, fj: np.ndarray) -> np.ndarray:
+    """P_j = F_j G_j, block j's m x N share of the bank's fit."""
+    return fj @ model._e_yy_root[model.partition.y_slice(j)]
+
+
+def _residual(model: SecondMomentModel, products) -> tuple[np.ndarray, float]:
+    """The residual E = H - sum_j P_j of the block products ``products``
+    (:func:`_product` of each block, in sensor order), summed in index order
+    into one buffer, and ||E||^2. Every objective and analytic MSE of the
+    library comes from it."""
     t = np.zeros_like(model._h)
-    for j, fj in enumerate(bank.blocks):
-        t += fj @ root[part.y_slice(j)]
+    for pj in products:
+        t += pj
     np.subtract(model._h, t, out=t)
     return t, float(_sq_norm(t))
 
@@ -226,20 +252,22 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
 
 
 def _screen(
-    resid: np.ndarray, blocks, factors: tuple[SvdFactors, ...], r: tuple[int, ...]
+    resid: np.ndarray, bases: np.ndarray, fus: list[np.ndarray], r: tuple[int, ...]
 ) -> np.ndarray:
     """Each block's objective change Delta_j (see the module docstring) if
     its candidate, the fit of s_j = E + F_j G_j, were committed, found
-    without solving any block. ``factors[j]`` is the SVD of G_j and ``r[j]``
-    its rank bound."""
-    scores = np.empty(len(factors))
-    for j, (fj, f, rj) in enumerate(zip(blocks, factors, r)):
-        k = f.numeric_rank
-        ev = resid @ f.v[:, :k]
-        w = ev + fj @ (f.u[:, :k] * f.sigma[:k])
-        sigma = np.linalg.svd(w, compute_uv=False)
-        tail = float(np.sum(sigma[rj:] ** 2))
-        scores[j] = tail - float(np.vdot(ev, ev))
+    without solving any block. ``bases`` is [V_1 ... V_p], ``fus[j]`` is
+    F_j U_j S_j (m x k_j) and ``r[j]`` block j's rank bound."""
+    ev = resid @ bases
+    ks = [fu.shape[1] for fu in fus]
+    cols = np.cumsum([0, *ks])
+    evs = [ev[:, a:b] for a, b in zip(cols, cols[1:])]
+    scores = np.array([-float(np.vdot(e, e)) for e in evs])
+    for k in sorted(set(ks)):
+        group = [j for j, kj in enumerate(ks) if kj == k]
+        w = np.stack([evs[j] + fus[j] for j in group])
+        for j, sigma in zip(group, np.linalg.svd(w, compute_uv=False)):
+            scores[j] += float(np.sum(sigma[r[j] :] ** 2))
     return scores
 
 
@@ -250,7 +278,8 @@ def mbi_solve(
 
     Each sweep solves in full only the block :func:`_screen` scores lowest
     (the lowest index on equal scores) and recomputes E and the objective f
-    from the new bank. The solve stops once a sweep improves f by at most
+    from the products P_i = F_i G_i it carries, of which only the committed
+    block's changes. The solve stops once a sweep improves f by at most
     (epsilon + N * eps) * tr E_xx, where N * eps * tr E_xx is about the
     round-off of f (by at most 0 when tr E_xx is not positive), keeping the
     incumbent, so f never increases; running out of budget is reported via
@@ -259,16 +288,25 @@ def mbi_solve(
     first, but its objective is within rounding of that sweep's best.
 
     Raises :class:`InvalidInput` when ``start`` is not a bank of the
-    model's partition, and :class:`NotPsd`, before any step, when E_yy has
-    an eigenvalue below -1e-8 * ||E_yy||.
+    model's partition or ``cfg`` not an :class:`MbiConfig`, and
+    :class:`NotPsd`, before any step, when E_yy has an eigenvalue below
+    -1e-8 * ||E_yy||.
     """
     part = model.partition
+    if not isinstance(start, CompressorBank):
+        got = type(start).__name__
+        raise InvalidInput(f"start must be a CompressorBank, got {got}")
     if start.partition != part:
         raise InvalidInput(f"start bank is for {start.partition}, model is {part}")
-    factors, root = model._g_factors, model._e_yy_root
+    if not isinstance(cfg, MbiConfig):
+        raise InvalidInput(f"cfg must be an MbiConfig, got {type(cfg).__name__}")
+    factors = model._g_factors
+    bases, us = model._g_bases
     tr_exx = float(np.trace(model.e_xx))
     bank = start
-    resid, f_cur = _residual(model, bank)
+    products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
+    fus = [fj @ usj for fj, usj in zip(bank.blocks, us)]
+    resid, f_cur = _residual(model, products)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
@@ -276,14 +314,18 @@ def mbi_solve(
     # inf * 0 would be NaN, which no improvement is at or below
     tol = (cfg.epsilon + part.n_total * _EPS) * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
-        j = int(np.argmin(_screen(resid, bank.blocks, factors, part.r)))
-        s_j = resid + bank.blocks[j] @ root[part.y_slice(j)]
-        new_bank = bank.replace(j, _block_solve(s_j, factors[j], part.r[j]))
-        new_resid, f_new = _residual(model, new_bank)
+        j = int(np.argmin(_screen(resid, bases, fus, part.r)))
+        new_block = _block_solve(resid + products[j], factors[j], part.r[j])
+        new_bank = bank.replace(j, new_block)
+        new_product = _product(model, j, new_block)
+        new_resid, f_new = _residual(
+            model, products[:j] + [new_product] + products[j + 1 :]
+        )
         if f_cur - f_new <= tol:
             converged = True
             break
         bank, resid, f_cur = new_bank, new_resid, f_new
+        products[j], fus[j] = new_product, new_block @ us[j]
         objectives.append(f_cur)
         chosen.append(j)
         if banks is not None:

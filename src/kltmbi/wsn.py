@@ -18,10 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import SampleEnsemble, SecondMomentModel, SensorPartition
+from .covariance import (
+    SampleEnsemble,
+    SecondMomentModel,
+    SensorPartition,
+    _partition,
+    _sequence,
+)
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array, svd
-from .solver import CompressorBank, _mse, _residual
+from .solver import CompressorBank, _mse, _product, _residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +43,9 @@ class FactorizedWsn:
     partition: SensorPartition
 
     def __post_init__(self):
-        object.__setattr__(self, "encoders", tuple(self.encoders))
-        object.__setattr__(self, "decoder_blocks", tuple(self.decoder_blocks))
-        part = self.partition
+        part = _partition(self.partition)
+        for name in ("encoders", "decoder_blocks"):
+            object.__setattr__(self, name, _sequence(getattr(self, name), name))
         if len(self.encoders) != part.p or len(self.decoder_blocks) != part.p:
             raise InvalidInput(
                 f"need {part.p} encoders and decoder blocks, got "
@@ -86,6 +92,7 @@ def compress(wsn: FactorizedWsn, y: np.ndarray) -> list[np.ndarray]:
 def reconstruct(wsn: FactorizedWsn, u: list[np.ndarray]) -> np.ndarray:
     """Fusion-center estimate x_hat = sum_j P_j u_j."""
     part = wsn.partition
+    u = _sequence(u, "u")
     if len(u) != part.p:
         raise InvalidInput(f"expected {part.p} compressed blocks, got {len(u)}")
     for j, uj in enumerate(u):
@@ -111,7 +118,8 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     part = model.partition
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
-    return _mse(model, [_residual(model, bank)[1]])[0]
+    products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
+    return _mse(model, [_residual(model, products)[1]])[0]
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:

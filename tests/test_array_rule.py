@@ -1,7 +1,8 @@
 """Every array argument follows the README's one array rule: a value that is
 not a real NumPy array, has the wrong number of dimensions or the wrong
 shape or, where finiteness is checked, a NaN, an Inf or a norm that
-overflows raises InvalidInput naming the argument."""
+overflows raises InvalidInput naming the argument. So does a partition,
+list of arrays, start bank or solver config of the wrong type."""
 
 import os
 import re
@@ -13,6 +14,7 @@ from kltmbi import (
     CompressorBank,
     FactorizedWsn,
     InvalidInput,
+    MbiConfig,
     SampleEnsemble,
     ScenarioSpec,
     SecondMomentModel,
@@ -21,6 +23,7 @@ from kltmbi import (
     empirical_mse,
     estimate_moments,
     image_scenario,
+    mbi_solve,
     reconstruct,
     save_pgm,
 )
@@ -34,6 +37,7 @@ ENCODERS = (np.ones((1, 2)), np.ones((1, 1)))
 DECODERS = (np.ones((2, 1)), np.ones((2, 1)))
 WSN = FactorizedWsn(encoders=ENCODERS, decoder_blocks=DECODERS, partition=PART)
 U = [np.ones((1, 4)), np.ones((1, 4))]
+MODEL = SecondMomentModel(PART, E_XX, E_XY, E_YY)
 
 
 def _swap(seq, j, value):
@@ -190,6 +194,110 @@ def test_good_value_passes(arg):
 def test_bad_value_raises_invalid_input_naming_it(name, value, call):
     with pytest.raises(InvalidInput, match=rf"\b{re.escape(name)}\b"):
         call(value)
+
+
+NOT_ARRAY = {
+    "none": lambda good: None,
+    "str": lambda good: "x",
+    "generator": lambda good: (v for v in good),
+    "blocks": lambda good: good.blocks,
+    "dict": lambda good: {"epsilon": 0.0},
+}
+
+# (argument id, the name its error gives, a good value, a call that passes
+# the value in its place, the kinds of bad value that must be rejected)
+OTHER_ARGS = [
+    (
+        "SecondMomentModel.partition",
+        "partition",
+        PART,
+        lambda v: SecondMomentModel(v, E_XX, E_XY, E_YY),
+        ("none", "str"),
+    ),
+    (
+        "estimate_moments.part",
+        "partition",
+        PART,
+        lambda v: estimate_moments(SampleEnsemble(x=X, y=Y), v),
+        ("none", "str"),
+    ),
+    (
+        "CompressorBank.partition",
+        "partition",
+        PART,
+        lambda v: CompressorBank(blocks=BANK.blocks, partition=v),
+        ("none", "str"),
+    ),
+    (
+        "FactorizedWsn.partition",
+        "partition",
+        PART,
+        lambda v: FactorizedWsn(ENCODERS, DECODERS, v),
+        ("none", "str"),
+    ),
+    (
+        "ScenarioSpec.partition",
+        "partition",
+        PART,
+        lambda v: ScenarioSpec(kind="pure_noise_obs", partition=v),
+        ("none", "str"),
+    ),
+    (
+        "CompressorBank.blocks",
+        "blocks",
+        BANK.blocks,
+        lambda v: CompressorBank(blocks=v, partition=PART),
+        ("none", "generator"),
+    ),
+    (
+        "FactorizedWsn.encoders",
+        "encoders",
+        ENCODERS,
+        lambda v: FactorizedWsn(v, DECODERS, PART),
+        ("none", "generator"),
+    ),
+    (
+        "FactorizedWsn.decoder_blocks",
+        "decoder_blocks",
+        DECODERS,
+        lambda v: FactorizedWsn(ENCODERS, v, PART),
+        ("none", "generator"),
+    ),
+    ("reconstruct.u", "u", U, lambda v: reconstruct(WSN, v), ("none", "generator")),
+    (
+        "mbi_solve.start",
+        "start",
+        BANK,
+        lambda v: mbi_solve(MODEL, v),
+        ("none", "blocks"),
+    ),
+    (
+        "mbi_solve.cfg",
+        "cfg",
+        MbiConfig(max_iterations=1),
+        lambda v: mbi_solve(MODEL, BANK, v),
+        ("none", "dict"),
+    ),
+]
+
+
+@pytest.mark.parametrize("arg", OTHER_ARGS, ids=[a[0] for a in OTHER_ARGS])
+def test_good_non_array_passes(arg):
+    _, _, good, call, _ = arg
+    call(good)
+
+
+@pytest.mark.parametrize(
+    "name, make, good, call",
+    [
+        pytest.param(name, NOT_ARRAY[kind], good, call, id=f"{arg}-{kind}")
+        for arg, name, good, call, kinds in OTHER_ARGS
+        for kind in kinds
+    ],
+)
+def test_bad_non_array_raises_invalid_input_naming_it(name, make, good, call):
+    with pytest.raises(InvalidInput, match=rf"\b{re.escape(name)}\b"):
+        call(make(good))
 
 
 @pytest.mark.parametrize("rows", [1, 3])

@@ -471,6 +471,26 @@ class TestCompressorBank:
         with pytest.raises(InvalidInput, match="3 rows"):
             bank.apply(np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("j, k", [(1, 1), (-1, 2)])
+    def test_replace_checks_only_the_block_it_puts_in(self, monkeypatch, j, k):
+        part = SensorPartition(m=2, n=(2, 1, 3), r=(1, 1, 1))
+        bank = CompressorBank.zeros(part)
+        checked = []
+        real = solver._real_array
+
+        def spy(a, name, *args, **kwargs):
+            checked.append(name)
+            return real(a, name, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_real_array", spy)
+        block = np.ones((2, part.n[k]))
+        new = bank.replace(j, block)
+        assert checked == [f"block {k}"]
+        assert new.partition is part and new.blocks[k] is block
+        kept = [i for i in range(part.p) if i != k]
+        assert all(new.blocks[i] is bank.blocks[i] for i in kept)
+        assert not bank.blocks[k].any()
+
 
 def _identical_sensors_model(rng):
     # sensors 0 and 1 observe the same signal: in exact arithmetic they tie
@@ -498,6 +518,11 @@ def _silent_sensor_model(rng):
     a = rng.standard_normal((11, 14))
     a[6:8] = 0.0
     return joint_model_from_factor(a, part)
+
+
+def _forced_screen(j, p):
+    """A stand-in for the solver's screen that scores block ``j`` lowest."""
+    return lambda *args: np.where(np.arange(p) == j, -1.0, 0.0)
 
 
 def _assert_oracle_sweeps(model, trace):
@@ -543,6 +568,22 @@ def _count_candidates(monkeypatch):
     return calls
 
 
+# Models whose sensors have unequal numeric ranks k_j (r_is_1, random), a
+# rank-deficient E_yy, tied sensors and a silent sensor with k_j = 0.
+SCREENED_MODELS = [
+    pytest.param(lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)), id="r_is_1"),
+    pytest.param(lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)), id="r_is_n"),
+    pytest.param(
+        lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)), id="random"
+    ),
+    pytest.param(
+        lambda rng: _sampled_model(int(rng.integers(1000))), id="rank_deficient_e_yy"
+    ),
+    pytest.param(_identical_sensors_model, id="identical_sensors"),
+    pytest.param(_silent_sensor_model, id="silent_sensor"),
+]
+
+
 class TestScreenedSweepEquivalence:
     """mbi_solve scores every candidate from the row bases and solves only
     the best-scored one in full. Each sweep is checked against an exhaustive
@@ -550,25 +591,7 @@ class TestScreenedSweepEquivalence:
     oracle's best block, or, where blocks tie to rounding, one within
     rounding of it."""
 
-    @pytest.mark.parametrize(
-        "make_model",
-        [
-            lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
-            lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
-            lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
-            lambda rng: _sampled_model(int(rng.integers(1000))),
-            _identical_sensors_model,
-            _silent_sensor_model,
-        ],
-        ids=[
-            "r_is_1",
-            "r_is_n",
-            "random",
-            "rank_deficient_e_yy",
-            "identical_sensors",
-            "silent_sensor",
-        ],
-    )
+    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
     def test_matches_exhaustive_sweep(self, make_model):
         # from the zero bank, tied blocks are separated only by rounding
         for seed in range(10):
@@ -611,6 +634,63 @@ class TestScreenedSweepEquivalence:
         assert len(screens) == sweeps
         assert len(solves) == sweeps
         _assert_oracle_sweeps(model, trace)
+
+    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
+    def test_scores_are_the_oracle_steps(self, monkeypatch, make_model):
+        # every block's score, not only the lowest, is the change in the MSE
+        # that block's per-block KLT step makes
+        scored = []
+        real = solver._screen
+
+        def spy(*args):
+            scored.append(real(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(solver, "_screen", spy)
+        for seed in range(5):
+            model = make_model(np.random.default_rng(300 + seed))
+            tol = 1e-12 * explained_energy(model)
+            scored.clear()
+            _, trace = mbi_solve(
+                model,
+                CompressorBank.zeros(model.partition),
+                MbiConfig(epsilon=0.0, max_iterations=30),
+            )
+            for bank, scores in zip(trace.banks, scored):
+                before = direct_mse(model, bank)
+                for j, score in enumerate(scores):
+                    step = bank.replace(j, best_block(model, bank, j))
+                    assert abs(score - (direct_mse(model, step) - before)) <= tol
+
+    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
+    def test_carried_products_change_no_bit(self, monkeypatch, make_model):
+        # A solve carries each block's product F_j G_j from step to step. A
+        # solve that starts from a bank forms every product from that bank.
+        # So each recorded objective must be the one a solve records for its
+        # bank, and each step, replayed from its bank with the screen forced
+        # to the recorded block, must commit the recorded bank, bit for bit.
+        for seed in range(5):
+            model = make_model(np.random.default_rng(200 + seed))
+            p = model.partition.p
+            _, trace = mbi_solve(
+                model,
+                CompressorBank.zeros(model.partition),
+                MbiConfig(epsilon=0.0, max_iterations=30),
+            )
+            assert trace.iterations_used > 1
+            f = trace.objective_per_iteration
+            for bank, f_i in zip(trace.banks, f):
+                assert recorded_objective(model, bank) == f_i
+            for i, j in enumerate(trace.chosen_block_per_iteration):
+                monkeypatch.setattr(solver, "_screen", _forced_screen(j, p))
+                step, replay = mbi_solve(model, trace.banks[i], ONE_SWEEP)
+                monkeypatch.undo()
+                assert replay.chosen_block_per_iteration == [j]
+                assert replay.objective_per_iteration == f[i : i + 2]
+                want = trace.banks[i + 1].blocks
+                assert [b.tobytes() for b in step.blocks] == [
+                    b.tobytes() for b in want
+                ]
 
 
 def test_silent_sensor_gets_rank_zero():
