@@ -89,14 +89,19 @@ class SensorPartition:
         return slice(start, start + self.n[j])
 
 
+def _instance(value, cls: type, name: str):
+    """``value``, if it is a ``cls``; anything else, None included, raises
+    :class:`InvalidInput` naming ``name``."""
+    if not isinstance(value, cls):
+        got = type(value).__name__
+        raise InvalidInput(f"{name} must be of type {cls.__name__}, got {got}")
+    return value
+
+
 def _partition(value) -> SensorPartition:
     """``value``, if it is a :class:`SensorPartition`; anything else raises
     :class:`InvalidInput` naming the partition."""
-    if not isinstance(value, SensorPartition):
-        raise InvalidInput(
-            f"partition must be a SensorPartition, got {type(value).__name__}"
-        )
-    return value
+    return _instance(value, SensorPartition, "partition")
 
 
 def _sequence(value, name: str) -> tuple:
@@ -116,14 +121,18 @@ class SecondMomentModel:
     are treated as immutable: the solver's private set-up (``_e_yy_root``,
     ``_h``, ``_g_factors`` and ``_g_bases``) is computed from them on first
     use and cached on the model, so mutating an array in place afterwards
-    would leave the cache stale. Compared by identity: ``==`` is ``is``, and a
-    model hashes.
+    would leave the cache stale. ``_carried`` holds the state the last
+    :func:`~kltmbi.solver.mbi_solve` on the model ended in, for the next
+    solve to resume from (the solver module says when it may). Compared by
+    identity: ``==`` is ``is``, and a model hashes.
     """
 
     partition: SensorPartition
     e_xx: np.ndarray
     e_xy: np.ndarray
     e_yy: np.ndarray
+    # Not a field: set by the solver, never by the constructor.
+    _carried = None
 
     def __post_init__(self):
         m, n = _partition(self.partition).m, self.partition.n_total
@@ -161,12 +170,13 @@ class SecondMomentModel:
 
     @cached_property
     def _g_bases(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """What the solver's screen reads of the G_j: their numeric-rank
-        right bases side by side, [V_1 ... V_p] (N x sum_j k_j), and each
+        """What the solver reads of the G_j besides their SVDs: their
+        numeric-rank right bases stacked as rows, [V_1 ... V_p]^T
+        (sum_j k_j x N), a buffer apart from the SVDs' own V_j, and each
         U_j S_j (n_j x k_j)."""
         ranked = [(f, f.numeric_rank) for f in self._g_factors]
-        bases = np.hstack([f.v[:, :k] for f, k in ranked])
-        return bases, tuple(f.u[:, :k] * f.sigma[:k] for f, k in ranked)
+        rows = np.vstack([f.v[:, :k].T for f, k in ranked])
+        return rows, tuple(f.u[:, :k] * f.sigma[:k] for f, k in ranked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +209,7 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
     The estimated E_yy may be rank-deficient when ``s < n_total``; this is
     accepted as-is since every downstream formula uses pseudo-inverses.
     """
+    _instance(ens, SampleEnsemble, "ens")
     _partition(part)
     _real_array(ens.x, "x", (part.m, None))
     _real_array(ens.y, "y", (part.n_total, None))

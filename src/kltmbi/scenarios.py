@@ -18,6 +18,7 @@ from .covariance import (
     SampleEnsemble,
     SensorPartition,
     _dimension,
+    _instance,
     _partition,
     _real,
 )
@@ -139,7 +140,7 @@ def generate(spec: ScenarioSpec) -> SampleEnsemble:
     unit normal noise independent of x). x and A_j are uniform on [0, 1).
     Other kinds raise :class:`InvalidInput`: ``exact_example1`` has no
     samples (see ``example1_model``) and ``image`` has ``image_scenario``."""
-    if "s" not in KIND_FIELDS[spec.kind]:
+    if "s" not in KIND_FIELDS[_instance(spec, ScenarioSpec, "spec").kind]:
         raise InvalidInput(f"generate needs a sampled kind, got {spec.kind!r}")
     part = spec.partition
     rng = np.random.default_rng(spec.seed)
@@ -170,7 +171,7 @@ def image_scenario(spec: ScenarioSpec) -> ImageScenarioData:
     """Image experiment: the source image X (scaled to [0, 1]) is observed as
     Y_j = A_j * X + sigma_j N_j with elementwise (Hadamard) mixing by a
     uniform A_j; training uses the even columns of X and Y_j."""
-    if spec.kind != "image":
+    if _instance(spec, ScenarioSpec, "spec").kind != "image":
         raise InvalidInput(f"image_scenario needs kind='image', got {spec.kind!r}")
     part = spec.partition
     x_full = _load_image(spec)

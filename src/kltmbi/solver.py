@@ -10,17 +10,20 @@ candidates per sweep, solves only the best in full and commits it.
 
 Scoring. With G_j = U_j S_j V_j^T (numeric rank k_j) and the residual
 E = H - sum_i F_i G_i, block j's best step changes the objective ||E||^2 by
-Delta_j = sum_{i > r_j} sigma_i^2(E V_j + F_j U_j S_j) - ||E V_j||^2 <= 0.
-One m x N x sum_j k_j product E [V_1 ... V_p] scores every block (N =
-n_total), and one batched SVD per distinct k_j gives the singular values of
-the m x k_j matrices; F_j U_j S_j is carried from sweep to sweep and formed
-again only for the committed block. The block with the lowest Delta_j is
-solved in full. Its row-space projector V_j V_j^T costs N^2 k_j and
-applying it m N^2, which is now most of a sweep.
+Delta_j = sum_{i > r_j} sigma_i^2(W_j) - ||E V_j||^2 <= 0, where
+W_j = E V_j + F_j U_j S_j is m x k_j. One m x N x sum_j k_j product
+E [V_1 ... V_p] scores every block (N = n_total). Each tail is the sum of
+the d - r_j smallest eigenvalues of the d x d Gram of W_j (d = min(m, k_j)),
+from one batched ``eigvalsh`` per distinct k_j: the scores only pick the
+block, so no SVD is needed. F_j U_j S_j is carried from sweep to sweep and
+formed again only for the committed block. The block with the lowest
+Delta_j is solved in full: its row-space projector V_j V_j^T, one N x k_j x N
+GEMM, is applied at m N^2, and the m x N result's SVD, which the rank-r_j
+truncation needs, is the largest single part of a sweep.
 
 Set-up. E_yy^(1/2), H, the thin SVD of each G_j, with the rank rule
-:class:`~kltmbi.covariance.SecondMomentModel` documents, and the screen's
-[V_1 ... V_p] and U_j S_j are computed on first use and cached on the
+:class:`~kltmbi.covariance.SecondMomentModel` documents, the rows
+[V_1 ... V_p]^T and the U_j S_j are computed on first use and cached on the
 model. Every solve on a model, and :func:`~kltmbi.wsn.analytic_mse`, reads
 that one set-up: about 3 N^2 + m N numbers whatever p is (~6.4 MB at
 N = 512, p = 16). A solve also holds the products P_i = F_i G_i of its
@@ -29,6 +32,17 @@ forms only its own, one m x n_j x N product, and E and the objective are
 summed again from the p products in index order: the arithmetic of forming
 E from the whole bank, bit for bit. A sweep costs O(m N sum_j k_j + N^2 k_j
 + m N^2) instead of the O(p m N^2) of solving every block.
+
+Resuming. A solve ends by keeping on the model copies of its final bank's
+blocks with the state formed from them: the P_j, the F_j U_j S_j, E and f
+(about p m N + m N numbers). A later solve on that model whose start bank's
+blocks hold exactly those dtypes, layouts and bytes takes that state
+instead of forming it, so a chain of one-sweep solves does what one long
+solve does and forms one product per sweep. Any other start, a block
+edited in place, a bank with a block replaced or another model's bank
+included, forms the state from its bank: p products of m x n_j x N. The
+carried state is what forming it from those bytes gives, so either way
+every number a solve returns is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from .covariance import (
     SecondMomentModel,
     SensorPartition,
     _dimension,
+    _instance,
     _partition,
     _real,
     _sequence,
@@ -88,9 +103,13 @@ class CompressorBank:
 
     def replace(self, j: int, block: np.ndarray) -> "CompressorBank":
         """This bank with block ``j`` replaced by ``block``, the one block
-        checked: the others were checked when this bank was made."""
+        checked: the others were checked when this bank was made. ``j`` is
+        an integer in [-p, p), negative values counting from the end."""
         part = self.partition
-        j = range(part.p)[j]
+        j = _dimension(j, "j")
+        if not -part.p <= j < part.p:
+            raise InvalidInput(f"j must be in [-{part.p}, {part.p}), got {j}")
+        j %= part.p
         _real_array(block, f"block {j}", (part.m, part.n[j]), finite=True)
         bank = copy.copy(self)
         blocks = self.blocks[:j] + (block,) + self.blocks[j + 1 :]
@@ -197,12 +216,13 @@ def _mse(model: SecondMomentModel, objectives) -> list[float]:
     return [max(float(wiener + f), 0.0) for f in objectives]
 
 
-def _block_solve(s: np.ndarray, f: SvdFactors, r: int) -> np.ndarray:
+def _block_solve(s: np.ndarray, f: SvdFactors, vt: np.ndarray, r: int) -> np.ndarray:
     """Minimum-norm minimizer of ||s - F G||_F over rank-<=r matrices F, for
-    the block G whose thin SVD is ``f``: ``[s R]_r G^+``, where ``R``
-    projects onto the row space of G."""
-    v = f.v[:, : f.numeric_rank]
-    return truncated(s @ (v @ v.T), r) @ f.pinv()
+    the block G whose thin SVD is ``f``: ``[s R]_r G^+``, where ``R`` =
+    V V^T projects onto the row space of G. ``vt`` holds the rows V^T in a
+    buffer apart from ``f.v``, so that NumPy forms R by one GEMM rather
+    than by SYRK and a copy of its triangle."""
+    return truncated(s @ (f.v[:, : f.numeric_rank] @ vt), r) @ f.pinv()
 
 
 def klt_matrix(e_xy: np.ndarray, e_yy: np.ndarray, r: int) -> np.ndarray:
@@ -234,7 +254,7 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
     x_j from y_j, lifted to an m x n_j matrix with zero rows outside the x_j
     rows. When no split is feasible (m < p) the all-zero bank is returned.
     """
-    part = model.partition
+    part = _instance(model, SecondMomentModel, "model").partition
     x_blocks = allocate_x_blocks(part)
     if x_blocks is None:
         return CompressorBank.zeros(part)
@@ -252,23 +272,51 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
 
 
 def _screen(
-    resid: np.ndarray, bases: np.ndarray, fus: list[np.ndarray], r: tuple[int, ...]
+    resid: np.ndarray, rows: np.ndarray, fus: list[np.ndarray], r: tuple[int, ...]
 ) -> np.ndarray:
     """Each block's objective change Delta_j (see the module docstring) if
     its candidate, the fit of s_j = E + F_j G_j, were committed, found
-    without solving any block. ``bases`` is [V_1 ... V_p], ``fus[j]`` is
-    F_j U_j S_j (m x k_j) and ``r[j]`` block j's rank bound."""
-    ev = resid @ bases
-    ks = [fu.shape[1] for fu in fus]
+    without solving any block. ``rows`` is [V_1 ... V_p]^T, ``fus[j]`` is
+    F_j U_j S_j (m x k_j) and ``r[j]`` block j's rank bound. The tail
+    sum_{i > r_j} sigma_i^2(W_j) of W_j = E V_j + F_j U_j S_j is the sum of
+    the d - r_j smallest eigenvalues of its d x d Gram, d = min(m, k_j)."""
+    ev = resid @ rows.T
+    m, ks = resid.shape[0], [fu.shape[1] for fu in fus]
     cols = np.cumsum([0, *ks])
     evs = [ev[:, a:b] for a, b in zip(cols, cols[1:])]
     scores = np.array([-float(np.vdot(e, e)) for e in evs])
     for k in sorted(set(ks)):
-        group = [j for j, kj in enumerate(ks) if kj == k]
+        # blocks with r_j >= d have no tail
+        group = [j for j, kj in enumerate(ks) if kj == k and min(m, k) > r[j]]
+        if not group:
+            continue
         w = np.stack([evs[j] + fus[j] for j in group])
-        for j, sigma in zip(group, np.linalg.svd(w, compute_uv=False)):
-            scores[j] += float(np.sum(sigma[r[j] :] ** 2))
+        wt = w.transpose(0, 2, 1)
+        gram = wt @ w if k <= m else w @ wt
+        for j, lam in zip(group, np.linalg.eigvalsh(gram)):
+            scores[j] += float(np.sum(lam[: lam.size - r[j]]))
     return scores
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` hold the same dtype, layout and bytes."""
+    return (
+        a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
+    )
+
+
+def _state(model: SecondMomentModel, bank: CompressorBank, us) -> tuple:
+    """The products P_j, the F_j U_j S_j, the residual E and the objective f
+    of ``bank``: carried over from the solve on ``model`` that ended in a
+    bank of the same bytes, or else formed from ``bank``, p products of
+    m x n_j x N."""
+    carried = model._carried
+    if carried is not None and all(map(_same_bytes, carried[0], bank.blocks)):
+        _, products, fus, resid, f = carried
+        return list(products), list(fus), resid, f
+    products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
+    fus = [fj @ usj for fj, usj in zip(bank.blocks, us)]
+    return products, fus, *_residual(model, products)
 
 
 def mbi_solve(
@@ -287,26 +335,26 @@ def mbi_solve(
     chosen may not be the one an exhaustive sweep of full solves would rank
     first, but its objective is within rounding of that sweep's best.
 
-    Raises :class:`InvalidInput` when ``start`` is not a bank of the
-    model's partition or ``cfg`` not an :class:`MbiConfig`, and
+    A solve whose ``start`` holds the bytes of the bank the last solve on
+    ``model`` returned resumes from that solve's state (see the module
+    docstring).
+
+    Raises :class:`InvalidInput` when ``model`` is not a
+    :class:`SecondMomentModel`, ``start`` not a bank of the model's
+    partition or ``cfg`` not an :class:`MbiConfig`, and
     :class:`NotPsd`, before any step, when E_yy has an eigenvalue below
     -1e-8 * ||E_yy||.
     """
-    part = model.partition
-    if not isinstance(start, CompressorBank):
-        got = type(start).__name__
-        raise InvalidInput(f"start must be a CompressorBank, got {got}")
-    if start.partition != part:
+    part = _instance(model, SecondMomentModel, "model").partition
+    if _instance(start, CompressorBank, "start").partition != part:
         raise InvalidInput(f"start bank is for {start.partition}, model is {part}")
-    if not isinstance(cfg, MbiConfig):
-        raise InvalidInput(f"cfg must be an MbiConfig, got {type(cfg).__name__}")
+    _instance(cfg, MbiConfig, "cfg")
     factors = model._g_factors
-    bases, us = model._g_bases
+    rows, us = model._g_bases
+    ranks = np.cumsum([0, *(f.numeric_rank for f in factors)])
     tr_exx = float(np.trace(model.e_xx))
     bank = start
-    products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
-    fus = [fj @ usj for fj, usj in zip(bank.blocks, us)]
-    resid, f_cur = _residual(model, products)
+    products, fus, resid, f_cur = _state(model, bank, us)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
@@ -314,8 +362,9 @@ def mbi_solve(
     # inf * 0 would be NaN, which no improvement is at or below
     tol = (cfg.epsilon + part.n_total * _EPS) * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
-        j = int(np.argmin(_screen(resid, bases, fus, part.r)))
-        new_block = _block_solve(resid + products[j], factors[j], part.r[j])
+        j = int(np.argmin(_screen(resid, rows, fus, part.r)))
+        vt = rows[ranks[j] : ranks[j + 1]]
+        new_block = _block_solve(resid + products[j], factors[j], vt, part.r[j])
         new_bank = bank.replace(j, new_block)
         new_product = _product(model, j, new_block)
         new_resid, f_new = _residual(
@@ -330,6 +379,9 @@ def mbi_solve(
         chosen.append(j)
         if banks is not None:
             banks.append(bank)
+    blocks = tuple(np.copy(b) for b in bank.blocks)
+    carried = (blocks, tuple(products), tuple(fus), resid, f_cur)
+    object.__setattr__(model, "_carried", carried)
     trace = MbiTrace(
         objective_per_iteration=objectives,
         mse_per_iteration=_mse(model, objectives),

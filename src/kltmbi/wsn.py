@@ -22,6 +22,7 @@ from .covariance import (
     SampleEnsemble,
     SecondMomentModel,
     SensorPartition,
+    _instance,
     _partition,
     _sequence,
 )
@@ -63,7 +64,7 @@ def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
     """Split each block through its SVD with a balanced singular-value split:
     P_j = U sqrt(S), Q_j = sqrt(S) V^T. The product reproduces F_j exactly
     whenever rank F_j <= r_j."""
-    part = bank.partition
+    part = _instance(bank, CompressorBank, "bank").partition
     encoders = []
     decoders = []
     for j, fj in enumerate(bank.blocks):
@@ -84,14 +85,14 @@ def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
 
 def compress(wsn: FactorizedWsn, y: np.ndarray) -> list[np.ndarray]:
     """Per-sensor transmitted vectors u_j = Q_j y_j (columns are samples)."""
-    part = wsn.partition
+    part = _instance(wsn, FactorizedWsn, "wsn").partition
     y = _real_array(y, "y", (part.n_total, None), sample=True)
     return [wsn.encoders[j] @ y[part.y_slice(j)] for j in range(part.p)]
 
 
 def reconstruct(wsn: FactorizedWsn, u: list[np.ndarray]) -> np.ndarray:
     """Fusion-center estimate x_hat = sum_j P_j u_j."""
-    part = wsn.partition
+    part = _instance(wsn, FactorizedWsn, "wsn").partition
     u = _sequence(u, "u")
     if len(u) != part.p:
         raise InvalidInput(f"expected {part.p} compressed blocks, got {len(u)}")
@@ -115,7 +116,8 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     below that, :func:`empirical_mse` of the training samples is the number
     to read. Works identically for exact and sample-estimated moments.
     """
-    part = model.partition
+    part = _instance(model, SecondMomentModel, "model").partition
+    _instance(bank, CompressorBank, "bank")
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
     products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
@@ -127,6 +129,8 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
     (1/s) sum_c ||X_c - F Y_c||_F^2 over the column chunks c of at most
     _CHUNK samples, in order, through two m x _CHUNK buffers and the bank's
     stacked m x N ``full()``: no m x s array is allocated."""
+    _instance(ens, SampleEnsemble, "ens")
+    _instance(bank, CompressorBank, "bank")
     _real_array(ens.y, "y", (bank.partition.n_total, None))
     _real_array(ens.x, "x", (bank.partition.m, None))
     return _chunked_mse(ens, [bank], [])[0]
@@ -234,7 +238,7 @@ def atomic_write(path, write: Callable[[str], object]) -> None:
 def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
     """Atomically write the WSN document (temp file + rename): partition,
     per-sensor matrices, metadata."""
-    part = wsn.partition
+    part = _instance(wsn, FactorizedWsn, "wsn").partition
     doc = {
         "format": "klt-mbi-wsn",
         "library_version": __version__,

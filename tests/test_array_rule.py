@@ -2,7 +2,8 @@
 not a real NumPy array, has the wrong number of dimensions or the wrong
 shape or, where finiteness is checked, a NaN, an Inf or a norm that
 overflows raises InvalidInput naming the argument. So does a partition,
-list of arrays, start bank or solver config of the wrong type."""
+list of arrays, model, bank, ensemble, network, scenario spec or solver
+config of the wrong type."""
 
 import os
 import re
@@ -19,13 +20,18 @@ from kltmbi import (
     ScenarioSpec,
     SecondMomentModel,
     SensorPartition,
+    analytic_mse,
     compress,
     empirical_mse,
     estimate_moments,
+    factorize_wsn,
+    generate,
     image_scenario,
+    init_bank,
     mbi_solve,
     reconstruct,
     save_pgm,
+    save_wsn_json,
 )
 from kltmbi.linalg import psd_sqrt, svd, truncated
 
@@ -38,6 +44,15 @@ DECODERS = (np.ones((2, 1)), np.ones((2, 1)))
 WSN = FactorizedWsn(encoders=ENCODERS, decoder_blocks=DECODERS, partition=PART)
 U = [np.ones((1, 4)), np.ones((1, 4))]
 MODEL = SecondMomentModel(PART, E_XX, E_XY, E_YY)
+ENS = SampleEnsemble(x=X, y=Y)
+SPEC = ScenarioSpec(kind="pure_noise_obs", partition=PART, s=4)
+# read from the working directory, where test_good_non_array_passes puts it
+IMAGE_SPEC = ScenarioSpec(
+    kind="image",
+    partition=SensorPartition(m=2, n=(2,), r=(1,)),
+    sigmas=(0.1,),
+    image_path="img.pgm",
+)
 
 
 def _swap(seq, j, value):
@@ -278,11 +293,63 @@ OTHER_ARGS = [
         lambda v: mbi_solve(MODEL, BANK, v),
         ("none", "dict"),
     ),
+    (
+        "mbi_solve.model",
+        "model",
+        MODEL,
+        lambda v: mbi_solve(v, BANK, MbiConfig(max_iterations=1)),
+        ("none", "str"),
+    ),
+    ("init_bank.model", "model", MODEL, init_bank, ("none", "str")),
+    (
+        "analytic_mse.model",
+        "model",
+        MODEL,
+        lambda v: analytic_mse(v, BANK),
+        ("none", "str"),
+    ),
+    (
+        "analytic_mse.bank",
+        "bank",
+        BANK,
+        lambda v: analytic_mse(MODEL, v),
+        ("none", "blocks"),
+    ),
+    ("empirical_mse.ens", "ens", ENS, lambda v: empirical_mse(v, BANK), ("none",)),
+    (
+        "empirical_mse.bank",
+        "bank",
+        BANK,
+        lambda v: empirical_mse(ENS, v),
+        ("none", "blocks"),
+    ),
+    ("factorize_wsn.bank", "bank", BANK, factorize_wsn, ("none", "blocks")),
+    ("compress.wsn", "wsn", WSN, lambda v: compress(v, Y), ("none", "str")),
+    ("reconstruct.wsn", "wsn", WSN, lambda v: reconstruct(v, U), ("none", "str")),
+    (
+        "save_wsn_json.wsn",
+        "wsn",
+        WSN,
+        lambda v: save_wsn_json(v, "wsn.json"),
+        ("none", "str"),
+    ),
+    (
+        "estimate_moments.ens",
+        "ens",
+        ENS,
+        lambda v: estimate_moments(v, PART),
+        ("none", "str"),
+    ),
+    ("generate.spec", "spec", SPEC, generate, ("none", "str")),
+    ("image_scenario.spec", "spec", IMAGE_SPEC, image_scenario, ("none", "str")),
 ]
 
 
 @pytest.mark.parametrize("arg", OTHER_ARGS, ids=[a[0] for a in OTHER_ARGS])
-def test_good_non_array_passes(arg):
+def test_good_non_array_passes(arg, tmp_path, monkeypatch):
+    # save_wsn_json writes, and image_scenario reads, in the working directory
+    monkeypatch.chdir(tmp_path)
+    save_pgm(np.full((2, 4), 0.5), "img.pgm")
     _, _, good, call, _ = arg
     call(good)
 

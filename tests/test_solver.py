@@ -471,7 +471,7 @@ class TestCompressorBank:
         with pytest.raises(InvalidInput, match="3 rows"):
             bank.apply(np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("j, k", [(1, 1), (-1, 2)])
+    @pytest.mark.parametrize("j, k", [(1, 1), (-1, 2), (-3, 0), (np.int64(2), 2)])
     def test_replace_checks_only_the_block_it_puts_in(self, monkeypatch, j, k):
         part = SensorPartition(m=2, n=(2, 1, 3), r=(1, 1, 1))
         bank = CompressorBank.zeros(part)
@@ -490,6 +490,14 @@ class TestCompressorBank:
         kept = [i for i in range(part.p) if i != k]
         assert all(new.blocks[i] is bank.blocks[i] for i in kept)
         assert not bank.blocks[k].any()
+
+    # True would replace block 1, 1.0 ended in TypeError and 3 = p in
+    # IndexError
+    @pytest.mark.parametrize("j", [True, np.True_, 1.0, "1", None, 3, -4, 2**70])
+    def test_replace_rejects_an_index_that_is_not_a_block(self, j):
+        bank = CompressorBank.zeros(SensorPartition(m=2, n=(2, 1, 3), r=(1, 1, 1)))
+        with pytest.raises(InvalidInput, match=r"\bj\b"):
+            bank.replace(j, np.ones((2, 1)))
 
 
 def _identical_sensors_model(rng):
@@ -560,9 +568,9 @@ def _count_candidates(monkeypatch):
     calls = []
     real = solver._block_solve
 
-    def spy(s, f, r):
-        calls.append(r)
-        return real(s, f, r)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(solver, "_block_solve", spy)
     return calls
@@ -691,6 +699,146 @@ class TestScreenedSweepEquivalence:
                 assert [b.tobytes() for b in step.blocks] == [
                     b.tobytes() for b in want
                 ]
+
+
+def _fresh(model):
+    """A model of the same moments that no solve has run on."""
+    return SecondMomentModel(model.partition, model.e_xx, model.e_xy, model.e_yy)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = solver._product
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_product", spy)
+    return calls
+
+
+def _bytes(bank):
+    return [b.tobytes() for b in bank.blocks]
+
+
+def _assert_same_solve(got, want):
+    (bank, trace), (want_bank, want_trace) = got, want
+    assert _bytes(bank) == _bytes(want_bank)
+    assert trace.objective_per_iteration == want_trace.objective_per_iteration
+    assert trace.chosen_block_per_iteration == want_trace.chosen_block_per_iteration
+    assert trace.converged == want_trace.converged
+
+
+def _singular_value_scores(resid, rows, fus, r):
+    """The screen's scores from the same inputs, each tail taken from the
+    singular values of W_j = E V_j + F_j U_j S_j."""
+    ev = resid @ rows.T
+    cols = np.cumsum([0, *(fu.shape[1] for fu in fus)])
+    scores = []
+    for j, (fu, rj) in enumerate(zip(fus, r)):
+        e = ev[:, cols[j] : cols[j + 1]]
+        sigma = np.linalg.svd(e + fu, compute_uv=False)
+        scores.append(float(np.sum(sigma[rj:] ** 2) - np.sum(e * e)))
+    return np.array(scores)
+
+
+class TestResume:
+    """A solve keeps on the model the state it ended in. The next solve from
+    a bank of exactly those bytes resumes from it and forms one product per
+    sweep; any other bank forms all p again. Either way it does what a solve
+    on a model no solve has run on does, bit for bit."""
+
+    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
+    @pytest.mark.parametrize("first", ["init_bank", "zeros"])
+    def test_chained_sweeps_are_one_long_solve(self, monkeypatch, make_model, first):
+        k = 20
+        for seed in range(3):
+            model = make_model(np.random.default_rng(500 + seed))
+            part = model.partition
+            start = (
+                init_bank(model) if first == "init_bank" else CompressorBank.zeros(part)
+            )
+            long_bank, long_trace = mbi_solve(
+                _fresh(model), start, MbiConfig(epsilon=0.0, max_iterations=k)
+            )
+            products = _count_products(monkeypatch)
+            bank, objectives, chosen = start, [], []
+            for i in range(k):
+                products.clear()
+                bank, trace = mbi_solve(model, bank, ONE_SWEEP)
+                assert len(products) == (part.p + 1 if i == 0 else 1)
+                if i == 0:
+                    objectives.append(trace.objective_per_iteration[0])
+                objectives += trace.objective_per_iteration[1:]
+                chosen += trace.chosen_block_per_iteration
+                if trace.converged:
+                    break
+                assert _bytes(bank) == _bytes(long_trace.banks[i + 1])
+            monkeypatch.undo()
+            assert _bytes(bank) == _bytes(long_bank)
+            assert objectives == long_trace.objective_per_iteration
+            assert chosen == long_trace.chosen_block_per_iteration
+
+    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
+    def test_other_bytes_form_the_state_again(self, monkeypatch, make_model):
+        cfg = MbiConfig(epsilon=0.0, max_iterations=5)
+        stop = MbiConfig(epsilon=np.inf)
+        for seed in range(3):
+            rng = np.random.default_rng(600 + seed)
+            model, other = make_model(rng), make_model(rng)
+            part = model.partition
+            bank, _ = mbi_solve(model, init_bank(model), cfg)
+            other_bank, _ = mbi_solve(other, CompressorBank.zeros(part), cfg)
+            copied = CompressorBank(
+                blocks=tuple(b.copy() for b in bank.blocks), partition=part
+            )
+            replaced = bank.replace(0, bank.blocks[0] + 1.0)
+
+            def edited():
+                # the bank the last solve ended in, changed in place
+                bank.blocks[0][0, 0] += 1.0
+                return bank
+
+            # (the start, how many products the solve forms before its first
+            # sweep); each sweep then forms one
+            for make_start, formed in [
+                (lambda: copied, 0),
+                (lambda: replaced, part.p),
+                (lambda: other_bank, part.p),
+                (edited, part.p),
+            ]:
+                mbi_solve(model, bank, stop)  # the state now holds bank's bytes
+                start = make_start()
+                want = mbi_solve(_fresh(model), start, cfg)
+                products = _count_products(monkeypatch)
+                got = mbi_solve(model, start, cfg)
+                monkeypatch.undo()
+                sweeps = got[1].iterations_used + int(got[1].converged)
+                assert len(products) == formed + sweeps
+                _assert_same_solve(got, want)
+
+    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
+    def test_screen_picks_the_singular_value_argmin(self, monkeypatch, make_model):
+        sweeps = []
+        real = solver._screen
+
+        def spy(*args):
+            scores = real(*args)
+            sweeps.append((tol, int(np.argmin(scores)), _singular_value_scores(*args)))
+            return scores
+
+        monkeypatch.setattr(solver, "_screen", spy)
+        for seed in range(5):
+            model = make_model(np.random.default_rng(700 + seed))
+            tol = 1e-12 * explained_energy(model)
+            for start in (init_bank(model), CompressorBank.zeros(model.partition)):
+                mbi_solve(model, start, MbiConfig(epsilon=0.0, max_iterations=30))
+        # on rank_deficient_e_yy every sweep ties: the models fit to round-off
+        for tol, pick, scores in sweeps:
+            lowest = np.sort(scores)
+            if lowest[1] - lowest[0] > tol:
+                assert pick == int(np.argmin(scores))
 
 
 def test_silent_sensor_gets_rank_zero():
