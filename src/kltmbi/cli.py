@@ -62,17 +62,11 @@ class RunConfig:
 _IMAGES = ("reconstruction.pgm", "error_map.pgm")
 
 
-# The config's numbers go on as JSON gave them: SensorPartition, ScenarioSpec
+# The config's values go on as JSON gave them: SensorPartition, ScenarioSpec
 # and MbiConfig raise InvalidInput for a bool, a string, a float where an
-# integer is due or an integer beyond the float range, and supply the
-# defaults of the fields a config leaves out. The helpers below check only
-# the JSON shapes.
-def _list_field(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{name} must be a list, got {value!r}")
-    return value
-
-
+# integer is due, an integer beyond the float range or a number where a list
+# is due, and supply the defaults of the fields a config leaves out. The
+# helpers below check only the JSON shapes.
 def _path_field(value, name: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{name} must be a string, got {value!r}")
@@ -112,9 +106,6 @@ def parse_config(doc: dict, source=None) -> RunConfig:
         raise ParseError(f"unknown scenario kind {kind!r}")
     reads = KIND_FIELDS[kind]
     _object(sc, "scenario", ("kind", "m", "n", "r", "seed", *reads), kind)
-    for key in ("n", "r", "sigmas"):
-        if key in sc:
-            _list_field(sc[key], f"scenario.{key}")
     if "image_path" in sc:
         _path_field(sc["image_path"], "scenario.image_path")
     # exact_example1 takes the dimensions it is not given from example 1

@@ -11,12 +11,11 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd
+from .linalg import _real_array
 
 
 def _dimension(value, name: str) -> int:
@@ -57,12 +56,10 @@ class SensorPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _dimension(self.m, "m"))
-        object.__setattr__(
-            self, "n", tuple(_dimension(v, f"n[{j}]") for j, v in enumerate(self.n))
-        )
-        object.__setattr__(
-            self, "r", tuple(_dimension(v, f"r[{j}]") for j, v in enumerate(self.r))
-        )
+        for name in ("n", "r"):
+            dims = enumerate(_sequence(getattr(self, name), name))
+            dims = tuple(_dimension(v, f"{name}[{j}]") for j, v in dims)
+            object.__setattr__(self, name, dims)
         if self.m < 1:
             raise InvalidInput(f"m must be >= 1, got {self.m}")
         if len(self.n) < 1:
@@ -118,12 +115,10 @@ class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
     The moments follow the README's array rule, finite norm included, and
-    are treated as immutable: the solver's private set-up (``_e_yy_root``,
-    ``_h``, ``_g_factors`` and ``_g_bases``) is computed from them on first
-    use and cached on the model, so mutating an array in place afterwards
-    would leave the cache stale. ``_carried`` holds the state the last
-    :func:`~kltmbi.solver.mbi_solve` on the model ended in, for the next
-    solve to resume from (the solver module says when it may). Compared by
+    are treated as immutable: the solver forms what it reads besides them
+    on first use and keeps it with the model (the solver module says what
+    and when), so mutating an array in place afterwards would leave that
+    stale. ``dataclasses.replace`` makes a model of its own. Compared by
     identity: ``==`` is ``is``, and a model hashes.
     """
 
@@ -131,52 +126,11 @@ class SecondMomentModel:
     e_xx: np.ndarray
     e_xy: np.ndarray
     e_yy: np.ndarray
-    # Not a field: set by the solver, never by the constructor.
-    _carried = None
 
     def __post_init__(self):
         m, n = _partition(self.partition).m, self.partition.n_total
         for name, shape in (("e_xx", (m, m)), ("e_xy", (m, n)), ("e_yy", (n, n))):
             _real_array(getattr(self, name), name, shape, finite=True)
-
-    @cached_property
-    def _e_yy_root(self) -> np.ndarray:
-        """Symmetric PSD square root E_yy^(1/2); raises :class:`NotPsd` when
-        E_yy fails the PSD tolerance."""
-        return psd_sqrt(self.e_yy)
-
-    @cached_property
-    def _h(self) -> np.ndarray:
-        """H = E_xy (E_yy^(1/2))^+, the target of the solver's objective."""
-        return self.e_xy @ svd(self._e_yy_root).pinv()
-
-    @cached_property
-    def _g_factors(self) -> tuple[SvdFactors, ...]:
-        """Thin SVD G_j = U_j S_j V_j^T of each row block of E_yy^(1/2).
-
-        The G_j are slices of one root, so each numeric rank k_j counts the
-        singular values above N * eps * max_i sigma_1(G_i), the root's scale
-        rather than the block's own: a sensor with E_jj = 0, whose G_j is
-        round-off, gets k_j = 0 and F_j = 0.
-        """
-        part = self.partition
-        root = self._e_yy_root
-        factors = [svd(root[part.y_slice(j)]) for j in range(part.p)]
-        tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
-        return tuple(
-            replace(f, numeric_rank=int(np.count_nonzero(f.sigma > tol)))
-            for f in factors
-        )
-
-    @cached_property
-    def _g_bases(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """What the solver reads of the G_j besides their SVDs: their
-        numeric-rank right bases stacked as rows, [V_1 ... V_p]^T
-        (sum_j k_j x N), a buffer apart from the SVDs' own V_j, and each
-        U_j S_j (n_j x k_j)."""
-        ranked = [(f, f.numeric_rank) for f in self._g_factors]
-        rows = np.vstack([f.v[:, :k].T for f, k in ranked])
-        return rows, tuple(f.u[:, :k] * f.sigma[:k] for f, k in ranked)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ platforms.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .covariance import (
     _instance,
     _partition,
     _real,
+    _sequence,
 )
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array
@@ -36,7 +38,7 @@ KIND_FIELDS = {
 }
 
 # Kinds whose every sensor observes a signal of the source's shape (n_j = m).
-_SQUARE_KINDS = ("additive_noise", "linear_mixing", "image")
+_SQUARE_KINDS = ("additive_noise", "image")
 
 # Largest scenario accepted (2 GiB), in bytes of float64 data: the samples x
 # and y, (m + N) * s numbers, plus the joint second moments E_xx, E_xy and
@@ -61,12 +63,13 @@ def _check_size(part: SensorPartition, samples: int) -> None:
 class ScenarioSpec:
     """One simulation study: a scenario family, its partition, PRNG seed and
     the fields :data:`KIND_FIELDS` says the kind reads: the sample count
-    ``s`` (1 when left out), per-sensor noise scales ``sigmas`` (one per
-    sensor) and, for image runs, the source image's path.
+    ``s`` (1 when left out), per-sensor noise scales ``sigmas`` (a list or
+    tuple, one per sensor) and, for image runs, the source image's path (a
+    ``str`` or ``os.PathLike``).
 
     Raises :class:`InvalidInput` when a field is given to a kind that does
     not read it, when the partition does not fit the kind (n_j = m for
-    additive_noise, linear_mixing and image; the m and n of
+    additive_noise and image; the m and n of
     ``EXAMPLE1_PARTITION`` for exact_example1) or when the scenario needs
     more than :data:`MAX_SCENARIO_BYTES`, before anything is allocated. An
     image scenario's image is checked when it is loaded.
@@ -77,7 +80,7 @@ class ScenarioSpec:
     s: int | None = None
     sigmas: tuple[float, ...] | None = None
     seed: int = 0
-    image_path: str | None = None
+    image_path: str | os.PathLike | None = None
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KIND_FIELDS:
@@ -91,7 +94,7 @@ class ScenarioSpec:
             s = _dimension(1 if self.s is None else self.s, "s")
             object.__setattr__(self, "s", s)
         if "sigmas" in reads:
-            given = () if self.sigmas is None else self.sigmas
+            given = () if self.sigmas is None else _sequence(self.sigmas, "sigmas")
             sigmas = tuple(_real(v, f"sigmas[{j}]") for j, v in enumerate(given))
             object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "seed", _dimension(self.seed, "seed"))
@@ -118,6 +121,9 @@ class ScenarioSpec:
             raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
         if "image_path" in reads and not self.image_path:
             raise InvalidInput("image scenario requires image_path")
+        if not isinstance(self.image_path, (str, os.PathLike, type(None))):
+            got = type(self.image_path).__name__
+            raise InvalidInput(f"image_path must be a str or os.PathLike, got {got}")
         # an exact scenario holds no samples; an image's are its columns
         _check_size(part, self.s or 0)
 
@@ -136,8 +142,9 @@ def _fill_noisy(rng, out: np.ndarray, sigma: float, signal: np.ndarray) -> None:
 
 def generate(spec: ScenarioSpec) -> SampleEnsemble:
     """Seeded training samples of ``additive_noise`` (y_j = x + sigma_j N_j),
-    ``linear_mixing`` (y_j = A_j x + sigma_j N_j) or ``pure_noise_obs`` (y is
-    unit normal noise independent of x). x and A_j are uniform on [0, 1).
+    ``linear_mixing`` (y_j = A_j x + sigma_j N_j, A_j of n_j x m) or
+    ``pure_noise_obs`` (y is unit normal noise independent of x). x and A_j
+    are uniform on [0, 1).
     Other kinds raise :class:`InvalidInput`: ``exact_example1`` has no
     samples (see ``example1_model``) and ``image`` has ``image_scenario``."""
     if "s" not in KIND_FIELDS[_instance(spec, ScenarioSpec, "spec").kind]:
@@ -152,7 +159,7 @@ def generate(spec: ScenarioSpec) -> SampleEnsemble:
     for j in range(part.p):
         signal = x
         if spec.kind == "linear_mixing":
-            signal = rng.random((part.m, part.m)) @ x
+            signal = rng.random((part.n[j], part.m)) @ x
         _fill_noisy(rng, y[part.y_slice(j)], spec.sigmas[j], signal)
     return SampleEnsemble(x=x, y=y)
 

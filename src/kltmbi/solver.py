@@ -21,34 +21,37 @@ Delta_j is solved in full: its row-space projector V_j V_j^T, one N x k_j x N
 GEMM, is applied at m N^2, and the m x N result's SVD, which the rank-r_j
 truncation needs, is the largest single part of a sweep.
 
-Set-up. E_yy^(1/2), H, the thin SVD of each G_j, with the rank rule
-:class:`~kltmbi.covariance.SecondMomentModel` documents, the rows
-[V_1 ... V_p]^T and the U_j S_j are computed on first use and cached on the
-model. Every solve on a model, and :func:`~kltmbi.wsn.analytic_mse`, reads
-that one set-up: about 3 N^2 + m N numbers whatever p is (~6.4 MB at
-N = 512, p = 16). A solve also holds the products P_i = F_i G_i of its
-current bank, p of m x N (2 MB at N = 512, m = 32, p = 16). A committed step
-forms only its own, one m x n_j x N product, and E and the objective are
-summed again from the p products in index order: the arithmetic of forming
-E from the whole bank, bit for bit. A sweep costs O(m N sum_j k_j + N^2 k_j
-+ m N^2) instead of the O(p m N^2) of solving every block.
+Set-up. E_yy^(1/2), H, the thin SVD of each G_j with its numeric rank
+(:func:`_setup` states the rank rule), the rows [V_1 ... V_p]^T and the
+U_j S_j form one :class:`_Setup`, made on first use and kept in the
+model's instance ``__dict__``; no other module names it. Every solve on a
+model, and :func:`~kltmbi.wsn.analytic_mse`, reads that one set-up: about
+3 N^2 + m N numbers whatever p is (~6.4 MB at N = 512, p = 16). A model
+made by ``dataclasses.replace`` forms its own. A solve also holds the
+products P_i = F_i G_i of its current bank, p of m x N (2 MB at N = 512,
+m = 32, p = 16). A committed step forms only its own, one m x n_j x N
+product, and E and the objective are summed again from the p products in
+index order: the arithmetic of forming E from the whole bank, bit for bit.
+A sweep costs O(m N sum_j k_j + N^2 k_j + m N^2) instead of the
+O(p m N^2) of solving every block.
 
-Resuming. A solve ends by keeping on the model copies of its final bank's
-blocks with the state formed from them: the P_j, the F_j U_j S_j, E and f
-(about p m N + m N numbers). A later solve on that model whose start bank's
-blocks hold exactly those dtypes, layouts and bytes takes that state
-instead of forming it, so a chain of one-sweep solves does what one long
-solve does and forms one product per sweep. Any other start, a block
-edited in place, a bank with a block replaced or another model's bank
-included, forms the state from its bank: p products of m x n_j x N. The
-carried state is what forming it from those bytes gives, so either way
-every number a solve returns is the same, bit for bit.
+Resuming. A solve ends by keeping in the set-up's ``carried`` field copies
+of its final bank's blocks with the state formed from them: the P_j, the
+F_j U_j S_j, E and f (about p m N + m N numbers). A later solve on that
+model whose start bank's blocks hold exactly those dtypes, layouts and
+bytes takes that state instead of forming it (:func:`_state`), so a chain
+of one-sweep solves does what one long solve does and forms one product
+per sweep. Any other start, a block edited in place, a bank with a block
+replaced or another model's bank included, forms the state from its bank:
+p products of m x n_j x N. The carried state is what forming it from
+those bytes gives, so either way every number a solve returns is the
+same, bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,10 +90,8 @@ class CompressorBank:
 
     @classmethod
     def zeros(cls, partition: SensorPartition) -> "CompressorBank":
-        return cls(
-            blocks=tuple(np.zeros((partition.m, nj)) for nj in partition.n),
-            partition=partition,
-        )
+        m, n = _partition(partition).m, partition.n
+        return cls(blocks=tuple(np.zeros((m, nj)) for nj in n), partition=partition)
 
     def full(self) -> np.ndarray:
         """The stacked m x n_total matrix [F_1, ..., F_p]."""
@@ -170,14 +171,50 @@ class MbiTrace:
         return len(self.chosen_block_per_iteration)
 
 
+@dataclass(eq=False)
+class _Setup:
+    """A model's set-up (see Set-up and Resuming above): E_yy^(1/2), H, the
+    SVDs of the G_j with their numeric ranks, [V_1 ... V_p]^T, the U_j S_j
+    and the state the last solve ended in (None before the first)."""
+
+    root: np.ndarray
+    h: np.ndarray
+    factors: tuple[SvdFactors, ...]
+    rows: np.ndarray
+    us: tuple[np.ndarray, ...]
+    carried: tuple | None = None
+
+
+def _setup(model: SecondMomentModel) -> _Setup:
+    """``model``'s set-up, formed on first use and kept in its instance
+    ``__dict__``, as :func:`functools.cached_property` keeps a value; one
+    that raises :class:`NotPsd` is not kept. Each numeric rank k_j counts
+    the singular values of G_j above N * eps * max_i sigma_1(G_i), the
+    root's scale rather than the block's own: a sensor with E_jj = 0, whose
+    G_j is round-off, gets k_j = 0 and F_j = 0."""
+    setup = model.__dict__.get("_setup")
+    if setup is None:
+        part = model.partition
+        root = psd_sqrt(model.e_yy)
+        factors = [svd(root[part.y_slice(j)]) for j in range(part.p)]
+        tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
+        ks = [int(np.count_nonzero(f.sigma > tol)) for f in factors]
+        setup = model.__dict__["_setup"] = _Setup(
+            root,
+            model.e_xy @ svd(root).pinv(),
+            tuple(replace(f, numeric_rank=k) for f, k in zip(factors, ks)),
+            rows=np.vstack([f.v[:, :k].T for f, k in zip(factors, ks)]),
+            us=tuple(f.u[:, :k] * f.sigma[:k] for f, k in zip(factors, ks)),
+        )
+    return setup
+
+
 def reduce_problem(model: SecondMomentModel) -> SecondMomentModel:
     """Form the set-up :func:`mbi_solve` reads on ``model`` and return the
     model. Not part of the pipeline: the CLI calls it only so that the
     benchmark can time the set-up apart from the solve, and the next
     benchmark revision (ROADMAP.md, item 1) deletes it."""
-    model._g_factors
-    model._h
-    model._g_bases
+    _setup(model)
     return model
 
 
@@ -192,7 +229,7 @@ def _sq_norm(a: np.ndarray) -> np.float64:
 
 def _product(model: SecondMomentModel, j: int, fj: np.ndarray) -> np.ndarray:
     """P_j = F_j G_j, block j's m x N share of the bank's fit."""
-    return fj @ model._e_yy_root[model.partition.y_slice(j)]
+    return fj @ _setup(model).root[model.partition.y_slice(j)]
 
 
 def _residual(model: SecondMomentModel, products) -> tuple[np.ndarray, float]:
@@ -200,17 +237,18 @@ def _residual(model: SecondMomentModel, products) -> tuple[np.ndarray, float]:
     (:func:`_product` of each block, in sensor order), summed in index order
     into one buffer, and ||E||^2. Every objective and analytic MSE of the
     library comes from it."""
-    t = np.zeros_like(model._h)
+    h = _setup(model).h
+    t = np.zeros_like(h)
     for pj in products:
         t += pj
-    np.subtract(model._h, t, out=t)
+    np.subtract(h, t, out=t)
     return t, float(_sq_norm(t))
 
 
 def _mse(model: SecondMomentModel, objectives) -> list[float]:
     """The analytic MSE tr E_xx - ||H||^2 + f of a bank whose objective is
     f, for each f in ``objectives``. The one MSE formula of the library."""
-    wiener = np.trace(model.e_xx) - _sq_norm(model._h)
+    wiener = np.trace(model.e_xx) - _sq_norm(_setup(model).h)
     # The terms cancel almost completely for near-perfect banks, so
     # round-off can leave a tiny negative residue; the true value is >= 0.
     return [max(float(wiener + f), 0.0) for f in objectives]
@@ -305,17 +343,19 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _state(model: SecondMomentModel, bank: CompressorBank, us) -> tuple:
+def _state(model: SecondMomentModel, bank: CompressorBank) -> tuple:
     """The products P_j, the F_j U_j S_j, the residual E and the objective f
     of ``bank``: carried over from the solve on ``model`` that ended in a
     bank of the same bytes, or else formed from ``bank``, p products of
-    m x n_j x N."""
-    carried = model._carried
+    m x n_j x N. Every solve starts from it, and
+    :func:`~kltmbi.wsn.analytic_mse` reads its f."""
+    setup = _setup(model)
+    carried = setup.carried
     if carried is not None and all(map(_same_bytes, carried[0], bank.blocks)):
         _, products, fus, resid, f = carried
         return list(products), list(fus), resid, f
     products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
-    fus = [fj @ usj for fj, usj in zip(bank.blocks, us)]
+    fus = [fj @ usj for fj, usj in zip(bank.blocks, setup.us)]
     return products, fus, *_residual(model, products)
 
 
@@ -349,12 +389,11 @@ def mbi_solve(
     if _instance(start, CompressorBank, "start").partition != part:
         raise InvalidInput(f"start bank is for {start.partition}, model is {part}")
     _instance(cfg, MbiConfig, "cfg")
-    factors = model._g_factors
-    rows, us = model._g_bases
-    ranks = np.cumsum([0, *(f.numeric_rank for f in factors)])
+    setup = _setup(model)
+    ranks = np.cumsum([0, *(f.numeric_rank for f in setup.factors)])
     tr_exx = float(np.trace(model.e_xx))
     bank = start
-    products, fus, resid, f_cur = _state(model, bank, us)
+    products, fus, resid, f_cur = _state(model, bank)
     objectives = [f_cur]
     chosen: list[int] = []
     banks = [bank] if cfg.record_trace else None
@@ -362,9 +401,9 @@ def mbi_solve(
     # inf * 0 would be NaN, which no improvement is at or below
     tol = (cfg.epsilon + part.n_total * _EPS) * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
-        j = int(np.argmin(_screen(resid, rows, fus, part.r)))
-        vt = rows[ranks[j] : ranks[j + 1]]
-        new_block = _block_solve(resid + products[j], factors[j], vt, part.r[j])
+        j = int(np.argmin(_screen(resid, setup.rows, fus, part.r)))
+        vt = setup.rows[ranks[j] : ranks[j + 1]]
+        new_block = _block_solve(resid + products[j], setup.factors[j], vt, part.r[j])
         new_bank = bank.replace(j, new_block)
         new_product = _product(model, j, new_block)
         new_resid, f_new = _residual(
@@ -374,14 +413,13 @@ def mbi_solve(
             converged = True
             break
         bank, resid, f_cur = new_bank, new_resid, f_new
-        products[j], fus[j] = new_product, new_block @ us[j]
+        products[j], fus[j] = new_product, new_block @ setup.us[j]
         objectives.append(f_cur)
         chosen.append(j)
         if banks is not None:
             banks.append(bank)
     blocks = tuple(np.copy(b) for b in bank.blocks)
-    carried = (blocks, tuple(products), tuple(fus), resid, f_cur)
-    object.__setattr__(model, "_carried", carried)
+    setup.carried = (blocks, tuple(products), tuple(fus), resid, f_cur)
     trace = MbiTrace(
         objective_per_iteration=objectives,
         mse_per_iteration=_mse(model, objectives),

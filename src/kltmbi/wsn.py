@@ -28,7 +28,7 @@ from .covariance import (
 )
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array, svd
-from .solver import CompressorBank, _mse, _product, _residual
+from .solver import CompressorBank, _mse, _state
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,20 +108,20 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     tr(E_xx) - ||H||^2 + ||H - sum_j F_j G_j||^2 with H = E_xy (E_yy^(1/2))^+
     and G_j the row blocks of E_yy^(1/2), clamped at 0.
 
-    The objective ||H - sum_j F_j G_j||^2 and the MSE are formed by the
-    solver's own functions, so for every bank of a solve this equals the
-    trace's ``mse_per_iteration`` entry, bit for bit. The terms cancel at a
-    near-exact fit, so the value is accurate to about N * eps * tr(E_xx) in
-    absolute terms (N = n_total), and less where E_yy is ill-conditioned;
-    below that, :func:`empirical_mse` of the training samples is the number
-    to read. Works identically for exact and sample-estimated moments.
+    The objective ||H - sum_j F_j G_j||^2 is the one a solve from ``bank``
+    starts from, and the MSE comes from the solver's one formula, so for
+    every bank of a solve this equals the trace's ``mse_per_iteration``
+    entry, bit for bit. The terms cancel at a near-exact fit, so the value
+    is accurate to about N * eps * tr(E_xx) in absolute terms
+    (N = n_total), and less where E_yy is ill-conditioned; below that,
+    :func:`empirical_mse` of the training samples is the number to read.
+    Works identically for exact and sample-estimated moments.
     """
     part = _instance(model, SecondMomentModel, "model").partition
     _instance(bank, CompressorBank, "bank")
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
-    products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
-    return _mse(model, [_residual(model, products)[1]])[0]
+    return _mse(model, [_state(model, bank)[-1]])[0]
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
@@ -276,9 +276,7 @@ def load_wsn_json(path) -> FactorizedWsn:
     doc = _read_json(path)
     try:
         part = SensorPartition(
-            m=doc["partition"]["m"],
-            n=tuple(doc["partition"]["n"]),
-            r=tuple(doc["partition"]["r"]),
+            m=doc["partition"]["m"], n=doc["partition"]["n"], r=doc["partition"]["r"]
         )
         sensors = doc["sensors"]
         return FactorizedWsn(

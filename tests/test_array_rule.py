@@ -24,6 +24,7 @@ from kltmbi import (
     compress,
     empirical_mse,
     estimate_moments,
+    example1_model,
     factorize_wsn,
     generate,
     image_scenario,
@@ -46,6 +47,7 @@ U = [np.ones((1, 4)), np.ones((1, 4))]
 MODEL = SecondMomentModel(PART, E_XX, E_XY, E_YY)
 ENS = SampleEnsemble(x=X, y=Y)
 SPEC = ScenarioSpec(kind="pure_noise_obs", partition=PART, s=4)
+SQUARE = SensorPartition(m=2, n=(2, 2), r=(1, 1))
 # read from the working directory, where test_good_non_array_passes puts it
 IMAGE_SPEC = ScenarioSpec(
     kind="image",
@@ -217,6 +219,8 @@ NOT_ARRAY = {
     "generator": lambda good: (v for v in good),
     "blocks": lambda good: good.blocks,
     "dict": lambda good: {"epsilon": 0.0},
+    "int": lambda good: 3,
+    "real": lambda good: 0.1,
 }
 
 # (argument id, the name its error gives, a good value, a call that passes
@@ -340,6 +344,38 @@ OTHER_ARGS = [
         lambda v: estimate_moments(v, PART),
         ("none", "str"),
     ),
+    (
+        "SensorPartition.n",
+        "n",
+        PART.n,
+        lambda v: SensorPartition(m=2, n=v, r=PART.r),
+        ("none", "int", "generator"),
+    ),
+    (
+        "SensorPartition.r",
+        "r",
+        PART.r,
+        lambda v: SensorPartition(m=2, n=PART.n, r=v),
+        ("none", "int", "generator"),
+    ),
+    ("example1_model.r", "r", (1, 1), example1_model, ("none", "int")),
+    (
+        "ScenarioSpec.sigmas",
+        "sigmas",
+        (0.1, 0.1),
+        lambda v: ScenarioSpec(kind="additive_noise", partition=SQUARE, sigmas=v),
+        ("real", "generator"),
+    ),
+    (
+        "ScenarioSpec.image_path",
+        "image_path",
+        "img.pgm",
+        lambda v: ScenarioSpec(
+            kind="image", partition=SQUARE, sigmas=(0.1, 0.1), image_path=v
+        ),
+        ("int",),
+    ),
+    ("CompressorBank.zeros", "partition", PART, CompressorBank.zeros, ("none", "str")),
     ("generate.spec", "spec", SPEC, generate, ("none", "str")),
     ("image_scenario.spec", "spec", IMAGE_SPEC, image_scenario, ("none", "str")),
 ]

@@ -512,6 +512,9 @@ _IMAGE_SCENARIO = {
             "mbi": {"max_iterations": 1.5e400},
         },
         {"scenario": dict(_NOISE_SCENARIO, n=3)},
+        {"scenario": dict(_NOISE_SCENARIO, r=2)},
+        {"scenario": dict(_NOISE_SCENARIO, sigmas=0.1)},
+        {"scenario": {"kind": "exact_example1", "r": None, "seed": 0}},
         {"scenario": {"kind": "exact_example1", "m": "abc", "seed": 0}},
         # wrong types that used to be coerced into a different config
         {"scenario": dict(_NOISE_SCENARIO, n="33", r=[1, 1], sigmas=[0.1, 0.1])},
@@ -555,12 +558,6 @@ _IMAGE_SCENARIO = {
         # partitions that do not fit the kind
         {"scenario": dict(_NOISE_SCENARIO, m=2)},
         {
-            "scenario": dict(
-                _NOISE_SCENARIO, kind="linear_mixing", n=[3, 2], r=[1, 1],
-                sigmas=[0.1, 0.1],
-            )
-        },
-        {
             "scenario": {**_IMAGE_SCENARIO, "n": [4]},
             "outputs": {"image_out_dir": "out"},
         },
@@ -571,6 +568,9 @@ _IMAGE_SCENARIO = {
         "max_iterations_str",
         "max_iterations_overflow",
         "n_not_list",
+        "r_not_list",
+        "sigmas_not_list",
+        "exact_example1_r_null",
         "m_not_int",
         "n_str",
         "m_float",
@@ -601,7 +601,6 @@ _IMAGE_SCENARIO = {
         "s_too_large",
         "moments_too_large",
         "additive_noise_n_not_m",
-        "linear_mixing_n_not_m",
         "image_n_not_m",
         "exact_example1_m",
         "exact_example1_n",
@@ -617,6 +616,15 @@ def test_malformed_field_is_config_error(tmp_path, capsys, doc):
     assert "invalid" in capsys.readouterr().out
     assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_linear_mixing_takes_n_other_than_m(tmp_path, capsys):
+    # each A_j is n_j x m, so a sensor may see more or fewer than m values
+    scenario = dict(_MIXING_SCENARIO, n=[7, 2], r=[2, 1])
+    cfg = _write_config(tmp_path, {"scenario": scenario})
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

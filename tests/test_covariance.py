@@ -1,9 +1,11 @@
 """Tests for second-moment models, partitioning and sample estimation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-import kltmbi.covariance as covariance
+from kltmbi import solver
 from conftest import joint_model_from_factor
 from kltmbi import (
     CompressorBank,
@@ -195,16 +197,22 @@ class TestExample1Model:
         assert model.partition.r == (1, 1)
 
 
+def _count_roots(monkeypatch) -> list:
+    """The shapes of the E_yy the solver takes a root of, one per call."""
+    calls = []
+    real = solver.psd_sqrt
+
+    def counting(c, *args, **kwargs):
+        calls.append(c.shape)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "psd_sqrt", counting)
+    return calls
+
+
 class TestModelCache:
     def test_one_root_per_model(self, monkeypatch):
-        calls = []
-        real = covariance.psd_sqrt
-
-        def counting(c, *args, **kwargs):
-            calls.append(c.shape)
-            return real(c, *args, **kwargs)
-
-        monkeypatch.setattr(covariance, "psd_sqrt", counting)
+        calls = _count_roots(monkeypatch)
         rng = np.random.default_rng(7)
         part = SensorPartition(m=3, n=(3, 2), r=(2, 1))
         model = joint_model_from_factor(rng.standard_normal((8, 10)), part)
@@ -213,6 +221,25 @@ class TestModelCache:
         for _ in range(4):
             analytic_mse(model, bank)
         assert calls == [(5, 5)]
+
+    def test_a_replaced_model_forms_its_own_root(self, monkeypatch):
+        # dataclasses.replace makes a new model: nothing a solve formed or
+        # kept for the old one reaches it, so it solves as a fresh model does
+        rng = np.random.default_rng(8)
+        part = SensorPartition(m=3, n=(3, 2), r=(2, 1))
+        model = joint_model_from_factor(rng.standard_normal((8, 10)), part)
+        cfg = MbiConfig(epsilon=0.0, max_iterations=4)
+        bank, _ = mbi_solve(model, CompressorBank.zeros(part), cfg)
+        e_yy = model.e_yy + np.eye(5)
+        calls = _count_roots(monkeypatch)
+        got, trace = mbi_solve(dataclasses.replace(model, e_yy=e_yy), bank, cfg)
+        assert calls == [(5, 5)]
+        fresh = SecondMomentModel(part, model.e_xx, model.e_xy, e_yy)
+        want, want_trace = mbi_solve(fresh, bank, cfg)
+        assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in want.blocks]
+        assert trace.objective_per_iteration == want_trace.objective_per_iteration
+        assert trace.mse_per_iteration == want_trace.mse_per_iteration
+        assert trace.chosen_block_per_iteration == want_trace.chosen_block_per_iteration
 
     def test_not_psd_raises_every_time(self):
         part = SensorPartition(m=1, n=(2,), r=(1,))

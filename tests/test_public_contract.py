@@ -4,7 +4,8 @@ contract: ``mbi_solve`` solves from the model itself, and a bank is judged
 by ``analytic_mse``, the recorded trace and the per-block KLT oracle of
 ``conftest``. The solver's set-up (H, the G_j, their SVDs, the benchmark's
 hook that forms them, the residual and the block solve) can then change
-without touching any of them."""
+without touching any of them. Within the package, only ``solver.py`` names
+that set-up or writes to a model."""
 
 import inspect
 import pathlib
@@ -75,6 +76,30 @@ def test_reduced_form_stays_inside_the_solver():
         for path in paths
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if _INTERNALS.search(line)
+    ]
+    assert not hits, "\n".join(hits)
+
+
+# What no module of the package but the solver may name: the set-up's type,
+# the function and model attribute that keep it, its fields, the model
+# attributes that held it before, and any write to a model.
+_SETUP = re.compile(
+    r"_[Ss]etu[p]\b|__dict_[_]|vars\("
+    r"|\.(?:roo[t]|[h]|factor[s]|row[s]|u[s]|carrie[d])\b"
+    r"|_e_yy_roo[t]|_g_(?:factor[s]|base[s])|_carrie[d]"
+    r"|setattr_*\(\s*model\b|\bmodel\.\w+\s*=(?!=)"
+)
+
+
+def test_only_the_solver_names_its_set_up_or_writes_to_a_model():
+    paths = sorted((ROOT / "src" / "kltmbi").glob("*.py"))
+    assert ROOT / "src" / "kltmbi" / "solver.py" in paths
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in paths
+        if path.name != "solver.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _SETUP.search(line)
     ]
     assert not hits, "\n".join(hits)
 

@@ -205,12 +205,27 @@ class TestGenerate:
         assert ens.y.shape == (15, 7)
 
     def test_square_observation_required(self):
-        # the spec itself rejects the partition, before generate can run
-        part = SensorPartition(m=3, n=(4, 4), r=(1, 1))
-        with pytest.raises(InvalidInput):
+        # additive_noise adds x itself to each y_j, so the spec rejects the
+        # partition before generate can run; linear_mixing's A_j are n_j x m
+        part = SensorPartition(m=3, n=(4, 2), r=(1, 1))
+        with pytest.raises(InvalidInput, match="n_j = m"):
             ScenarioSpec(
                 kind="additive_noise", partition=part, s=3, sigmas=(0.1, 0.1), seed=0
             )
+        spec = ScenarioSpec(
+            kind="linear_mixing", partition=part, s=3, sigmas=(0.0, 0.0), seed=0
+        )
+        ens = generate(spec)
+        assert ens.y.shape == (6, 3)
+        # with sigma_j = 0 each y_j is exactly A_j x, drawn in stream order:
+        # x, then per sensor A_j (n_j x m) and the noise it scales away
+        rng = np.random.default_rng(0)
+        x = rng.random((3, 3))
+        assert np.array_equal(ens.x, x)
+        for rows in (slice(0, 4), slice(4, 6)):
+            a_j = rng.random((rows.stop - rows.start, 3))
+            rng.standard_normal((rows.stop - rows.start, 3))
+            assert np.array_equal(ens.y[rows], a_j @ x)
 
     def test_uniform_source_range(self):
         ens = generate(_two_sensor_spec(kind="pure_noise_obs", s=200))

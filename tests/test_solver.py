@@ -968,3 +968,33 @@ def test_scaling_the_moments_by_a_power_of_four_changes_no_decision(
     # psd_sqrt's NotPsd threshold for some shifts
     low = model.e_yy - shift * np.linalg.eigvalsh(model.e_yy)[0] * np.eye(32)
     assert _not_psd(c * low) == _not_psd(low)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    sensors=st.lists(
+        st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        min_size=1,
+        max_size=4,
+    ),
+    make=st.sampled_from([random_model, noisy_model]),
+    first=st.sampled_from(["init_bank", "zeros"]),
+)
+def test_no_bank_beats_the_centralized_klt(seed, m, sensors, make, first):
+    # F = [F_1 ... F_p] has rank at most R = min(m, sum_j r_j), so no bank
+    # does better than the rank-R KLT of the stacked y; with one sensor, MBI's
+    # first step is that KLT
+    n, r = zip(*sensors)
+    model = make(np.random.default_rng(seed), m, n, r)
+    part = model.partition
+    start = init_bank(model) if first == "init_bank" else CompressorBank.zeros(part)
+    bank, _ = mbi_solve(model, start, MbiConfig(epsilon=0.0, max_iterations=30))
+    central = klt_matrix(model.e_xy, model.e_yy, min(m, sum(r)))
+    blocks = tuple(central[:, part.y_slice(j)] for j in range(part.p))
+    floor = direct_mse(model, CompressorBank(blocks=blocks, partition=part))
+    tol = 1e-12 * np.trace(model.e_xx)
+    assert direct_mse(model, bank) >= floor - tol
+    if part.p == 1:
+        assert direct_mse(model, bank) <= floor + tol
