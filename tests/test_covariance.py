@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kltmbi import solver
 from conftest import joint_model_from_factor
 from kltmbi import (
     CompressorBank,
@@ -19,6 +18,7 @@ from kltmbi import (
     example1_model,
     mbi_solve,
 )
+from kltmbi import solver
 from kltmbi.covariance import SecondMomentModel
 
 
