@@ -22,6 +22,7 @@ import numpy as np
 from .covariance import (
     EXAMPLE1_PARTITION,
     SensorPartition,
+    _file_name,
     estimate_moments,
     example1_model,
 )
@@ -67,18 +68,6 @@ _IMAGES = ("reconstruction.pgm", "error_map.pgm")
 # integer is due, an integer beyond the float range or a number where a list
 # is due, and supply the defaults of the fields a config leaves out. The
 # helpers below check only the JSON shapes.
-def _path_field(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{name} must be a string, got {value!r}")
-    try:  # a name the OS takes: not empty, no NUL, in the file-system encoding
-        ok = value and "\0" not in value and os.fsencode(value)
-    except UnicodeEncodeError:
-        ok = False
-    if not ok:
-        raise ParseError(f"{name} is not a file name: {value!r}")
-    return value
-
-
 def _object(value, name: str, keys: tuple[str, ...], kind: str | None = None) -> dict:
     """A JSON object whose every key is one of ``keys``; the error for any
     other key names the scenario ``kind`` that reads only ``keys``, if given."""
@@ -106,8 +95,12 @@ def parse_config(doc: dict, source=None) -> RunConfig:
         raise ParseError(f"unknown scenario kind {kind!r}")
     reads = KIND_FIELDS[kind]
     _object(sc, "scenario", ("kind", "m", "n", "r", "seed", *reads), kind)
-    if "image_path" in sc:
-        _path_field(sc["image_path"], "scenario.image_path")
+    # a kind that reads an image writes its reconstructions to image_out_dir
+    writes_images = "image_path" in reads
+    keys = ("trace_csv", "wsn_json") + (("image_out_dir",) if writes_images else ())
+    outputs = _object(doc.get("outputs", {}), "outputs", keys, kind)
+    # MbiConfig supplies epsilon and max_iterations when they are left out
+    mbi_doc = _object(doc.get("mbi", {}), "mbi", ("epsilon", "max_iterations"))
     # exact_example1 takes the dimensions it is not given from example 1
     ex1 = asdict(EXAMPLE1_PARTITION) if kind == "exact_example1" else {}
     try:
@@ -120,16 +113,14 @@ def parse_config(doc: dict, source=None) -> RunConfig:
             seed=sc["seed"],
             **{k: sc[k] for k in reads if k in sc},
         )
+        files = {k: _file_name(v, f"outputs.{k}") for k, v in outputs.items()}
+        # only the trace CSV reads the intermediate banks
+        mbi = MbiConfig(record_trace="trace_csv" in files, **mbi_doc)
     except KeyError as exc:
         raise ParseError(f"scenario is missing field {exc}") from None
-    except InvalidInput as exc:
-        raise ParseError(f"invalid scenario: {exc}") from None
+    except InvalidInput as exc:  # its message names the field
+        raise ParseError(str(exc)) from None
 
-    # a kind that reads an image writes its reconstructions to image_out_dir
-    writes_images = "image_path" in reads
-    keys = ("trace_csv", "wsn_json") + (("image_out_dir",) if writes_images else ())
-    outputs = _object(doc.get("outputs", {}), "outputs", keys, kind)
-    files = {k: _path_field(v, f"outputs.{k}") for k, v in outputs.items()}
     report_baseline = doc.get("report_baseline", False)
     if not isinstance(report_baseline, bool):
         raise ParseError(
@@ -150,14 +141,6 @@ def parse_config(doc: dict, source=None) -> RunConfig:
         first = seen.setdefault(os.path.realpath(path), label)
         if first != label:
             raise ParseError(f"{first} and {label} are one file: {path}")
-
-    # MbiConfig supplies epsilon and max_iterations when they are left out
-    mbi_doc = _object(doc.get("mbi", {}), "mbi", ("epsilon", "max_iterations"))
-    try:
-        # only the trace CSV reads the intermediate banks
-        mbi = MbiConfig(record_trace="trace_csv" in files, **mbi_doc)
-    except InvalidInput as exc:
-        raise ParseError(f"invalid mbi settings: {exc}") from None
     return RunConfig(spec, mbi, files, report_baseline)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,6 +111,22 @@ def _sequence(value, name: str) -> tuple:
     return tuple(value)
 
 
+def _file_name(value, name: str):
+    """``value``, if it is a file name: a non-empty ``str`` or
+    ``os.PathLike`` that holds no NUL and encodes in the file-system
+    encoding. Anything else raises :class:`InvalidInput` naming ``name``."""
+    if not isinstance(value, (str, os.PathLike)):
+        got = type(value).__name__
+        raise InvalidInput(f"{name} must be a str or os.PathLike, got {got}")
+    try:
+        encoded = os.fsencode(value)
+    except UnicodeEncodeError:
+        encoded = b""
+    if not encoded or b"\0" in encoded:
+        raise InvalidInput(f"{name} is not a file name: {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
@@ -118,8 +135,9 @@ class SecondMomentModel:
     are treated as immutable: the solver forms what it reads besides them
     on first use and keeps it with the model (the solver module says what
     and when), so mutating an array in place afterwards would leave that
-    stale. ``dataclasses.replace`` makes a model of its own. Compared by
-    identity: ``==`` is ``is``, and a model hashes.
+    stale. ``dataclasses.replace`` makes a model of its own, and a pickle or
+    a ``copy.copy`` holds the moments alone. Compared by identity: ``==`` is
+    ``is``, and a model hashes.
     """
 
     partition: SensorPartition
@@ -131,6 +149,9 @@ class SecondMomentModel:
         m, n = _partition(self.partition).m, self.partition.n_total
         for name, shape in (("e_xx", (m, m)), ("e_xy", (m, n)), ("e_yy", (n, n))):
             _real_array(getattr(self, name), name, shape, finite=True)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ platforms.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .covariance import (
     SampleEnsemble,
     SensorPartition,
     _dimension,
+    _file_name,
     _instance,
     _partition,
     _real,
@@ -64,11 +66,11 @@ class ScenarioSpec:
     """One simulation study: a scenario family, its partition, PRNG seed and
     the fields :data:`KIND_FIELDS` says the kind reads: the sample count
     ``s`` (1 when left out), per-sensor noise scales ``sigmas`` (a list or
-    tuple, one per sensor) and, for image runs, the source image's path (a
-    ``str`` or ``os.PathLike``).
+    tuple, one per sensor) and, for image runs, the source image's path.
 
     Raises :class:`InvalidInput` when a field is given to a kind that does
-    not read it, when the partition does not fit the kind (n_j = m for
+    not read it, when the image's path is no file name (the README's path
+    rule), when the partition does not fit the kind (n_j = m for
     additive_noise and image; the m and n of
     ``EXAMPLE1_PARTITION`` for exact_example1) or when the scenario needs
     more than :data:`MAX_SCENARIO_BYTES`, before anything is allocated. An
@@ -119,11 +121,8 @@ class ScenarioSpec:
             )
         if self.sigmas is not None and not all(np.isfinite(self.sigmas)):
             raise InvalidInput(f"sigmas must be finite, got {self.sigmas}")
-        if "image_path" in reads and not self.image_path:
-            raise InvalidInput("image scenario requires image_path")
-        if not isinstance(self.image_path, (str, os.PathLike, type(None))):
-            got = type(self.image_path).__name__
-            raise InvalidInput(f"image_path must be a str or os.PathLike, got {got}")
+        if "image_path" in reads:
+            _file_name(self.image_path, "image_path")
         # an exact scenario holds no samples; an image's are its columns
         _check_size(part, self.s or 0)
 
@@ -216,70 +215,50 @@ def _load_image(spec: ScenarioSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pgm_tokens(data: bytes):
-    """Header tokens, skipping whitespace and '#' comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and data[i : i + 1] not in b" \t\r\n":
-            i += 1
-        yield data[start:i], i
+# The header load_pgm states. A comment takes its line end with it, so a
+# header matches one way only and a failed match backtracks in linear time.
+_PGM_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
 def load_pgm(path) -> np.ndarray:
-    """Read a P2/P5 grayscale image; intensities are scaled to [0, 1]."""
+    """Read a P2 (plain) or P5 (raw) grayscale image, its intensities scaled
+    to [0, 1]. The magic number ``P2`` or ``P5`` is the first two bytes.
+    Width, height and maxval follow as ASCII decimals, each after whitespace
+    in which ``#`` starts a comment that runs to the end of the line, and
+    one whitespace byte ends the header. P2 samples are ASCII digit runs
+    apart by whitespace; P5 samples are bytes, or big-endian byte pairs when
+    maxval > 255. A file that breaks this, has no pixel, a maxval outside
+    [1, 65535] or a sample above maxval raises :class:`ParseError`."""
     data = Path(path).read_bytes()
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise ParseError("empty PGM file") from None
+    magic = data[:2]
     if magic not in (b"P2", b"P5"):
-        raise ParseError(f"unsupported PGM magic {magic!r}")
-    try:
-        width_tok, _ = next(tokens)
-        height_tok, _ = next(tokens)
-        maxval_tok, end = next(tokens)
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except (StopIteration, ValueError):
-        raise ParseError("malformed PGM header") from None
+        raise ParseError(f"unsupported PGM magic number {magic!r}")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ParseError("malformed PGM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ParseError(f"invalid PGM dimensions {width}x{height}, maxval {maxval}")
+    raster = data[header.end() :]
     if magic == b"P2":
-        try:
-            values = np.array([int(t) for t in data[end:].split()], dtype=np.float64)
-        except (ValueError, OverflowError):
-            raise ParseError("non-integer P2 pixel data") from None
-        if values.size != width * height:
-            raise ParseError(
-                f"expected {width * height} pixels, found {values.size}"
-            )
-        pixels = values.reshape(height, width)
+        samples = raster.split()
+        if not all(map(bytes.isdigit, samples)):
+            raise ParseError("P2 sample that is not an ASCII decimal")
+        if len(samples) != width * height:
+            raise ParseError(f"expected {width * height} pixels, found {len(samples)}")
+        # a digit run beyond the float range reads as inf, above maxval
+        pixels = np.array(samples, dtype=np.float64)
     else:
-        raster = data[end + 1 :]  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         need = width * height * dtype.itemsize
         if len(raster) < need:
             raise ParseError(
                 f"truncated P5 raster: need {need} bytes, found {len(raster)}"
             )
-        pixels = (
-            np.frombuffer(raster[:need], dtype=dtype)
-            .astype(np.float64)
-            .reshape(height, width)
-        )
-    if pixels.min(initial=0) < 0 or pixels.max(initial=0) > maxval:
+        pixels = np.frombuffer(raster[:need], dtype=dtype).astype(np.float64)
+    if pixels.max() > maxval:
         raise ParseError(f"pixel value outside [0, {maxval}]")
-    return pixels / maxval
+    return pixels.reshape(height, width) / maxval
 
 
 def save_pgm(a: np.ndarray, path) -> None:

@@ -256,14 +256,26 @@ def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> N
     atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises
+    :class:`ParseError`, where ``dict`` would keep the last silently."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _read_json(path):
     """The document in the UTF-8 JSON file at ``path``. A file that does not
-    decode raises :class:`ParseError`; :class:`OSError` passes through."""
+    decode, or an object that gives a key twice, raises :class:`ParseError`;
+    :class:`OSError` passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        # a UnicodeDecodeError is a ValueError; nesting too deep for the
-        # decoder raises RecursionError
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        # a UnicodeDecodeError and the ParseError above are ValueErrors;
+        # nesting too deep for the decoder raises RecursionError
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from None
 

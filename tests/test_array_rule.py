@@ -221,6 +221,10 @@ NOT_ARRAY = {
     "dict": lambda good: {"epsilon": 0.0},
     "int": lambda good: 3,
     "real": lambda good: 0.1,
+    # strings that name no file: one holds a NUL, one a lone surrogate that
+    # the file-system encoding cannot encode
+    "nul": lambda good: "a\0b.pgm",
+    "surrogate": lambda good: "\ud800.pgm",
 }
 
 # (argument id, the name its error gives, a good value, a call that passes
@@ -373,7 +377,7 @@ OTHER_ARGS = [
         lambda v: ScenarioSpec(
             kind="image", partition=SQUARE, sigmas=(0.1, 0.1), image_path=v
         ),
-        ("int",),
+        ("int", "nul", "surrogate"),
     ),
     ("CompressorBank.zeros", "partition", PART, CompressorBank.zeros, ("none", "str")),
     ("generate.spec", "spec", SPEC, generate, ("none", "str")),

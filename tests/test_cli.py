@@ -408,6 +408,17 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_duplicate_key(self, tmp_path, capsys):
+        # json.load alone keeps the last "seed" and runs with seed 5
+        path = tmp_path / "twice.json"
+        path.write_text(
+            '{"scenario": {"kind": "exact_example1", "seed": 0, "seed": 5}}'
+        )
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "duplicate key 'seed'" in capsys.readouterr().out
+        assert main(["run", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert "duplicate key 'seed'" in capsys.readouterr().err
+
     def test_bad_partition(self, tmp_path):
         cfg = _write_config(
             tmp_path,

@@ -1,6 +1,8 @@
 """Tests for second-moment models, partitioning and sample estimation."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -236,6 +238,29 @@ class TestModelCache:
         assert calls == [(5, 5)]
         fresh = SecondMomentModel(part, model.e_xx, model.e_xy, e_yy)
         want, want_trace = mbi_solve(fresh, bank, cfg)
+        assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in want.blocks]
+        assert trace.objective_per_iteration == want_trace.objective_per_iteration
+        assert trace.mse_per_iteration == want_trace.mse_per_iteration
+        assert trace.chosen_block_per_iteration == want_trace.chosen_block_per_iteration
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, lambda model: pickle.loads(pickle.dumps(model))],
+        ids=["copy", "pickle"],
+    )
+    def test_a_copy_holds_the_moments_alone(self, duplicate):
+        # the set-up and resume state a solve kept stay with the original;
+        # the copy forms its own and solves as the original did, bit for bit
+        rng = np.random.default_rng(9)
+        part = SensorPartition(m=3, n=(3, 2), r=(2, 1))
+        model = joint_model_from_factor(rng.standard_normal((8, 10)), part)
+        cfg = MbiConfig(epsilon=0.0, max_iterations=4)
+        start = CompressorBank.zeros(part)
+        want, want_trace = mbi_solve(model, start, cfg)
+        twin = duplicate(model)
+        assert vars(twin).keys() == {"partition", "e_xx", "e_xy", "e_yy"}
+        assert len(pickle.dumps(model)) == len(pickle.dumps(twin))
+        got, trace = mbi_solve(twin, start, cfg)
         assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in want.blocks]
         assert trace.objective_per_iteration == want_trace.objective_per_iteration
         assert trace.mse_per_iteration == want_trace.mse_per_iteration

@@ -429,6 +429,15 @@ class TestPgm:
             b"P2\n0 2\n255\n",
             b"P2\n2 2\n0\n0 0 0 0",
             b"P2\n2 2\n65536\n0 0 0 0",
+            # only ASCII decimal digits count as numbers: int() would take
+            # an underscore or a sign
+            pytest.param(b"P2\n2 1_0\n25_5\n" + b"1_0 " * 20, id="underscore_header"),
+            pytest.param(b"P2\n+2 2\n255\n1 2 3 4", id="plus_width"),
+            pytest.param(b"P2\n2 2\n255\n+3 1 2 3", id="plus_sample"),
+            pytest.param(b"P2\n2 2\n255\n1_0 1 2 3", id="underscore_sample"),
+            # the magic number is the file's first two bytes
+            pytest.param(b" P2\n2 2\n255\n1 2 3 4", id="space_before_magic"),
+            pytest.param(b"# c\nP2\n2 2\n255\n1 2 3 4", id="comment_before_magic"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, content):

@@ -577,6 +577,14 @@ class TestJsonExport:
         with pytest.raises(ParseError):
             load_wsn_json(path)
 
+    def test_duplicate_key(self, tmp_path):
+        # a second "partition" would otherwise replace the first unseen
+        text = json.dumps(self._doc(tmp_path))
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace("{", '{"partition": null, ', 1))
+        with pytest.raises(ParseError, match="duplicate key 'partition'"):
+            load_wsn_json(path)
+
     def test_nesting_too_deep(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
