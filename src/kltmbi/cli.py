@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .covariance import (
     EXAMPLE1_PARTITION,
     SensorPartition,
     _file_name,
+    atomic_write,
     estimate_moments,
     example1_model,
 )
@@ -36,13 +36,7 @@ from .scenarios import (
     save_pgm,
 )
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
-from .wsn import (
-    _chunked_mse,
-    _read_json,
-    atomic_write,
-    factorize_wsn,
-    save_wsn_json,
-)
+from .wsn import _chunked_mse, _read_json, factorize_wsn, save_wsn_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,7 +141,7 @@ def parse_config(doc: dict, source=None) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         doc = _read_json(path)
-    except OSError as exc:
+    except (OSError, InvalidInput) as exc:  # InvalidInput: no file name
         raise ParseError(f"config file cannot be read: {exc}") from None
     return parse_config(doc, source=path)
 
@@ -190,8 +184,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         for i, f_i in enumerate(trace.objective_per_iteration):
             chosen = "" if i == 0 else str(trace.chosen_block_per_iteration[i - 1])
             lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(mse[i])},{emp[i]}")
-        text = ("\n".join(lines) + "\n").encode()
-        atomic_write(files["trace_csv"], lambda tmp: Path(tmp).write_bytes(text))
+        atomic_write(files["trace_csv"], ("\n".join(lines) + "\n").encode())
 
     if "wsn_json" in files:
         provenance = {
@@ -206,13 +199,12 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     if image_data is not None:
         # the warm start is the per-sensor baseline the report compares against
         shown = {"": bank, "baseline_": start} if config.report_baseline else {"": bank}
+        os.makedirs(os.path.dirname(files[_IMAGES[0]]), exist_ok=True)
         for prefix, b in shown.items():
             x_hat = b.apply(image_data.y_full)
             pgms = (x_hat, np.abs(image_data.x_full - x_hat))
             for name, pgm in zip(_IMAGES, pgms):
-                path = files[prefix + name]
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                atomic_write(path, lambda tmp: save_pgm(pgm, tmp))
+                save_pgm(pgm, files[prefix + name])
 
     if not quiet:
         print(
@@ -225,8 +217,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
 
 def _unwritable(config: RunConfig) -> list[str]:
-    """A line for each output ``run`` could not write: the path is a directory,
-    or no writable directory holds it (``run`` makes those above an image)."""
+    """A line for each output ``run`` could not write: the path is a directory
+    or another non-regular file, or no writable directory holds it (``run``
+    makes those above an image)."""
     problems = []
     for label, path in config.outputs.items():
         probe = os.path.dirname(os.path.abspath(path))
@@ -234,6 +227,8 @@ def _unwritable(config: RunConfig) -> list[str]:
             probe = os.path.dirname(probe)
         if os.path.isdir(path):
             problems.append(f"{label} is a directory: {path}")
+        elif os.path.exists(path) and not os.path.isfile(path):
+            problems.append(f"{label} is not a regular file: {path}")
         elif not os.path.isdir(probe) or not os.access(probe, os.W_OK):
             problems.append(f"{label} directory not writable: {probe}")
     return problems

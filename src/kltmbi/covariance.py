@@ -11,6 +11,8 @@ from __future__ import annotations
 import numbers
 import operator
 import os
+import secrets
+import stat
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -127,6 +129,32 @@ def _file_name(value, name: str):
     return value
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to the :func:`_file_name` ``path`` through a temporary
+    file made beside it, then renamed onto it. An existing ``path`` that is
+    not a regular file raises :class:`OSError` first; a failure removes the
+    temporary file and leaves ``path`` as it was. A new ``path`` gets the
+    mode ``open`` gives (0o666 less the umask), an existing one keeps its own."""
+    try:
+        mode = os.stat(_file_name(path, "path")).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise OSError(f"not a regular file: {path}")
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True, eq=False)
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
@@ -157,15 +185,16 @@ class SecondMomentModel:
 @dataclass(frozen=True, eq=False)
 class SampleEnsemble:
     """Training samples, arrays under the README's array rule: one column per
-    draw, rows stacked per sensor. Compared by identity: ``==`` is ``is``,
-    and an ensemble hashes."""
+    draw, rows stacked per sensor, held as float64 (a float64 array as it
+    is). Compared by identity: ``==`` is ``is``, and an ensemble hashes."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        _real_array(self.x, "x")
-        _real_array(self.y, "y")
+        for name in ("x", "y"):
+            a = _real_array(getattr(self, name), name)
+            object.__setattr__(self, name, a.astype(np.float64, copy=False))
         if self.x.shape[1] != self.y.shape[1]:
             raise InvalidInput(
                 f"sample counts differ: x has {self.x.shape[1]}, y has {self.y.shape[1]}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .covariance import (
     _partition,
     _real,
     _sequence,
+    atomic_write,
 )
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array
@@ -228,8 +228,10 @@ def load_pgm(path) -> np.ndarray:
     one whitespace byte ends the header. P2 samples are ASCII digit runs
     apart by whitespace; P5 samples are bytes, or big-endian byte pairs when
     maxval > 255. A file that breaks this, has no pixel, a maxval outside
-    [1, 65535] or a sample above maxval raises :class:`ParseError`."""
-    data = Path(path).read_bytes()
+    [1, 65535] or a sample above maxval raises :class:`ParseError`, and a
+    ``path`` that breaks the README's path rule :class:`InvalidInput`."""
+    with open(_file_name(path, "path"), "rb") as fh:
+        data = fh.read()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise ParseError(f"unsupported PGM magic number {magic!r}")
@@ -264,10 +266,11 @@ def load_pgm(path) -> np.ndarray:
 def save_pgm(a: np.ndarray, path) -> None:
     """Write a [0, 1]-scaled matrix as an 8-bit binary (P5) graymap; values
     are clipped to [0, 1] and rounded. ``a`` follows the README's array
-    rule, finite norm included, and is not empty, or nothing is written."""
+    rule, finite norm included, and is not empty, or nothing is written.
+    ``path`` is written by :func:`~kltmbi.covariance.atomic_write`."""
     _real_array(a, "image", finite=True)
     if a.size == 0:
         raise InvalidInput(f"image is empty, shape {a.shape}")
     q = np.rint(np.clip(a, 0.0, 1.0) * 255)
     header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + q.astype(np.uint8).tobytes())
+    atomic_write(path, header + q.astype(np.uint8).tobytes())

@@ -7,13 +7,8 @@ sensor j, P_j (m x r_j) the corresponding block of the fusion-center decoder.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import secrets
-from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +17,11 @@ from .covariance import (
     SampleEnsemble,
     SecondMomentModel,
     SensorPartition,
+    _file_name,
     _instance,
     _partition,
     _sequence,
+    atomic_write,
 )
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array, svd
@@ -216,28 +213,9 @@ def _json_matrix(rows, name: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def atomic_write(path, write: Callable[[str], object]) -> None:
-    """Have ``write`` fill a temporary file next to ``path``, then rename it
-    onto ``path``. If anything fails, the temporary file is removed and an
-    existing ``path`` keeps its old contents. A new ``path`` gets the mode
-    ``open`` gives (0o666 less the umask); an existing one keeps its own."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
-    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
-    try:
-        with contextlib.suppress(FileNotFoundError):
-            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
-    """Atomically write the WSN document (temp file + rename): partition,
-    per-sensor matrices, metadata."""
+    """Write the WSN document (partition, per-sensor matrices, metadata) to
+    ``path`` by :func:`~kltmbi.covariance.atomic_write`."""
     part = _instance(wsn, FactorizedWsn, "wsn").partition
     doc = {
         "format": "klt-mbi-wsn",
@@ -252,8 +230,7 @@ def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> N
             for j in range(part.p)
         ],
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -268,10 +245,10 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _read_json(path):
-    """The document in the UTF-8 JSON file at ``path``. A file that does not
-    decode, or an object that gives a key twice, raises :class:`ParseError`;
-    :class:`OSError` passes through."""
-    with open(path, encoding="utf-8") as fh:
+    """The document in the UTF-8 JSON file at the file name ``path``. A file
+    that does not decode, or an object that gives a key twice, raises
+    :class:`ParseError`; :class:`OSError` passes through."""
+    with open(_file_name(path, "path"), encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
         # a UnicodeDecodeError and the ParseError above are ValueErrors;
@@ -281,10 +258,10 @@ def _read_json(path):
 
 
 def load_wsn_json(path) -> FactorizedWsn:
-    """Inverse of :func:`save_wsn_json`. A file that is not JSON, a document
-    with a missing key, a matrix entry that is not a JSON number, a partition
-    dimension that is not a JSON integer or matrices that contradict its
-    partition raises :class:`ParseError`."""
+    """Inverse of :func:`save_wsn_json`, from a file name (not a descriptor).
+    A file that is not JSON, a document with a missing key, a matrix entry
+    that is not a JSON number, a partition dimension that is not a JSON
+    integer or matrices that contradict its partition raises :class:`ParseError`."""
     doc = _read_json(path)
     try:
         part = SensorPartition(

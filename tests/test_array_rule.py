@@ -29,6 +29,8 @@ from kltmbi import (
     generate,
     image_scenario,
     init_bank,
+    load_pgm,
+    load_wsn_json,
     mbi_solve,
     reconstruct,
     save_pgm,
@@ -55,6 +57,25 @@ IMAGE_SPEC = ScenarioSpec(
     sigmas=(0.1,),
     image_path="img.pgm",
 )
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # the calls below that write, write in the working directory
+    monkeypatch.chdir(tmp_path)
+
+
+def _load_wsn_json(path):
+    """``load_wsn_json(path)``; an int is replaced by an open descriptor,
+    which the call must leave open."""
+    if not isinstance(path, int):
+        return load_wsn_json(path)
+    read, write = os.pipe()
+    os.close(write)
+    try:
+        return load_wsn_json(read)
+    finally:
+        os.close(read)  # raises OSError if the call closed it
 
 
 def _swap(seq, j, value):
@@ -185,7 +206,7 @@ ARGS = [
         "save_pgm.a",
         "image",
         np.full((2, 3), 0.5),
-        lambda v: save_pgm(v, os.devnull),
+        lambda v: save_pgm(v, "out.pgm"),
         TYPE + FINITE,
     ),
     # linalg coerces what the library hands it to float64 first
@@ -379,6 +400,28 @@ OTHER_ARGS = [
         ),
         ("int", "nul", "surrogate"),
     ),
+    ("load_pgm.path", "path", "img.pgm", load_pgm, ("int", "nul", "surrogate")),
+    (
+        "save_pgm.path",
+        "path",
+        "out.pgm",
+        lambda v: save_pgm(np.full((2, 3), 0.5), v),
+        ("int", "nul", "surrogate"),
+    ),
+    (
+        "load_wsn_json.path",
+        "path",
+        "wsn.json",
+        _load_wsn_json,
+        ("int", "nul", "surrogate"),
+    ),
+    (
+        "save_wsn_json.path",
+        "path",
+        "wsn.json",
+        lambda v: save_wsn_json(WSN, v),
+        ("int", "nul", "surrogate"),
+    ),
     ("CompressorBank.zeros", "partition", PART, CompressorBank.zeros, ("none", "str")),
     ("generate.spec", "spec", SPEC, generate, ("none", "str")),
     ("image_scenario.spec", "spec", IMAGE_SPEC, image_scenario, ("none", "str")),
@@ -386,10 +429,10 @@ OTHER_ARGS = [
 
 
 @pytest.mark.parametrize("arg", OTHER_ARGS, ids=[a[0] for a in OTHER_ARGS])
-def test_good_non_array_passes(arg, tmp_path, monkeypatch):
-    # save_wsn_json writes, and image_scenario reads, in the working directory
-    monkeypatch.chdir(tmp_path)
+def test_good_non_array_passes(arg):
+    # the files the readers read
     save_pgm(np.full((2, 4), 0.5), "img.pgm")
+    save_wsn_json(WSN, "wsn.json")
     _, _, good, call, _ = arg
     call(good)
 

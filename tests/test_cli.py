@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1046,6 +1047,28 @@ def test_run_checks_its_outputs_before_it_starts(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
     assert f"wsn_json is a directory: {tmp_path / 'net'}" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["trace_csv", "wsn_json"])
+def test_output_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys, field):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    outputs = {field: str(fifo)}
+    doc = {"scenario": {"kind": "exact_example1", "seed": 0}, "outputs": outputs}
+    cfg = _write_config(tmp_path, doc)
+    ok, report = validate(cfg)
+    assert not ok
+    assert report[-1] == f"invalid: {field} is not a regular file: {fifo}"
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    import kltmbi.cli as cli_mod
+
+    def no_work(*args):
+        raise AssertionError("run started work on a config it cannot write")
+
+    monkeypatch.setattr(cli_mod, "example1_model", no_work)
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
+    assert f"{field} is not a regular file: {fifo}" in capsys.readouterr().err
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 @pytest.mark.parametrize("image", ["missing", "directory"])

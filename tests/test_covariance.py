@@ -134,6 +134,25 @@ class TestSampleEnsemble:
         with pytest.raises(InvalidInput, match=match):
             SampleEnsemble(x=x, y=y)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([[200, 100]], dtype=np.uint8),
+            np.array([[2**32, 1]], dtype=np.int64),
+        ],
+        ids=["uint8", "int64"],
+    )
+    def test_integer_samples_give_the_moments_of_their_float64_copies(self, x):
+        # an integer product would wrap: 200 * 200 in uint8, 2**64 in int64
+        part = SensorPartition(m=1, n=(1,), r=(1,))
+        x64 = x.astype(np.float64)
+        ens = SampleEnsemble(x=x64, y=x64)
+        assert ens.x is x64 and ens.y is x64
+        got = estimate_moments(SampleEnsemble(x=x, y=x), part)
+        want = estimate_moments(ens, part)
+        for name in ("e_xx", "e_xy", "e_yy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
 
 class TestSecondMomentModel:
     @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])

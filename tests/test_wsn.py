@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -38,10 +40,10 @@ from kltmbi import (
     save_pgm,
     save_wsn_json,
 )
-from kltmbi.covariance import SecondMomentModel
+from kltmbi.covariance import SecondMomentModel, atomic_write
 from kltmbi.linalg import psd_sqrt, svd
 from kltmbi import wsn
-from kltmbi.wsn import _chunked_mse, atomic_write
+from kltmbi.wsn import _chunked_mse
 
 
 def _rank_feasible_bank(rng, part):
@@ -664,28 +666,39 @@ def test_json_roundtrip_property(tmp_path_factory, bank):
 
 
 class TestAtomicWrite:
-    def _failing(self, tmp):
-        with open(tmp, "w") as fh:
-            fh.write("partial")
-        raise RuntimeError("writer failed mid-write")
+    @pytest.fixture
+    def failing_rename(self, monkeypatch):
+        def rename(src, dst):
+            raise OSError("rename failed")
 
-    def test_failed_write_keeps_old_target(self, tmp_path):
+        monkeypatch.setattr(os, "replace", rename)
+
+    def test_failed_write_keeps_old_target(self, tmp_path, failing_rename):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old bytes\n")
-        with pytest.raises(RuntimeError):
-            atomic_write(path, self._failing)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write(path, b"new bytes\n")
         assert path.read_bytes() == b"old bytes\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_failed_write_creates_no_target(self, tmp_path):
+    def test_failed_write_creates_no_target(self, tmp_path, failing_rename):
         path = tmp_path / "out.txt"
-        with pytest.raises(RuntimeError):
-            atomic_write(path, self._failing)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write(path, b"new bytes\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_success_replaces_target(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old")
-        atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text("new"))
+        atomic_write(path, b"new")
         assert path.read_bytes() == b"new"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_target_that_is_not_a_regular_file_is_refused(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        with pytest.raises(OSError, match=re.escape(f"not a regular file: {path}")):
+            atomic_write(path, b"new")
+        # the FIFO stays, and no temporary file was made beside it
+        assert stat.S_ISFIFO(path.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [path]
