@@ -22,6 +22,7 @@ from .covariance import (
     EXAMPLE1_PARTITION,
     SensorPartition,
     _file_name,
+    _write_target,
     atomic_write,
     estimate_moments,
     example1_model,
@@ -199,7 +200,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     if image_data is not None:
         # the warm start is the per-sensor baseline the report compares against
         shown = {"": bank, "baseline_": start} if config.report_baseline else {"": bank}
-        os.makedirs(os.path.dirname(files[_IMAGES[0]]), exist_ok=True)
+        os.makedirs(os.path.realpath(os.path.dirname(files[_IMAGES[0]])), exist_ok=True)
         for prefix, b in shown.items():
             x_hat = b.apply(image_data.y_full)
             pgms = (x_hat, np.abs(image_data.x_full - x_hat))
@@ -217,19 +218,20 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
 
 def _unwritable(config: RunConfig) -> list[str]:
-    """A line for each output ``run`` could not write: the path is a directory
-    or another non-regular file, or no writable directory holds it (``run``
-    makes those above an image)."""
+    """A line for each output ``run`` could not write: one the writer's own
+    :func:`~kltmbi.covariance._write_target` refuses, or whose file no writable
+    directory holds (``run`` makes the image directory and those above it)."""
     problems = []
     for label, path in config.outputs.items():
-        probe = os.path.dirname(os.path.abspath(path))
-        while label.endswith(".pgm") and not os.path.exists(probe):
-            probe = os.path.dirname(probe)
-        if os.path.isdir(path):
-            problems.append(f"{label} is a directory: {path}")
-        elif os.path.exists(path) and not os.path.isfile(path):
-            problems.append(f"{label} is not a regular file: {path}")
-        elif not os.path.isdir(probe) or not os.access(probe, os.W_OK):
+        try:
+            probe = os.path.dirname(_write_target(path)[0])
+        except OSError as exc:
+            problems.append(f"{label} {exc}")
+            continue
+        if label.endswith(".pgm") and probe == os.path.realpath(os.path.dirname(path)):
+            while not os.path.exists(probe):
+                probe = os.path.dirname(probe)
+        if not os.path.isdir(probe) or not os.access(probe, os.W_OK):
             problems.append(f"{label} directory not writable: {probe}")
     return problems
 

@@ -129,27 +129,40 @@ def _file_name(value, name: str):
     return value
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to the :func:`_file_name` ``path`` through a temporary
-    file made beside it, then renamed onto it. An existing ``path`` that is
-    not a regular file raises :class:`OSError` first; a failure removes the
-    temporary file and leaves ``path`` as it was. A new ``path`` gets the
-    mode ``open`` gives (0o666 less the umask), an existing one keeps its own."""
+def _write_target(path) -> tuple[str, int | None]:
+    """The file a write to the :func:`_file_name` ``path`` lands in, every
+    symbolic link resolved by ``os.path.realpath``, and its mode, None when
+    it or a directory above it is missing. One that is not a regular file,
+    or cannot be looked up (a link loop), raises :class:`OSError` naming it."""
+    target = os.path.realpath(_file_name(path, "path"))
     try:
-        mode = os.stat(_file_name(path, "path")).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        raise OSError(f"not a regular file: {path}")
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        mode = os.stat(target).st_mode
+    except (FileNotFoundError, NotADirectoryError):
+        return target, None
+    except OSError as exc:
+        raise OSError(f"cannot be looked up: {path} ({exc.strerror})") from None
+    if stat.S_ISDIR(mode):
+        raise OSError(f"is a directory: {path}")
+    if not stat.S_ISREG(mode):
+        raise OSError(f"is not a regular file: {path}")
+    return target, mode
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to the file :func:`_write_target` finds for ``path``,
+    through a temporary file made beside that file and renamed onto it, so a
+    link stays a link. A failure removes the temporary file and leaves the
+    target as it was. A new target gets the mode ``open`` gives (0o666 less
+    the umask), an existing one keeps its own."""
+    target, mode = _write_target(path)
+    tmp = os.path.join(os.path.dirname(target), f"tmp{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
             if mode is not None:
                 os.chmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

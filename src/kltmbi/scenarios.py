@@ -267,7 +267,7 @@ def save_pgm(a: np.ndarray, path) -> None:
     """Write a [0, 1]-scaled matrix as an 8-bit binary (P5) graymap; values
     are clipped to [0, 1] and rounded. ``a`` follows the README's array
     rule, finite norm included, and is not empty, or nothing is written.
-    ``path`` is written by :func:`~kltmbi.covariance.atomic_write`."""
+    ``path`` is written through any link by :func:`~kltmbi.covariance.atomic_write`."""
     _real_array(a, "image", finite=True)
     if a.size == 0:
         raise InvalidInput(f"image is empty, shape {a.shape}")

@@ -347,8 +347,7 @@ def _state(model: SecondMomentModel, bank: CompressorBank) -> tuple:
     """The products P_j, the F_j U_j S_j, the residual E and the objective f
     of ``bank``: carried over from the solve on ``model`` that ended in a
     bank of the same bytes, or else formed from ``bank``, p products of
-    m x n_j x N. Every solve starts from it, and
-    :func:`~kltmbi.wsn.analytic_mse` reads its f."""
+    m x n_j x N. Every solve starts from it."""
     setup = _setup(model)
     carried = setup.carried
     if carried is not None and all(map(_same_bytes, carried[0], bank.blocks)):

@@ -25,7 +25,7 @@ from .covariance import (
 )
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array, svd
-from .solver import CompressorBank, _mse, _state
+from .solver import CompressorBank, _mse, _product, _residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +118,8 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     _instance(bank, CompressorBank, "bank")
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
-    return _mse(model, [_state(model, bank)[-1]])[0]
+    products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
+    return _mse(model, [_residual(model, products)[1]])[0]
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
@@ -215,7 +216,7 @@ def _json_matrix(rows, name: str) -> np.ndarray:
 
 def save_wsn_json(wsn: FactorizedWsn, path, provenance: dict | None = None) -> None:
     """Write the WSN document (partition, per-sensor matrices, metadata) to
-    ``path`` by :func:`~kltmbi.covariance.atomic_write`."""
+    ``path``, through any link, by :func:`~kltmbi.covariance.atomic_write`."""
     part = _instance(wsn, FactorizedWsn, "wsn").partition
     doc = {
         "format": "klt-mbi-wsn",

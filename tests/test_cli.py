@@ -1071,6 +1071,117 @@ def test_output_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys, field)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
+# each output of an image run, by label, as the file it names in the run's
+# directory
+_OUTPUT_FILES = {
+    "trace_csv": "t.csv",
+    "wsn_json": "w.json",
+    "reconstruction.pgm": os.path.join("out", "reconstruction.pgm"),
+}
+
+
+class TestOutputThroughLink:
+    """An output that is a symbolic link is checked and written as the file
+    the link names, and the link stays."""
+
+    @staticmethod
+    def _config(tmp_path, name):
+        """The config of an image run that writes its outputs in tmp_path/name."""
+        image = tmp_path / "src.pgm"
+        if not image.exists():
+            save_pgm(np.random.default_rng(0).random((5, 6)), image)
+        run_dir = tmp_path / name
+        (run_dir / "out").mkdir(parents=True)
+        outputs = {
+            "trace_csv": str(run_dir / "t.csv"),
+            "wsn_json": str(run_dir / "w.json"),
+            "image_out_dir": str(run_dir / "out"),
+        }
+        scenario = dict(_IMAGE_SCENARIO, m=5, n=[5], image_path=str(image))
+        return _write_config(run_dir, {"scenario": scenario, "outputs": outputs})
+
+    def _plain(self, tmp_path, field):
+        """The bytes a run whose outputs are no links writes to ``field``."""
+        cfg = self._config(tmp_path, "plain")
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        return (tmp_path / "plain" / _OUTPUT_FILES[field]).read_bytes()
+
+    @pytest.mark.parametrize("field", _OUTPUT_FILES)
+    def test_link_to_a_file(self, tmp_path, field):
+        cfg = self._config(tmp_path, "linked")
+        link, real = tmp_path / "linked" / _OUTPUT_FILES[field], tmp_path / "real"
+        real.write_bytes(b"old")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        assert validate(cfg)[0]
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert link.is_symlink()
+        assert real.read_bytes() == self._plain(tmp_path, field)
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("field", _OUTPUT_FILES)
+    def test_dangling_link_creates_its_target(self, tmp_path, field):
+        cfg = self._config(tmp_path, "linked")
+        link = tmp_path / "linked" / _OUTPUT_FILES[field]
+        real = tmp_path / "new" / "real"
+        real.parent.mkdir()
+        link.symlink_to(real)
+        assert validate(cfg)[0]
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert link.is_symlink()
+        assert real.read_bytes() == self._plain(tmp_path, field)
+
+    def test_image_out_dir_linked_to_a_directory_to_make(self, tmp_path):
+        # run makes the directory the link names, as it makes a missing
+        # image_out_dir
+        cfg = self._config(tmp_path, "linked")
+        out, made = tmp_path / "linked" / "out", tmp_path / "made" / "images"
+        out.rmdir()
+        out.symlink_to(made)
+        assert validate(cfg)[0]
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert out.is_symlink()
+        plain = self._plain(tmp_path, "reconstruction.pgm")
+        assert (made / "reconstruction.pgm").read_bytes() == plain
+
+    # a link to a directory or a FIFO is refused as it was before links were
+    # resolved; the other two were passed by validate and replaced by run
+    @pytest.mark.parametrize("target", ["missing_dir", "loop", "directory", "fifo"])
+    @pytest.mark.parametrize("field", _OUTPUT_FILES)
+    def test_link_run_cannot_write(self, tmp_path, monkeypatch, capsys, field, target):
+        cfg = self._config(tmp_path, "linked")
+        link = tmp_path / "linked" / _OUTPUT_FILES[field]
+        dest = tmp_path / "dest"
+        if target == "missing_dir":
+            dest = tmp_path / "gone" / "real"
+            message = f"{field} directory not writable: {dest.parent.resolve()}"
+        elif target == "loop":
+            dest.symlink_to(link)
+            message = f"{field} cannot be looked up: {link} ("
+        elif target == "directory":
+            dest.mkdir()
+            message = f"{field} is a directory: {link}"
+        else:
+            os.mkfifo(dest)
+            message = f"{field} is not a regular file: {link}"
+        link.symlink_to(dest)
+        ok, report = validate(cfg)
+        assert not ok
+        assert report[-1].startswith(f"invalid: {message}")
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        import kltmbi.cli as cli_mod
+
+        def no_work(*args):
+            raise AssertionError("run started work on a config it cannot write")
+
+        monkeypatch.setattr(cli_mod, "image_scenario", no_work)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert os.readlink(link) == str(dest)
+        assert not (tmp_path / "gone").exists()
+
+
 @pytest.mark.parametrize("image", ["missing", "directory"])
 def test_unreadable_image_is_config_error(tmp_path, capsys, image):
     path = tmp_path / "src.pgm"

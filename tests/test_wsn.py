@@ -226,6 +226,28 @@ class TestAnalyticMse:
         bank, _ = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=50))
         assert analytic_mse(model, bank) >= -1e-9
 
+    def test_sums_one_product_at_a_time(self):
+        # p = 16, N = 512: the p products of m x N together take 2 MB, one
+        # of them 128 kB; each is added to the residual as it is formed
+        m, p = 32, 16
+        part = SensorPartition(m=m, n=(m,) * p, r=(8,) * p)
+        spec = ScenarioSpec(
+            kind="linear_mixing", partition=part, s=600, sigmas=(0.3,) * p, seed=1
+        )
+        model = estimate_moments(generate(spec), part)
+        _, trace = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=5))
+        assert len(trace.banks) == 6
+        for bank, mse in zip(trace.banks, trace.mse_per_iteration):
+            assert analytic_mse(model, bank) == mse
+        start = init_bank(model)
+        tracemalloc.start()
+        try:
+            assert analytic_mse(model, start) == trace.mse_per_iteration[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
+
 
 class TestEmpiricalMse:
     def test_exact_fit(self):
@@ -693,6 +715,60 @@ class TestAtomicWrite:
         atomic_write(path, b"new")
         assert path.read_bytes() == b"new"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_link_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+        real.write_bytes(b"old")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        atomic_write(link, b"new")
+        # the link stays a link, and the file it names keeps its mode
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == b"new"
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+    def test_dangling_link_creates_its_target(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        link, real = tmp_path / "link.txt", tmp_path / "sub" / "real.txt"
+        link.symlink_to(real)
+        atomic_write(link, b"new")
+        assert link.is_symlink() and real.read_bytes() == b"new"
+        assert os.listdir(tmp_path / "sub") == ["real.txt"]
+
+    @pytest.mark.parametrize("target", ["missing_dir", "loop"])
+    def test_link_that_names_no_writable_file_is_refused(self, tmp_path, target):
+        link = tmp_path / "link.txt"
+        if target == "loop":
+            (tmp_path / "other.txt").symlink_to(link)
+            link.symlink_to(tmp_path / "other.txt")
+            error = re.escape(f"cannot be looked up: {link} (")
+        else:
+            link.symlink_to(tmp_path / "gone" / "real.txt")
+            error = "No such file or directory"
+        with pytest.raises(OSError, match=error):
+            atomic_write(link, b"new")
+        assert link.is_symlink() and not (tmp_path / "gone").exists()
+        assert len(os.listdir(tmp_path)) == (2 if target == "loop" else 1)
+
+    def test_save_wsn_json_through_a_link(self, tmp_path):
+        wsn = factorize_wsn(init_bank(example1_model()))
+        save_wsn_json(wsn, tmp_path / "plain.json")
+        (tmp_path / "real.json").write_bytes(b"{}")
+        (tmp_path / "link.json").symlink_to(tmp_path / "real.json")
+        save_wsn_json(wsn, tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        plain = (tmp_path / "plain.json").read_bytes()
+        assert (tmp_path / "real.json").read_bytes() == plain
+
+    def test_save_pgm_through_a_link(self, tmp_path):
+        image = np.random.default_rng(0).random((5, 6))
+        save_pgm(image, tmp_path / "plain.pgm")
+        (tmp_path / "link.pgm").symlink_to(tmp_path / "real.pgm")
+        save_pgm(image, tmp_path / "link.pgm")
+        assert (tmp_path / "link.pgm").is_symlink()
+        plain = (tmp_path / "plain.pgm").read_bytes()
+        assert (tmp_path / "real.pgm").read_bytes() == plain
 
     def test_target_that_is_not_a_regular_file_is_refused(self, tmp_path):
         path = tmp_path / "fifo"
