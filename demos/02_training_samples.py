@@ -63,5 +63,5 @@ print(
 )
 print(
     "wire-format reconstruction matches the bank: "
-    f"{np.linalg.norm(x_hat - bank.apply(ens.y)):.2e}"
+    f"{np.linalg.norm(x_hat - bank.full() @ ens.y):.2e}"
 )

@@ -37,7 +37,9 @@ from .scenarios import (
     save_pgm,
 )
 from .solver import MbiConfig, init_bank, mbi_solve, reduce_problem
-from .wsn import _chunked_mse, _read_json, factorize_wsn, save_wsn_json
+from .wsn import (
+    _chunked_mse, _read_json, compress, factorize_wsn, reconstruct, save_wsn_json
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,6 +189,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             lines.append(f"{i},{_fmt(f_i)},{chosen},{_fmt(mse[i])},{emp[i]}")
         atomic_write(files["trace_csv"], ("\n".join(lines) + "\n").encode())
 
+    wsn = factorize_wsn(bank) if image_data is not None or "wsn_json" in files else None
     if "wsn_json" in files:
         provenance = {
             "scenario_kind": spec.kind,
@@ -195,14 +198,15 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             "iterations": trace.iterations_used,
             "converged": trace.converged,
         }
-        save_wsn_json(factorize_wsn(bank), files["wsn_json"], provenance)
+        save_wsn_json(wsn, files["wsn_json"], provenance)
 
     if image_data is not None:
-        # the warm start is the per-sensor baseline the report compares against
+        # through the network it ships; the warm start's is the report's baseline
         shown = {"": bank, "baseline_": start} if config.report_baseline else {"": bank}
         os.makedirs(os.path.realpath(os.path.dirname(files[_IMAGES[0]])), exist_ok=True)
         for prefix, b in shown.items():
-            x_hat = b.apply(image_data.y_full)
+            net = wsn if b is bank else factorize_wsn(b)
+            x_hat = reconstruct(net, compress(net, image_data.y_full))
             pgms = (x_hat, np.abs(image_data.x_full - x_hat))
             for name, pgm in zip(_IMAGES, pgms):
                 save_pgm(pgm, files[prefix + name])

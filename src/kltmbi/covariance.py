@@ -151,12 +151,15 @@ def _write_target(path) -> tuple[str, int | None]:
 def atomic_write(path, data: bytes) -> None:
     """Write ``data`` to the file :func:`_write_target` finds for ``path``,
     through a temporary file made beside that file and renamed onto it, so a
-    link stays a link. A failure removes the temporary file and leaves the
-    target as it was. A new target gets the mode ``open`` gives (0o666 less
-    the umask), an existing one keeps its own."""
+    link stays a link. If that file cannot be made, the OSError names ``path``;
+    a later failure removes it and leaves the target as it was. A new target
+    gets the mode ``open`` gives (0o666 less the umask), an existing one its own."""
     target, mode = _write_target(path)
     tmp = os.path.join(os.path.dirname(target), f"tmp{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # a missing directory, say
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             if mode is not None:

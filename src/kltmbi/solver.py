@@ -97,11 +97,6 @@ class CompressorBank:
         """The stacked m x n_total matrix [F_1, ..., F_p]."""
         return np.hstack(self.blocks)
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Apply the bank to stacked observations (columns are samples)."""
-        y = _real_array(y, "y", (self.partition.n_total, None), sample=True)
-        return self.full() @ y
-
     def replace(self, j: int, block: np.ndarray) -> "CompressorBank":
         """This bank with block ``j`` replaced by ``block``, the one block
         checked: the others were checked when this bank was made. ``j`` is

@@ -75,9 +75,7 @@ def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
         q_j[:k] = (f.v[:, :k] * scale).T
         encoders.append(q_j)
         decoders.append(p_j)
-    return FactorizedWsn(
-        encoders=tuple(encoders), decoder_blocks=tuple(decoders), partition=part
-    )
+    return FactorizedWsn(encoders, decoders, part)
 
 
 def compress(wsn: FactorizedWsn, y: np.ndarray) -> list[np.ndarray]:

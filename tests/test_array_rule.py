@@ -158,7 +158,6 @@ ARGS = [
         lambda v: BANK.replace(0, v),
         TYPE + ("rows", "cols") + FINITE,
     ),
-    ("CompressorBank.apply.y", "y", Y, BANK.apply, TYPE + ("rows",)),
     (
         "FactorizedWsn.encoders[0]",
         "encoder 0",

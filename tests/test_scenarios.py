@@ -25,7 +25,7 @@ from kltmbi import (
 )
 from kltmbi import scenarios
 from kltmbi.covariance import SampleEnsemble, SecondMomentModel
-from kltmbi.scenarios import MAX_SCENARIO_BYTES
+from kltmbi.scenarios import KIND_FIELDS, MAX_SCENARIO_BYTES
 from kltmbi.solver import klt_matrix
 
 # Tiny two-sensor regression fixture: a 2-dimensional source with four
@@ -79,6 +79,23 @@ class TestScenarioSpec:
         part = SensorPartition(m=2, n=(2,), r=(1,))
         with pytest.raises(InvalidInput, match="sample count"):
             ScenarioSpec(kind="additive_noise", partition=part, s=0, sigmas=(0.1,))
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (kind, field)
+            for kind, reads in KIND_FIELDS.items()
+            for field in ("s", "sigmas", "image_path")
+            if field not in reads
+        ],
+    )
+    def test_field_the_kind_does_not_read(self, kind, field):
+        # each kind owns the fields it reads; a field it would ignore is an
+        # error, not a value that silently has no effect
+        part = SensorPartition(m=3, n=(3, 3), r=(1, 1))
+        value = {"s": 5, "sigmas": (5.0, 5.0), "image_path": "x.pgm"}[field]
+        with pytest.raises(InvalidInput, match=f"{kind!r} does not read {field}$"):
+            ScenarioSpec(kind=kind, partition=part, **{field: value})
 
     def test_image_requires_path(self):
         part = SensorPartition(m=2, n=(2,), r=(1,))

@@ -466,11 +466,6 @@ class TestCompressorBank:
         with pytest.raises(InvalidInput, match="block 1 must be"):
             CompressorBank(blocks=(np.zeros((2, 2)), np.zeros((2, 2))), partition=part)
 
-    def test_apply_needs_n_total_rows(self):
-        bank = CompressorBank.zeros(SensorPartition(m=2, n=(2, 1), r=(1, 1)))
-        with pytest.raises(InvalidInput, match="3 rows"):
-            bank.apply(np.zeros((2, 4)))
-
     @pytest.mark.parametrize("j, k", [(1, 1), (-1, 2), (-3, 0), (np.int64(2), 2)])
     def test_replace_checks_only_the_block_it_puts_in(self, monkeypatch, j, k):
         part = SensorPartition(m=2, n=(2, 1, 3), r=(1, 1, 1))

@@ -105,7 +105,7 @@ class TestCompressReconstruct:
         u = compress(wsn, y)
         assert [uj.shape[0] for uj in u] == [1, 2]
         x_hat = reconstruct(wsn, u)
-        assert np.allclose(x_hat, bank.apply(y), atol=1e-8)
+        assert np.allclose(x_hat, bank.full() @ y, atol=1e-8)
 
     def test_zero_input(self):
         rng = np.random.default_rng(2)
@@ -255,7 +255,7 @@ class TestEmpiricalMse:
         part = SensorPartition(m=2, n=(2, 2), r=(2, 2))
         bank = _rank_feasible_bank(rng, part)
         y = rng.standard_normal((4, 6))
-        ens = SampleEnsemble(x=bank.apply(y), y=y)
+        ens = SampleEnsemble(x=bank.full() @ y, y=y)
         assert empirical_mse(ens, bank) == pytest.approx(0.0, abs=1e-16)
 
     def test_zero_bank(self):
@@ -750,6 +750,26 @@ class TestAtomicWrite:
             atomic_write(link, b"new")
         assert link.is_symlink() and not (tmp_path / "gone").exists()
         assert len(os.listdir(tmp_path)) == (2 if target == "loop" else 1)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: atomic_write(path, b"new"),
+            lambda path: save_wsn_json(factorize_wsn(init_bank(example1_model())), path),
+            lambda path: save_pgm(np.zeros((2, 2)), path),
+        ],
+        ids=["atomic_write", "save_wsn_json", "save_pgm"],
+    )
+    def test_missing_directory_is_named_by_the_given_path(
+        self, tmp_path, monkeypatch, write
+    ):
+        # not by the temporary file the write would have made there
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as raised:
+            write("nodir/out")
+        assert raised.value.filename == "nodir/out"
+        assert str(raised.value).endswith("No such file or directory: 'nodir/out'")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_wsn_json_through_a_link(self, tmp_path):
         wsn = factorize_wsn(init_bank(example1_model()))
