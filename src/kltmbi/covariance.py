@@ -13,7 +13,7 @@ import operator
 import os
 import secrets
 import stat
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,11 +177,10 @@ class SecondMomentModel:
 
     The moments follow the README's array rule, finite norm included, and
     are treated as immutable: the solver forms what it reads besides them
-    on first use and keeps it with the model (the solver module says what
-    and when), so mutating an array in place afterwards would leave that
-    stale. ``dataclasses.replace`` makes a model of its own, and a pickle or
-    a ``copy.copy`` holds the moments alone. Compared by identity: ``==`` is
-    ``is``, and a model hashes.
+    on first use and keeps it beside the model while the model lives (the
+    solver module says what and when), so mutating an array in place
+    afterwards would leave that stale. The model holds its moments alone.
+    Compared by identity: ``==`` is ``is``, and a model hashes.
     """
 
     partition: SensorPartition
@@ -193,9 +192,6 @@ class SecondMomentModel:
         m, n = _partition(self.partition).m, self.partition.n_total
         for name, shape in (("e_xx", (m, m)), ("e_xy", (m, n)), ("e_yy", (n, n))):
             _real_array(getattr(self, name), name, shape, finite=True)
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)

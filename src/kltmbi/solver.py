@@ -23,13 +23,13 @@ truncation needs, is the largest single part of a sweep.
 
 Set-up. E_yy^(1/2), H, the thin SVD of each G_j with its numeric rank
 (:func:`_setup` states the rank rule), the rows [V_1 ... V_p]^T and the
-U_j S_j form one :class:`_Setup`, made on first use and kept in the
-model's instance ``__dict__``; no other module names it. Every solve on a
-model, and :func:`~kltmbi.wsn.analytic_mse`, reads that one set-up: about
-3 N^2 + m N numbers whatever p is (~6.4 MB at N = 512, p = 16). A model
-made by ``dataclasses.replace`` forms its own. A solve also holds the
-products P_i = F_i G_i of its current bank, p of m x N (2 MB at N = 512,
-m = 32, p = 16). A committed step forms only its own, one m x n_j x N
+U_j S_j form one :class:`_Setup`, made on first use and kept beside the
+model in the weak-keyed ``_SETUPS``, so it goes when the model does. Every
+solve on a model, and :func:`~kltmbi.wsn.analytic_mse`, reads that one
+set-up: about 3 N^2 + m N numbers whatever p is (~6.4 MB at N = 512,
+p = 16). A replaced, copied or unpickled model forms its own. A solve also
+holds the products P_i = F_i G_i of its current bank, p of m x N (2 MB at
+N = 512, m = 32, p = 16). A committed step forms only its own, one m x n_j x N
 product, and E and the objective are summed again from the p products in
 index order: the arithmetic of forming E from the whole bank, bit for bit.
 A sweep costs O(m N sum_j k_j + N^2 k_j + m N^2) instead of the
@@ -51,6 +51,7 @@ same, bit for bit.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +73,8 @@ from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd, truncated
 class CompressorBank:
     """The iterate F = (F_1, ..., F_p); each block maps sensor j's
     observation into the source space, must have rank <= r_j and follows
-    the README's array rule, finite norm included. Compared by identity:
+    the README's array rule, finite norm included; only
+    :func:`~kltmbi.wsn.factorize_wsn` checks the rank. Compared by identity:
     ``==`` is ``is``, and a bank hashes, so ``bank in banks`` finds that
     very bank."""
 
@@ -180,21 +182,24 @@ class _Setup:
     carried: tuple | None = None
 
 
+_SETUPS = weakref.WeakKeyDictionary()  # model -> _Setup; models hash by identity
+
+
 def _setup(model: SecondMomentModel) -> _Setup:
-    """``model``'s set-up, formed on first use and kept in its instance
-    ``__dict__``, as :func:`functools.cached_property` keeps a value; one
-    that raises :class:`NotPsd` is not kept. Each numeric rank k_j counts
-    the singular values of G_j above N * eps * max_i sigma_1(G_i), the
-    root's scale rather than the block's own: a sensor with E_jj = 0, whose
-    G_j is round-off, gets k_j = 0 and F_j = 0."""
-    setup = model.__dict__.get("_setup")
+    """``model``'s set-up, formed on first use and kept in ``_SETUPS`` while
+    the model lives; one that raises :class:`NotPsd` is not kept. Each
+    numeric rank k_j counts the singular values of G_j above
+    N * eps * max_i sigma_1(G_i), the root's scale rather than the block's
+    own: a sensor with E_jj = 0, whose G_j is round-off, gets k_j = 0 and
+    F_j = 0."""
+    setup = _SETUPS.get(model)
     if setup is None:
         part = model.partition
         root = psd_sqrt(model.e_yy)
         factors = [svd(root[part.y_slice(j)]) for j in range(part.p)]
         tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
         ks = [int(np.count_nonzero(f.sigma > tol)) for f in factors]
-        setup = model.__dict__["_setup"] = _Setup(
+        setup = _SETUPS[model] = _Setup(
             root,
             model.e_xy @ svd(root).pinv(),
             tuple(replace(f, numeric_rank=k) for f, k in zip(factors, ks)),

@@ -59,22 +59,20 @@ class FactorizedWsn:
 
 def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
     """Split each block through its SVD with a balanced singular-value split:
-    P_j = U sqrt(S), Q_j = sqrt(S) V^T. The product reproduces F_j exactly
-    whenever rank F_j <= r_j."""
+    P_j = U sqrt(S), Q_j = sqrt(S) V^T, so that P_j Q_j reproduces F_j.
+    Raises :class:`InvalidInput` naming a block whose numeric rank exceeds
+    its r_j, which no r_j-row link could carry."""
     part = _instance(bank, CompressorBank, "bank").partition
-    encoders = []
-    decoders = []
+    encoders, decoders = [], []
     for j, fj in enumerate(bank.blocks):
-        rj = part.r[j]
-        f = svd(fj)
-        k = min(rj, f.numeric_rank)
+        f, rj = svd(fj), part.r[j]
+        k = f.numeric_rank
+        if k > rj:
+            raise InvalidInput(f"block {j} has rank {k} > r[{j}] = {rj}")
+        # the k leading triplets, zero-padded to the r_j-row wire
         scale = np.sqrt(f.sigma[:k])
-        p_j = np.zeros((part.m, rj))
-        q_j = np.zeros((rj, part.n[j]))
-        p_j[:, :k] = f.u[:, :k] * scale
-        q_j[:k] = (f.v[:, :k] * scale).T
-        encoders.append(q_j)
-        decoders.append(p_j)
+        encoders.append(np.pad((f.v[:, :k] * scale).T, ((0, rj - k), (0, 0))))
+        decoders.append(np.pad(f.u[:, :k] * scale, ((0, 0), (0, rj - k))))
     return FactorizedWsn(encoders, decoders, part)
 
 

@@ -409,6 +409,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "mbi_solve", boom)
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_NUMERICAL
 
+    def test_option_run_does_not_take(self, tmp_path, capsys):
+        # the seed comes from the config, so --seed is refused before any work
+        cfg = _example1_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--seed", "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("config", ["directory", "not_utf8", "too_deep"])

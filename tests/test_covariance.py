@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -284,6 +286,16 @@ class TestModelCache:
         assert trace.objective_per_iteration == want_trace.objective_per_iteration
         assert trace.mse_per_iteration == want_trace.mse_per_iteration
         assert trace.chosen_block_per_iteration == want_trace.chosen_block_per_iteration
+
+    def test_a_solved_model_is_freed_once_dropped(self):
+        # the set-up and resume state kept beside a model hold no reference
+        # to it, so they keep it alive no longer than its owner does
+        model = example1_model()
+        mbi_solve(model, CompressorBank.zeros(model.partition), MbiConfig())
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
 
     def test_not_psd_raises_every_time(self):
         part = SensorPartition(m=1, n=(2,), r=(1,))

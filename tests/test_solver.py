@@ -4,7 +4,10 @@ objective is what a solve records for it, its analytic MSE less the Wiener
 MSE; and each step is checked against the per-block KLT oracle of
 ``conftest``."""
 
+import dataclasses
+import functools
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -87,17 +90,6 @@ class TestRecordedObjectiveAndMse:
                 partition=model.partition,
             )
             assert analytic_mse(model, bank) == recorded_mse(model, bank)
-
-    def test_cached_projectors(self):
-        # the screen's bases and the block solve's projectors pick and
-        # reach the oracle's best block at every step, from either start
-        rng = np.random.default_rng(1)
-        model = random_model(rng, 2, (3, 2), (2, 1), extra_cols=1)
-        for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-            _, trace = mbi_solve(
-                model, start, MbiConfig(epsilon=0.0, max_iterations=10)
-            )
-            _assert_oracle_sweeps(model, trace)
 
     def test_trace_expansion_identity(self):
         # the reduced objective and the direct second-moment expansion of the
@@ -349,36 +341,6 @@ class TestMbiSolve:
             ref_bank = ref.banks[t - 1]
             assert all(map(np.array_equal, bank.blocks, ref_bank.blocks))
 
-    def test_benchmark_model_converges(self):
-        model = example1_model()
-        bank, trace = mbi_solve(
-            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=2000)
-        )
-        assert trace.converged
-        diffs = np.diff(trace.objective_per_iteration)
-        assert np.all(diffs <= 0)
-
-    def test_monotone_and_rank_feasible(self):
-        rng = np.random.default_rng(15)
-        model = noisy_model(rng, 4, (3, 4, 2), (2, 2, 1))
-        bank, trace = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=50))
-        assert np.all(np.diff(trace.objective_per_iteration) <= 0)
-        for recorded in trace.banks:
-            for b, r in zip(recorded.blocks, model.partition.r):
-                assert np.linalg.matrix_rank(b) <= r
-
-    def test_stationarity_at_convergence(self):
-        rng = np.random.default_rng(16)
-        model = noisy_model(rng, 3, (4, 3), (2, 1))
-        bank, trace = mbi_solve(
-            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=300)
-        )
-        assert trace.converged
-        f0 = direct_mse(model, bank)
-        for j in range(model.partition.p):
-            cand = best_block(model, bank, j)
-            assert f0 - direct_mse(model, bank.replace(j, cand)) < 1e-9
-
     def test_trace_off_skips_banks(self):
         model = example1_model()
         _, trace = mbi_solve(
@@ -430,7 +392,7 @@ class TestMbiSolve:
     def test_not_psd_raises_before_any_step(self, monkeypatch):
         # E_yy's negative eigenvalue lies just below, then just inside, the
         # band [-1e-8 * ||E_yy||, 0) that is clamped as estimation noise
-        solves = _count_candidates(monkeypatch)
+        solves = _spy(monkeypatch, "_block_solve")
         part = SensorPartition(m=1, n=(2, 1), r=(1, 1))
         start = CompressorBank.zeros(part)
 
@@ -495,6 +457,63 @@ class TestCompressorBank:
             bank.replace(j, np.ones((2, 1)))
 
 
+def _spy(monkeypatch, name) -> list:
+    """Record each call of ``solver.<name>`` as its arguments and result."""
+    calls, real = [], getattr(solver, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+def _fresh(model):
+    """A model of the same moments that no solve has run on."""
+    return SecondMomentModel(model.partition, model.e_xx, model.e_xy, model.e_yy)
+
+
+def _bytes(bank):
+    return [b.tobytes() for b in bank.blocks]
+
+
+def _assert_oracle_sweeps(model, trace, scored, epsilon):
+    """Check a solve against the per-block KLT oracle to within tol =
+    1e-12 ||H||^2, the zero bank's objective. Each recorded MSE is its bank's
+    direct MSE. From each bank a sweep ran on, the screen's score
+    ``scored[t][j]`` is the change in direct MSE of block j's oracle step,
+    and the committed step reaches the best of them; it is the best where no
+    other is within tol, and a converged solve ends where none gains more
+    than its stopping rule's epsilon."""
+    p = model.partition.p
+    tol = 1e-12 * explained_energy(model)
+    mse = trace.mse_per_iteration
+    for f, bank in zip(mse, trace.banks):
+        assert abs(f - direct_mse(model, bank)) <= tol
+    chosen = trace.chosen_block_per_iteration
+
+    def oracle(bank, j):
+        return direct_mse(model, bank.replace(j, best_block(model, bank, j)))
+
+    scores = []
+    for t, (bank, screen) in enumerate(zip(trace.banks, scored)):
+        # a step keeps the other blocks, so the oracle's step on the block
+        # it committed, and the MSE it reaches, stay as they were
+        kept = chosen[t - 1] if t else None
+        scores = [scores[j] if j == kept else oracle(bank, j) for j in range(p)]
+        for score, after in zip(screen, scores):
+            assert abs(score - (after - mse[t])) <= tol
+        best = min(scores)
+        if t == len(chosen):  # the sweep that stopped the solve
+            assert mse[t] <= best + tol + epsilon * np.trace(model.e_xx)
+            continue
+        assert mse[t + 1] <= best + tol
+        runner_up = sorted(scores)[1] if p > 1 else np.inf
+        if runner_up > best + tol:
+            assert chosen[t] == scores.index(best)
+
+
 def _identical_sensors_model(rng):
     # sensors 0 and 1 observe the same signal: in exact arithmetic they tie
     part = SensorPartition(m=3, n=(3, 3, 2), r=(1, 1, 1))
@@ -502,16 +521,6 @@ def _identical_sensors_model(rng):
     y0 = rng.standard_normal((3, 3)) @ x + 0.3 * rng.standard_normal((3, 14))
     y2 = rng.standard_normal((2, 3)) @ x + 0.3 * rng.standard_normal((2, 14))
     return joint_model_from_factor(np.vstack([x, y0, y0, y2]), part)
-
-
-def _sampled_model(seed):
-    # s = 3 samples of N = 12 observations: E_yy has rank 3, psd_sqrt keeps
-    # no round-off rank, so each G_j has numeric rank 3 and cond(G_j) < 30
-    part = SensorPartition(m=4, n=(4, 4, 4), r=(2, 1, 2))
-    spec = ScenarioSpec(
-        kind="linear_mixing", partition=part, s=3, sigmas=(0.3,) * 3, seed=seed
-    )
-    return estimate_moments(generate(spec), part)
 
 
 def _silent_sensor_model(rng):
@@ -523,219 +532,146 @@ def _silent_sensor_model(rng):
     return joint_model_from_factor(a, part)
 
 
-def _forced_screen(j, p):
-    """A stand-in for the solver's screen that scores block ``j`` lowest."""
-    return lambda *args: np.where(np.arange(p) == j, -1.0, 0.0)
+def _sampled(rng, m, n, r, s):
+    # moments estimated from s samples of linear_mixing
+    part = SensorPartition(m=m, n=n, r=r)
+    spec = ScenarioSpec("linear_mixing", part, s, (0.3,) * len(n), rng.integers(1000))
+    return estimate_moments(generate(spec), part)
 
 
-def _assert_oracle_sweeps(model, trace):
-    """Check a recorded solve against the per-block KLT oracle, to within
-    tol = 1e-12 ||H||^2 (||H||^2 = tr(E_xy E_yy^+ E_yx), the objective of
-    the zero bank). Each recorded MSE is its bank's direct MSE. From each
-    recorded bank, every block's oracle step is scored by its direct MSE;
-    the committed step reaches the best of them to within tol, and it is the
-    best one wherever no other block is within tol of it, so that without
-    such near-ties the chosen sequence is the oracle's. A converged solve
-    ends where no oracle block does better."""
-    p = model.partition.p
-    tol = 1e-12 * explained_energy(model)
-    mse = trace.mse_per_iteration
-    for f, bank in zip(mse, trace.banks):
-        assert abs(f - direct_mse(model, bank)) <= tol
-    chosen = trace.chosen_block_per_iteration
-    checked = trace.banks if trace.converged else trace.banks[:-1]
-    for t, bank in enumerate(checked):
-        scores = [
-            direct_mse(model, bank.replace(j, best_block(model, bank, j)))
-            for j in range(p)
-        ]
-        best = min(scores)
-        if t == len(chosen):  # the sweep that stopped the solve
-            assert mse[t] <= best + tol
-            continue
-        assert mse[t + 1] <= best + tol
-        runner_up = sorted(scores)[1] if p > 1 else np.inf
-        if runner_up > best + tol:
-            assert chosen[t] == scores.index(best)
-
-
-def _count_candidates(monkeypatch):
-    calls = []
-    real = solver._block_solve
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_block_solve", spy)
-    return calls
-
-
-# Models whose sensors have unequal numeric ranks k_j (r_is_1, random), a
+# The model families of SOLVES, drawn from a generator the row seeds. The
+# first six have sensors of unequal numeric ranks k_j (r_is_1, random), a
 # rank-deficient E_yy, tied sensors and a silent sensor with k_j = 0.
-SCREENED_MODELS = [
-    pytest.param(lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)), id="r_is_1"),
-    pytest.param(lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)), id="r_is_n"),
-    pytest.param(
-        lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)), id="random"
+FAMILIES = {
+    "r_is_1": lambda rng: noisy_model(rng, 4, (3, 4, 2), (1, 1, 1)),
+    "r_is_n": lambda rng: noisy_model(rng, 4, (3, 2, 2), (3, 2, 2)),
+    "random": lambda rng: random_model(rng, 5, (4, 3, 3, 2), (2, 1, 3, 1)),
+    # s = 3 samples of N = 12 observations: E_yy has rank 3, psd_sqrt keeps
+    # no round-off rank, so each G_j has numeric rank 3 and cond(G_j) < 30
+    "rank_deficient_e_yy": lambda rng: _sampled(rng, 4, (4,) * 3, (2, 1, 2), 3),
+    "identical_sensors": _identical_sensors_model,
+    "silent_sensor": _silent_sensor_model,
+    "example1": lambda rng: example1_model(),
+    "uneven_ranks": lambda rng: noisy_model(rng, 4, (3, 4, 2), (2, 2, 1)),
+    "two_sensors": lambda rng: noisy_model(rng, 3, (4, 3), (2, 1)),
+    "thin_factor": lambda rng: random_model(rng, 2, (3, 2), (2, 1), extra_cols=1),
+    # s = 16 samples of N = 256 observations, 32 per sensor: every G_j has
+    # rank 16 < n_j, and the bank can fit h exactly
+    "exact_fit": lambda rng: _sampled(rng, 32, (32,) * 8, (8,) * 8, 16),
+}
+
+
+def _silent_stays_zero(model, trace):
+    # ranked on their own scale, sensor 1's round-off rows were fitted with
+    # ||F_1|| ~ 1e15, and the analytic MSE fell 12-27% below the direct one
+    for bank in trace.banks:
+        assert not bank.blocks[1].any()
+        want = direct_mse(model, bank)
+        assert analytic_mse(model, bank) == pytest.approx(want, rel=1e-9)
+
+
+def _fits_exactly(model, trace):
+    assert trace.converged
+    assert trace.mse_per_iteration[-1] <= 1e-12 * np.trace(model.e_xx)
+
+
+def _converges(model, trace):
+    assert trace.converged
+
+
+class Solve(NamedTuple):
+    family: str  # a key of FAMILIES
+    seed: int
+    start: str  # "init_bank" or "zeros"
+    cfg: MbiConfig
+    extra: Callable | None = None  # extra(model, trace) asserts the rest
+
+
+_sweeps = functools.partial(MbiConfig, 0.0)  # _sweeps(n): epsilon 0, n sweeps
+_STARTS = ("init_bank", "zeros")
+_EXTRAS = {"rank_deficient_e_yy": _fits_exactly, "silent_sensor": _silent_stays_zero}
+_SCREENED = list(FAMILIES)[:6]
+# One row per solve the solver tests check; _assert_solve checks each.
+SOLVES = [
+    *(
+        Solve(family, seed, start, _sweeps(30), _EXTRAS.get(family))
+        for family in _SCREENED
+        for seed in range(100, 110)
+        for start in _STARTS
     ),
-    pytest.param(
-        lambda rng: _sampled_model(int(rng.integers(1000))), id="rank_deficient_e_yy"
-    ),
-    pytest.param(_identical_sensors_model, id="identical_sensors"),
-    pytest.param(_silent_sensor_model, id="silent_sensor"),
+    Solve("example1", 0, "init_bank", _sweeps(2000), _converges),
+    Solve("uneven_ranks", 15, "init_bank", MbiConfig(max_iterations=50)),
+    Solve("two_sensors", 16, "init_bank", _sweeps(300), _converges),
+    *(Solve("thin_factor", 1, start, _sweeps(10)) for start in _STARTS),
+    *(Solve("exact_fit", 1, start, _sweeps(60), _fits_exactly) for start in _STARTS),
 ]
 
 
-class TestScreenedSweepEquivalence:
-    """mbi_solve scores every candidate from the row bases and solves only
-    the best-scored one in full. Each sweep is checked against an exhaustive
-    sweep of the per-block KLT oracle from the same bank: it commits the
-    oracle's best block, or, where blocks tie to rounding, one within
-    rounding of it."""
+def _assert_solve(row: Solve, monkeypatch) -> None:
+    """Solve ``row`` once and check, on that one solve:
+    1. objectives never increase, banks are rank-feasible, and each recorded
+       objective and MSE is, bit for bit, what a solve records for its bank
+       and its analytic MSE;
+    2. every sweep agrees with the per-block KLT oracle;
+    3. each sweep runs one screen and one full block solve, and every score
+       is the oracle step's change in the direct MSE;
+    4. each step, replayed from its bank with the screen forced to its
+       block, commits the next bank bit for bit, and up to 20 chained
+       one-sweep solves redo the solve: p + 1 products, then 1 per call."""
+    model = FAMILIES[row.family](np.random.default_rng(row.seed))
+    part = model.partition
+    start = init_bank(model) if row.start == "init_bank" else CompressorBank.zeros(part)
+    screens = _spy(monkeypatch, "_screen")
+    solves = _spy(monkeypatch, "_block_solve")
+    products = _spy(monkeypatch, "_product")
+    _, trace = mbi_solve(model, start, row.cfg)
+    sweeps = trace.iterations_used + int(trace.converged)
+    assert len(screens) == len(solves) == sweeps
+    assert len(products) == part.p + sweeps
+    f, banks = trace.objective_per_iteration, trace.banks
+    chosen = trace.chosen_block_per_iteration
+    assert np.all(np.diff(f) <= 0)
+    assert all(np.linalg.matrix_rank(b) <= r for b, r in zip(start.blocks, part.r))
+    for t, j in enumerate(chosen):
+        assert np.linalg.matrix_rank(banks[t + 1].blocks[j]) <= part.r[j]
+    for bank, mse in zip(banks, trace.mse_per_iteration, strict=True):
+        assert analytic_mse(model, bank) == mse
+    _assert_oracle_sweeps(model, trace, [s for _, s in screens], row.cfg.epsilon)
+    assert recorded_objective(_fresh(model), banks[-1]) == f[-1]
 
-    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
-    def test_matches_exhaustive_sweep(self, make_model):
-        # from the zero bank, tied blocks are separated only by rounding
-        for seed in range(10):
-            model = make_model(np.random.default_rng(100 + seed))
-            for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-                _, trace = mbi_solve(
-                    model, start, MbiConfig(epsilon=0.0, max_iterations=30)
-                )
-                _assert_oracle_sweeps(model, trace)
+    one = dataclasses.replace(row.cfg, max_iterations=1, record_trace=False)
+    chained, bank, got = _fresh(model), start, []
+    for i in range(min(20, row.cfg.max_iterations)):
+        products.clear()
+        bank, link = mbi_solve(chained, bank, one)
+        assert len(products) == (part.p + 1 if i == 0 else 1)
+        n, got = len(got), got + link.chosen_block_per_iteration
+        assert link.objective_per_iteration == f[n : len(got) + 1]
+        assert _bytes(bank) == _bytes(banks[len(got)])
+        if link.converged:
+            assert trace.converged and len(got) == trace.iterations_used
+            break
+    assert got == chosen[: len(got)]
 
-    @pytest.mark.parametrize(
-        "make_model",
-        [
-            lambda: _sampled_model(3),
-            lambda: _sampled_model(5),
-            lambda: noisy_model(np.random.default_rng(1), 4, (3, 4, 2), (1, 1, 1)),
-        ],
-        ids=["sampled_seed3", "sampled_seed5", "noisy"],
-    )
-    def test_screen_runs_every_sweep(self, monkeypatch, make_model):
-        screens = []
-        real = solver._screen
+    # last step first: the model then never keeps the state of the bank a
+    # replay starts from, so each replay forms its p products from the bank
+    for i, j in reversed(list(enumerate(chosen))):
+        forced = np.where(np.arange(part.p) == j, -1.0, 0.0)
+        monkeypatch.setattr(solver, "_screen", lambda *args: forced)
+        products.clear()
+        step, replay = mbi_solve(model, banks[i], one)
+        assert len(products) == part.p + 1
+        assert replay.chosen_block_per_iteration == [j]
+        assert replay.objective_per_iteration == f[i : i + 2]
+        assert _bytes(step) == _bytes(banks[i + 1])
 
-        def spy(*args):
-            screens.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(solver, "_screen", spy)
-        solves = _count_candidates(monkeypatch)
-        model = make_model()
-        # from the zero bank: the warm start already fits the s = 3 sampled
-        # models to round-off, and no step below it is committed
-        _, trace = mbi_solve(
-            model,
-            CompressorBank.zeros(model.partition),
-            MbiConfig(epsilon=0.0, max_iterations=20),
-        )
-        sweeps = trace.iterations_used + int(trace.converged)
-        assert sweeps > 1
-        assert len(screens) == sweeps
-        assert len(solves) == sweeps
-        _assert_oracle_sweeps(model, trace)
-
-    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
-    def test_scores_are_the_oracle_steps(self, monkeypatch, make_model):
-        # every block's score, not only the lowest, is the change in the MSE
-        # that block's per-block KLT step makes
-        scored = []
-        real = solver._screen
-
-        def spy(*args):
-            scored.append(real(*args))
-            return scored[-1]
-
-        monkeypatch.setattr(solver, "_screen", spy)
-        for seed in range(5):
-            model = make_model(np.random.default_rng(300 + seed))
-            tol = 1e-12 * explained_energy(model)
-            scored.clear()
-            _, trace = mbi_solve(
-                model,
-                CompressorBank.zeros(model.partition),
-                MbiConfig(epsilon=0.0, max_iterations=30),
-            )
-            for bank, scores in zip(trace.banks, scored):
-                before = direct_mse(model, bank)
-                for j, score in enumerate(scores):
-                    step = bank.replace(j, best_block(model, bank, j))
-                    assert abs(score - (direct_mse(model, step) - before)) <= tol
-
-    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
-    def test_carried_products_change_no_bit(self, monkeypatch, make_model):
-        # A solve carries each block's product F_j G_j from step to step. A
-        # solve that starts from a bank forms every product from that bank.
-        # So each recorded objective must be the one a solve records for its
-        # bank, and each step, replayed from its bank with the screen forced
-        # to the recorded block, must commit the recorded bank, bit for bit.
-        for seed in range(5):
-            model = make_model(np.random.default_rng(200 + seed))
-            p = model.partition.p
-            _, trace = mbi_solve(
-                model,
-                CompressorBank.zeros(model.partition),
-                MbiConfig(epsilon=0.0, max_iterations=30),
-            )
-            assert trace.iterations_used > 1
-            f = trace.objective_per_iteration
-            for bank, f_i in zip(trace.banks, f):
-                assert recorded_objective(model, bank) == f_i
-            for i, j in enumerate(trace.chosen_block_per_iteration):
-                monkeypatch.setattr(solver, "_screen", _forced_screen(j, p))
-                step, replay = mbi_solve(model, trace.banks[i], ONE_SWEEP)
-                monkeypatch.undo()
-                assert replay.chosen_block_per_iteration == [j]
-                assert replay.objective_per_iteration == f[i : i + 2]
-                want = trace.banks[i + 1].blocks
-                assert [b.tobytes() for b in step.blocks] == [
-                    b.tobytes() for b in want
-                ]
+    if row.extra is not None:
+        row.extra(model, trace)
 
 
-def _fresh(model):
-    """A model of the same moments that no solve has run on."""
-    return SecondMomentModel(model.partition, model.e_xx, model.e_xy, model.e_yy)
-
-
-def _count_products(monkeypatch):
-    calls = []
-    real = solver._product
-
-    def spy(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_product", spy)
-    return calls
-
-
-def _bytes(bank):
-    return [b.tobytes() for b in bank.blocks]
-
-
-def _assert_same_solve(got, want):
-    (bank, trace), (want_bank, want_trace) = got, want
-    assert _bytes(bank) == _bytes(want_bank)
-    assert trace.objective_per_iteration == want_trace.objective_per_iteration
-    assert trace.chosen_block_per_iteration == want_trace.chosen_block_per_iteration
-    assert trace.converged == want_trace.converged
-
-
-def _singular_value_scores(resid, rows, fus, r):
-    """The screen's scores from the same inputs, each tail taken from the
-    singular values of W_j = E V_j + F_j U_j S_j."""
-    ev = resid @ rows.T
-    cols = np.cumsum([0, *(fu.shape[1] for fu in fus)])
-    scores = []
-    for j, (fu, rj) in enumerate(zip(fus, r)):
-        e = ev[:, cols[j] : cols[j + 1]]
-        sigma = np.linalg.svd(e + fu, compute_uv=False)
-        scores.append(float(np.sum(sigma[rj:] ** 2) - np.sum(e * e)))
-    return np.array(scores)
+@pytest.mark.parametrize("row", SOLVES, ids=lambda r: f"{r.family}-{r.start}-{r.seed}")
+def test_solve(row, monkeypatch):
+    _assert_solve(row, monkeypatch)
 
 
 class TestResume:
@@ -744,50 +680,17 @@ class TestResume:
     sweep; any other bank forms all p again. Either way it does what a solve
     on a model no solve has run on does, bit for bit."""
 
-    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
-    @pytest.mark.parametrize("first", ["init_bank", "zeros"])
-    def test_chained_sweeps_are_one_long_solve(self, monkeypatch, make_model, first):
-        k = 20
-        for seed in range(3):
-            model = make_model(np.random.default_rng(500 + seed))
-            part = model.partition
-            start = (
-                init_bank(model) if first == "init_bank" else CompressorBank.zeros(part)
-            )
-            long_bank, long_trace = mbi_solve(
-                _fresh(model), start, MbiConfig(epsilon=0.0, max_iterations=k)
-            )
-            products = _count_products(monkeypatch)
-            bank, objectives, chosen = start, [], []
-            for i in range(k):
-                products.clear()
-                bank, trace = mbi_solve(model, bank, ONE_SWEEP)
-                assert len(products) == (part.p + 1 if i == 0 else 1)
-                if i == 0:
-                    objectives.append(trace.objective_per_iteration[0])
-                objectives += trace.objective_per_iteration[1:]
-                chosen += trace.chosen_block_per_iteration
-                if trace.converged:
-                    break
-                assert _bytes(bank) == _bytes(long_trace.banks[i + 1])
-            monkeypatch.undo()
-            assert _bytes(bank) == _bytes(long_bank)
-            assert objectives == long_trace.objective_per_iteration
-            assert chosen == long_trace.chosen_block_per_iteration
-
-    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
-    def test_other_bytes_form_the_state_again(self, monkeypatch, make_model):
-        cfg = MbiConfig(epsilon=0.0, max_iterations=5)
+    @pytest.mark.parametrize("family", _SCREENED)
+    def test_other_bytes_form_the_state_again(self, monkeypatch, family):
+        cfg = MbiConfig(epsilon=0.0, max_iterations=5, record_trace=False)
         stop = MbiConfig(epsilon=np.inf)
         for seed in range(3):
             rng = np.random.default_rng(600 + seed)
-            model, other = make_model(rng), make_model(rng)
+            model, other = FAMILIES[family](rng), FAMILIES[family](rng)
             part = model.partition
             bank, _ = mbi_solve(model, init_bank(model), cfg)
             other_bank, _ = mbi_solve(other, CompressorBank.zeros(part), cfg)
-            copied = CompressorBank(
-                blocks=tuple(b.copy() for b in bank.blocks), partition=part
-            )
+            copied = CompressorBank(tuple(b.copy() for b in bank.blocks), part)
             replaced = bank.replace(0, bank.blocks[0] + 1.0)
 
             def edited():
@@ -805,51 +708,14 @@ class TestResume:
             ]:
                 mbi_solve(model, bank, stop)  # the state now holds bank's bytes
                 start = make_start()
-                want = mbi_solve(_fresh(model), start, cfg)
-                products = _count_products(monkeypatch)
-                got = mbi_solve(model, start, cfg)
+                want_bank, want = mbi_solve(_fresh(model), start, cfg)
+                products = _spy(monkeypatch, "_product")
+                got_bank, got = mbi_solve(model, start, cfg)
                 monkeypatch.undo()
-                sweeps = got[1].iterations_used + int(got[1].converged)
-                assert len(products) == formed + sweeps
-                _assert_same_solve(got, want)
-
-    @pytest.mark.parametrize("make_model", SCREENED_MODELS)
-    def test_screen_picks_the_singular_value_argmin(self, monkeypatch, make_model):
-        sweeps = []
-        real = solver._screen
-
-        def spy(*args):
-            scores = real(*args)
-            sweeps.append((tol, int(np.argmin(scores)), _singular_value_scores(*args)))
-            return scores
-
-        monkeypatch.setattr(solver, "_screen", spy)
-        for seed in range(5):
-            model = make_model(np.random.default_rng(700 + seed))
-            tol = 1e-12 * explained_energy(model)
-            for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-                mbi_solve(model, start, MbiConfig(epsilon=0.0, max_iterations=30))
-        # on rank_deficient_e_yy every sweep ties: the models fit to round-off
-        for tol, pick, scores in sweeps:
-            lowest = np.sort(scores)
-            if lowest[1] - lowest[0] > tol:
-                assert pick == int(np.argmin(scores))
-
-
-def test_silent_sensor_gets_rank_zero():
-    # the rows of E_yy^(1/2) of a sensor with E_11 = 0 are round-off; ranked
-    # on their own scale they were fitted with ||F_1|| ~ 1e15, and the
-    # analytic MSE fell 12-27% below the direct expansion
-    for seed in range(10):
-        model = _silent_sensor_model(np.random.default_rng(100 + seed))
-        for start in (init_bank(model), CompressorBank.zeros(model.partition)):
-            _, trace = mbi_solve(
-                model, start, MbiConfig(epsilon=0.0, max_iterations=30)
-            )
-            for bank in trace.banks:
-                assert not bank.blocks[1].any()
-                want = direct_mse(model, bank)
-                assert analytic_mse(model, bank) == pytest.approx(want, rel=1e-9)
+                assert len(products) == formed + got.iterations_used + got.converged
+                assert _bytes(got_bank) == _bytes(want_bank)
+                # objectives, MSEs, chosen blocks and the converged flag
+                assert vars(got) == vars(want)
 
 
 def test_every_sensor_silent():
@@ -872,24 +738,6 @@ def test_every_sensor_silent():
     assert mse == trace.mse_per_iteration[0] == np.trace(model.e_xx)
     assert not any(b.any() for b in bank.blocks)
     assert not any(q.any() for q in wsn.encoders)
-
-
-def test_rank_deficient_model_reaches_exact_fit(monkeypatch):
-    # s = 16 samples of N = 256 observations, 32 per sensor: every G_j has
-    # rank 16 < n_j, and the bank can fit h exactly
-    part = SensorPartition(m=32, n=(32,) * 8, r=(8,) * 8)
-    spec = ScenarioSpec(
-        kind="linear_mixing", partition=part, s=16, sigmas=(0.3,) * 8, seed=1
-    )
-    model = estimate_moments(generate(spec), part)
-    solves = _count_candidates(monkeypatch)
-    bank, trace = mbi_solve(
-        model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=60)
-    )
-    assert trace.converged
-    assert len(solves) == trace.iterations_used + 1
-    _assert_oracle_sweeps(model, trace)
-    assert analytic_mse(model, bank) <= 1e-12 * np.trace(model.e_xx)
 
 
 def test_round_off_steps_are_not_committed():

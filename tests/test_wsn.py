@@ -87,6 +87,18 @@ class TestFactorize:
         assert wsn.encoders[0].shape == (3, 4)
         assert np.array_equal(wsn.encoders[0][1:], np.zeros((2, 4)))
 
+    def test_block_above_its_rank_bound_is_refused(self):
+        # a bank does not check its ranks; r_j links cannot carry a block of
+        # higher rank, whose P_j Q_j would not be F_j
+        part = SensorPartition(m=3, n=(3, 3), r=(1, 1))
+        low = np.outer([1.0, 2.0, 2.0], [1.0, 0.0, 1.0])
+        for blocks, names in [
+            ((np.eye(3), np.eye(3)), r"block 0 has rank 3 > r\[0\] = 1"),
+            ((low, np.diag([1.0, 1.0, 0.0])), r"block 1 has rank 2 > r\[1\] = 1"),
+        ]:
+            with pytest.raises(InvalidInput, match=names):
+                factorize_wsn(CompressorBank(blocks=blocks, partition=part))
+
     def test_benchmark_encoders_shape(self):
         model = example1_model()
         bank, _ = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=20))
