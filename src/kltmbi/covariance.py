@@ -171,16 +171,23 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is read-only, float64 and owns its data, else such a copy."""
+    if a.dtype != np.float64 or a.flags.writeable or a.base is not None:
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
     The moments follow the README's array rule, finite norm included, and
-    are treated as immutable: the solver forms what it reads besides them
-    on first use and keeps it beside the model while the model lives (the
-    solver module says what and when), so mutating an array in place
-    afterwards would leave that stale. The model holds its moments alone.
-    Compared by identity: ``==`` is ``is``, and a model hashes.
+    the model holds them alone, as read-only float64 arrays of its own, so
+    what the solver keeps beside it (the solver module says what and when)
+    cannot go stale. Compared by identity: ``==`` is ``is``, and a model
+    hashes.
     """
 
     partition: SensorPartition
@@ -191,7 +198,11 @@ class SecondMomentModel:
     def __post_init__(self):
         m, n = _partition(self.partition).m, self.partition.n_total
         for name, shape in (("e_xx", (m, m)), ("e_xy", (m, n)), ("e_yy", (n, n))):
-            _real_array(getattr(self, name), name, shape, finite=True)
+            a = _real_array(getattr(self, name), name, shape, finite=True)
+            object.__setattr__(self, name, _frozen(a))
+
+    def __reduce__(self):
+        return type(self), (self.partition, self.e_xx, self.e_xy, self.e_yy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +250,8 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
         # remove rounding asymmetry before any eigendecomposition downstream
         e_xx = (e_xx + e_xx.T) / 2.0
         e_yy = (e_yy + e_yy.T) / 2.0
+    for a in (e_xx, e_xy, e_yy):  # the model keeps these, not copies
+        a.flags.writeable = False
     return SecondMomentModel(partition=part, e_xx=e_xx, e_xy=e_xy, e_yy=e_yy)
 
 
@@ -264,18 +277,17 @@ def example1_model(r=(1, 1)) -> SecondMomentModel:
     Observations are y_j = x + xi_j with E[xi_j xi_j^T] = sigma_j^2 I, hence
     E_xy = [E_xx, E_xx] and E_yy has E_xx + sigma_j^2 I diagonal blocks.
     """
-    exx = _EX1_EXX.copy()
     s1, s2 = (sig**2 for sig in _EX1_SIGMAS)
-    e_xy = np.hstack([exx, exx])
+    e_xy = np.hstack([_EX1_EXX, _EX1_EXX])
     e_yy = np.block(
         [
-            [exx + s1 * np.eye(3), exx],
-            [exx, exx + s2 * np.eye(3)],
+            [_EX1_EXX + s1 * np.eye(3), _EX1_EXX],
+            [_EX1_EXX, _EX1_EXX + s2 * np.eye(3)],
         ]
     )
     return SecondMomentModel(
         partition=replace(EXAMPLE1_PARTITION, r=r),
-        e_xx=exx,
+        e_xx=_EX1_EXX,
         e_xy=e_xy,
         e_yy=e_yy,
     )

@@ -35,22 +35,16 @@ index order: the arithmetic of forming E from the whole bank, bit for bit.
 A sweep costs O(m N sum_j k_j + N^2 k_j + m N^2) instead of the
 O(p m N^2) of solving every block.
 
-Resuming. A solve ends by keeping in the set-up's ``carried`` field copies
-of its final bank's blocks with the state formed from them: the P_j, the
-F_j U_j S_j, E and f (about p m N + m N numbers). A later solve on that
-model whose start bank's blocks hold exactly those dtypes, layouts and
-bytes takes that state instead of forming it (:func:`_state`), so a chain
-of one-sweep solves does what one long solve does and forms one product
-per sweep. Any other start, a block edited in place, a bank with a block
-replaced or another model's bank included, forms the state from its bank:
-p products of m x n_j x N. The carried state is what forming it from
-those bytes gives, so either way every number a solve returns is the
-same, bit for bit.
+Resuming. A solve keeps in the set-up's ``carried`` field the bank it
+returns and the state formed from it: the P_j, the F_j U_j S_j, E and f
+(about p m N + m N numbers). A solve from that very bank takes that state
+(:func:`_state`), so chained one-sweep solves form one product per sweep;
+any other start forms p products of m x n_j x N. Models and banks hold
+read-only arrays, so both ways give the same bits.
 """
 
 from __future__ import annotations
 
-import copy
 import weakref
 from dataclasses import dataclass, replace
 
@@ -60,6 +54,7 @@ from .covariance import (
     SecondMomentModel,
     SensorPartition,
     _dimension,
+    _frozen,
     _instance,
     _partition,
     _real,
@@ -72,8 +67,8 @@ from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd, truncated
 @dataclass(frozen=True, eq=False)
 class CompressorBank:
     """The iterate F = (F_1, ..., F_p); each block maps sensor j's
-    observation into the source space, must have rank <= r_j and follows
-    the README's array rule, finite norm included; only
+    observation into the source space, must have rank <= r_j, follows the
+    README's array rule, finite norm included, and is held read-only; only
     :func:`~kltmbi.wsn.factorize_wsn` checks the rank. Compared by identity:
     ``==`` is ``is``, and a bank hashes, so ``bank in banks`` finds that
     very bank."""
@@ -89,6 +84,10 @@ class CompressorBank:
         for j, b in enumerate(self.blocks):
             want = (self.partition.m, self.partition.n[j])
             _real_array(b, f"block {j}", want, finite=True)
+        object.__setattr__(self, "blocks", tuple(map(_frozen, self.blocks)))
+
+    def __reduce__(self):
+        return type(self), (self.blocks, self.partition)
 
     @classmethod
     def zeros(cls, partition: SensorPartition) -> "CompressorBank":
@@ -109,9 +108,9 @@ class CompressorBank:
             raise InvalidInput(f"j must be in [-{part.p}, {part.p}), got {j}")
         j %= part.p
         _real_array(block, f"block {j}", (part.m, part.n[j]), finite=True)
-        bank = copy.copy(self)
-        blocks = self.blocks[:j] + (block,) + self.blocks[j + 1 :]
-        object.__setattr__(bank, "blocks", blocks)
+        blocks = self.blocks[:j] + (_frozen(block),) + self.blocks[j + 1 :]
+        bank = object.__new__(CompressorBank)
+        vars(bank).update(blocks=blocks, partition=part)
         return bank
 
 
@@ -172,7 +171,7 @@ class MbiTrace:
 class _Setup:
     """A model's set-up (see Set-up and Resuming above): E_yy^(1/2), H, the
     SVDs of the G_j with their numeric ranks, [V_1 ... V_p]^T, the U_j S_j
-    and the state the last solve ended in (None before the first)."""
+    and the bank the last solve returned with its state (or None)."""
 
     root: np.ndarray
     h: np.ndarray
@@ -336,22 +335,13 @@ def _screen(
     return scores
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``a`` and ``b`` hold the same dtype, layout and bytes."""
-    return (
-        a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
-    )
-
-
 def _state(model: SecondMomentModel, bank: CompressorBank) -> tuple:
     """The products P_j, the F_j U_j S_j, the residual E and the objective f
-    of ``bank``: carried over from the solve on ``model`` that ended in a
-    bank of the same bytes, or else formed from ``bank``, p products of
-    m x n_j x N. Every solve starts from it."""
+    of ``bank``: the last solve's on ``model`` if it returned ``bank`` itself,
+    else formed from ``bank``, p products of m x n_j x N."""
     setup = _setup(model)
-    carried = setup.carried
-    if carried is not None and all(map(_same_bytes, carried[0], bank.blocks)):
-        _, products, fus, resid, f = carried
+    if setup.carried is not None and setup.carried[0] is bank:
+        _, products, fus, resid, f = setup.carried
         return list(products), list(fus), resid, f
     products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
     fus = [fj @ usj for fj, usj in zip(bank.blocks, setup.us)]
@@ -374,9 +364,8 @@ def mbi_solve(
     chosen may not be the one an exhaustive sweep of full solves would rank
     first, but its objective is within rounding of that sweep's best.
 
-    A solve whose ``start`` holds the bytes of the bank the last solve on
-    ``model`` returned resumes from that solve's state (see the module
-    docstring).
+    A solve whose ``start`` is the bank the last solve on ``model``
+    returned resumes from that solve's state (see the module docstring).
 
     Raises :class:`InvalidInput` when ``model`` is not a
     :class:`SecondMomentModel`, ``start`` not a bank of the model's
@@ -417,8 +406,7 @@ def mbi_solve(
         chosen.append(j)
         if banks is not None:
             banks.append(bank)
-    blocks = tuple(np.copy(b) for b in bank.blocks)
-    setup.carried = (blocks, tuple(products), tuple(fus), resid, f_cur)
+    setup.carried = (bank, tuple(products), tuple(fus), resid, f_cur)
     trace = MbiTrace(
         objective_per_iteration=objectives,
         mse_per_iteration=_mse(model, objectives),

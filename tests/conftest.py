@@ -9,6 +9,7 @@ internals.
 
 import os
 import warnings
+import weakref
 
 import numpy as np
 from hypothesis import settings
@@ -21,8 +22,7 @@ from kltmbi import (
     mbi_solve,
 )
 from kltmbi.covariance import SecondMomentModel
-from kltmbi.linalg import svd
-from kltmbi.solver import klt_matrix
+from kltmbi.linalg import psd_sqrt, svd, truncated
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
 # that fails in CI fails the same way locally; plain runs stay randomized.
@@ -101,21 +101,37 @@ def direct_mse(model, bank) -> float:
     )
 
 
-def best_block(model, bank, j) -> np.ndarray:
-    """The per-block KLT step: the best rank-r_j F_j with the other blocks of
-    ``bank`` fixed, the single-sensor KLT of y_j for the target left by them,
-    klt_matrix(E_{x y_j} - sum_{i != j} F_i E_{y_i y_j}, E_jj, r_j)."""
+def block_target(model, bank, j) -> np.ndarray:
+    """E_{x y_j} - sum_{i != j} F_i E_{y_i y_j}: what the blocks of ``bank``
+    other than j leave for block j to fit."""
     part = model.partition
     yj = part.y_slice(j)
     target = model.e_xy[:, yj].copy()
     for i in range(part.p):
         if i != j:
             target -= bank.blocks[i] @ model.e_yy[part.y_slice(i), yj]
+    return target
+
+
+# model -> {j: (E_jj^(1/2))^+}; sound because a model's moments are read-only
+_ROOT_PINVS = weakref.WeakKeyDictionary()
+
+
+def best_block(model, bank, j) -> np.ndarray:
+    """The per-block KLT step: the best rank-r_j F_j with the other blocks of
+    ``bank`` fixed, the single-sensor KLT of y_j for the target left by them,
+    klt_matrix(block_target(model, bank, j), E_jj, r_j). The factor
+    (E_jj^(1/2))^+ is formed once per model and sensor."""
+    pinvs = _ROOT_PINVS.setdefault(model, {})
+    if j not in pinvs:
+        yj = model.partition.y_slice(j)
+        pinvs[j] = svd(psd_sqrt(model.e_yy[yj, yj])).pinv()
+    target, root_pinv = block_target(model, bank, j), pinvs[j]
     # callers compare candidates within a tolerance, so a tie at the cut is
     # theirs to judge
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTruncationWarning)
-        return klt_matrix(target, model.e_yy[yj, yj], part.r[j])
+        return truncated(target @ root_pinv, model.partition.r[j]) @ root_pinv
 
 
 def block_step(s, g, r) -> np.ndarray:

@@ -3,9 +3,13 @@ not a real NumPy array, has the wrong number of dimensions or the wrong
 shape or, where finiteness is checked, a NaN, an Inf or a norm that
 overflows raises InvalidInput naming the argument. So does a partition,
 list of arrays, model, bank, ensemble, network, scenario spec or solver
-config of the wrong type."""
+config of the wrong type. Models and banks hold read-only float64 arrays of
+their own, in copies and pickles too."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import re
 
 import numpy as np
@@ -461,3 +465,62 @@ def test_image_with_other_than_m_rows_is_rejected(tmp_path, rows):
     )
     with pytest.raises(InvalidInput, match=f"image has {rows} rows"):
         image_scenario(spec)
+
+
+def _held(obj) -> list:
+    """The arrays a model or a bank holds."""
+    if isinstance(obj, SecondMomentModel):
+        return [obj.e_xx, obj.e_xy, obj.e_yy]
+    return list(obj.blocks)
+
+
+def _holders() -> dict:
+    model = example1_model()
+    cfg = MbiConfig(epsilon=0.0, max_iterations=3)
+    solved, trace = mbi_solve(model, init_bank(model), cfg)
+    return {
+        "model": model,
+        "estimated": estimate_moments(ENS, PART),
+        "replaced_model": dataclasses.replace(MODEL, e_yy=2 * E_YY),
+        "bank": CompressorBank((np.ones((2, 2)), np.arange(2).reshape(2, 1)), PART),
+        "zeros": BANK,
+        "init_bank": init_bank(model),
+        "solved": solved,
+        "traced": trace.banks[1],
+        "replaced_bank": BANK.replace(1, np.ones((2, 1))),
+    }
+
+
+DUPLICATES = {
+    "itself": lambda obj: obj,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("duplicate", DUPLICATES)
+@pytest.mark.parametrize("holder", _holders())
+def test_models_and_banks_hold_read_only_float64_arrays(holder, duplicate):
+    obj = DUPLICATES[duplicate](_holders()[holder])
+    for a in _held(obj):
+        assert a.dtype == np.float64 and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] += 1.0
+
+
+def test_models_and_banks_hold_arrays_of_their_own():
+    # a write through the caller's array, even one it made read-only, does
+    # not reach the model or the bank; one already read-only and float64,
+    # that owns its data, is kept as it is
+    e_xx = np.eye(2)
+    view = e_xx.view()
+    view.flags.writeable = False
+    block = np.ones((2, 2))
+    model = SecondMomentModel(PART, view, E_XY, E_YY)
+    bank = CompressorBank((block, np.ones((2, 1))), PART)
+    e_xx[0, 0] = block[0, 0] = 5.0
+    assert model.e_xx[0, 0] == bank.blocks[0][0, 0] == 1.0
+    again = SecondMomentModel(PART, *_held(model))
+    assert all(a is b for a, b in zip(_held(again), _held(model)))
+    assert all(a is b for a, b in zip(_held(copy.copy(bank)), _held(bank)))

@@ -20,6 +20,7 @@ from kltmbi import (
     analytic_mse,
     estimate_moments,
     example1_model,
+    init_bank,
     mbi_solve,
 )
 from kltmbi import solver
@@ -286,6 +287,18 @@ class TestModelCache:
         assert trace.objective_per_iteration == want_trace.objective_per_iteration
         assert trace.mse_per_iteration == want_trace.mse_per_iteration
         assert trace.chosen_block_per_iteration == want_trace.chosen_block_per_iteration
+
+    def test_the_moments_a_set_up_was_formed_from_cannot_change(self):
+        # scaling the moments in place once left the kept set-up stale: the
+        # MSE read 4.0305 where a model of the scaled moments gives 2.0914
+        model = example1_model()
+        bank = init_bank(model)
+        mse = analytic_mse(model, bank)
+        with pytest.raises(ValueError, match="read-only"):
+            model.e_xx[...] *= 4
+        with pytest.raises(ValueError, match="read-only"):
+            model.e_xy[...] *= 2
+        assert analytic_mse(model, bank) == mse == analytic_mse(example1_model(), bank)
 
     def test_a_solved_model_is_freed_once_dropped(self):
         # the set-up and resume state kept beside a model hold no reference

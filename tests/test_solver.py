@@ -4,6 +4,7 @@ objective is what a solve records for it, its analytic MSE less the Wiener
 MSE; and each step is checked against the per-block KLT oracle of
 ``conftest``."""
 
+import copy
 import dataclasses
 import functools
 import warnings
@@ -17,6 +18,7 @@ from conftest import (
     ONE_SWEEP,
     best_block,
     block_step,
+    block_target,
     direct_mse,
     explained_energy,
     joint_model_from_factor,
@@ -443,7 +445,8 @@ class TestCompressorBank:
         block = np.ones((2, part.n[k]))
         new = bank.replace(j, block)
         assert checked == [f"block {k}"]
-        assert new.partition is part and new.blocks[k] is block
+        assert new.partition is part and np.array_equal(new.blocks[k], block)
+        assert not new.blocks[k].flags.writeable
         kept = [i for i in range(part.p) if i != k]
         assert all(new.blocks[i] is bank.blocks[i] for i in kept)
         assert not bank.blocks[k].any()
@@ -653,9 +656,9 @@ def _assert_solve(row: Solve, monkeypatch) -> None:
             break
     assert got == chosen[: len(got)]
 
-    # last step first: the model then never keeps the state of the bank a
-    # replay starts from, so each replay forms its p products from the bank
-    for i, j in reversed(list(enumerate(chosen))):
+    # no solve on the model returned the bank a replay starts from, so each
+    # replay forms its p products from the bank
+    for i, j in enumerate(chosen):
         forced = np.where(np.arange(part.p) == j, -1.0, 0.0)
         monkeypatch.setattr(solver, "_screen", lambda *args: forced)
         products.clear()
@@ -669,53 +672,80 @@ def _assert_solve(row: Solve, monkeypatch) -> None:
         row.extra(model, trace)
 
 
-@pytest.mark.parametrize("row", SOLVES, ids=lambda r: f"{r.family}-{r.start}-{r.seed}")
+def _row_id(row: Solve) -> str:
+    return f"{row.family}-{row.start}-{row.seed}"
+
+
+@pytest.mark.parametrize("row", SOLVES, ids=_row_id)
 def test_solve(row, monkeypatch):
     _assert_solve(row, monkeypatch)
 
 
+@pytest.mark.parametrize("row", SOLVES[::30], ids=_row_id)
+def test_the_oracle_step_is_klt_matrix(row):
+    # best_block keeps one root pseudo-inverse per model and sensor; its step
+    # is klt_matrix's, bit for bit, on the first call and on later ones
+    model = FAMILIES[row.family](np.random.default_rng(row.seed))
+    part = model.partition
+    bank = init_bank(model)
+    for _ in range(2):
+        for j in range(part.p):
+            yj = part.y_slice(j)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateTruncationWarning)
+                want = klt_matrix(
+                    block_target(model, bank, j), model.e_yy[yj, yj], part.r[j]
+                )
+            assert best_block(model, bank, j).tobytes() == want.tobytes()
+
+
 class TestResume:
-    """A solve keeps on the model the state it ended in. The next solve from
-    a bank of exactly those bytes resumes from it and forms one product per
-    sweep; any other bank forms all p again. Either way it does what a solve
-    on a model no solve has run on does, bit for bit."""
+    """A solve keeps on the model the bank it returned and the state it ended
+    in. The next solve from that very bank resumes from it and forms one
+    product per sweep; any other bank, of the same bytes or not, forms all p
+    again. Either way it does what a solve on a model no solve has run on
+    does, bit for bit."""
+
+    CFG = MbiConfig(epsilon=0.0, max_iterations=5, record_trace=False)
+
+    def _assert_solves_as_fresh(self, monkeypatch, model, start, formed):
+        """A solve from ``start`` forms ``formed`` products before its first
+        sweep and returns what a solve on a fresh model does."""
+        want_bank, want = mbi_solve(_fresh(model), start, self.CFG)
+        products = _spy(monkeypatch, "_product")
+        got_bank, got = mbi_solve(model, start, self.CFG)
+        monkeypatch.undo()
+        assert len(products) == formed + got.iterations_used + got.converged
+        assert _bytes(got_bank) == _bytes(want_bank)
+        # objectives, MSEs, chosen blocks and the converged flag
+        assert vars(got) == vars(want)
 
     @pytest.mark.parametrize("family", _SCREENED)
-    def test_other_bytes_form_the_state_again(self, monkeypatch, family):
-        cfg = MbiConfig(epsilon=0.0, max_iterations=5, record_trace=False)
+    def test_the_returned_bank_resumes(self, monkeypatch, family):
+        for seed in range(3):
+            model = FAMILIES[family](np.random.default_rng(600 + seed))
+            bank, _ = mbi_solve(model, init_bank(model), self.CFG)
+            self._assert_solves_as_fresh(monkeypatch, model, bank, 0)
+
+    @pytest.mark.parametrize("family", _SCREENED)
+    def test_any_other_bank_forms_the_state_again(self, monkeypatch, family):
         stop = MbiConfig(epsilon=np.inf)
         for seed in range(3):
             rng = np.random.default_rng(600 + seed)
             model, other = FAMILIES[family](rng), FAMILIES[family](rng)
             part = model.partition
-            bank, _ = mbi_solve(model, init_bank(model), cfg)
-            other_bank, _ = mbi_solve(other, CompressorBank.zeros(part), cfg)
-            copied = CompressorBank(tuple(b.copy() for b in bank.blocks), part)
-            replaced = bank.replace(0, bank.blocks[0] + 1.0)
-
-            def edited():
-                # the bank the last solve ended in, changed in place
-                bank.blocks[0][0, 0] += 1.0
-                return bank
-
-            # (the start, how many products the solve forms before its first
-            # sweep); each sweep then forms one
-            for make_start, formed in [
-                (lambda: copied, 0),
-                (lambda: replaced, part.p),
-                (lambda: other_bank, part.p),
-                (edited, part.p),
+            bank, _ = mbi_solve(model, init_bank(model), self.CFG)
+            other_bank, _ = mbi_solve(other, CompressorBank.zeros(part), self.CFG)
+            for start in [
+                copy.copy(bank),
+                copy.deepcopy(bank),
+                CompressorBank(bank.blocks, part),
+                bank.replace(0, bank.blocks[0]),
+                bank.replace(0, 2.0 * bank.blocks[0]),
+                other_bank,
             ]:
-                mbi_solve(model, bank, stop)  # the state now holds bank's bytes
-                start = make_start()
-                want_bank, want = mbi_solve(_fresh(model), start, cfg)
-                products = _spy(monkeypatch, "_product")
-                got_bank, got = mbi_solve(model, start, cfg)
-                monkeypatch.undo()
-                assert len(products) == formed + got.iterations_used + got.converged
-                assert _bytes(got_bank) == _bytes(want_bank)
-                # objectives, MSEs, chosen blocks and the converged flag
-                assert vars(got) == vars(want)
+                mbi_solve(model, bank, stop)  # the model now keeps bank
+                self._assert_solves_as_fresh(monkeypatch, model, start, part.p)
 
 
 def test_every_sensor_silent():
