@@ -84,9 +84,21 @@ class SensorPartition:
         return sum(self.n)
 
     def y_slice(self, j: int) -> slice:
-        """Row/column slice of sensor j inside the stacked observation."""
+        """Row/column slice of sensor j inside the stacked observation. ``j``
+        is an integer in [-p, p), negative values counting from the end."""
+        j = _block_index(self, j)
         start = sum(self.n[:j])
         return slice(start, start + self.n[j])
+
+
+def _block_index(part: SensorPartition, j) -> int:
+    """The sensor index ``j``, an integer in [-p, p), as one in [0, p).
+    Anything else, a bool or a float included, raises :class:`InvalidInput`
+    naming ``j``."""
+    j = _dimension(j, "j")
+    if not -part.p <= j < part.p:
+        raise InvalidInput(f"j must be in [-{part.p}, {part.p}), got {j}")
+    return j % part.p
 
 
 def _instance(value, cls: type, name: str):

@@ -39,8 +39,9 @@ Resuming. A solve keeps in the set-up's ``carried`` field the bank it
 returns and the state formed from it: the P_j, the F_j U_j S_j, E and f
 (about p m N + m N numbers). A solve from that very bank takes that state
 (:func:`_state`), so chained one-sweep solves form one product per sweep;
-any other start forms p products of m x n_j x N. Models and banks hold
-read-only arrays, so both ways give the same bits.
+any other start has each block's rank checked, p SVDs of m x n_j, and
+forms p products of m x n_j x N. Models and banks hold read-only arrays,
+so both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import numpy as np
 from .covariance import (
     SecondMomentModel,
     SensorPartition,
+    _block_index,
     _dimension,
     _frozen,
     _instance,
@@ -68,10 +70,11 @@ from .linalg import _EPS, SvdFactors, _real_array, psd_sqrt, svd, truncated
 class CompressorBank:
     """The iterate F = (F_1, ..., F_p); each block maps sensor j's
     observation into the source space, must have rank <= r_j, follows the
-    README's array rule, finite norm included, and is held read-only; only
-    :func:`~kltmbi.wsn.factorize_wsn` checks the rank. Compared by identity:
-    ``==`` is ``is``, and a bank hashes, so ``bank in banks`` finds that
-    very bank."""
+    README's array rule, finite norm included, and is held read-only. The
+    rank is checked where a bank is used: :func:`mbi_solve` refuses a start,
+    and :func:`~kltmbi.wsn.factorize_wsn` a bank, with a block above its
+    bound. Compared by identity: ``==`` is ``is``, and a bank hashes, so
+    ``bank in banks`` finds that very bank."""
 
     blocks: tuple[np.ndarray, ...]
     partition: SensorPartition
@@ -103,10 +106,7 @@ class CompressorBank:
         checked: the others were checked when this bank was made. ``j`` is
         an integer in [-p, p), negative values counting from the end."""
         part = self.partition
-        j = _dimension(j, "j")
-        if not -part.p <= j < part.p:
-            raise InvalidInput(f"j must be in [-{part.p}, {part.p}), got {j}")
-        j %= part.p
+        j = _block_index(part, j)
         _real_array(block, f"block {j}", (part.m, part.n[j]), finite=True)
         blocks = self.blocks[:j] + (_frozen(block),) + self.blocks[j + 1 :]
         bank = object.__new__(CompressorBank)
@@ -335,14 +335,28 @@ def _screen(
     return scores
 
 
+def _rank_checked(fj: np.ndarray, j: int, rj: int) -> SvdFactors:
+    """The SVD of block ``j`` of a bank, ``fj``. A numeric rank above its
+    bound ``rj``, which no r_j-row link could carry, raises
+    :class:`InvalidInput` naming the block."""
+    f = svd(fj)
+    if f.numeric_rank > rj:
+        raise InvalidInput(f"block {j} has rank {f.numeric_rank} > r[{j}] = {rj}")
+    return f
+
+
 def _state(model: SecondMomentModel, bank: CompressorBank) -> tuple:
     """The products P_j, the F_j U_j S_j, the residual E and the objective f
     of ``bank``: the last solve's on ``model`` if it returned ``bank`` itself,
-    else formed from ``bank``, p products of m x n_j x N."""
+    else formed from ``bank``, p products of m x n_j x N, once each block's
+    rank is checked (p SVDs of m x n_j); a bank a solve returned needs no
+    check."""
     setup = _setup(model)
     if setup.carried is not None and setup.carried[0] is bank:
         _, products, fus, resid, f = setup.carried
         return list(products), list(fus), resid, f
+    for j, fj in enumerate(bank.blocks):
+        _rank_checked(fj, j, model.partition.r[j])
     products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
     fus = [fj @ usj for fj, usj in zip(bank.blocks, setup.us)]
     return products, fus, *_residual(model, products)
@@ -369,7 +383,9 @@ def mbi_solve(
 
     Raises :class:`InvalidInput` when ``model`` is not a
     :class:`SecondMomentModel`, ``start`` not a bank of the model's
-    partition or ``cfg`` not an :class:`MbiConfig`, and
+    partition, a block of ``start`` above its rank bound (the bank the last
+    solve returned is not checked again) or ``cfg`` not an
+    :class:`MbiConfig`, and
     :class:`NotPsd`, before any step, when E_yy has an eigenvalue below
     -1e-8 * ||E_yy||.
     """

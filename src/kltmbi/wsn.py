@@ -24,8 +24,8 @@ from .covariance import (
     atomic_write,
 )
 from .errors import InvalidInput, ParseError
-from .linalg import _real_array, svd
-from .solver import CompressorBank, _mse, _product, _residual
+from .linalg import _real_array
+from .solver import CompressorBank, _mse, _product, _rank_checked, _residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +65,9 @@ def factorize_wsn(bank: CompressorBank) -> FactorizedWsn:
     part = _instance(bank, CompressorBank, "bank").partition
     encoders, decoders = [], []
     for j, fj in enumerate(bank.blocks):
-        f, rj = svd(fj), part.r[j]
+        rj = part.r[j]
+        f = _rank_checked(fj, j, rj)
         k = f.numeric_rank
-        if k > rj:
-            raise InvalidInput(f"block {j} has rank {k} > r[{j}] = {rj}")
         # the k leading triplets, zero-padded to the r_j-row wire
         scale = np.sqrt(f.sigma[:k])
         encoders.append(np.pad((f.v[:, :k] * scale).T, ((0, rj - k), (0, 0))))

@@ -68,21 +68,11 @@ def noisy_model(rng, m, n, r, noise=0.5, extra_cols=20):
     )
 
 
-def _start_record(model, bank):
-    """The trace of a solve from ``bank`` that stops at once: it records only
-    its start."""
+def recorded(model, bank) -> tuple[float, float]:
+    """The objective and the analytic MSE a solve records for ``bank``: those
+    of a solve that stops at once, recording only its start."""
     _, trace = mbi_solve(model, bank, MbiConfig(epsilon=np.inf, record_trace=False))
-    return trace
-
-
-def recorded_objective(model, bank) -> float:
-    """The objective a solve records for ``bank``."""
-    return _start_record(model, bank).objective_per_iteration[0]
-
-
-def recorded_mse(model, bank) -> float:
-    """The analytic MSE a solve records for ``bank``."""
-    return _start_record(model, bank).mse_per_iteration[0]
+    return trace.objective_per_iteration[0], trace.mse_per_iteration[0]
 
 
 def explained_energy(model) -> float:

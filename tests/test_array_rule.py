@@ -1,10 +1,11 @@
 """Every array argument follows the README's one array rule: a value that is
 not a real NumPy array, has the wrong number of dimensions or the wrong
 shape or, where finiteness is checked, a NaN, an Inf or a norm that
-overflows raises InvalidInput naming the argument. So does a partition,
-list of arrays, model, bank, ensemble, network, scenario spec or solver
-config of the wrong type. Models and banks hold read-only float64 arrays of
-their own, in copies and pickles too."""
+overflows raises InvalidInput naming the argument, in the message its kind
+of value gets. A partition, list of arrays, model, bank, ensemble, network,
+scenario spec or solver config of the wrong type raises it naming the
+argument too. Models and banks hold read-only float64 arrays of their own,
+in copies and pickles too."""
 
 import copy
 import dataclasses
@@ -100,6 +101,7 @@ BAD = {
     "str": lambda good: good.astype(str),
     "complex": lambda good: good.astype(complex),
     "bool": lambda good: good.astype(bool),
+    "1d": lambda good: good[0],
     "3d": lambda good: good[..., np.newaxis],
     "rows": lambda good: np.ones((good.shape[0] + 1, *good.shape[1:])),
     "cols": lambda good: np.ones((good.shape[0], good.shape[1] + 1)),
@@ -109,6 +111,17 @@ BAD = {
 }
 TYPE = ("list", "none", "object", "str", "complex", "bool", "3d")
 FINITE = ("nan", "inf", "overflow")
+# The message each kind of bad value gets, a pattern in which {name} stands
+# for the name its error gives and {rows}, {cols} for the bad value's shape.
+# A bad count of columns in a sample ensemble's x or y is a count the other
+# does not have.
+MESSAGE = {
+    **dict.fromkeys(TYPE, "{name} must be"),
+    "1d": "{name} must be 2-d",
+    "rows": "{name} has {rows} rows",
+    "cols": r"{name} (must be|has {cols}\b)",
+    **dict.fromkeys(FINITE, "{name} or its norm is not finite"),
+}
 
 # (argument id, the name its error gives, a good value, a call that passes
 # the value in its place, the kinds of bad value that must be rejected)
@@ -213,16 +226,22 @@ ARGS = [
         TYPE + FINITE,
     ),
     # linalg coerces what the library hands it to float64 first
-    ("svd.c", "c", E_XY, svd, ("none", "3d") + FINITE),
+    ("svd.c", "c", E_XY, svd, ("none", "1d", "3d") + FINITE),
     ("truncated.c", "c", E_XY, lambda v: truncated(v, 1), ("none", "3d") + FINITE),
     ("psd_sqrt.c", "c", E_YY, psd_sqrt, ("none", "3d") + FINITE),
 ]
 
-CASES = [
-    pytest.param(name, BAD[kind](good), call, id=f"{arg}-{kind}")
-    for arg, name, good, call, kinds in ARGS
-    for kind in kinds
-]
+
+def _case(arg, name, good, call, kind):
+    """The case of ``call`` given a bad value of ``kind`` in place of
+    ``good``, with the message pattern MESSAGE gives it."""
+    bad = BAD[kind](good)
+    rows, cols = (*np.shape(bad), None, None)[:2]
+    message = MESSAGE[kind].format(name=re.escape(name), rows=rows, cols=cols)
+    return pytest.param(message, bad, call, id=f"{arg}-{kind}")
+
+
+CASES = [_case(*arg[:4], kind) for arg in ARGS for kind in arg[4]]
 
 
 @pytest.mark.parametrize("arg", ARGS, ids=[a[0] for a in ARGS])
@@ -231,9 +250,9 @@ def test_good_value_passes(arg):
     call(good)
 
 
-@pytest.mark.parametrize("name, value, call", CASES)
-def test_bad_value_raises_invalid_input_naming_it(name, value, call):
-    with pytest.raises(InvalidInput, match=rf"\b{re.escape(name)}\b"):
+@pytest.mark.parametrize("message, value, call", CASES)
+def test_bad_value_raises_invalid_input_naming_it(message, value, call):
+    with pytest.raises(InvalidInput, match=rf"\b{message}"):
         call(value)
 
 

@@ -1,4 +1,4 @@
-"""Tests for scenario generators, the decoupled baseline and PGM I/O."""
+"""Tests for scenario generators and PGM I/O."""
 
 import hashlib
 import tracemalloc
@@ -6,14 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import joint_model_from_factor
 from kltmbi import (
     InvalidInput,
     MbiConfig,
     ParseError,
     ScenarioSpec,
     SensorPartition,
-    analytic_mse,
     estimate_moments,
     example1_model,
     generate,
@@ -511,18 +509,6 @@ class TestImageScenario:
         a, b = image_scenario(spec), image_scenario(spec)
         assert np.array_equal(a.y_full, b.y_full)
 
-    def test_row_mismatch_rejected(self, tmp_path):
-        spec = self._spec(tmp_path)
-        bad = ScenarioSpec(
-            kind="image",
-            partition=SensorPartition(m=9, n=(9, 9), r=(3, 3)),
-            sigmas=(0.2, 0.1),
-            seed=5,
-            image_path=spec.image_path,
-        )
-        with pytest.raises(InvalidInput):
-            image_scenario(bad)
-
     def test_only_the_image_kind(self):
         with pytest.raises(InvalidInput, match="kind='image'"):
             image_scenario(_two_sensor_spec())
@@ -536,20 +522,3 @@ class TestImageScenario:
         monkeypatch.setattr(scenarios, "MAX_SCENARIO_BYTES", need - 1)
         with pytest.raises(InvalidInput, match="limit"):
             image_scenario(spec)
-
-
-class TestDecoupledBaseline:
-    def test_single_sensor_equals_klt(self):
-        rng = np.random.default_rng(6)
-        part = SensorPartition(m=3, n=(4,), r=(2,))
-        model = joint_model_from_factor(rng.standard_normal((7, 12)), part)
-        bank = init_bank(model)
-        klt = klt_matrix(model.e_xy, model.e_yy, 2)
-        assert np.allclose(bank.blocks[0], klt, atol=1e-12)
-
-    def test_mbi_never_worse(self):
-        spec = _two_sensor_spec(seed=9)
-        model = estimate_moments(generate(spec), spec.partition)
-        baseline = init_bank(model)
-        bank, _ = mbi_solve(model, baseline, MbiConfig(max_iterations=100))
-        assert analytic_mse(model, bank) <= analytic_mse(model, baseline) + 1e-9

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kltmbi
-from conftest import explained_energy, joint_model_from_factor, recorded_objective
+from conftest import (
+    direct_mse,
+    explained_energy,
+    joint_model_from_factor,
+    random_model,
+    recorded,
+)
 from kltmbi import (
     CompressorBank,
     FactorizedWsn,
@@ -154,73 +161,7 @@ class TestCompressReconstruct:
 
 
 class TestAnalyticMse:
-    def test_zero_bank_gives_signal_energy(self):
-        model = example1_model()
-        bank = CompressorBank.zeros(model.partition)
-        assert analytic_mse(model, bank) == pytest.approx(np.trace(model.e_xx), rel=1e-10)
-
-    def test_noiseless_full_rank_is_zero(self):
-        part = SensorPartition(m=2, n=(2,), r=(2,))
-        e = np.array([[2.0, 0.5], [0.5, 1.0]])
-        model = SecondMomentModel(partition=part, e_xx=e, e_xy=e, e_yy=e)
-        bank = CompressorBank(blocks=(np.eye(2),), partition=part)
-        assert analytic_mse(model, bank) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bit_equal_to_formula_from_scratch(self):
-        rng = np.random.default_rng(9)
-        part = SensorPartition(m=3, n=(3, 4), r=(2, 1))
-        model = joint_model_from_factor(rng.standard_normal((10, 12)), part)
-        bank = _rank_feasible_bank(rng, part)
-        root = psd_sqrt(model.e_yy)
-        h = model.e_xy @ svd(root).pinv()
-        # sum_j F_j G_j block by block, in sensor order: one product with
-        # the stacked bank rounds differently on some BLAS kernels
-        fg = np.zeros_like(h)
-        for j, fj in enumerate(bank.blocks):
-            fg += fj @ root[part.y_slice(j)]
-        # each squared norm as the norm times itself, as the solver squares it
-        h_norm, tail_norm = np.linalg.norm(h), np.linalg.norm(h - fg)
-        wiener = np.trace(model.e_xx) - h_norm * h_norm
-        want = max(float(wiener + tail_norm * tail_norm), 0.0)
-        recorded_objective(model, bank)  # fills the model's cache
-        for _ in range(2):
-            assert analytic_mse(model, bank) == want
-
-    @pytest.mark.parametrize(
-        "kind, m, p, r, s",
-        [
-            # s = 10 < N = 32 with full ranks: a near-exact fit
-            ("linear_mixing", 8, 4, 8, 10),
-            ("additive_noise", 6, 3, 2, 300),
-            ("additive_noise", 4, 3, 1, 3),
-            ("exact_example1", 3, 2, 1, 1),
-        ],
-        ids=["near_exact_fit", "sampled", "few_samples", "exact_example1"],
-    )
-    def test_is_wiener_mse_plus_objective(self, kind, m, p, r, s):
-        # one formula: the MSE a solve records for each bank is the bank's
-        # analytic_mse, bit for bit, and the Wiener MSE
-        # tr E_xx - tr(E_xy E_yy^+ E_yx) plus the objective it records
-        part = SensorPartition(m=m, n=(m,) * p, r=(r,) * p)
-        if kind == "exact_example1":
-            model = example1_model(part.r)
-        else:
-            spec = ScenarioSpec(
-                kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=1
-            )
-            model = estimate_moments(generate(spec), part)
-        _, trace = mbi_solve(
-            model, init_bank(model), MbiConfig(epsilon=0.0, max_iterations=30)
-        )
-        assert len(trace.banks) >= 2
-        assert len(trace.mse_per_iteration) == len(trace.banks)
-        tr_exx = np.trace(model.e_xx)
-        wiener = tr_exx - explained_energy(model)
-        records = zip(trace.banks, trace.objective_per_iteration, trace.mse_per_iteration)
-        for bank, f, mse in records:
-            assert recorded_objective(model, bank) == f
-            assert analytic_mse(model, bank) == mse
-            assert abs(mse - max(wiener + f, 0.0)) <= 1e-12 * tr_exx
+    """The identities every bank's MSE meets are rows of BANKS below."""
 
     def test_partition_mismatch_rejected(self):
         model = example1_model()
@@ -230,13 +171,6 @@ class TestAnalyticMse:
         ):
             with pytest.raises(InvalidInput, match="partitions disagree"):
                 analytic_mse(model, CompressorBank.zeros(part))
-
-    def test_nonnegative_for_solved_banks(self):
-        rng = np.random.default_rng(4)
-        part = SensorPartition(m=3, n=(3, 3), r=(2, 1))
-        model = joint_model_from_factor(rng.standard_normal((9, 14)), part)
-        bank, _ = mbi_solve(model, init_bank(model), MbiConfig(max_iterations=50))
-        assert analytic_mse(model, bank) >= -1e-9
 
     def test_sums_one_product_at_a_time(self):
         # p = 16, N = 512: the p products of m x N together take 2 MB, one
@@ -262,59 +196,8 @@ class TestAnalyticMse:
 
 
 class TestEmpiricalMse:
-    def test_exact_fit(self):
-        rng = np.random.default_rng(5)
-        part = SensorPartition(m=2, n=(2, 2), r=(2, 2))
-        bank = _rank_feasible_bank(rng, part)
-        y = rng.standard_normal((4, 6))
-        ens = SampleEnsemble(x=bank.full() @ y, y=y)
-        assert empirical_mse(ens, bank) == pytest.approx(0.0, abs=1e-16)
-
-    def test_zero_bank(self):
-        rng = np.random.default_rng(6)
-        part = SensorPartition(m=2, n=(2,), r=(1,))
-        x = rng.standard_normal((2, 5))
-        ens = SampleEnsemble(x=x, y=rng.standard_normal((2, 5)))
-        want = np.linalg.norm(x) ** 2 / 5
-        assert empirical_mse(ens, CompressorBank.zeros(part)) == pytest.approx(want)
-
-    def test_agrees_with_analytic_on_estimated_model(self):
-        rng = np.random.default_rng(7)
-        part = SensorPartition(m=3, n=(2, 3), r=(1, 2))
-        for s in (3, 8, 20):
-            ens = SampleEnsemble(
-                x=rng.standard_normal((3, s)), y=rng.standard_normal((5, s))
-            )
-            model = estimate_moments(ens, part)
-            bank = _rank_feasible_bank(rng, part)
-            emp = empirical_mse(ens, bank)
-            ana = analytic_mse(model, bank)
-            assert abs(emp - ana) <= 1e-8 * max(1.0, abs(emp))
-
-    def test_shape_mismatch_rejected(self):
-        part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
-        bank = CompressorBank.zeros(part)
-        for x, y, match in (
-            (np.ones((2, 3)), np.ones((3, 3)), "y has 3 rows"),
-            (np.ones((3, 3)), np.ones((4, 3)), "x has 3 rows"),
-        ):
-            with pytest.raises(InvalidInput, match=match):
-                empirical_mse(SampleEnsemble(x=x, y=y), bank)
-
-    def test_bit_equal_to_formula(self, monkeypatch):
-        # sum over column chunks, in order, of ||X_c - F Y_c||^2, over s.
-        # With chunks of 128, s = 300 spans three, the last one short, and
-        # its sum differs from the one-chunk norm in the last bit
-        rng = np.random.default_rng(11)
-        part = SensorPartition(m=3, n=(2, 4), r=(1, 2))
-        bank = _rank_feasible_bank(rng, part)
-        for s in (1, 7, 300):
-            ens = SampleEnsemble(
-                x=rng.standard_normal((3, s)), y=rng.standard_normal((6, s))
-            )
-            assert empirical_mse(ens, bank) == _chunked_formula(ens, bank, s)
-        monkeypatch.setattr(wsn, "_CHUNK", 128)
-        assert empirical_mse(ens, bank) == _chunked_formula(ens, bank, 128)
+    """The identities every bank's MSE on its samples meets are rows of
+    BANKS below."""
 
     def test_doubled_samples_scale_it_by_exactly_four(self):
         # draw 55 of this stream has a chunk norm whose square C ``pow``
@@ -385,6 +268,262 @@ def _mbi_trace(ens, part, start=None):
         MbiConfig(epsilon=0.0, max_iterations=30),
     )
     return trace
+
+
+def _full_rank_bank(rng, part):
+    """A bank of standard normal blocks, full rank where r_j = n_j."""
+    blocks = tuple(rng.standard_normal((part.m, nj)) for nj in part.n)
+    return CompressorBank(blocks=blocks, partition=part)
+
+
+class Bank(NamedTuple):
+    """A row of BANKS. ``make()`` returns a model, the banks to check on it
+    and their training samples or None. A solve under ``cfg`` from each bank
+    records it (and with a finite epsilon the banks after it), so every bank
+    a row checks is one a solve records. ``exact``: every bank but the zero
+    bank fits exactly."""
+
+    make: Callable
+    cfg: MbiConfig = MbiConfig(epsilon=np.inf)  # records the start alone
+    exact: bool = False
+
+
+def _solved(kind, m, p, r, s):
+    # an init_bank solve, on moments estimated from s samples but for the
+    # exact benchmark model
+    part = SensorPartition(m=m, n=(m,) * p, r=(r,) * p)
+    if kind == "exact_example1":
+        model, ens = example1_model(part.r), None
+    else:
+        spec = ScenarioSpec(kind=kind, partition=part, s=s, sigmas=(0.3,) * p, seed=1)
+        ens = generate(spec)
+        model = estimate_moments(ens, part)
+    return model, (init_bank(model),), ens
+
+
+def _zero_bank(model, ens=None):
+    return model, (CompressorBank.zeros(model.partition),), ens
+
+
+def _gaussian_banks(seed, m, n, count):
+    # Gram model and ``count`` full-rank banks, r_j = n_j
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, m, n, n)
+    return model, [_full_rank_bank(rng, model.partition) for _ in range(count)], None
+
+
+def _identity_e_yy():
+    # E_yy = I leaves the target E_xy as it is: the objective of F is
+    # ||E_xy - F||^2. E_xx adds unit noise to E_xy E_xy^T
+    rng = np.random.default_rng(0)
+    e_xy = np.arange(8.0).reshape(2, 4)
+    part = SensorPartition(m=2, n=(2, 2), r=(2, 2))
+    model = SecondMomentModel(part, e_xy @ e_xy.T + np.eye(2), e_xy, np.eye(4))
+    return model, (CompressorBank.zeros(part), _full_rank_bank(rng, part)), None
+
+
+def _noiseless_single_sensor():
+    # x = y: the identity fits exactly, and so does one sweep from zeros
+    part = SensorPartition(m=3, n=(3,), r=(3,))
+    model = SecondMomentModel(part, np.eye(3), np.eye(3), np.eye(3))
+    identity = CompressorBank(blocks=(np.eye(3),), partition=part)
+    return model, (CompressorBank.zeros(part), identity), None
+
+
+def _wiener_fits_exactly():
+    # x = E_xy y with E_yy = I: the Wiener filter E_xy E_yy^+ fits exactly
+    part = SensorPartition(m=2, n=(3,), r=(3,))
+    e_xy = np.arange(6.0).reshape(2, 3)
+    model = SecondMomentModel(part, e_xy @ e_xy.T, e_xy, np.eye(3))
+    wiener = model.e_xy @ svd(model.e_yy).pinv()
+    return model, (CompressorBank(blocks=(wiener,), partition=part),), None
+
+
+def _noiseless_full_rank():
+    part = SensorPartition(m=2, n=(2,), r=(2,))
+    e = np.array([[2.0, 0.5], [0.5, 1.0]])
+    model = SecondMomentModel(partition=part, e_xx=e, e_xy=e, e_yy=e)
+    return model, (CompressorBank(blocks=(np.eye(2),), partition=part),), None
+
+
+def _random_joint(seed, rows, cols, part, bank):
+    rng = np.random.default_rng(seed)
+    model = joint_model_from_factor(rng.standard_normal((rows, cols)), part)
+    return model, (bank(rng, model),), None
+
+
+def _sampled_exact_fit():
+    # x = F y on 6 samples of N = 4 observations
+    rng = np.random.default_rng(5)
+    part = SensorPartition(m=2, n=(2, 2), r=(2, 2))
+    bank = _rank_feasible_bank(rng, part)
+    y = rng.standard_normal((4, 6))
+    ens = SampleEnsemble(x=bank.full() @ y, y=y)
+    return estimate_moments(ens, part), (bank,), ens
+
+
+def _sampled_zero_bank():
+    rng = np.random.default_rng(6)
+    part = SensorPartition(m=2, n=(2,), r=(1,))
+    ens = SampleEnsemble(x=rng.standard_normal((2, 5)), y=rng.standard_normal((2, 5)))
+    return _zero_bank(estimate_moments(ens, part), ens)
+
+
+def _chunked(s):
+    # s = 300 spans three chunks of 128, the last one short, and its sum
+    # differs from the one-chunk norm in the last bit
+    rng = np.random.default_rng(11)
+    part = SensorPartition(m=3, n=(2, 4), r=(1, 2))
+    bank = _rank_feasible_bank(rng, part)
+    ens = SampleEnsemble(x=rng.standard_normal((3, s)), y=rng.standard_normal((6, s)))
+    return estimate_moments(ens, part), (bank,), ens
+
+
+_SWEEPS = MbiConfig(epsilon=0.0, max_iterations=30)
+# One row per model and banks whose MSE identities _assert_bank checks,
+# grouped under the ids of the tests they restate.
+BANKS = {
+    "TestAnalyticMse::test_zero_bank_gives_signal_energy": Bank(
+        lambda: _zero_bank(example1_model())
+    ),
+    "TestAnalyticMse::test_zero_bank": Bank(
+        lambda: _zero_bank(random_model(np.random.default_rng(3), 2, (2, 2), (1, 1)))
+    ),
+    "TestAnalyticMse::test_noiseless_full_rank_is_zero": Bank(
+        _noiseless_full_rank, exact=True
+    ),
+    "TestAnalyticMse::test_noiseless_single_sensor": Bank(
+        _noiseless_single_sensor, MbiConfig(epsilon=0.0, max_iterations=1), exact=True
+    ),
+    "TestAnalyticMse::test_exact_fit_single_sensor": Bank(
+        _wiener_fits_exactly, exact=True
+    ),
+    "TestAnalyticMse::test_identity_e_yy": Bank(_identity_e_yy),
+    "TestAnalyticMse::test_bit_equal_to_formula_from_scratch": Bank(
+        lambda: _random_joint(
+            9, 10, 12, SensorPartition(m=3, n=(3, 4), r=(2, 1)),
+            lambda rng, model: _rank_feasible_bank(rng, model.partition),
+        )
+    ),
+    "TestAnalyticMse::test_g_blocks_stack_to_root": Bank(
+        lambda: _gaussian_banks(0, 3, (2, 3), 3)
+    ),
+    "TestAnalyticMse::test_trace_expansion_identity": Bank(
+        lambda: _gaussian_banks(2, 3, (2, 2), 5)
+    ),
+    "TestAnalyticMse::test_matches_entrywise_sum": Bank(
+        lambda: _gaussian_banks(4, 3, (2, 3), 1)
+    ),
+    "TestAnalyticMse::test_is_wiener_mse_plus_objective": {
+        # s = 10 < N = 32 with full ranks: a near-exact fit
+        "near_exact_fit": Bank(lambda: _solved("linear_mixing", 8, 4, 8, 10), _SWEEPS),
+        "sampled": Bank(lambda: _solved("additive_noise", 6, 3, 2, 300), _SWEEPS),
+        "few_samples": Bank(lambda: _solved("additive_noise", 4, 3, 1, 3), _SWEEPS),
+        "exact_example1": Bank(lambda: _solved("exact_example1", 3, 2, 1, 1), _SWEEPS),
+    },
+    "TestAnalyticMse::test_nonnegative_for_solved_banks": Bank(
+        lambda: _random_joint(
+            4, 9, 14, SensorPartition(m=3, n=(3, 3), r=(2, 1)),
+            lambda rng, model: init_bank(model),
+        ),
+        MbiConfig(max_iterations=50),
+    ),
+    "TestEmpiricalMse::test_exact_fit": Bank(_sampled_exact_fit, exact=True),
+    "TestEmpiricalMse::test_zero_bank": Bank(_sampled_zero_bank),
+    "TestEmpiricalMse::test_bit_equal_to_formula": {
+        f"s{s}": Bank(lambda s=s: _chunked(s)) for s in (1, 7, 300)
+    },
+}
+
+
+def _assert_bank(row: Bank, monkeypatch) -> None:
+    """Check on every bank of ``row`` that
+    1. its ``analytic_mse``, on a model no solve has run on and again on the
+       row's model, is the MSE a solve records, bit for bit, and that MSE is
+       max(tr E_xx - ||H||^2 + ||E||^2, 0) with H and the residual
+       E = H - sum_j F_j G_j formed here, bit for bit;
+    2. that MSE is within 1e-12 tr E_xx of tr E_xx - explained_energy plus
+       the recorded objective and of the direct MSE, the objective is the
+       entrywise sum of E's squares, and the MSE is >= 0;
+    3. on the row's samples, ``empirical_mse`` is the chunked formula, bit
+       for bit, at the default chunk and at 128;
+    4. the known values hold: tr E_xx and explained_energy (and ||x||^2 / s
+       on samples) for the zero bank, ||E_xy - F||^2 where E_yy = I, and 0
+       for an exact fit."""
+    model, starts, ens = row.make()
+    part = model.partition
+    unsolved = SecondMomentModel(part, model.e_xx, model.e_xy, model.e_yy)
+    tr_exx = np.trace(model.e_xx)
+    explained = explained_energy(model)
+    root = psd_sqrt(model.e_yy)
+    h = model.e_xy @ svd(root).pinv()
+    h_norm = np.linalg.norm(h)
+    records = []
+    for start in starts:
+        _, trace = mbi_solve(model, start, row.cfg)
+        records += zip(
+            trace.banks,
+            trace.objective_per_iteration,
+            trace.mse_per_iteration,
+            strict=True,
+        )
+    if row.cfg.epsilon < np.inf:  # the solves commit steps
+        assert len(records) > len(starts)
+    for bank, f, mse in records:
+        assert recorded(model, bank) == (f, mse)
+        assert analytic_mse(unsolved, bank) == mse == analytic_mse(model, bank)
+        # sum_j F_j G_j block by block, in sensor order: one product with
+        # the stacked bank rounds differently on some BLAS kernels
+        fg = np.zeros_like(h)
+        for j, fj in enumerate(bank.blocks):
+            fg += fj @ root[part.y_slice(j)]
+        tail = h - fg
+        # each squared norm as the norm times itself, as the solver squares it
+        tail_norm = np.linalg.norm(tail)
+        assert mse == max(float(tr_exx - h_norm * h_norm + tail_norm * tail_norm), 0.0)
+        assert abs(mse - max(tr_exx - explained + f, 0.0)) <= 1e-12 * tr_exx
+        assert abs(mse - direct_mse(model, bank)) <= 1e-12 * tr_exx
+        assert f == pytest.approx(np.sum(tail * tail), rel=1e-12, abs=1e-18)
+        assert mse >= 0.0
+        if ens is not None:
+            emp = empirical_mse(ens, bank)
+            assert emp == _chunked_formula(ens, bank, wsn._CHUNK)
+            with monkeypatch.context() as patch:
+                patch.setattr(wsn, "_CHUNK", 128)
+                assert empirical_mse(ens, bank) == _chunked_formula(ens, bank, 128)
+        if not any(b.any() for b in bank.blocks):
+            assert mse == pytest.approx(tr_exx, rel=1e-10)
+            assert f == pytest.approx(explained, rel=1e-10)
+            if ens is not None:
+                assert emp == pytest.approx(np.linalg.norm(ens.x) ** 2 / ens.s)
+        elif row.exact:
+            assert f <= 1e-18 and mse <= 1e-12
+            assert ens is None or emp <= 1e-16
+        if np.array_equal(model.e_yy, np.eye(part.n_total)):
+            want = np.linalg.norm(model.e_xy - bank.full()) ** 2
+            assert f == pytest.approx(want, rel=1e-12, abs=1e-18)
+
+
+def _bank_test(rows):
+    """The test of a group of BANKS, a case per row, or of one row."""
+    if isinstance(rows, Bank):
+
+        def test(monkeypatch):
+            _assert_bank(rows, monkeypatch)
+
+    else:
+
+        @pytest.mark.parametrize("row", rows.values(), ids=list(rows))
+        def test(row, monkeypatch):
+            _assert_bank(row, monkeypatch)
+
+    return staticmethod(test)
+
+
+# each group is collected as the test its key names, in the class it names
+for _key, _rows in BANKS.items():
+    _owner, _name = _key.split("::")
+    setattr(globals()[_owner], _name, _bank_test(_rows))
 
 
 class TestRunningEmpiricalMse:
