@@ -170,6 +170,25 @@ class TestRun:
         assert doc["partition"]["r"] == [1, 1]
         assert len(doc["sensors"]) == 2
 
+    def test_sampled_scenario_fills_empirical(self, tmp_path):
+        cfg = _write_config(
+            tmp_path,
+            {
+                "scenario": _SAMPLED_SCENARIO,
+                "mbi": {"max_iterations": 30},
+                "outputs": {"trace_csv": str(tmp_path / "t.csv")},
+            },
+        )
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "t.csv").read_text().splitlines()[1:]
+        ]
+        emp = [float(r[4]) for r in rows]
+        ana = [float(r[3]) for r in rows]
+        for e, a in zip(emp, ana):
+            assert e == pytest.approx(a, rel=1e-8)
+
     def test_exact_fit_from_few_samples_is_quiet(self, tmp_path):
         cfg = _write_config(tmp_path, {"scenario": _EXACT_FIT_SCENARIO})
         proc = _main_in_child("run", "--config", cfg, cwd=tmp_path)

@@ -112,6 +112,15 @@ class TestEstimateMoments:
         )
         assert np.array_equal(rebuilt, model.e_yy)
 
+    def test_shape_mismatch(self):
+        part = SensorPartition(m=2, n=(2,), r=(1,))
+        ens = SampleEnsemble(x=np.ones((3, 2)), y=np.ones((2, 2)))
+        with pytest.raises(InvalidInput):
+            estimate_moments(ens, part)
+        ens = SampleEnsemble(x=np.ones((2, 2)), y=np.ones((3, 2)))
+        with pytest.raises(InvalidInput, match="y has 3 rows"):
+            estimate_moments(ens, part)
+
 
 class TestSampleEnsemble:
     @pytest.mark.parametrize(
@@ -146,6 +155,26 @@ class TestSampleEnsemble:
         want = estimate_moments(ens, part)
         for name in ("e_xx", "e_xy", "e_yy"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestSecondMomentModel:
+    @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_moment_or_norm_rejected(self, name, value):
+        # 1e200 is finite, but the Frobenius norm of a matrix of them is not
+        model = example1_model()
+        moments = {k: getattr(model, k).copy() for k in ("e_xx", "e_xy", "e_yy")}
+        moments[name][...] = value
+        with pytest.raises(InvalidInput, match=f"{name} or its norm"):
+            SecondMomentModel(partition=model.partition, **moments)
+
+    @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])
+    def test_wrong_shape_rejected(self, name):
+        model = example1_model()
+        moments = {k: getattr(model, k) for k in ("e_xx", "e_xy", "e_yy")}
+        moments[name] = moments[name][:, :-1]
+        with pytest.raises(InvalidInput, match=f"{name} must be"):
+            SecondMomentModel(partition=model.partition, **moments)
 
 
 class TestJointModelFromFactor:

@@ -62,6 +62,12 @@ class TestSvd:
         f = svd(_random_matrix(rng, 5, 7))
         assert np.all(np.diff(f.sigma) <= 0)
 
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InvalidInput):
+            svd(np.array([[1.0, np.nan]]))
+        with pytest.raises(InvalidInput):
+            svd(np.array([[np.inf, 1.0]]))
+
 
 class TestTruncated:
     def test_keep_largest(self):

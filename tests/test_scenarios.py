@@ -509,6 +509,18 @@ class TestImageScenario:
         a, b = image_scenario(spec), image_scenario(spec)
         assert np.array_equal(a.y_full, b.y_full)
 
+    def test_row_mismatch_rejected(self, tmp_path):
+        spec = self._spec(tmp_path)
+        bad = ScenarioSpec(
+            kind="image",
+            partition=SensorPartition(m=9, n=(9, 9), r=(3, 3)),
+            sigmas=(0.2, 0.1),
+            seed=5,
+            image_path=spec.image_path,
+        )
+        with pytest.raises(InvalidInput):
+            image_scenario(bad)
+
     def test_only_the_image_kind(self):
         with pytest.raises(InvalidInput, match="kind='image'"):
             image_scenario(_two_sensor_spec())

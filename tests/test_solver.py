@@ -296,6 +296,17 @@ class TestMbiSolve:
 
 
 class TestCompressorBank:
+    def test_rejects_non_finite_blocks(self):
+        part = SensorPartition(m=2, n=(2, 1), r=(1, 1))
+        bank = CompressorBank.zeros(part)
+        for bad in (np.nan, np.inf, -np.inf):
+            block = np.zeros((2, 2))
+            block[1, 0] = bad
+            with pytest.raises(InvalidInput, match="block 0"):
+                CompressorBank(blocks=(block, np.zeros((2, 1))), partition=part)
+            with pytest.raises(InvalidInput, match="block 0"):
+                bank.replace(0, block)
+
     def test_rejects_wrong_blocks(self):
         part = SensorPartition(m=2, n=(2, 1), r=(1, 1))
         with pytest.raises(InvalidInput, match="one block per sensor"):

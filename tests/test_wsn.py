@@ -199,6 +199,16 @@ class TestEmpiricalMse:
     """The identities every bank's MSE on its samples meets are rows of
     BANKS below."""
 
+    def test_shape_mismatch_rejected(self):
+        part = SensorPartition(m=2, n=(2, 2), r=(1, 1))
+        bank = CompressorBank.zeros(part)
+        for x, y, match in (
+            (np.ones((2, 3)), np.ones((3, 3)), "y has 3 rows"),
+            (np.ones((3, 3)), np.ones((4, 3)), "x has 3 rows"),
+        ):
+            with pytest.raises(InvalidInput, match=match):
+                empirical_mse(SampleEnsemble(x=x, y=y), bank)
+
     def test_doubled_samples_scale_it_by_exactly_four(self):
         # draw 55 of this stream has a chunk norm whose square C ``pow``
         # misrounds in glibc 2.36; squared as a product, every MSE of the
