@@ -8,11 +8,22 @@ estimated from s < N samples keeps rank s instead of a round-off rank whose
 pseudo-inverse would be scaled by ~1e8. Every tolerance here (rank,
 truncation ties, PSD and symmetry) is relative to the input's own scale, so
 scaling an input by a power of two changes no decision.
+
+A thin SVD, one whose smaller side is at most 64, runs with the process's
+OpenBLAS set to one thread and the caller's count restored after it: on two
+threads it is about twice as slow and gives the same bits. Larger SVDs, and
+every other call, keep the caller's count, because their bits depend on it.
+While a thin SVD runs, BLAS calls from other threads of the process also
+run on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +35,15 @@ _EPS = np.finfo(np.float64).eps
 # psd_sqrt's tolerance, relative to ||c||, for asymmetry and for negative
 # eigenvalues that are clamped to zero as estimation noise.
 _PSD_REL_TOL = 1e-8
+
+# svd's one-thread cut-off on the smaller side; the thin SVDs that share bits
+# on one and two threads stop between 128 x 512 and 256 x 512.
+_ONE_THREAD_SIDE = 64
+
+# Thin SVDs running now, and the thread count the last of them restores.
+_one_thread_lock = threading.Lock()
+_one_thread_users = 0
+_one_thread_saved = 0
 
 
 class DegenerateTruncationWarning(UserWarning):
@@ -77,13 +97,61 @@ class SvdFactors:
         return (self.v[:, :k] / self.sigma[:k]) @ self.u[:, :k].T
 
 
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's thread-count getter and setter, as NumPy's linalg module
+    links them, or None where that is not OpenBLAS."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread; the first of overlapping callers
+    saves the process's count and the last restores it."""
+    global _one_thread_users, _one_thread_saved
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    with _one_thread_lock:
+        if _one_thread_users == 0:
+            _one_thread_saved = get()
+            put(1)
+        _one_thread_users += 1
+    try:
+        yield
+    finally:
+        with _one_thread_lock:
+            _one_thread_users -= 1
+            if _one_thread_users == 0:
+                put(_one_thread_saved)
+
+
 def svd(c) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
 
-    Raises :class:`InvalidInput` on a non-finite entry or norm.
+    When the smaller side is at most 64 the SVD runs on one OpenBLAS thread
+    (see the module docstring). Raises :class:`InvalidInput` on a non-finite
+    entry or norm.
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
-    u, s, vt = np.linalg.svd(c, full_matrices=False)
+    thin = min(c.shape) <= _ONE_THREAD_SIDE
+    with _one_blas_thread() if thin else nullcontext():
+        u, s, vt = np.linalg.svd(c, full_matrices=False)
     tol = float(s[0]) * max(c.shape) * _EPS if s.size else 0.0
     numeric_rank = int(np.count_nonzero(s > tol))
     return SvdFactors(u=u, sigma=s, v=vt.T, numeric_rank=numeric_rank)

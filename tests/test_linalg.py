@@ -1,5 +1,8 @@
 """Tests for the dense linear-algebra primitives."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from kltmbi import (
     estimate_moments,
     generate,
 )
+from kltmbi import linalg
 from kltmbi.linalg import psd_sqrt, svd, truncated
 
 
@@ -67,6 +71,112 @@ class TestSvd:
             svd(np.array([[1.0, np.nan]]))
         with pytest.raises(InvalidInput):
             svd(np.array([[np.inf, 1.0]]))
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter and setter; skips without OpenBLAS."""
+    threads = linalg._openblas_threads()
+    if threads is None:
+        pytest.skip("NumPy's linalg does not link OpenBLAS")
+    return threads
+
+
+class TestThinSvdThreads:
+    """A thin SVD runs on one OpenBLAS thread and gives the bits NumPy gives
+    at the caller's thread count."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(32, 32), (32, 256), (32, 512), (64, 512), (512, 32)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_same_bits_as_numpy(self, shape):
+        c = np.random.default_rng(5).standard_normal(shape)
+        f = svd(c)
+        u, s, vt = np.linalg.svd(c, full_matrices=False)
+        assert np.array_equal(f.u, u)
+        assert np.array_equal(f.sigma, s)
+        assert np.array_equal(f.v, vt.T)
+
+    @pytest.mark.parametrize(
+        "shape, thin",
+        [((32, 512), True), ((512, 32), True), ((512, 512), False)],
+        ids=["32x512", "512x32", "512x512"],
+    )
+    def test_threads_seen_by_the_svd(self, blas_threads, monkeypatch, shape, thin):
+        get, _ = blas_threads
+        caller = get()
+        seen = []
+        real = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        svd(np.random.default_rng(6).standard_normal(shape))
+        assert seen == [1 if thin else caller]
+        assert get() == caller
+
+    def test_count_restored_after_a_raise(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        caller = get()
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            svd(np.ones((32, 512)))
+        assert get() == caller
+
+    def test_overlapping_threads_restore_the_count(self, blas_threads):
+        # at two threads, a save-and-restore that is not counted across
+        # overlapping callers would leave the process at one thread
+        get, put = blas_threads
+        caller, interval = get(), sys.getswitchinterval()
+        c = np.random.default_rng(7).standard_normal((32, 64))
+        done = []
+
+        def work():
+            for _ in range(50):
+                svd(c)
+            done.append(True)
+
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        put(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert len(done) == 4
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(caller)
+
+    def test_setter_found_where_numpy_links_scipy_openblas(self):
+        # a renamed symbol must not drop the one-thread rule silently
+        try:
+            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("NumPy does not report its BLAS")
+        if name != "scipy-openblas":
+            pytest.skip(f"NumPy links {name}")
+        assert linalg._openblas_threads() is not None
+
+    def test_without_openblas_svd_is_unchanged(self, monkeypatch):
+        c = np.random.default_rng(8).standard_normal((32, 512))
+        want = svd(c)
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        got = svd(c)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.v, want.v)
 
 
 class TestTruncated:
