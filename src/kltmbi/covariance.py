@@ -198,7 +198,8 @@ class SecondMomentModel:
     The moments follow the README's array rule, finite norm included, and
     the model holds them alone, as read-only float64 arrays of its own, so
     what the solver keeps beside it (the solver module says what and when)
-    cannot go stale. Compared by identity: ``==`` is ``is``, and a model
+    cannot go stale; the solver refuses a model whose moment has been made
+    writeable again. Compared by identity: ``==`` is ``is``, and a model
     hashes.
     """
 

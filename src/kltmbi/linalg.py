@@ -15,6 +15,9 @@ threads it is about twice as slow and gives the same bits. Larger SVDs, and
 every other call, keep the caller's count, because their bits depend on it.
 While a thin SVD runs, BLAS calls from other threads of the process also
 run on one thread.
+
+:func:`_subtract_product` forms ``c -= a @ b`` as one in-place OpenBLAS
+GEMM where it can, with NumPy's two calls as the fallback.
 """
 
 from __future__ import annotations
@@ -97,24 +100,124 @@ class SvdFactors:
         return (self.v[:, :k] / self.sigma[:k]) @ self.u[:, :k].T
 
 
+# The forms, as (prefix, suffix), of the names under which NumPy's linalg
+# module may link OpenBLAS, most likely first: NumPy's wheels link
+# scipy-openblas, whose names carry the "scipy_" prefix, and a "64_" suffix
+# marks the interface whose integer arguments are 64-bit.
+_OPENBLAS_FORMS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+
+# CBLAS's enum values for a row-major matrix and an untransposed operand.
+_ROW_MAJOR, _NO_TRANS = 101, 111
+
+
 @functools.cache
-def _openblas_threads():
-    """OpenBLAS's thread-count getter and setter, as NumPy's linalg module
-    links them, or None where that is not OpenBLAS."""
+def _openblas():
+    """NumPy's linalg module as a ctypes library and the form of the OpenBLAS
+    names it links, as (library, prefix, suffix), or None where that is not
+    OpenBLAS."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, AttributeError, OSError):
         return None
-    for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
-        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+    for prefix, suffix in _OPENBLAS_FORMS:
+        if hasattr(lib, f"{prefix}openblas_get_num_threads{suffix}"):
+            return lib, prefix, suffix
     return None
+
+
+def _openblas_function(name: str):
+    """OpenBLAS's function ``name`` in the form :func:`_openblas` found, or
+    None."""
+    found = _openblas()
+    if found is None:
+        return None
+    lib, prefix, suffix = found
+    return getattr(lib, f"{prefix}{name}{suffix}", None)
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's thread-count getter and setter, as NumPy's linalg module
+    links them, or None where that is not OpenBLAS."""
+    get = _openblas_function("openblas_get_num_threads")
+    put = _openblas_function("openblas_set_num_threads")
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _cblas_dgemm():
+    """OpenBLAS's ``cblas_dgemm``, as NumPy's linalg module links it, or None
+    where that is not OpenBLAS."""
+    gemm = _openblas_function("cblas_dgemm")
+    if gemm is None:
+        return None
+    index = ctypes.c_int64 if _openblas()[2] == "64_" else ctypes.c_int
+    matrix = [ctypes.c_void_p, index]
+    gemm.argtypes = [
+        *(ctypes.c_int,) * 3,  # order, transposes
+        *(index,) * 3,  # M, N, K
+        ctypes.c_double,  # alpha
+        *matrix,  # A, lda
+        *matrix,  # B, ldb
+        ctypes.c_double,  # beta
+        *matrix,  # C, ldc
+    ]
+    gemm.restype = None
+    return gemm
+
+
+def _row_major(a: np.ndarray) -> bool:
+    """Whether CBLAS can take ``a`` as a row-major float64 matrix: aligned,
+    unit stride along a row, and rows at least a row's length apart."""
+    return (
+        a.dtype == np.float64
+        and a.flags.aligned
+        and a.strides[1] == a.itemsize
+        and a.strides[0] % a.itemsize == 0
+        and a.strides[0] >= a.itemsize * max(a.shape[1], 1)
+    )
+
+
+def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> None:
+    """``c -= a @ b`` for 2-d ``c`` (M x N), ``a`` (M x K) and ``b`` (K x N).
+
+    Where OpenBLAS's ``cblas_dgemm`` is found and every operand is a
+    row-major float64 matrix (:func:`_row_major`), ``c`` writeable and apart
+    from ``a`` and ``b``, this is one call with alpha = -1 and beta = 1 on
+    ``c`` in place. Otherwise it is ``np.matmul(a, b, out=scratch)`` and
+    ``c -= scratch``, with ``scratch`` shaped as ``c``. OpenBLAS's kernel
+    adds alpha * (a @ b) into ``c`` in both forms (beta = 0 only zeroes the
+    output first), so the two give the same bits while K fits one of its K
+    blocks: measured up to K = 256 under SkylakeX and Haswell kernels, on
+    one and two threads. Past its K block, 256 under Haswell and 384 under
+    SkylakeX, the two round differently.
+    """
+    gemm = _cblas_dgemm()
+    (m, k), n = a.shape, b.shape[1]
+    if (
+        gemm is not None
+        and b.shape[0] == k
+        and c.shape == (m, n)
+        and c.flags.writeable
+        and all(map(_row_major, (c, a, b)))
+        and not np.may_share_memory(c, a)
+        and not np.may_share_memory(c, b)
+    ):
+        lead = [x.strides[0] // x.itemsize for x in (a, b, c)]
+        gemm(
+            _ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k,
+            -1.0, a.ctypes.data, lead[0], b.ctypes.data, lead[1],
+            1.0, c.ctypes.data, lead[2],
+        )
+        return
+    np.matmul(a, b, out=scratch)
+    c -= scratch
 
 
 @contextmanager

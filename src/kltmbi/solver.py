@@ -43,7 +43,9 @@ returns and the state formed from it: the P_j, the F_j U_j S_j, E and f
 (:func:`_state`), so chained one-sweep solves form one product per sweep;
 any other start has each block's rank checked, p SVDs of m x n_j, and
 forms p products of m x n_j x N. Models and banks hold read-only arrays,
-so both ways give the same bits.
+so both ways give the same bits. A caller can still set an array's
+``writeable`` flag again: a model with such a moment is refused, and a
+start with such a block is formed from its blocks.
 """
 
 from __future__ import annotations
@@ -192,7 +194,11 @@ def _setup(model: SecondMomentModel) -> _Setup:
     numeric rank k_j counts the singular values of G_j above
     N * eps * max_i sigma_1(G_i), the root's scale rather than the block's
     own: a sensor with E_jj = 0, whose G_j is round-off, gets k_j = 0 and
-    F_j = 0."""
+    F_j = 0. A moment made writeable again, which could have changed since
+    the set-up was formed, raises :class:`InvalidInput` naming it."""
+    for name in ("e_xx", "e_xy", "e_yy"):
+        if getattr(model, name).flags.writeable:
+            raise InvalidInput(f"the model's {name} has been made writeable again")
     setup = _SETUPS.get(model)
     if setup is None:
         part = model.partition
@@ -349,12 +355,13 @@ def _rank_checked(fj: np.ndarray, j: int, rj: int) -> SvdFactors:
 
 def _state(model: SecondMomentModel, bank: CompressorBank) -> tuple:
     """The products P_j, the F_j U_j S_j, the residual E and the objective f
-    of ``bank``: the last solve's on ``model`` if it returned ``bank`` itself,
-    else formed from ``bank``, p products of m x n_j x N, once each block's
-    rank is checked (p SVDs of m x n_j); a bank a solve returned needs no
-    check."""
+    of ``bank``: the last solve's on ``model`` if it returned ``bank`` itself
+    and no block of it has been made writeable again, else formed from
+    ``bank``, p products of m x n_j x N, once each block's rank is checked
+    (p SVDs of m x n_j); a bank a solve returned needs no check."""
     setup = _setup(model)
-    if setup.carried is not None and setup.carried[0] is bank:
+    carried = setup.carried is not None and setup.carried[0] is bank
+    if carried and not any(b.flags.writeable for b in bank.blocks):
         _, products, fus, resid, f = setup.carried
         return list(products), list(fus), resid, f
     for j, fj in enumerate(bank.blocks):
@@ -386,8 +393,8 @@ def mbi_solve(
     Raises :class:`InvalidInput` when ``model`` is not a
     :class:`SecondMomentModel`, ``start`` not a bank of the model's
     partition, a block of ``start`` above its rank bound (the bank the last
-    solve returned is not checked again) or ``cfg`` not an
-    :class:`MbiConfig`, and
+    solve returned is not checked again), a moment of ``model`` made
+    writeable again or ``cfg`` not an :class:`MbiConfig`, and
     :class:`NotPsd`, before any step, when E_yy has an eigenvalue below
     -1e-8 * ||E_yy||.
     """

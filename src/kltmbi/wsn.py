@@ -24,7 +24,7 @@ from .covariance import (
     atomic_write,
 )
 from .errors import InvalidInput, ParseError
-from .linalg import _real_array
+from .linalg import _real_array, _subtract_product
 from .solver import CompressorBank, _mse, _product, _rank_checked, _residual
 
 
@@ -107,7 +107,8 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     is accurate to about N * eps * tr(E_xx) in absolute terms
     (N = n_total), and less where E_yy is ill-conditioned; below that,
     :func:`empirical_mse` of the training samples is the number to read.
-    Works identically for exact and sample-estimated moments.
+    Works identically for exact and sample-estimated moments. Raises
+    :class:`InvalidInput` naming a moment of ``model`` made writeable again.
     """
     part = _instance(model, SecondMomentModel, "model").partition
     _instance(bank, CompressorBank, "bank")
@@ -149,9 +150,14 @@ def _chunked_mse(
     For each column chunk c of at most _CHUNK samples, R_c = X_c - F Y_c is
     formed for the first bank, then every committed step is applied to it
     while it is in cache: step i changes only block j = ``chosen[i-1]``, so
-    R_c -= (F_j' - F_j) Y_jc. A step costs m x n_j x s flops in all instead
-    of m x N x s. Row i adds ||R_c||^2 for each chunk in order and divides
-    by s at the end.
+    R_c -= (F_j' - F_j) Y_jc, one in-place GEMM on R_c
+    (:func:`~kltmbi.linalg._subtract_product`; its two-call fallback, where
+    OpenBLAS or the layout rules it out, goes through the step buffer). A
+    step costs m x n_j x s flops in all instead of m x N x s. Row i adds
+    ||R_c||^2 for each chunk in order and divides by s at the end. The
+    in-place GEMM gives the bits of the two-call form while n_j fits one
+    OpenBLAS K block (n_j <= 256 under SkylakeX and Haswell kernels); above
+    that a row agrees with the two-call form to rounding only.
 
     R_c is formed from scratch for the first bank and whenever ||R_c|| falls
     below 1/_REFRESH_RATIO of sum_j ||F_j|| ||Y_jc|| plus
@@ -159,9 +165,12 @@ def _chunked_mse(
     of a near-exact fit. A row whose every chunk is formed afresh equals
     :func:`empirical_mse` of its bank bit for bit.
 
-    The replay holds two m x _CHUNK buffers and, during a fresh formation,
-    the one m x N stacked bank it multiplies by; a step's F_j' - F_j is
-    formed when the step is applied. Nothing is kept per bank.
+    The replay holds two m x _CHUNK buffers, R_c and a step buffer that
+    serves the fresh formations, which keep the two-call form
+    ``F Y_c``, then ``X_c - F Y_c``, with K = N, so that a fresh row equals
+    :func:`empirical_mse` bit for bit. A fresh formation also holds the one
+    m x N stacked bank it multiplies by; a step's F_j' - F_j is formed when
+    the step is applied. Nothing is kept per bank.
     """
     part = banks[0].partition
     m, s = part.m, ens.s
@@ -182,8 +191,7 @@ def _chunked_mse(
                 j = chosen[i - 1]
                 delta = bank.blocks[j] - banks[i - 1].blocks[j]
                 drift += np.linalg.norm(delta) * y_norms[j]
-                np.matmul(delta, y_c[rows[j]], out=step)
-                resid -= step
+                _subtract_product(resid, delta, y_c[rows[j]], step)
                 norm = np.linalg.norm(resid)
             if i == 0 or drift > _REFRESH_RATIO * norm:
                 drift = sum(np.linalg.norm(f) * y for f, y in zip(bank.blocks, y_norms))

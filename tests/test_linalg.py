@@ -179,6 +179,88 @@ class TestThinSvdThreads:
         assert np.array_equal(got.v, want.v)
 
 
+def _two_calls(c, a, b):
+    """``c - a @ b`` formed as the product into a buffer, then a subtraction."""
+    t = np.empty(c.shape)
+    np.matmul(a, b, out=t)
+    c = c.copy()
+    c -= t
+    return c
+
+
+# Operands CBLAS cannot take as row-major float64 matrices: each is passed
+# on to the two-call form
+_OTHER_LAYOUTS = {
+    "fortran_c": lambda c, a, b: (np.asfortranarray(c), a, b),
+    "fortran_a": lambda c, a, b: (c, np.asfortranarray(a), b),
+    "fortran_b": lambda c, a, b: (c, a, np.asfortranarray(b)),
+    "strided_row_b": lambda c, a, b: (c, a, np.repeat(b, 2, axis=1)[:, ::2]),
+    "float32_b": lambda c, a, b: (c, a, b.astype(np.float32)),
+}
+
+
+class TestSubtractProduct:
+    """``_subtract_product(c, a, b, scratch)`` is ``c -= a @ b``. Where
+    OpenBLAS's cblas_dgemm is found it is one call on ``c`` in place, which
+    gives the bits of the product into ``scratch`` and the subtraction while
+    the inner size K fits one of OpenBLAS's K blocks (256 or more)."""
+
+    @pytest.mark.parametrize("found", [True, False], ids=["found", "not_found"])
+    @pytest.mark.parametrize("k", [1, 2, 32, 256])
+    def test_same_bits_as_two_calls(self, monkeypatch, k, found):
+        # b is k rows of a samples matrix, of row stride s, as a sensor's
+        # rows of a replay chunk are; the second chunk is short
+        if not found:
+            monkeypatch.setattr(linalg, "_cblas_dgemm", lambda: None)
+        rng = np.random.default_rng(9)
+        m, s, chunk = 32, 6000, 4096
+        y = rng.standard_normal((k + 3, s))
+        a = rng.standard_normal((m, k))
+        gemm = linalg._cblas_dgemm()
+        for cols in (slice(0, chunk), slice(chunk, s)):
+            b = y[2 : 2 + k, cols]
+            c = rng.standard_normal((m, b.shape[1]))
+            want = _two_calls(c, a, b)
+            scratch = np.full(c.shape, np.nan)
+            linalg._subtract_product(c, a, b, scratch)
+            assert c.tobytes() == want.tobytes()
+            # the in-place call leaves the scratch buffer as it was
+            assert np.isnan(scratch).all() == (gemm is not None)
+
+    @pytest.mark.parametrize("layout", _OTHER_LAYOUTS)
+    def test_other_layouts_take_the_two_calls(self, layout):
+        rng = np.random.default_rng(10)
+        c, a, b = _OTHER_LAYOUTS[layout](
+            rng.standard_normal((6, 40)),
+            rng.standard_normal((6, 5)),
+            rng.standard_normal((5, 40)),
+        )
+        want = _two_calls(c, a, b)
+        scratch = np.full(c.shape, np.nan)
+        linalg._subtract_product(c, a, b, scratch)
+        assert c.tobytes() == want.tobytes()
+        assert not np.isnan(scratch).any()
+
+    def test_read_only_c_is_refused_unchanged(self):
+        rng = np.random.default_rng(11)
+        c, a, b = (rng.standard_normal(shape) for shape in ((4, 8), (4, 3), (3, 8)))
+        c.flags.writeable = False
+        before = c.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            linalg._subtract_product(c, a, b, np.empty(c.shape))
+        assert np.array_equal(c, before)
+
+    def test_in_place_gemm_found_where_numpy_links_scipy_openblas(self):
+        # a renamed symbol must not drop the in-place step silently
+        try:
+            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("NumPy does not report its BLAS")
+        if name != "scipy-openblas":
+            pytest.skip(f"NumPy links {name}")
+        assert linalg._cblas_dgemm() is not None
+
+
 class TestTruncated:
     def test_keep_largest(self):
         assert np.allclose(truncated(np.diag([3.0, 1.0]), 1), np.diag([3.0, 0.0]))

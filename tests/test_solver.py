@@ -275,6 +275,30 @@ class TestMbiSolve:
         with pytest.raises(InvalidInput, match=r"block 0 has rank 3 > r\[0\] = 1"):
             mbi_solve(model, start, ONE_SWEEP)
 
+    @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])
+    def test_a_moment_made_writeable_again_is_refused(self, name):
+        model = example1_model()
+        start = init_bank(model)
+        mbi_solve(model, start, ONE_SWEEP)  # the model now keeps a set-up
+        getattr(model, name).flags.writeable = True
+        for call in (mbi_solve, analytic_mse):
+            with pytest.raises(InvalidInput, match=f"{name} has been made writeable"):
+                call(model, start)
+
+    def test_rescaled_moments_are_refused_not_read_stale(self):
+        # the kept set-up would still describe the moments as they were
+        model = example1_model()
+        start = init_bank(model)
+        analytic_mse(model, start)
+        e_xx, e_xy = model.e_xx, model.e_xy
+        for a in (e_xx, e_xy):
+            a.flags.writeable = True
+        e_xx *= 4
+        e_xy *= 2
+        for call in (mbi_solve, analytic_mse):
+            with pytest.raises(InvalidInput, match="e_xx has been made writeable"):
+                call(model, start)
+
     def test_not_psd_raises_before_any_step(self, monkeypatch):
         # E_yy's negative eigenvalue lies just below, then just inside, the
         # band [-1e-8 * ||E_yy||, 0) that is clamped as estimation noise
@@ -632,6 +656,20 @@ class TestResume:
             ]:
                 mbi_solve(model, bank, stop)  # the model now keeps bank
                 self._assert_solves_as_fresh(monkeypatch, model, start, part.p)
+
+    @pytest.mark.parametrize("family", _SCREENED)
+    def test_a_returned_bank_made_writeable_forms_the_state_again(
+        self, monkeypatch, family
+    ):
+        # a block changed in place after its flag was set again: the state
+        # the model keeps no longer describes the bank
+        for seed in range(3):
+            model = FAMILIES[family](np.random.default_rng(600 + seed))
+            bank, _ = mbi_solve(model, init_bank(model), self.CFG)
+            block = bank.blocks[0]
+            block.flags.writeable = True
+            block *= 2.0
+            self._assert_solves_as_fresh(monkeypatch, model, bank, model.partition.p)
 
 
 def test_every_sensor_silent():

@@ -49,7 +49,7 @@ from kltmbi import (
 )
 from kltmbi.covariance import SecondMomentModel, atomic_write
 from kltmbi.linalg import psd_sqrt, svd
-from kltmbi import wsn
+from kltmbi import linalg, wsn
 from kltmbi.wsn import _chunked_mse
 
 
@@ -266,6 +266,13 @@ def _record_full(monkeypatch) -> list:
     full = CompressorBank.full
     monkeypatch.setattr(CompressorBank, "full", lambda b: stacked.append(b) or full(b))
     return stacked
+
+
+def _fortran(a):
+    """``a`` as a read-only Fortran-ordered array of its own."""
+    a = np.asfortranarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def _mbi_trace(ens, part, start=None):
@@ -582,6 +589,34 @@ class TestRunningEmpiricalMse:
         assert all(b is banks[0] for b in full_products)
         assert got[0] == want[0]
         assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+        # a step's in-place GEMM gives the bits of the two-call form while
+        # n_j fits one OpenBLAS K block, and here n_j <= 8; at n_j = 512 the
+        # rows would keep only the 1e-13 agreement above
+        monkeypatch.setattr(linalg, "_cblas_dgemm", lambda: None)
+        assert _replay(ens, trace) == got
+
+    @pytest.mark.parametrize("layout", ["fortran_y", "fortran_blocks"])
+    def test_layouts_cblas_cannot_take_are_replayed(self, layout):
+        # Fortran-ordered samples, or blocks (a read-only float64 block that
+        # owns its data is held as given, order and all), take the two-call
+        # form: a step's Y_jc or F_j' - F_j is not row-major
+        ens, part = self._sampled("additive_noise", 6, 3, 2 * wsn._CHUNK + 100)
+        trace = _mbi_trace(ens, part)
+        banks = trace.banks
+        if layout == "fortran_y":
+            ens = SampleEnsemble(x=ens.x, y=np.asfortranarray(ens.y))
+            assert ens.y.flags.f_contiguous
+        else:
+            banks = [
+                CompressorBank(tuple(map(_fortran, b.blocks)), part) for b in banks
+            ]
+            assert all(f.flags.f_contiguous for b in banks for f in b.blocks)
+        want = [empirical_mse(ens, b) for b in banks]
+        got = _chunked_mse(ens, banks, trace.chosen_block_per_iteration)
+        assert got[0] == want[0]
+        assert len(got) == len(want) >= 2
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * w
 
