@@ -16,6 +16,22 @@ every other call, keep the caller's count, because their bits depend on it.
 While a thin SVD runs, BLAS calls from other threads of the process also
 run on one thread.
 
+An SVD whose smaller side exceeds 64, and a PSD root of N > 64, call
+LAPACKE's ``dgesdd`` or ``dsyevd`` directly (:func:`_lapacke`) with NumPy's
+job arguments and its queried workspace sizes, so they give NumPy's results
+bit for bit. NumPy holds its input, a Fortran-ordered copy, LAPACK's
+outputs, the workspace and its result arrays all at once. The direct call
+factors one Fortran-ordered copy (for ``eigh``, the symmetrized input
+itself) into output arrays of its own, and copies the outputs to NumPy's C
+order only once the workspace is freed, so the set-up's N x N
+factorizations peak two N x N arrays lower. The outputs keep NumPy's order
+because for N up to about 100 OpenBLAS's small-matrix GEMMs round the
+products that follow (``pinv``, the root) differently when their operands
+are held in another order. Thin SVDs keep NumPy's call and the one-thread
+rule: their arrays are small, so a direct call would save little and add
+two copies to every sweep's SVD. Where the LAPACKE symbols are not found,
+NumPy's ``svd`` and ``eigh`` are the path.
+
 :func:`_subtract_product` forms ``c -= a @ b`` as one in-place OpenBLAS
 GEMM where it can, with NumPy's two calls as the fallback.
 """
@@ -26,7 +42,7 @@ import ctypes
 import functools
 import threading
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +56,8 @@ _EPS = np.finfo(np.float64).eps
 _PSD_REL_TOL = 1e-8
 
 # svd's one-thread cut-off on the smaller side; the thin SVDs that share bits
-# on one and two threads stop between 128 x 512 and 256 x 512.
+# on one and two threads stop between 128 x 512 and 256 x 512. Above it, svd
+# and psd_sqrt call LAPACKE's drivers where those are found.
 _ONE_THREAD_SIDE = 64
 
 # Thin SVDs running now, and the thread count the last of them restores.
@@ -150,6 +167,12 @@ def _openblas_threads():
     return get, put
 
 
+def _blas_int():
+    """The ctypes type of the integer arguments of the OpenBLAS interface
+    :func:`_openblas` found: 64-bit under the ``64_`` suffix."""
+    return ctypes.c_int64 if _openblas()[2] == "64_" else ctypes.c_int
+
+
 @functools.cache
 def _cblas_dgemm():
     """OpenBLAS's ``cblas_dgemm``, as NumPy's linalg module links it, or None
@@ -157,7 +180,7 @@ def _cblas_dgemm():
     gemm = _openblas_function("cblas_dgemm")
     if gemm is None:
         return None
-    index = ctypes.c_int64 if _openblas()[2] == "64_" else ctypes.c_int
+    index = _blas_int()
     matrix = [ctypes.c_void_p, index]
     gemm.argtypes = [
         *(ctypes.c_int,) * 3,  # order, transposes
@@ -220,6 +243,91 @@ def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> N
     c -= scratch
 
 
+# LAPACKE's value for a column-major matrix.
+_COL_MAJOR = 102
+
+
+@functools.cache
+def _lapacke():
+    """OpenBLAS's ``LAPACKE_dgesdd_work`` and ``LAPACKE_dsyevd_work``, as
+    NumPy's linalg module links them, or None where either is missing."""
+    gesdd = _openblas_function("LAPACKE_dgesdd_work")
+    syevd = _openblas_function("LAPACKE_dsyevd_work")
+    if gesdd is None or syevd is None:
+        return None
+    index, buffer, job = _blas_int(), ctypes.c_void_p, ctypes.c_char
+    gesdd.argtypes = [
+        ctypes.c_int, job,  # layout, jobz
+        index, index, buffer, index,  # M, N, A, lda
+        buffer,  # S
+        buffer, index, buffer, index,  # U, ldu, VT, ldvt
+        buffer, index, buffer,  # work, lwork, iwork
+    ]
+    syevd.argtypes = [
+        ctypes.c_int, job, job,  # layout, jobz, uplo
+        index, buffer, index,  # N, A, lda
+        buffer,  # W
+        buffer, index, buffer, index,  # work, lwork, iwork, liwork
+    ]
+    gesdd.restype = syevd.restype = index
+    return gesdd, syevd
+
+
+def _call_lapacke(driver, failure: str, *args) -> None:
+    """Call a LAPACKE driver; an info other than 0 raises
+    :class:`numpy.linalg.LinAlgError` with NumPy's message ``failure``."""
+    if driver(*args) != 0:
+        raise np.linalg.LinAlgError(failure)
+
+
+def _gesdd(c: np.ndarray, gesdd) -> tuple:
+    """``np.linalg.svd(c, full_matrices=False)`` as ``(u, s, vt)``, bit for
+    bit and in its C order: NumPy's dgesdd call, with its job, leading
+    dimensions and queried workspace, on one Fortran-ordered copy of ``c``.
+    LAPACK writes ``u`` and ``vt`` into Fortran-ordered arrays; each is
+    copied to C order once the copy of ``c`` and the workspace are freed."""
+    m, n = c.shape
+    k = min(m, n)
+    a = np.array(c, order="F")  # dgesdd overwrites it
+    s = np.empty(k)
+    u, vt = np.empty((m, k), order="F"), np.empty((k, n), order="F")
+    iwork = np.empty(8 * k, dtype=_blas_int())
+    head = (
+        _COL_MAJOR, b"S", m, n, a.ctypes.data, m, s.ctypes.data,
+        u.ctypes.data, m, vt.ctypes.data, k,
+    )
+    query, failure = np.empty(1), "SVD did not converge"
+    _call_lapacke(gesdd, failure, *head, query.ctypes.data, -1, iwork.ctypes.data)
+    lwork = int(query[0]) or 1
+    work = np.empty(lwork)
+    _call_lapacke(gesdd, failure, *head, work.ctypes.data, lwork, iwork.ctypes.data)
+    del a, work
+    u = np.ascontiguousarray(u)
+    vt = np.ascontiguousarray(vt)
+    return u, s, vt
+
+
+def _syevd(a: np.ndarray, syevd) -> tuple:
+    """``np.linalg.eigh(a)`` as ``(w, vecs)``, bit for bit and in its C
+    order, for a symmetric Fortran-ordered ``a``: NumPy's dsyevd call (lower
+    triangle) with its queried workspace, on ``a`` itself, which LAPACK
+    overwrites with the eigenvectors. ``vecs`` is their copy in C order,
+    made once the workspace is freed."""
+    n = a.shape[0]
+    w = np.empty(n)
+    head = (_COL_MAJOR, b"V", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    query, iquery = np.empty(1), np.empty(1, dtype=_blas_int())
+    failure = "Eigenvalues did not converge"
+    _call_lapacke(syevd, failure, *head, query.ctypes.data, -1, iquery.ctypes.data, -1)
+    lwork, liwork = int(query[0]), int(iquery[0])
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=_blas_int())
+    _call_lapacke(
+        syevd, failure, *head, work.ctypes.data, lwork, iwork.ctypes.data, liwork
+    )
+    del work
+    return w, np.ascontiguousarray(a)
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the body on one OpenBLAS thread; the first of overlapping callers
@@ -247,13 +355,19 @@ def _one_blas_thread():
 def svd(c) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
 
-    When the smaller side is at most 64 the SVD runs on one OpenBLAS thread
-    (see the module docstring). Raises :class:`InvalidInput` on a non-finite
-    entry or norm.
+    When the smaller side is at most 64 the SVD is NumPy's on one OpenBLAS
+    thread; above that it is LAPACKE's dgesdd where that is found (see the
+    module docstring). Raises :class:`InvalidInput` on a non-finite entry or
+    norm and :class:`numpy.linalg.LinAlgError` when the SVD does not
+    converge.
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
-    thin = min(c.shape) <= _ONE_THREAD_SIDE
-    with _one_blas_thread() if thin else nullcontext():
+    if min(c.shape) <= _ONE_THREAD_SIDE:
+        with _one_blas_thread():
+            u, s, vt = np.linalg.svd(c, full_matrices=False)
+    elif (lapacke := _lapacke()) is not None:
+        u, s, vt = _gesdd(c, lapacke[0])
+    else:
         u, s, vt = np.linalg.svd(c, full_matrices=False)
     tol = float(s[0]) * max(c.shape) * _EPS if s.size else 0.0
     numeric_rank = int(np.count_nonzero(s > tol))
@@ -299,19 +413,30 @@ def psd_sqrt(c) -> np.ndarray:
     tolerated estimation noise; anything more negative raises
     :class:`NotPsd`, and an asymmetry ``||c - c^T||`` above
     ``1e-8 * ||c||`` raises :class:`InvalidInput`. The eigendecomposition
-    of the symmetrized input keeps the root exactly symmetric.
+    of the symmetrized input keeps the root exactly symmetric; for N > 64
+    it is LAPACKE's dsyevd where that is found (see the module docstring).
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
-    if c.shape[0] != c.shape[1]:
+    n = c.shape[0]
+    if n != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
+    lapacke = _lapacke() if n > _ONE_THREAD_SIDE else None
     scale = float(np.linalg.norm(c))
-    if np.linalg.norm(c - c.T) > _PSD_REL_TOL * scale:
+    # one N x N buffer for c - c^T, then the symmetrized input and, where
+    # dsyevd is called directly, its eigenvectors; c - c^T is antisymmetric,
+    # so its norm has the same bits in either order
+    sym = np.empty(c.shape, order="F" if lapacke else "C")
+    if np.linalg.norm(np.subtract(c, c.T, out=sym)) > _PSD_REL_TOL * scale:
         raise InvalidInput("psd_sqrt input is not symmetric within tolerance")
-    sym = (c + c.T) / 2.0
-    w, vecs = np.linalg.eigh(sym)
+    np.add(c, c.T, out=sym)
+    sym /= 2.0
+    w, vecs = np.linalg.eigh(sym) if lapacke is None else _syevd(sym, lapacke[1])
+    del sym
     if w.size and w[0] < -_PSD_REL_TOL * scale:
         raise NotPsd(f"eigenvalue {w[0]:.3e} below -{_PSD_REL_TOL:.0e} * ||c||")
-    tol = c.shape[0] * _EPS * max(float(w[-1]), 0.0) if w.size else 0.0
+    tol = n * _EPS * max(float(w[-1]), 0.0) if w.size else 0.0
     w = np.where(w > tol, w, 0.0)
     root = (vecs * np.sqrt(w)) @ vecs.T
-    return (root + root.T) / 2.0
+    out = np.add(root, root.T)
+    out /= 2.0
+    return out

@@ -26,7 +26,9 @@ of a sweep and the screen's ``eigvalsh`` about 20%.
 Set-up. E_yy^(1/2), H, the thin SVD of each G_j with its numeric rank
 (:func:`_setup` states the rank rule), the rows [V_1 ... V_p]^T and the
 U_j S_j form one :class:`_Setup`, made on first use and kept beside the
-model in the weak-keyed ``_SETUPS``, so it goes when the model does. Every
+model in the weak-keyed ``_SETUPS``, so it goes when the model does. H is
+formed before the G_j SVDs, so the N x N SVD of the root behind it, its
+workspace and its factors are freed before the G_j factors exist. Every
 solve on a model, and :func:`~kltmbi.wsn.analytic_mse`, reads that one
 set-up: about 3 N^2 + m N numbers whatever p is (~6.4 MB at N = 512,
 p = 16). A replaced, copied or unpickled model forms its own. A solve also
@@ -203,12 +205,13 @@ def _setup(model: SecondMomentModel) -> _Setup:
     if setup is None:
         part = model.partition
         root = psd_sqrt(model.e_yy)
+        h = model.e_xy @ svd(root).pinv()
         factors = [svd(root[part.y_slice(j)]) for j in range(part.p)]
         tol = part.n_total * _EPS * max(f.sigma[0] for f in factors)
         ks = [int(np.count_nonzero(f.sigma > tol)) for f in factors]
         setup = _SETUPS[model] = _Setup(
             root,
-            model.e_xy @ svd(root).pinv(),
+            h,
             tuple(replace(f, numeric_rank=k) for f, k in zip(factors, ks)),
             rows=np.vstack([f.v[:, :k].T for f, k in zip(factors, ks)]),
             us=tuple(f.u[:, :k] * f.sigma[:k] for f, k in zip(factors, ks)),

@@ -122,7 +122,9 @@ def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:
     """Average per-sample squared error (1/s) ||X - F Y||_F^2, computed as
     (1/s) sum_c ||X_c - F Y_c||_F^2 over the column chunks c of at most
     _CHUNK samples, in order, through two m x _CHUNK buffers and the bank's
-    stacked m x N ``full()``: no m x s array is allocated."""
+    stacked m x N ``full()``: no m x s array is allocated. Raises
+    :class:`InvalidInput` naming the samples whose ``y``, or whose
+    ``x - F y``, is not finite or overflows when squared."""
     _instance(ens, SampleEnsemble, "ens")
     _instance(bank, CompressorBank, "bank")
     _real_array(ens.y, "y", (bank.partition.n_total, None))
@@ -138,6 +140,11 @@ _CHUNK = 4096
 # form it: past that point cancellation would cost it more digits than the
 # trace prints.
 _REFRESH_RATIO = 1e3
+
+
+def _samples(cols: slice) -> str:
+    """The samples (columns) ``cols`` holds, for an error message."""
+    return f"samples {cols.start} to {cols.stop - 1}"
 
 
 def _chunked_mse(
@@ -171,6 +178,11 @@ def _chunked_mse(
     :func:`empirical_mse` bit for bit. A fresh formation also holds the one
     m x N stacked bank it multiplies by; a step's F_j' - F_j is formed when
     the step is applied. Nothing is kept per bank.
+
+    Non-finite samples are found from norms the replay forms anyway: each
+    chunk's row sums of Y_c squared, and the norm of each R_c formed from
+    scratch, which every chunk's first row is. Either one that is not
+    finite raises :class:`InvalidInput` naming the chunk's samples.
     """
     part = banks[0].partition
     m, s = part.m, ens.s
@@ -185,6 +197,10 @@ def _chunked_mse(
         y_c = ens.y[:, cols]
         # row by row, without the copy a norm of the strided Y_jc makes
         y_sq = np.einsum("ij,ij->i", y_c, y_c)
+        if not np.isfinite(y_sq).all():
+            raise InvalidInput(
+                f"y of {_samples(cols)} is not finite or its square overflows"
+            )
         y_norms = [np.sqrt(y_sq[r].sum()) for r in rows]
         for i, bank in enumerate(banks):
             if i:
@@ -200,7 +216,13 @@ def _chunked_mse(
                 # the strided X_c would take a 64 KiB iterator buffer
                 resid[...] = ens.x[:, cols]
                 resid -= step
-                norm = np.linalg.norm(resid)
+                with np.errstate(over="ignore"):
+                    norm = np.linalg.norm(resid)
+                if not np.isfinite(norm):
+                    raise InvalidInput(
+                        f"x - F y of {_samples(cols)} is not finite or its "
+                        "norm overflows"
+                    )
             sums[i] += norm * norm  # not ``norm**2``: see solver._sq_norm
     return [float(v / s) for v in sums]
 

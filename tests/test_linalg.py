@@ -105,18 +105,31 @@ class TestThinSvdThreads:
         ids=["32x512", "512x32", "512x512"],
     )
     def test_threads_seen_by_the_svd(self, blas_threads, monkeypatch, shape, thin):
+        # a thin SVD is NumPy's; a larger one is LAPACKE's dgesdd where it is
+        # found, called for its workspace size and then for the factors
         get, _ = blas_threads
         caller = get()
         seen = []
-        real = np.linalg.svd
 
-        def spy(*args, **kwargs):
-            seen.append(get())
-            return real(*args, **kwargs)
+        def spy(name, real):
+            def call(*args, **kwargs):
+                seen.append((name, get()))
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+            return call
+
+        monkeypatch.setattr(np.linalg, "svd", spy("numpy", np.linalg.svd))
+        lapacke = linalg._lapacke()
+        if lapacke is not None:
+            gesdd = spy("lapacke", lapacke[0])
+            monkeypatch.setattr(linalg, "_lapacke", lambda: (gesdd, lapacke[1]))
         svd(np.random.default_rng(6).standard_normal(shape))
-        assert seen == [1 if thin else caller]
+        if thin:
+            assert seen == [("numpy", 1)]
+        elif lapacke is None:
+            assert seen == [("numpy", caller)]
+        else:
+            assert seen == [("lapacke", caller)] * 2
         assert get() == caller
 
     def test_count_restored_after_a_raise(self, blas_threads, monkeypatch):
@@ -177,6 +190,140 @@ class TestThinSvdThreads:
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.sigma, want.sigma)
         assert np.array_equal(got.v, want.v)
+
+
+def _gram(rng, n, s):
+    """The second moment (1/s) Y Y^T of s Gaussian samples of n entries."""
+    y = rng.standard_normal((n, s))
+    return y @ y.T / s
+
+
+def _zero_sensor(n):
+    """A sample moment of n entries whose last n/2 (a sensor that sees
+    nothing) are zero: rank n/2, with exact zero rows."""
+    c = _gram(np.random.default_rng(n + 1), n, 2 * n)
+    c[n // 2 :, :] = c[:, n // 2 :] = 0.0
+    return c
+
+
+# Inputs whose smaller side exceeds the thin cut-off, so that svd and
+# psd_sqrt factor them by LAPACKE's drivers where those are found: sample
+# moments of N in {65, ..., 512} (65 to 100 fall in OpenBLAS's small-matrix
+# GEMM range, where the bits of a product depend on its operands' order),
+# two rectangles, a rank-deficient square, a sample moment from s < N
+# samples and zero
+_DIRECT = {
+    **{
+        f"{n}x{n}": lambda n=n: _gram(np.random.default_rng(n), n, 2 * n)
+        for n in (65, 96, 128, 256, 512)
+    },
+    "65x300": lambda: np.random.default_rng(1).standard_normal((65, 300)),
+    "300x65": lambda: np.random.default_rng(2).standard_normal((300, 65)),
+    "rank_deficient": lambda: _zero_sensor(96),
+    "sample_moment": lambda: _gram(np.random.default_rng(3), 128, 40),
+    "zero": lambda: np.zeros((96, 96)),
+}
+_SQUARE = [name for name in _DIRECT if name not in ("65x300", "300x65")]
+
+
+@pytest.fixture
+def lapacke():
+    """LAPACKE's dgesdd and dsyevd drivers; skips where they are not found."""
+    found = linalg._lapacke()
+    if found is None:
+        pytest.skip("NumPy's linalg does not link OpenBLAS's LAPACKE")
+    return found
+
+
+def _same(got, want):
+    """Same values, bit for bit, in the same memory order."""
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous,
+        want.flags.f_contiguous,
+    )
+
+
+class TestLapackeDirect:
+    """An SVD or PSD root whose smaller side exceeds 64 runs LAPACKE's
+    dgesdd or dsyevd in buffers the library owns, and gives NumPy's results
+    and layouts bit for bit."""
+
+    @pytest.mark.parametrize("name", _DIRECT)
+    def test_svd_is_numpys(self, lapacke, monkeypatch, name):
+        c = _DIRECT[name]()
+        calls = []
+
+        def gesdd(*args):
+            calls.append(args)
+            return lapacke[0](*args)
+
+        monkeypatch.setattr(linalg, "_lapacke", lambda: (gesdd, lapacke[1]))
+        f = svd(c)
+        assert len(calls) == 2  # the workspace query, then the factors
+        u, s, vt = np.linalg.svd(c, full_matrices=False)
+        _same(f.u, u)
+        _same(f.sigma, s)
+        _same(f.v, vt.T)
+        monkeypatch.setattr(linalg, "_lapacke", lambda: None)
+        g = svd(c)
+        assert g.numeric_rank == f.numeric_rank
+        _same(f.pinv(), g.pinv())
+
+    @pytest.mark.parametrize("name", _SQUARE)
+    def test_eigh_and_psd_sqrt_are_numpys(self, lapacke, monkeypatch, name):
+        c = _DIRECT[name]()
+        w, vecs = linalg._syevd(np.asfortranarray(c), lapacke[1])
+        want_w, want_vecs = np.linalg.eigh(c)
+        _same(w, want_w)
+        _same(vecs, want_vecs)
+        calls = []
+
+        def syevd(*args):
+            calls.append(args)
+            return lapacke[1](*args)
+
+        monkeypatch.setattr(linalg, "_lapacke", lambda: (lapacke[0], syevd))
+        root = psd_sqrt(c)
+        assert len(calls) == 2  # the workspace query, then the factors
+        monkeypatch.setattr(linalg, "_lapacke", lambda: None)
+        _same(root, psd_sqrt(c))
+
+    def test_empty_and_one_by_one_keep_numpys_results(self):
+        f = svd(np.zeros((0, 5)))
+        assert (f.u.shape, f.sigma.shape, f.v.shape) == ((0, 0), (0,), (5, 0))
+        assert f.numeric_rank == 0
+        f = svd(np.array([[-3.0]]))
+        assert (f.u * f.sigma * f.v).tolist() == [[-3.0]] and f.sigma.tolist() == [3.0]
+        assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+        assert psd_sqrt(np.array([[4.0]])).tolist() == [[2.0]]
+
+    @pytest.mark.parametrize("driver", [0, 1], ids=["svd", "psd_sqrt"])
+    def test_no_convergence_raises_as_numpy_does(self, lapacke, monkeypatch, driver):
+        # info > 0 from the factorization; the workspace query still answers
+        def not_converging(*args):
+            return lapacke[driver](*args) if -1 in args else 1
+
+        drivers = list(lapacke)
+        drivers[driver] = not_converging
+        monkeypatch.setattr(linalg, "_lapacke", lambda: tuple(drivers))
+        c = _DIRECT["128x128"]()
+        call, message = [
+            (svd, "SVD did not converge"),
+            (psd_sqrt, "Eigenvalues did not converge"),
+        ][driver]
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            call(c)
+
+    def test_lapacke_found_where_numpy_links_scipy_openblas(self):
+        # a renamed symbol must not drop the direct calls silently
+        try:
+            name = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("NumPy does not report its LAPACK")
+        if name != "scipy-openblas":
+            pytest.skip(f"NumPy links {name}")
+        assert linalg._lapacke() is not None
 
 
 def _two_calls(c, a, b):

@@ -209,6 +209,40 @@ class TestEmpiricalMse:
             with pytest.raises(InvalidInput, match=match):
                 empirical_mse(SampleEnsemble(x=x, y=y), bank)
 
+    @pytest.mark.parametrize("bank", ["zero", "gaussian"])
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("x", np.nan, "x - F y"),
+            ("x", np.inf, "x - F y"),
+            ("x", 1e155, "x - F y"),  # finite, but its square overflows
+            ("y", np.nan, "y"),
+            ("y", -np.inf, "y"),
+            ("y", 1e155, "y"),
+        ],
+        ids=["x_nan", "x_inf", "x_overflow", "y_nan", "y_inf", "y_overflow"],
+    )
+    def test_non_finite_samples_are_refused(self, name, value, message, bank):
+        # as estimate_moments refuses them, naming the chunk of samples,
+        # the zero bank included
+        part = SensorPartition(m=2, n=(3, 3), r=(3, 3))
+        rng = np.random.default_rng(13)
+        samples = {
+            "x": rng.standard_normal((2, 5000)),
+            "y": rng.standard_normal((6, 5000)),
+        }
+        samples[name][1, 4500] = value
+        ens = SampleEnsemble(**samples)
+        if bank == "zero":
+            bank = CompressorBank.zeros(part)
+        else:
+            bank = CompressorBank([rng.standard_normal((2, 3)) for _ in range(2)], part)
+        match = f"^{re.escape(message)} of samples 4096 to 4999 "
+        with pytest.raises(InvalidInput, match=match):
+            empirical_mse(ens, bank)
+        with pytest.raises(InvalidInput):
+            estimate_moments(ens, part)
+
     def test_doubled_samples_scale_it_by_exactly_four(self):
         # draw 55 of this stream has a chunk norm whose square C ``pow``
         # misrounds in glibc 2.36; squared as a product, every MSE of the
