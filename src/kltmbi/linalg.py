@@ -9,28 +9,25 @@ pseudo-inverse would be scaled by ~1e8. Every tolerance here (rank,
 truncation ties, PSD and symmetry) is relative to the input's own scale, so
 scaling an input by a power of two changes no decision.
 
+Every SVD and PSD root of a non-empty input calls LAPACKE's ``dgesdd`` or
+``dsyevd`` directly (:func:`_lapacke`) with NumPy's job arguments and
+queried workspace sizes, so it gives NumPy's results bit for bit, in
+buffers of its own: one Fortran-ordered copy of the input (for ``eigh``,
+the symmetrized input itself) and LAPACK's outputs, copied to NumPy's C
+order once the workspace is freed. NumPy holds all of those and its own
+results at once, so the set-up's N x N factorizations peak two N x N
+arrays lower. The outputs keep NumPy's order because for N up to about 100
+OpenBLAS's small-matrix GEMMs round the products that follow (``pinv``,
+the root) differently when their operands are held in another order. Where
+the LAPACKE symbols are not found, and for empty inputs, which LAPACK
+refuses, NumPy's ``svd`` and ``eigh`` are the path.
+
 A thin SVD, one whose smaller side is at most 64, runs with the process's
 OpenBLAS set to one thread and the caller's count restored after it: on two
 threads it is about twice as slow and gives the same bits. Larger SVDs, and
 every other call, keep the caller's count, because their bits depend on it.
 While a thin SVD runs, BLAS calls from other threads of the process also
 run on one thread.
-
-An SVD whose smaller side exceeds 64, and a PSD root of N > 64, call
-LAPACKE's ``dgesdd`` or ``dsyevd`` directly (:func:`_lapacke`) with NumPy's
-job arguments and its queried workspace sizes, so they give NumPy's results
-bit for bit. NumPy holds its input, a Fortran-ordered copy, LAPACK's
-outputs, the workspace and its result arrays all at once. The direct call
-factors one Fortran-ordered copy (for ``eigh``, the symmetrized input
-itself) into output arrays of its own, and copies the outputs to NumPy's C
-order only once the workspace is freed, so the set-up's N x N
-factorizations peak two N x N arrays lower. The outputs keep NumPy's order
-because for N up to about 100 OpenBLAS's small-matrix GEMMs round the
-products that follow (``pinv``, the root) differently when their operands
-are held in another order. Thin SVDs keep NumPy's call and the one-thread
-rule: their arrays are small, so a direct call would save little and add
-two copies to every sweep's SVD. Where the LAPACKE symbols are not found,
-NumPy's ``svd`` and ``eigh`` are the path.
 
 :func:`_subtract_product` forms ``c -= a @ b`` as one in-place OpenBLAS
 GEMM where it can, with NumPy's two calls as the fallback.
@@ -56,8 +53,7 @@ _EPS = np.finfo(np.float64).eps
 _PSD_REL_TOL = 1e-8
 
 # svd's one-thread cut-off on the smaller side; the thin SVDs that share bits
-# on one and two threads stop between 128 x 512 and 256 x 512. Above it, svd
-# and psd_sqrt call LAPACKE's drivers where those are found.
+# on one and two threads stop between 128 x 512 and 256 x 512.
 _ONE_THREAD_SIDE = 64
 
 # Thin SVDs running now, and the thread count the last of them restores.
@@ -329,12 +325,12 @@ def _syevd(a: np.ndarray, syevd) -> tuple:
 
 
 @contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread; the first of overlapping callers
-    saves the process's count and the last restores it."""
+def _one_blas_thread(on: bool):
+    """Run the body on one OpenBLAS thread, if ``on``; the first of
+    overlapping callers saves the process's count and the last restores it."""
     global _one_thread_users, _one_thread_saved
     threads = _openblas_threads()
-    if threads is None:
+    if threads is None or not on:
         yield
         return
     get, put = threads
@@ -355,20 +351,18 @@ def _one_blas_thread():
 def svd(c) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
 
-    When the smaller side is at most 64 the SVD is NumPy's on one OpenBLAS
-    thread; above that it is LAPACKE's dgesdd where that is found (see the
-    module docstring). Raises :class:`InvalidInput` on a non-finite entry or
-    norm and :class:`numpy.linalg.LinAlgError` when the SVD does not
-    converge.
+    The SVD is LAPACKE's dgesdd where that is found, on one OpenBLAS thread
+    when the smaller side is at most 64 (see the module docstring). Raises
+    :class:`InvalidInput` on a non-finite entry or norm and
+    :class:`numpy.linalg.LinAlgError` when the SVD does not converge.
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
-    if min(c.shape) <= _ONE_THREAD_SIDE:
-        with _one_blas_thread():
+    lapacke = _lapacke() if c.size else None
+    with _one_blas_thread(min(c.shape) <= _ONE_THREAD_SIDE):
+        if lapacke is None:
             u, s, vt = np.linalg.svd(c, full_matrices=False)
-    elif (lapacke := _lapacke()) is not None:
-        u, s, vt = _gesdd(c, lapacke[0])
-    else:
-        u, s, vt = np.linalg.svd(c, full_matrices=False)
+        else:
+            u, s, vt = _gesdd(c, lapacke[0])
     tol = float(s[0]) * max(c.shape) * _EPS if s.size else 0.0
     numeric_rank = int(np.count_nonzero(s > tol))
     return SvdFactors(u=u, sigma=s, v=vt.T, numeric_rank=numeric_rank)
@@ -413,14 +407,14 @@ def psd_sqrt(c) -> np.ndarray:
     tolerated estimation noise; anything more negative raises
     :class:`NotPsd`, and an asymmetry ``||c - c^T||`` above
     ``1e-8 * ||c||`` raises :class:`InvalidInput`. The eigendecomposition
-    of the symmetrized input keeps the root exactly symmetric; for N > 64
-    it is LAPACKE's dsyevd where that is found (see the module docstring).
+    of the symmetrized input keeps the root exactly symmetric; it is
+    LAPACKE's dsyevd where that is found (see the module docstring).
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
     n = c.shape[0]
     if n != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
-    lapacke = _lapacke() if n > _ONE_THREAD_SIDE else None
+    lapacke = _lapacke() if n else None
     scale = float(np.linalg.norm(c))
     # one N x N buffer for c - c^T, then the symmetrized input and, where
     # dsyevd is called directly, its eigenvectors; c - c^T is antisymmetric,

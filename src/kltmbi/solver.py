@@ -5,23 +5,28 @@ The estimation problem min ||x - sum_j F_j y_j||^2 over banks of per-sensor
 matrices F_j with rank F_j <= r_j reduces to the matrix problem
 min ||H - sum_j F_j G_j||_F^2 where H = E_xy (E_yy^(1/2))^+ and the G_j are
 the row blocks of E_yy^(1/2). Each block subproblem has the closed-form
-minimum-norm solution [S_j R_{G_j}]_{r_j} G_j^+; the MBI loop scores all p
-candidates per sweep, solves only the best in full and commits it.
+minimum-norm solution [S_j R_{G_j}]_{r_j} G_j^+. A solve moves from one
+:class:`_State`, a bank and its residual E = H - sum_j F_j G_j, to the next:
+each sweep scores every block (:func:`_gains`), commits the best
+(:func:`_commit`) and keeps the new state if f = ||E||^2 fell by more than
+the stopping rule's floor.
 
-Scoring. With G_j = U_j S_j V_j^T (numeric rank k_j) and the residual
-E = H - sum_i F_i G_i, block j's best step changes the objective ||E||^2 by
-Delta_j = sum_{i > r_j} sigma_i^2(W_j) - ||E V_j||^2 <= 0, where
-W_j = E V_j + F_j U_j S_j is m x k_j. One m x N x sum_j k_j product
+Gains. With G_j = U_j S_j V_j^T (numeric rank k_j), block j's best step
+changes f by Delta_j = sum_{i > r_j} sigma_i^2(W_j) - ||E V_j||^2 <= 0,
+where W_j = E V_j + F_j U_j S_j is m x k_j. One m x N x sum_j k_j product
 E [V_1 ... V_p] scores every block (N = n_total). Each tail is the sum of
 the d - r_j smallest eigenvalues of the d x d Gram of W_j (d = min(m, k_j)),
-from one batched ``eigvalsh`` per distinct k_j: the scores only pick the
-block, so no SVD is needed. F_j U_j S_j is carried from sweep to sweep and
-formed again only for the committed block. The block with the lowest
-Delta_j is solved in full: its row-space projector V_j V_j^T, one N x k_j x N
-GEMM, is applied at m N^2, and the m x N result's SVD, which the rank-r_j
-truncation needs, runs on one OpenBLAS thread when min(m, N) <= 64 (see
-:mod:`kltmbi.linalg`). At N = 512, m = 32, p = 16 that SVD takes about 30%
-of a sweep and the screen's ``eigvalsh`` about 20%.
+from one batched ``eigvalsh`` per distinct k_j: the gains only pick the
+block, so no SVD is needed.
+
+Commit. The block is solved in full: its row-space projector V_j V_j^T, one
+N x k_j x N GEMM, is applied at m N^2, and the m x N result is truncated
+through its SVD, about 30% of a sweep at N = 512, m = 32, p = 16 (the gains'
+``eigvalsh`` takes about 20%). The new state forms only the block's own
+product, one m x n_j x N, and its F_j U_j S_j; E and f are summed again
+from the p products in index order: the arithmetic of forming E from the
+whole bank, bit for bit. A sweep costs O(m N sum_j k_j + N^2 k_j + m N^2)
+instead of the O(p m N^2) of solving every block.
 
 Set-up. E_yy^(1/2), H, the thin SVD of each G_j with its numeric rank
 (:func:`_setup` states the rank rule), the rows [V_1 ... V_p]^T and the
@@ -31,23 +36,17 @@ formed before the G_j SVDs, so the N x N SVD of the root behind it, its
 workspace and its factors are freed before the G_j factors exist. Every
 solve on a model, and :func:`~kltmbi.wsn.analytic_mse`, reads that one
 set-up: about 3 N^2 + m N numbers whatever p is (~6.4 MB at N = 512,
-p = 16). A replaced, copied or unpickled model forms its own. A solve also
-holds the products P_i = F_i G_i of its current bank, p of m x N (2 MB at
-N = 512, m = 32, p = 16). A committed step forms only its own, one m x n_j x N
-product, and E and the objective are summed again from the p products in
-index order: the arithmetic of forming E from the whole bank, bit for bit.
-A sweep costs O(m N sum_j k_j + N^2 k_j + m N^2) instead of the
-O(p m N^2) of solving every block.
+p = 16). A replaced, copied or unpickled model forms its own.
 
-Resuming. A solve keeps in the set-up's ``carried`` field the bank it
-returns and the state formed from it: the P_j, the F_j U_j S_j, E and f
-(about p m N + m N numbers). A solve from that very bank takes that state
-(:func:`_state`), so chained one-sweep solves form one product per sweep;
-any other start has each block's rank checked, p SVDs of m x n_j, and
-forms p products of m x n_j x N. Models and banks hold read-only arrays,
-so both ways give the same bits. A caller can still set an array's
-``writeable`` flag again: a model with such a moment is refused, and a
-start with such a block is formed from its blocks.
+Resuming. A solve keeps the state it ends in, p products of m x N and E
+(2 MB at N = 512, m = 32, p = 16), as the set-up's ``carried``. A solve
+from that state's very bank starts in it (:func:`_state`), so chained
+one-sweep solves form one product per sweep; any other start has each
+block's rank checked, p SVDs of m x n_j, and is formed from its blocks
+(:func:`_form`), p products of m x n_j x N. Models and banks hold
+read-only arrays, so both ways give the same bits. A caller can still set
+an array's ``writeable`` flag again: a model with such a moment is
+refused, and a start with such a block is formed from its blocks.
 """
 
 from __future__ import annotations
@@ -175,16 +174,27 @@ class MbiTrace:
 
 @dataclass(eq=False)
 class _Setup:
-    """A model's set-up (see Set-up and Resuming above): E_yy^(1/2), H, the
-    SVDs of the G_j with their numeric ranks, [V_1 ... V_p]^T, the U_j S_j
-    and the bank the last solve returned with its state (or None)."""
+    """A model's set-up (see Set-up above) and the state the last solve on it
+    ended in, or None (see Resuming)."""
 
     root: np.ndarray
     h: np.ndarray
     factors: tuple[SvdFactors, ...]
     rows: np.ndarray
     us: tuple[np.ndarray, ...]
-    carried: tuple | None = None
+    carried: _State | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _State:
+    """A bank, its products P_j = F_j G_j, the F_j U_j S_j, the residual
+    E = H - sum_j P_j and f = ||E||^2; nothing changes it once it is made."""
+
+    bank: CompressorBank
+    products: tuple[np.ndarray, ...]
+    fus: tuple[np.ndarray, ...]
+    resid: np.ndarray
+    f: float
 
 
 _SETUPS = weakref.WeakKeyDictionary()  # model -> _Setup; models hash by identity
@@ -319,19 +329,47 @@ def init_bank(model: SecondMomentModel) -> CompressorBank:
     return CompressorBank(blocks=tuple(blocks), partition=part)
 
 
-def _screen(
-    resid: np.ndarray, rows: np.ndarray, fus: list[np.ndarray], r: tuple[int, ...]
-) -> np.ndarray:
-    """Each block's objective change Delta_j (see the module docstring) if
-    its candidate, the fit of s_j = E + F_j G_j, were committed, found
-    without solving any block. ``rows`` is [V_1 ... V_p]^T, ``fus[j]`` is
-    F_j U_j S_j (m x k_j) and ``r[j]`` block j's rank bound. The tail
-    sum_{i > r_j} sigma_i^2(W_j) of W_j = E V_j + F_j U_j S_j is the sum of
-    the d - r_j smallest eigenvalues of its d x d Gram, d = min(m, k_j)."""
-    ev = resid @ rows.T
+def _rank_checked(fj: np.ndarray, j: int, rj: int) -> SvdFactors:
+    """The SVD of block ``j`` of a bank, ``fj``. A numeric rank above its
+    bound ``rj``, which no r_j-row link could carry, raises
+    :class:`InvalidInput` naming the block."""
+    f = svd(fj)
+    if f.numeric_rank > rj:
+        raise InvalidInput(f"block {j} has rank {f.numeric_rank} > r[{j}] = {rj}")
+    return f
+
+
+def _objective(model: SecondMomentModel, bank: CompressorBank) -> float:
+    """``bank``'s objective f as :func:`_form` sums it, one product at a time."""
+    products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
+    return _residual(model, products)[1]
+
+
+def _form(model: SecondMomentModel, bank: CompressorBank) -> _State:
+    """``bank``'s state, formed from its blocks (see Resuming above)."""
+    products = tuple(_product(model, j, fj) for j, fj in enumerate(bank.blocks))
+    fus = tuple(fj @ usj for fj, usj in zip(bank.blocks, _setup(model).us))
+    return _State(bank, products, fus, *_residual(model, products))
+
+
+def _state(model: SecondMomentModel, bank: CompressorBank) -> _State:
+    """The state a solve from ``bank`` starts in (see Resuming above): the
+    carried one, or else one formed once each block's rank is checked."""
+    carried = _setup(model).carried
+    if carried is not None and carried.bank is bank:
+        if not any(b.flags.writeable for b in bank.blocks):
+            return carried
+    for j, fj in enumerate(bank.blocks):
+        _rank_checked(fj, j, model.partition.r[j])
+    return _form(model, bank)
+
+
+def _gains(model: SecondMomentModel, state: _State) -> np.ndarray:
+    """Each block's objective change Delta_j (see Gains above) if its best
+    step from ``state`` were committed, found without solving any block."""
+    resid, fus, r = state.resid, state.fus, model.partition.r
     m, ks = resid.shape[0], [fu.shape[1] for fu in fus]
-    cols = np.cumsum([0, *ks])
-    evs = [ev[:, a:b] for a, b in zip(cols, cols[1:])]
+    evs = np.split(resid @ _setup(model).rows.T, np.cumsum(ks)[:-1], axis=1)
     scores = np.array([-float(np.vdot(e, e)) for e in evs])
     for k in sorted(set(ks)):
         # blocks with r_j >= d have no tail
@@ -346,32 +384,20 @@ def _screen(
     return scores
 
 
-def _rank_checked(fj: np.ndarray, j: int, rj: int) -> SvdFactors:
-    """The SVD of block ``j`` of a bank, ``fj``. A numeric rank above its
-    bound ``rj``, which no r_j-row link could carry, raises
-    :class:`InvalidInput` naming the block."""
-    f = svd(fj)
-    if f.numeric_rank > rj:
-        raise InvalidInput(f"block {j} has rank {f.numeric_rank} > r[{j}] = {rj}")
-    return f
-
-
-def _state(model: SecondMomentModel, bank: CompressorBank) -> tuple:
-    """The products P_j, the F_j U_j S_j, the residual E and the objective f
-    of ``bank``: the last solve's on ``model`` if it returned ``bank`` itself
-    and no block of it has been made writeable again, else formed from
-    ``bank``, p products of m x n_j x N, once each block's rank is checked
-    (p SVDs of m x n_j); a bank a solve returned needs no check."""
+def _commit(model: SecondMomentModel, state: _State, j: int) -> _State:
+    """The state after block ``j`` of ``state`` is solved in full (see
+    Commit above); ``state`` is left as it was."""
     setup = _setup(model)
-    carried = setup.carried is not None and setup.carried[0] is bank
-    if carried and not any(b.flags.writeable for b in bank.blocks):
-        _, products, fus, resid, f = setup.carried
-        return list(products), list(fus), resid, f
-    for j, fj in enumerate(bank.blocks):
-        _rank_checked(fj, j, model.partition.r[j])
-    products = [_product(model, j, fj) for j, fj in enumerate(bank.blocks)]
-    fus = [fj @ usj for fj, usj in zip(bank.blocks, setup.us)]
-    return products, fus, *_residual(model, products)
+    fj = setup.factors[j]
+    first = sum(f.numeric_rank for f in setup.factors[:j])
+    vt = setup.rows[first : first + fj.numeric_rank]
+    s = state.resid + state.products[j]
+    block = _block_solve(s, fj, vt, model.partition.r[j])
+    bank = state.bank.replace(j, block)
+    pj = _product(model, j, block)
+    products = (*state.products[:j], pj, *state.products[j + 1 :])
+    fus = (*state.fus[:j], block @ setup.us[j], *state.fus[j + 1 :])
+    return _State(bank, products, fus, *_residual(model, products))
 
 
 def mbi_solve(
@@ -379,19 +405,17 @@ def mbi_solve(
 ) -> tuple[CompressorBank, MbiTrace]:
     """Run MBI sweeps from ``start`` on the residual E = H - sum_j F_j G_j.
 
-    Each sweep solves in full only the block :func:`_screen` scores lowest
-    (the lowest index on equal scores) and recomputes E and the objective f
-    from the products P_i = F_i G_i it carries, of which only the committed
-    block's changes. The solve stops once a sweep improves f by at most
-    (epsilon + N * eps) * tr E_xx, where N * eps * tr E_xx is about the
-    round-off of f (by at most 0 when tr E_xx is not positive), keeping the
-    incumbent, so f never increases; running out of budget is reported via
-    the trace flag. Where scores differ only by rounding, the block
-    chosen may not be the one an exhaustive sweep of full solves would rank
-    first, but its objective is within rounding of that sweep's best.
-
-    A solve whose ``start`` is the bank the last solve on ``model``
-    returned resumes from that solve's state (see the module docstring).
+    Each sweep commits the block :func:`_gains` scores lowest (the lowest
+    index on equal scores). The solve stops once a sweep improves the
+    objective f by at most (epsilon + N * eps) * tr E_xx, where
+    N * eps * tr E_xx is about the round-off of f (by at most 0 when tr E_xx
+    is not positive), keeping the incumbent, so f never increases; running
+    out of budget is reported via the trace flag. Where scores differ only
+    by rounding, the block chosen may not be the one an exhaustive sweep of
+    full solves would rank first, but its objective is within rounding of
+    that sweep's best. A solve whose ``start`` is the bank the last solve on
+    ``model`` returned resumes from that solve's state (see the module
+    docstring).
 
     Raises :class:`InvalidInput` when ``model`` is not a
     :class:`SecondMomentModel`, ``start`` not a bank of the model's
@@ -405,41 +429,24 @@ def mbi_solve(
     if _instance(start, CompressorBank, "start").partition != part:
         raise InvalidInput(f"start bank is for {start.partition}, model is {part}")
     _instance(cfg, MbiConfig, "cfg")
-    setup = _setup(model)
-    ranks = np.cumsum([0, *(f.numeric_rank for f in setup.factors)])
     tr_exx = float(np.trace(model.e_xx))
-    bank = start
-    products, fus, resid, f_cur = _state(model, bank)
-    objectives = [f_cur]
-    chosen: list[int] = []
-    banks = [bank] if cfg.record_trace else None
+    state = _state(model, start)
+    objectives, chosen = [state.f], []
+    banks = [start] if cfg.record_trace else None
     converged = False
     # inf * 0 would be NaN, which no improvement is at or below
     tol = (cfg.epsilon + part.n_total * _EPS) * tr_exx if tr_exx > 0 else 0.0
     for _ in range(cfg.max_iterations):
-        j = int(np.argmin(_screen(resid, setup.rows, fus, part.r)))
-        vt = setup.rows[ranks[j] : ranks[j + 1]]
-        new_block = _block_solve(resid + products[j], setup.factors[j], vt, part.r[j])
-        new_bank = bank.replace(j, new_block)
-        new_product = _product(model, j, new_block)
-        new_resid, f_new = _residual(
-            model, products[:j] + [new_product] + products[j + 1 :]
-        )
-        if f_cur - f_new <= tol:
+        j = int(np.argmin(_gains(model, state)))
+        new = _commit(model, state, j)
+        if state.f - new.f <= tol:
             converged = True
             break
-        bank, resid, f_cur = new_bank, new_resid, f_new
-        products[j], fus[j] = new_product, new_block @ setup.us[j]
-        objectives.append(f_cur)
+        state = new
+        objectives.append(state.f)
         chosen.append(j)
         if banks is not None:
-            banks.append(bank)
-    setup.carried = (bank, tuple(products), tuple(fus), resid, f_cur)
-    trace = MbiTrace(
-        objective_per_iteration=objectives,
-        mse_per_iteration=_mse(model, objectives),
-        chosen_block_per_iteration=chosen,
-        converged=converged,
-        banks=banks,
-    )
-    return bank, trace
+            banks.append(state.bank)
+    _setup(model).carried = state
+    mse = _mse(model, objectives)
+    return state.bank, MbiTrace(objectives, mse, chosen, converged, banks)

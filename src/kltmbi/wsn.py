@@ -25,7 +25,7 @@ from .covariance import (
 )
 from .errors import InvalidInput, ParseError
 from .linalg import _real_array, _subtract_product
-from .solver import CompressorBank, _mse, _product, _rank_checked, _residual
+from .solver import CompressorBank, _mse, _objective, _rank_checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +114,7 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     _instance(bank, CompressorBank, "bank")
     if bank.partition.n != part.n or bank.partition.m != part.m:
         raise InvalidInput("bank and model partitions disagree")
-    products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
-    return _mse(model, [_residual(model, products)[1]])[0]
+    return _mse(model, [_objective(model, bank)])[0]
 
 
 def empirical_mse(ens: SampleEnsemble, bank: CompressorBank) -> float:

@@ -105,8 +105,8 @@ class TestThinSvdThreads:
         ids=["32x512", "512x32", "512x512"],
     )
     def test_threads_seen_by_the_svd(self, blas_threads, monkeypatch, shape, thin):
-        # a thin SVD is NumPy's; a larger one is LAPACKE's dgesdd where it is
-        # found, called for its workspace size and then for the factors
+        # every SVD is LAPACKE's dgesdd where it is found, called for its
+        # workspace size and then for the factors; a thin one on one thread
         get, _ = blas_threads
         caller = get()
         seen = []
@@ -124,12 +124,11 @@ class TestThinSvdThreads:
             gesdd = spy("lapacke", lapacke[0])
             monkeypatch.setattr(linalg, "_lapacke", lambda: (gesdd, lapacke[1]))
         svd(np.random.default_rng(6).standard_normal(shape))
-        if thin:
-            assert seen == [("numpy", 1)]
-        elif lapacke is None:
-            assert seen == [("numpy", caller)]
+        threads = 1 if thin else caller
+        if lapacke is None:
+            assert seen == [("numpy", threads)]
         else:
-            assert seen == [("lapacke", caller)] * 2
+            assert seen == [("lapacke", threads)] * 2
         assert get() == caller
 
     def test_count_restored_after_a_raise(self, blas_threads, monkeypatch):
@@ -140,6 +139,9 @@ class TestThinSvdThreads:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
+        lapacke = linalg._lapacke()
+        if lapacke is not None:
+            monkeypatch.setattr(linalg, "_lapacke", lambda: (fail, lapacke[1]))
         with pytest.raises(np.linalg.LinAlgError):
             svd(np.ones((32, 512)))
         assert get() == caller
@@ -206,24 +208,49 @@ def _zero_sensor(n):
     return c
 
 
-# Inputs whose smaller side exceeds the thin cut-off, so that svd and
-# psd_sqrt factor them by LAPACKE's drivers where those are found: sample
-# moments of N in {65, ..., 512} (65 to 100 fall in OpenBLAS's small-matrix
-# GEMM range, where the bits of a product depend on its operands' order),
-# two rectangles, a rank-deficient square, a sample moment from s < N
-# samples and zero
+def _gaussian(rows, cols, seed=None):
+    """A Gaussian matrix, seeded by its shape unless ``seed`` is given."""
+    rng = np.random.default_rng(rows + cols if seed is None else seed)
+    return rng.standard_normal((rows, cols))
+
+
+def _half_zero(rows, cols):
+    """A Gaussian matrix whose second half of columns is zero."""
+    c = _gaussian(rows, cols)
+    c[:, cols // 2 :] = 0.0
+    return c
+
+
+# Inputs that svd and psd_sqrt factor by LAPACKE's drivers where those are
+# found: sample moments of N from 1 to 512 (N <= 64 also take the thin
+# SVD's one thread; 65 to 100 fall in OpenBLAS's small-matrix GEMM range,
+# where the bits of a product depend on its operands' order), thin and other
+# rectangles, a thin one whose second half of columns is zero, a
+# rank-deficient square, a sample moment from s < N samples and zero
 _DIRECT = {
     **{
         f"{n}x{n}": lambda n=n: _gram(np.random.default_rng(n), n, 2 * n)
-        for n in (65, 96, 128, 256, 512)
+        for n in (1, 2, 3, 8, 17, 32, 33, 64, 65, 96, 128, 256, 512)
     },
-    "65x300": lambda: np.random.default_rng(1).standard_normal((65, 300)),
-    "300x65": lambda: np.random.default_rng(2).standard_normal((300, 65)),
+    "65x300": lambda: _gaussian(65, 300, seed=1),
+    "300x65": lambda: _gaussian(300, 65, seed=2),
+    **{
+        f"{a}x{b}": lambda a=a, b=b: _gaussian(a, b)
+        for a, b in [
+            (32, 512), (512, 32), (64, 512), (32, 256), (32, 128), (8, 32), (2, 32)
+        ]
+    },
+    "32x64_half_zero": lambda: _half_zero(32, 64),
     "rank_deficient": lambda: _zero_sensor(96),
     "sample_moment": lambda: _gram(np.random.default_rng(3), 128, 40),
     "zero": lambda: np.zeros((96, 96)),
+    # LAPACK refuses a zero leading dimension; these keep NumPy's call
+    **{
+        f"empty_{a}x{b}": lambda a=a, b=b: np.zeros((a, b))
+        for a, b in [(0, 5), (5, 0), (0, 0)]
+    },
 }
-_SQUARE = [name for name in _DIRECT if name not in ("65x300", "300x65")]
+_SQUARE = [name for name, make in _DIRECT.items() if len(set(make().shape)) == 1]
 
 
 @pytest.fixture
@@ -245,9 +272,9 @@ def _same(got, want):
 
 
 class TestLapackeDirect:
-    """An SVD or PSD root whose smaller side exceeds 64 runs LAPACKE's
-    dgesdd or dsyevd in buffers the library owns, and gives NumPy's results
-    and layouts bit for bit."""
+    """A non-empty SVD or PSD root runs LAPACKE's dgesdd or dsyevd in
+    buffers the library owns, and gives NumPy's results and layouts bit for
+    bit; an empty one is NumPy's."""
 
     @pytest.mark.parametrize("name", _DIRECT)
     def test_svd_is_numpys(self, lapacke, monkeypatch, name):
@@ -260,7 +287,8 @@ class TestLapackeDirect:
 
         monkeypatch.setattr(linalg, "_lapacke", lambda: (gesdd, lapacke[1]))
         f = svd(c)
-        assert len(calls) == 2  # the workspace query, then the factors
+        # the workspace query, then the factors
+        assert len(calls) == (2 if c.size else 0)
         u, s, vt = np.linalg.svd(c, full_matrices=False)
         _same(f.u, u)
         _same(f.sigma, s)
@@ -273,10 +301,12 @@ class TestLapackeDirect:
     @pytest.mark.parametrize("name", _SQUARE)
     def test_eigh_and_psd_sqrt_are_numpys(self, lapacke, monkeypatch, name):
         c = _DIRECT[name]()
-        w, vecs = linalg._syevd(np.asfortranarray(c), lapacke[1])
-        want_w, want_vecs = np.linalg.eigh(c)
-        _same(w, want_w)
-        _same(vecs, want_vecs)
+        if c.size:
+            # a copy: dsyevd overwrites it, and a 1 x 1 is already in order F
+            w, vecs = linalg._syevd(np.array(c, order="F"), lapacke[1])
+            want_w, want_vecs = np.linalg.eigh(c)
+            _same(w, want_w)
+            _same(vecs, want_vecs)
         calls = []
 
         def syevd(*args):
@@ -285,7 +315,7 @@ class TestLapackeDirect:
 
         monkeypatch.setattr(linalg, "_lapacke", lambda: (lapacke[0], syevd))
         root = psd_sqrt(c)
-        assert len(calls) == 2  # the workspace query, then the factors
+        assert len(calls) == (2 if c.size else 0)
         monkeypatch.setattr(linalg, "_lapacke", lambda: None)
         _same(root, psd_sqrt(c))
 

@@ -3,9 +3,10 @@ and the tests, demos and README reach the solver only through its public
 contract: ``mbi_solve`` solves from the model itself, and a bank is judged
 by ``analytic_mse``, the recorded trace and the per-block KLT oracle of
 ``conftest``. The solver's set-up (H, the G_j, their SVDs, the benchmark's
-hook that forms them, the residual and the block solve) can then change
-without touching any of them. Within the package, only ``solver.py`` names
-that set-up or writes to a model."""
+hook that forms them, the residual and the block solve) and its step state
+(the state, its gains and its commit) can then change without touching any
+of them. Within the package, only ``solver.py`` names that set-up or writes
+to a model."""
 
 import inspect
 import pathlib
@@ -62,6 +63,7 @@ def test_all_the_namespace_and_the_readme_list_are_one_set():
 _INTERNALS = re.compile(
     r"r[p]\.[a-z_]+|e_yy_roo[t]|model\._?[h]\b|\bobjectiv[e]\(|row_projecto[r]"
     r"|\b_residua[l]\(|_block_solv[e]\(|reduce_proble[m]|ReduceProble[m]"
+    r"|\b_Stat[e]\b|\b_gain[s]\(|\b_commi[t]\("
 )
 
 

@@ -394,7 +394,7 @@ def _bytes(bank):
 def _assert_oracle_sweeps(model, trace, scored, epsilon):
     """Check a solve against the per-block KLT oracle to within tol =
     1e-12 ||H||^2, the zero bank's objective. Each recorded MSE is its bank's
-    direct MSE. From each bank a sweep ran on, the screen's score
+    direct MSE. From each bank a sweep ran on, the score
     ``scored[t][j]`` is the change in direct MSE of block j's oracle step,
     and the committed step reaches the best of them; it is the best where no
     other is within tol, and a converged solve ends where none gains more
@@ -410,12 +410,12 @@ def _assert_oracle_sweeps(model, trace, scored, epsilon):
         return direct_mse(model, bank.replace(j, best_block(model, bank, j)))
 
     scores = []
-    for t, (bank, screen) in enumerate(zip(trace.banks, scored)):
+    for t, (bank, gains) in enumerate(zip(trace.banks, scored)):
         # a step keeps the other blocks, so the oracle's step on the block
         # it committed, and the MSE it reaches, stay as they were
         kept = chosen[t - 1] if t else None
         scores = [scores[j] if j == kept else oracle(bank, j) for j in range(p)]
-        for score, after in zip(screen, scores):
+        for score, after in zip(gains, scores):
             assert abs(score - (after - mse[t])) <= tol
         best = min(scores)
         if t == len(chosen):  # the sweep that stopped the solve
@@ -526,20 +526,20 @@ def _assert_solve(row: Solve, monkeypatch) -> None:
        objective and MSE is, bit for bit, what a solve records for its bank
        and its analytic MSE;
     2. every sweep agrees with the per-block KLT oracle;
-    3. each sweep runs one screen and one full block solve, and every score
-       is the oracle step's change in the direct MSE;
-    4. each step, replayed from its bank with the screen forced to its
+    3. each sweep scores the gains once and runs one full block solve, and
+       every score is the oracle step's change in the direct MSE;
+    4. each step, replayed from its bank with the gains forced to its
        block, commits the next bank bit for bit, and up to 20 chained
        one-sweep solves redo the solve: p + 1 products, then 1 per call."""
     model = FAMILIES[row.family](np.random.default_rng(row.seed))
     part = model.partition
     start = init_bank(model) if row.start == "init_bank" else CompressorBank.zeros(part)
-    screens = _spy(monkeypatch, "_screen")
+    gains = _spy(monkeypatch, "_gains")
     solves = _spy(monkeypatch, "_block_solve")
     products = _spy(monkeypatch, "_product")
     _, trace = mbi_solve(model, start, row.cfg)
     sweeps = trace.iterations_used + int(trace.converged)
-    assert len(screens) == len(solves) == sweeps
+    assert len(gains) == len(solves) == sweeps
     assert len(products) == part.p + sweeps
     f, banks = trace.objective_per_iteration, trace.banks
     chosen = trace.chosen_block_per_iteration
@@ -549,7 +549,7 @@ def _assert_solve(row: Solve, monkeypatch) -> None:
         assert np.linalg.matrix_rank(banks[t + 1].blocks[j]) <= part.r[j]
     for bank, mse in zip(banks, trace.mse_per_iteration, strict=True):
         assert analytic_mse(model, bank) == mse
-    _assert_oracle_sweeps(model, trace, [s for _, s in screens], row.cfg.epsilon)
+    _assert_oracle_sweeps(model, trace, [s for _, s in gains], row.cfg.epsilon)
     assert recorded(_fresh(model), banks[-1])[0] == f[-1]
 
     one = dataclasses.replace(row.cfg, max_iterations=1, record_trace=False)
@@ -570,7 +570,7 @@ def _assert_solve(row: Solve, monkeypatch) -> None:
     # replay forms its p products from the bank
     for i, j in enumerate(chosen):
         forced = np.where(np.arange(part.p) == j, -1.0, 0.0)
-        monkeypatch.setattr(solver, "_screen", lambda *args: forced)
+        monkeypatch.setattr(solver, "_gains", lambda *args: forced)
         products.clear()
         step, replay = mbi_solve(model, banks[i], one)
         assert len(products) == part.p + 1
@@ -670,6 +670,38 @@ class TestResume:
             block.flags.writeable = True
             block *= 2.0
             self._assert_solves_as_fresh(monkeypatch, model, bank, model.partition.p)
+
+
+def _state_bytes(state):
+    """A solver state's bank, the bytes of every array it holds and its
+    objective."""
+    arrays = [*state.bank.blocks, *state.products, *state.fus, state.resid]
+    return state.bank, [a.tobytes() for a in arrays], state.f
+
+
+@pytest.mark.parametrize("family", _SCREENED)
+def test_a_commit_leaves_its_state_as_it_was(monkeypatch, family):
+    # each step makes a new state: the one it starts from keeps its bank,
+    # products, F_j U_j S_j, residual and objective, bit for bit, and the new
+    # objective is the one formed from scratch from the new bank
+    calls, real = [], solver._commit
+
+    def commit(model, state, j):
+        before = _state_bytes(state)
+        new = real(model, state, j)
+        calls.append((model, state, before, new))
+        return new
+
+    monkeypatch.setattr(solver, "_commit", commit)
+    for seed in range(3):
+        model = FAMILIES[family](np.random.default_rng(700 + seed))
+        mbi_solve(model, init_bank(model), _sweeps(10))
+    monkeypatch.undo()
+    assert len(calls) >= 3
+    fresh = {model: _fresh(model) for model, *_ in calls}
+    for model, state, before, new in calls:
+        assert _state_bytes(state) == before
+        assert recorded(fresh[model], new.bank)[0] == new.f
 
 
 def test_every_sensor_silent():
