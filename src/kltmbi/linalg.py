@@ -9,18 +9,19 @@ pseudo-inverse would be scaled by ~1e8. Every tolerance here (rank,
 truncation ties, PSD and symmetry) is relative to the input's own scale, so
 scaling an input by a power of two changes no decision.
 
-Every SVD and PSD root of a non-empty input calls LAPACKE's ``dgesdd`` or
-``dsyevd`` directly (:func:`_lapacke`) with NumPy's job arguments and
-queried workspace sizes, so it gives NumPy's results bit for bit, in
-buffers of its own: one Fortran-ordered copy of the input (for ``eigh``,
-the symmetrized input itself) and LAPACK's outputs, copied to NumPy's C
-order once the workspace is freed. NumPy holds all of those and its own
-results at once, so the set-up's N x N factorizations peak two N x N
-arrays lower. The outputs keep NumPy's order because for N up to about 100
-OpenBLAS's small-matrix GEMMs round the products that follow (``pinv``,
-the root) differently when their operands are held in another order. Where
-the LAPACKE symbols are not found, and for empty inputs, which LAPACK
-refuses, NumPy's ``svd`` and ``eigh`` are the path.
+The module calls NumPy's own OpenBLAS through one binding,
+:func:`_openblas`. Every SVD and PSD root is one call of LAPACKE's
+``dgesdd`` or ``dsyevd`` with NumPy's job arguments, so it gives NumPy's
+results bit for bit; LAPACKE sizes, allocates and frees the workspace. The
+call works in buffers of its own: one Fortran-ordered copy of the input
+(for ``eigh``, the symmetrized input itself) and LAPACK's outputs, copied
+to NumPy's C order once the input copy is freed. NumPy holds all of those
+and its own results at once, so the set-up's N x N factorizations peak two
+N x N arrays lower. The outputs keep NumPy's order because for N up to
+about 100 OpenBLAS's small-matrix GEMMs round the products that follow
+(``pinv``, the root) differently when their operands are held in another
+order. Where a driver is not bound, NumPy's ``svd`` and ``eigh`` are the
+path.
 
 A thin SVD, one whose smaller side is at most 64, runs with the process's
 OpenBLAS set to one thread and the caller's count restored after it: on two
@@ -119,76 +120,72 @@ class SvdFactors:
 # marks the interface whose integer arguments are 64-bit.
 _OPENBLAS_FORMS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
 
-# CBLAS's enum values for a row-major matrix and an untransposed operand.
-_ROW_MAJOR, _NO_TRANS = 101, 111
+# CBLAS's enum values for a row-major matrix and an untransposed operand, and
+# LAPACKE's for a column-major matrix.
+_ROW_MAJOR, _NO_TRANS, _COL_MAJOR = 101, 111, 102
+
+# Each function _openblas binds, by its field of _OpenBlas: its name without
+# the form's prefix and suffix, then its result and argument types as codes:
+# "i" the interface's integer (64-bit under the "64_" suffix), "e" a C int
+# (an enum or a thread count), "c" a char, "d" a double, "p" a pointer and
+# "" no result.
+_SIGNATURES = {
+    "get_threads": ("openblas_get_num_threads", "e", ""),
+    "set_threads": ("openblas_set_num_threads", "", "e"),
+    # order, transposes, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc
+    "dgemm": ("cblas_dgemm", "", "eeeiiidpipidpi"),
+    # layout, jobz, M, N, A, lda, S, U, ldu, VT, ldvt
+    "gesdd": ("LAPACKE_dgesdd", "i", "eciipippipi"),
+    # layout, jobz, uplo, N, A, lda, W
+    "syevd": ("LAPACKE_dsyevd", "i", "eccipip"),
+}
+
+
+@dataclass(frozen=True)
+class _OpenBlas:
+    """The OpenBLAS functions of ``_SIGNATURES``, each bound with its
+    signature, or None where it is not found."""
+
+    get_threads: object = None
+    set_threads: object = None
+    dgemm: object = None
+    gesdd: object = None
+    syevd: object = None
 
 
 @functools.cache
-def _openblas():
-    """NumPy's linalg module as a ctypes library and the form of the OpenBLAS
-    names it links, as (library, prefix, suffix), or None where that is not
-    OpenBLAS."""
+def _openblas() -> _OpenBlas:
+    """The functions of ``_SIGNATURES`` as NumPy's linalg module links them,
+    in the first form of ``_OPENBLAS_FORMS`` that names
+    ``openblas_get_num_threads``; every field is None where that linalg is
+    not OpenBLAS."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, AttributeError, OSError):
-        return None
+        return _OpenBlas()
     for prefix, suffix in _OPENBLAS_FORMS:
         if hasattr(lib, f"{prefix}openblas_get_num_threads{suffix}"):
-            return lib, prefix, suffix
-    return None
-
-
-def _openblas_function(name: str):
-    """OpenBLAS's function ``name`` in the form :func:`_openblas` found, or
-    None."""
-    found = _openblas()
-    if found is None:
-        return None
-    lib, prefix, suffix = found
-    return getattr(lib, f"{prefix}{name}{suffix}", None)
-
-
-@functools.cache
-def _openblas_threads():
-    """OpenBLAS's thread-count getter and setter, as NumPy's linalg module
-    links them, or None where that is not OpenBLAS."""
-    get = _openblas_function("openblas_get_num_threads")
-    put = _openblas_function("openblas_set_num_threads")
-    if get is None or put is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-def _blas_int():
-    """The ctypes type of the integer arguments of the OpenBLAS interface
-    :func:`_openblas` found: 64-bit under the ``64_`` suffix."""
-    return ctypes.c_int64 if _openblas()[2] == "64_" else ctypes.c_int
-
-
-@functools.cache
-def _cblas_dgemm():
-    """OpenBLAS's ``cblas_dgemm``, as NumPy's linalg module links it, or None
-    where that is not OpenBLAS."""
-    gemm = _openblas_function("cblas_dgemm")
-    if gemm is None:
-        return None
-    index = _blas_int()
-    matrix = [ctypes.c_void_p, index]
-    gemm.argtypes = [
-        *(ctypes.c_int,) * 3,  # order, transposes
-        *(index,) * 3,  # M, N, K
-        ctypes.c_double,  # alpha
-        *matrix,  # A, lda
-        *matrix,  # B, ldb
-        ctypes.c_double,  # beta
-        *matrix,  # C, ldc
-    ]
-    gemm.restype = None
-    return gemm
+            break
+    else:
+        return _OpenBlas()
+    types = {
+        "i": ctypes.c_int64 if suffix == "64_" else ctypes.c_int,
+        "e": ctypes.c_int,
+        "c": ctypes.c_char,
+        "d": ctypes.c_double,
+        "p": ctypes.c_void_p,
+        "": None,
+    }
+    bound = {}
+    for field, (name, result, args) in _SIGNATURES.items():
+        function = getattr(lib, f"{prefix}{name}{suffix}", None)
+        if function is not None:
+            function.restype = types[result]
+            function.argtypes = [types[code] for code in args]
+        bound[field] = function
+    return _OpenBlas(**bound)
 
 
 def _row_major(a: np.ndarray) -> bool:
@@ -206,7 +203,7 @@ def _row_major(a: np.ndarray) -> bool:
 def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> None:
     """``c -= a @ b`` for 2-d ``c`` (M x N), ``a`` (M x K) and ``b`` (K x N).
 
-    Where OpenBLAS's ``cblas_dgemm`` is found and every operand is a
+    Where OpenBLAS's ``cblas_dgemm`` is bound and every operand is a
     row-major float64 matrix (:func:`_row_major`), ``c`` writeable and apart
     from ``a`` and ``b``, this is one call with alpha = -1 and beta = 1 on
     ``c`` in place. Otherwise it is ``np.matmul(a, b, out=scratch)`` and
@@ -217,7 +214,7 @@ def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> N
     one and two threads. Past its K block, 256 under Haswell and 384 under
     SkylakeX, the two round differently.
     """
-    gemm = _cblas_dgemm()
+    gemm = _openblas().dgemm
     (m, k), n = a.shape, b.shape[1]
     if (
         gemm is not None
@@ -239,88 +236,47 @@ def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> N
     c -= scratch
 
 
-# LAPACKE's value for a column-major matrix.
-_COL_MAJOR = 102
-
-
-@functools.cache
-def _lapacke():
-    """OpenBLAS's ``LAPACKE_dgesdd_work`` and ``LAPACKE_dsyevd_work``, as
-    NumPy's linalg module links them, or None where either is missing."""
-    gesdd = _openblas_function("LAPACKE_dgesdd_work")
-    syevd = _openblas_function("LAPACKE_dsyevd_work")
-    if gesdd is None or syevd is None:
-        return None
-    index, buffer, job = _blas_int(), ctypes.c_void_p, ctypes.c_char
-    gesdd.argtypes = [
-        ctypes.c_int, job,  # layout, jobz
-        index, index, buffer, index,  # M, N, A, lda
-        buffer,  # S
-        buffer, index, buffer, index,  # U, ldu, VT, ldvt
-        buffer, index, buffer,  # work, lwork, iwork
-    ]
-    syevd.argtypes = [
-        ctypes.c_int, job, job,  # layout, jobz, uplo
-        index, buffer, index,  # N, A, lda
-        buffer,  # W
-        buffer, index, buffer, index,  # work, lwork, iwork, liwork
-    ]
-    gesdd.restype = syevd.restype = index
-    return gesdd, syevd
-
-
-def _call_lapacke(driver, failure: str, *args) -> None:
-    """Call a LAPACKE driver; an info other than 0 raises
+def _check(info: int, failure: str) -> None:
+    """Raise for a LAPACKE driver's ``info`` other than 0:
+    :class:`MemoryError` where LAPACKE could not allocate, else
     :class:`numpy.linalg.LinAlgError` with NumPy's message ``failure``."""
-    if driver(*args) != 0:
+    if info in (-1010, -1011):  # no memory for the workspace or a transpose
+        raise MemoryError(f"LAPACKE could not allocate memory (info {info})")
+    if info:
         raise np.linalg.LinAlgError(failure)
 
 
 def _gesdd(c: np.ndarray, gesdd) -> tuple:
     """``np.linalg.svd(c, full_matrices=False)`` as ``(u, s, vt)``, bit for
-    bit and in its C order: NumPy's dgesdd call, with its job, leading
-    dimensions and queried workspace, on one Fortran-ordered copy of ``c``.
-    LAPACK writes ``u`` and ``vt`` into Fortran-ordered arrays; each is
-    copied to C order once the copy of ``c`` and the workspace are freed."""
+    bit and in its C order: one ``LAPACKE_dgesdd`` call with NumPy's job on
+    a Fortran-ordered copy of ``c``, which LAPACK overwrites, into
+    Fortran-ordered ``u`` and ``vt``, each copied to C order once that copy
+    is freed. Leading dimensions of at least 1 let an empty ``c`` through
+    with NumPy's shapes."""
     m, n = c.shape
     k = min(m, n)
-    a = np.array(c, order="F")  # dgesdd overwrites it
+    a = np.array(c, order="F")
     s = np.empty(k)
     u, vt = np.empty((m, k), order="F"), np.empty((k, n), order="F")
-    iwork = np.empty(8 * k, dtype=_blas_int())
-    head = (
-        _COL_MAJOR, b"S", m, n, a.ctypes.data, m, s.ctypes.data,
-        u.ctypes.data, m, vt.ctypes.data, k,
+    info = gesdd(
+        _COL_MAJOR, b"S", m, n, a.ctypes.data, max(m, 1), s.ctypes.data,
+        u.ctypes.data, max(m, 1), vt.ctypes.data, max(k, 1),
     )
-    query, failure = np.empty(1), "SVD did not converge"
-    _call_lapacke(gesdd, failure, *head, query.ctypes.data, -1, iwork.ctypes.data)
-    lwork = int(query[0]) or 1
-    work = np.empty(lwork)
-    _call_lapacke(gesdd, failure, *head, work.ctypes.data, lwork, iwork.ctypes.data)
-    del a, work
-    u = np.ascontiguousarray(u)
-    vt = np.ascontiguousarray(vt)
-    return u, s, vt
+    del a
+    _check(info, "SVD did not converge")
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
 def _syevd(a: np.ndarray, syevd) -> tuple:
     """``np.linalg.eigh(a)`` as ``(w, vecs)``, bit for bit and in its C
-    order, for a symmetric Fortran-ordered ``a``: NumPy's dsyevd call (lower
-    triangle) with its queried workspace, on ``a`` itself, which LAPACK
-    overwrites with the eigenvectors. ``vecs`` is their copy in C order,
-    made once the workspace is freed."""
+    order, for a symmetric Fortran-ordered ``a``: one ``LAPACKE_dsyevd``
+    call with NumPy's jobs (vectors, lower triangle) on ``a`` itself, which
+    LAPACK overwrites with the eigenvectors; ``vecs`` is their copy in C
+    order. A leading dimension of at least 1 lets an empty ``a`` through."""
     n = a.shape[0]
     w = np.empty(n)
-    head = (_COL_MAJOR, b"V", b"L", n, a.ctypes.data, n, w.ctypes.data)
-    query, iquery = np.empty(1), np.empty(1, dtype=_blas_int())
-    failure = "Eigenvalues did not converge"
-    _call_lapacke(syevd, failure, *head, query.ctypes.data, -1, iquery.ctypes.data, -1)
-    lwork, liwork = int(query[0]), int(iquery[0])
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=_blas_int())
-    _call_lapacke(
-        syevd, failure, *head, work.ctypes.data, lwork, iwork.ctypes.data, liwork
-    )
-    del work
+    info = syevd(_COL_MAJOR, b"V", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
+    _check(info, "Eigenvalues did not converge")
     return w, np.ascontiguousarray(a)
 
 
@@ -329,11 +285,11 @@ def _one_blas_thread(on: bool):
     """Run the body on one OpenBLAS thread, if ``on``; the first of
     overlapping callers saves the process's count and the last restores it."""
     global _one_thread_users, _one_thread_saved
-    threads = _openblas_threads()
-    if threads is None or not on:
+    blas = _openblas()
+    get, put = blas.get_threads, blas.set_threads
+    if not on or get is None or put is None:
         yield
         return
-    get, put = threads
     with _one_thread_lock:
         if _one_thread_users == 0:
             _one_thread_saved = get()
@@ -351,18 +307,20 @@ def _one_blas_thread(on: bool):
 def svd(c) -> SvdFactors:
     """Thin SVD with numerical-rank detection.
 
-    The SVD is LAPACKE's dgesdd where that is found, on one OpenBLAS thread
-    when the smaller side is at most 64 (see the module docstring). Raises
-    :class:`InvalidInput` on a non-finite entry or norm and
-    :class:`numpy.linalg.LinAlgError` when the SVD does not converge.
+    The SVD is one call of OpenBLAS's ``LAPACKE_dgesdd`` (:func:`_gesdd`),
+    or NumPy's ``svd`` where that is not bound, on one OpenBLAS thread when
+    the smaller side is at most 64 (see the module docstring). Raises
+    :class:`InvalidInput` on a non-finite entry or norm,
+    :class:`numpy.linalg.LinAlgError` when the SVD does not converge and
+    :class:`MemoryError` when LAPACKE cannot allocate its workspace.
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
-    lapacke = _lapacke() if c.size else None
+    gesdd = _openblas().gesdd
     with _one_blas_thread(min(c.shape) <= _ONE_THREAD_SIDE):
-        if lapacke is None:
+        if gesdd is None:
             u, s, vt = np.linalg.svd(c, full_matrices=False)
         else:
-            u, s, vt = _gesdd(c, lapacke[0])
+            u, s, vt = _gesdd(c, gesdd)
     tol = float(s[0]) * max(c.shape) * _EPS if s.size else 0.0
     numeric_rank = int(np.count_nonzero(s > tol))
     return SvdFactors(u=u, sigma=s, v=vt.T, numeric_rank=numeric_rank)
@@ -407,24 +365,25 @@ def psd_sqrt(c) -> np.ndarray:
     tolerated estimation noise; anything more negative raises
     :class:`NotPsd`, and an asymmetry ``||c - c^T||`` above
     ``1e-8 * ||c||`` raises :class:`InvalidInput`. The eigendecomposition
-    of the symmetrized input keeps the root exactly symmetric; it is
-    LAPACKE's dsyevd where that is found (see the module docstring).
+    of the symmetrized input keeps the root exactly symmetric; it is one
+    call of OpenBLAS's ``LAPACKE_dsyevd`` (:func:`_syevd`), or NumPy's
+    ``eigh`` where that is not bound, and raises as :func:`svd` does.
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
     n = c.shape[0]
     if n != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
-    lapacke = _lapacke() if n else None
+    syevd = _openblas().syevd
     scale = float(np.linalg.norm(c))
     # one N x N buffer for c - c^T, then the symmetrized input and, where
-    # dsyevd is called directly, its eigenvectors; c - c^T is antisymmetric,
-    # so its norm has the same bits in either order
-    sym = np.empty(c.shape, order="F" if lapacke else "C")
+    # dsyevd is bound, its eigenvectors; c - c^T is antisymmetric, so its
+    # norm has the same bits in either order
+    sym = np.empty(c.shape, order="C" if syevd is None else "F")
     if np.linalg.norm(np.subtract(c, c.T, out=sym)) > _PSD_REL_TOL * scale:
         raise InvalidInput("psd_sqrt input is not symmetric within tolerance")
     np.add(c, c.T, out=sym)
     sym /= 2.0
-    w, vecs = np.linalg.eigh(sym) if lapacke is None else _syevd(sym, lapacke[1])
+    w, vecs = np.linalg.eigh(sym) if syevd is None else _syevd(sym, syevd)
     del sym
     if w.size and w[0] < -_PSD_REL_TOL * scale:
         raise NotPsd(f"eigenvalue {w[0]:.3e} below -{_PSD_REL_TOL:.0e} * ||c||")

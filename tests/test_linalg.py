@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra primitives."""
 
+import dataclasses
 import sys
 import threading
 
@@ -74,12 +75,33 @@ class TestSvd:
 
 
 @pytest.fixture
-def blas_threads():
-    """OpenBLAS's thread-count getter and setter; skips without OpenBLAS."""
-    threads = linalg._openblas_threads()
-    if threads is None:
+def openblas():
+    """NumPy's OpenBLAS as linalg binds it; skips unless every function is
+    bound."""
+    bound = linalg._openblas()
+    if None in vars(bound).values():
         pytest.skip("NumPy's linalg does not link OpenBLAS")
-    return threads
+    return bound
+
+
+def _bind(monkeypatch, **fields):
+    """Make linalg see its OpenBLAS record with ``fields`` replaced."""
+    record = dataclasses.replace(linalg._openblas(), **fields)
+    monkeypatch.setattr(linalg, "_openblas", lambda: record)
+
+
+def test_every_function_bound_where_numpy_links_scipy_openblas():
+    # a renamed symbol must not drop the one-thread rule, the in-place GEMM
+    # or the direct factorizations silently
+    try:
+        built = np.show_config(mode="dicts")["Build Dependencies"]
+        names = {built["blas"]["name"], built["lapack"]["name"]}
+    except (TypeError, KeyError):
+        pytest.skip("NumPy does not report its BLAS and LAPACK")
+    if names != {"scipy-openblas"}:
+        pytest.skip(f"NumPy links {', '.join(sorted(names))}")
+    bound = vars(linalg._openblas())
+    assert [field for field, function in bound.items() if function is None] == []
 
 
 class TestThinSvdThreads:
@@ -104,10 +126,10 @@ class TestThinSvdThreads:
         [((32, 512), True), ((512, 32), True), ((512, 512), False)],
         ids=["32x512", "512x32", "512x512"],
     )
-    def test_threads_seen_by_the_svd(self, blas_threads, monkeypatch, shape, thin):
-        # every SVD is LAPACKE's dgesdd where it is found, called for its
-        # workspace size and then for the factors; a thin one on one thread
-        get, _ = blas_threads
+    def test_threads_seen_by_the_svd(self, openblas, monkeypatch, shape, thin):
+        # every SVD is one call of LAPACKE's dgesdd, or NumPy's svd where
+        # that is not bound; a thin one on one thread
+        get = openblas.get_threads
         caller = get()
         seen = []
 
@@ -118,38 +140,39 @@ class TestThinSvdThreads:
 
             return call
 
+        c = np.random.default_rng(6).standard_normal(shape)
         monkeypatch.setattr(np.linalg, "svd", spy("numpy", np.linalg.svd))
-        lapacke = linalg._lapacke()
-        if lapacke is not None:
-            gesdd = spy("lapacke", lapacke[0])
-            monkeypatch.setattr(linalg, "_lapacke", lambda: (gesdd, lapacke[1]))
-        svd(np.random.default_rng(6).standard_normal(shape))
+        _bind(monkeypatch, gesdd=spy("lapacke", openblas.gesdd))
+        svd(c)
+        _bind(monkeypatch, gesdd=None)
+        svd(c)
         threads = 1 if thin else caller
-        if lapacke is None:
-            assert seen == [("numpy", threads)]
-        else:
-            assert seen == [("lapacke", threads)] * 2
+        assert seen == [("lapacke", threads), ("numpy", threads)]
         assert get() == caller
 
-    def test_count_restored_after_a_raise(self, blas_threads, monkeypatch):
-        get, _ = blas_threads
+    def test_count_restored_after_a_raise(self, openblas, monkeypatch):
+        get = openblas.get_threads
         caller = get()
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        lapacke = linalg._lapacke()
-        if lapacke is not None:
-            monkeypatch.setattr(linalg, "_lapacke", lambda: (fail, lapacke[1]))
-        with pytest.raises(np.linalg.LinAlgError):
-            svd(np.ones((32, 512)))
-        assert get() == caller
+        # a driver that raises, one that cannot allocate, and NumPy's svd
+        for gesdd, error in [
+            (fail, np.linalg.LinAlgError),
+            (lambda *args: -1010, MemoryError),
+            (None, np.linalg.LinAlgError),
+        ]:
+            _bind(monkeypatch, gesdd=gesdd)
+            with pytest.raises(error):
+                svd(np.ones((32, 512)))
+            assert get() == caller
 
-    def test_overlapping_threads_restore_the_count(self, blas_threads):
+    def test_overlapping_threads_restore_the_count(self, openblas):
         # at two threads, a save-and-restore that is not counted across
         # overlapping callers would leave the process at one thread
-        get, put = blas_threads
+        get, put = openblas.get_threads, openblas.set_threads
         caller, interval = get(), sys.getswitchinterval()
         c = np.random.default_rng(7).standard_normal((32, 64))
         done = []
@@ -174,20 +197,10 @@ class TestThinSvdThreads:
             sys.setswitchinterval(interval)
             put(caller)
 
-    def test_setter_found_where_numpy_links_scipy_openblas(self):
-        # a renamed symbol must not drop the one-thread rule silently
-        try:
-            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        except (TypeError, KeyError):
-            pytest.skip("NumPy does not report its BLAS")
-        if name != "scipy-openblas":
-            pytest.skip(f"NumPy links {name}")
-        assert linalg._openblas_threads() is not None
-
     def test_without_openblas_svd_is_unchanged(self, monkeypatch):
         c = np.random.default_rng(8).standard_normal((32, 512))
         want = svd(c)
-        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", linalg._OpenBlas)
         got = svd(c)
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.sigma, want.sigma)
@@ -222,7 +235,7 @@ def _half_zero(rows, cols):
 
 
 # Inputs that svd and psd_sqrt factor by LAPACKE's drivers where those are
-# found: sample moments of N from 1 to 512 (N <= 64 also take the thin
+# bound: sample moments of N from 1 to 512 (N <= 64 also take the thin
 # SVD's one thread; 65 to 100 fall in OpenBLAS's small-matrix GEMM range,
 # where the bits of a product depend on its operands' order), thin and other
 # rectangles, a thin one whose second half of columns is zero, a
@@ -244,22 +257,13 @@ _DIRECT = {
     "rank_deficient": lambda: _zero_sensor(96),
     "sample_moment": lambda: _gram(np.random.default_rng(3), 128, 40),
     "zero": lambda: np.zeros((96, 96)),
-    # LAPACK refuses a zero leading dimension; these keep NumPy's call
+    # a leading dimension of 1 gives these NumPy's shapes
     **{
         f"empty_{a}x{b}": lambda a=a, b=b: np.zeros((a, b))
         for a, b in [(0, 5), (5, 0), (0, 0)]
     },
 }
 _SQUARE = [name for name, make in _DIRECT.items() if len(set(make().shape)) == 1]
-
-
-@pytest.fixture
-def lapacke():
-    """LAPACKE's dgesdd and dsyevd drivers; skips where they are not found."""
-    found = linalg._lapacke()
-    if found is None:
-        pytest.skip("NumPy's linalg does not link OpenBLAS's LAPACKE")
-    return found
 
 
 def _same(got, want):
@@ -272,51 +276,50 @@ def _same(got, want):
 
 
 class TestLapackeDirect:
-    """A non-empty SVD or PSD root runs LAPACKE's dgesdd or dsyevd in
+    """An SVD or PSD root runs one call of LAPACKE's dgesdd or dsyevd in
     buffers the library owns, and gives NumPy's results and layouts bit for
-    bit; an empty one is NumPy's."""
+    bit, empty inputs included."""
 
     @pytest.mark.parametrize("name", _DIRECT)
-    def test_svd_is_numpys(self, lapacke, monkeypatch, name):
+    def test_svd_is_numpys(self, openblas, monkeypatch, name):
         c = _DIRECT[name]()
         calls = []
 
         def gesdd(*args):
             calls.append(args)
-            return lapacke[0](*args)
+            return openblas.gesdd(*args)
 
-        monkeypatch.setattr(linalg, "_lapacke", lambda: (gesdd, lapacke[1]))
+        _bind(monkeypatch, gesdd=gesdd)
         f = svd(c)
-        # the workspace query, then the factors
-        assert len(calls) == (2 if c.size else 0)
+        # LAPACKE sizes the workspace within the one call
+        assert len(calls) == 1
         u, s, vt = np.linalg.svd(c, full_matrices=False)
         _same(f.u, u)
         _same(f.sigma, s)
         _same(f.v, vt.T)
-        monkeypatch.setattr(linalg, "_lapacke", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", linalg._OpenBlas)
         g = svd(c)
         assert g.numeric_rank == f.numeric_rank
         _same(f.pinv(), g.pinv())
 
     @pytest.mark.parametrize("name", _SQUARE)
-    def test_eigh_and_psd_sqrt_are_numpys(self, lapacke, monkeypatch, name):
+    def test_eigh_and_psd_sqrt_are_numpys(self, openblas, monkeypatch, name):
         c = _DIRECT[name]()
-        if c.size:
-            # a copy: dsyevd overwrites it, and a 1 x 1 is already in order F
-            w, vecs = linalg._syevd(np.array(c, order="F"), lapacke[1])
-            want_w, want_vecs = np.linalg.eigh(c)
-            _same(w, want_w)
-            _same(vecs, want_vecs)
+        # a copy: dsyevd overwrites it, and a 1 x 1 is already in order F
+        w, vecs = linalg._syevd(np.array(c, order="F"), openblas.syevd)
+        want_w, want_vecs = np.linalg.eigh(c)
+        _same(w, want_w)
+        _same(vecs, want_vecs)
         calls = []
 
         def syevd(*args):
             calls.append(args)
-            return lapacke[1](*args)
+            return openblas.syevd(*args)
 
-        monkeypatch.setattr(linalg, "_lapacke", lambda: (lapacke[0], syevd))
+        _bind(monkeypatch, syevd=syevd)
         root = psd_sqrt(c)
-        assert len(calls) == (2 if c.size else 0)
-        monkeypatch.setattr(linalg, "_lapacke", lambda: None)
+        assert len(calls) == 1
+        monkeypatch.setattr(linalg, "_openblas", linalg._OpenBlas)
         _same(root, psd_sqrt(c))
 
     def test_empty_and_one_by_one_keep_numpys_results(self):
@@ -328,32 +331,26 @@ class TestLapackeDirect:
         assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
         assert psd_sqrt(np.array([[4.0]])).tolist() == [[2.0]]
 
-    @pytest.mark.parametrize("driver", [0, 1], ids=["svd", "psd_sqrt"])
-    def test_no_convergence_raises_as_numpy_does(self, lapacke, monkeypatch, driver):
-        # info > 0 from the factorization; the workspace query still answers
-        def not_converging(*args):
-            return lapacke[driver](*args) if -1 in args else 1
-
-        drivers = list(lapacke)
-        drivers[driver] = not_converging
-        monkeypatch.setattr(linalg, "_lapacke", lambda: tuple(drivers))
-        c = _DIRECT["128x128"]()
-        call, message = [
-            (svd, "SVD did not converge"),
-            (psd_sqrt, "Eigenvalues did not converge"),
-        ][driver]
-        with pytest.raises(np.linalg.LinAlgError, match=message):
-            call(c)
-
-    def test_lapacke_found_where_numpy_links_scipy_openblas(self):
-        # a renamed symbol must not drop the direct calls silently
-        try:
-            name = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
-        except (TypeError, KeyError):
-            pytest.skip("NumPy does not report its LAPACK")
-        if name != "scipy-openblas":
-            pytest.skip(f"NumPy links {name}")
-        assert linalg._lapacke() is not None
+    @pytest.mark.parametrize("driver", ["gesdd", "syevd"], ids=["svd", "psd_sqrt"])
+    def test_no_convergence_raises_as_numpy_does(self, openblas, monkeypatch, driver):
+        # info > 0: no convergence; -1010 and -1011: LAPACKE could not
+        # allocate its workspace or a transposed copy; -4: an argument LAPACK
+        # refused
+        call, message = {
+            "gesdd": (svd, "SVD did not converge"),
+            "syevd": (psd_sqrt, "Eigenvalues did not converge"),
+        }[driver]
+        caller = openblas.get_threads()
+        for info, error, match in [
+            (1, np.linalg.LinAlgError, message),
+            (-4, np.linalg.LinAlgError, message),
+            (-1010, MemoryError, "-1010"),
+            (-1011, MemoryError, "-1011"),
+        ]:
+            _bind(monkeypatch, **{driver: lambda *args, info=info: info})
+            with pytest.raises(error, match=match):
+                call(_DIRECT["128x128"]())
+            assert openblas.get_threads() == caller
 
 
 def _two_calls(c, a, b):
@@ -388,12 +385,12 @@ class TestSubtractProduct:
         # b is k rows of a samples matrix, of row stride s, as a sensor's
         # rows of a replay chunk are; the second chunk is short
         if not found:
-            monkeypatch.setattr(linalg, "_cblas_dgemm", lambda: None)
+            _bind(monkeypatch, dgemm=None)
         rng = np.random.default_rng(9)
         m, s, chunk = 32, 6000, 4096
         y = rng.standard_normal((k + 3, s))
         a = rng.standard_normal((m, k))
-        gemm = linalg._cblas_dgemm()
+        gemm = linalg._openblas().dgemm
         for cols in (slice(0, chunk), slice(chunk, s)):
             b = y[2 : 2 + k, cols]
             c = rng.standard_normal((m, b.shape[1]))
@@ -426,16 +423,6 @@ class TestSubtractProduct:
         with pytest.raises(ValueError, match="read-only"):
             linalg._subtract_product(c, a, b, np.empty(c.shape))
         assert np.array_equal(c, before)
-
-    def test_in_place_gemm_found_where_numpy_links_scipy_openblas(self):
-        # a renamed symbol must not drop the in-place step silently
-        try:
-            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        except (TypeError, KeyError):
-            pytest.skip("NumPy does not report its BLAS")
-        if name != "scipy-openblas":
-            pytest.skip(f"NumPy links {name}")
-        assert linalg._cblas_dgemm() is not None
 
 
 class TestTruncated:

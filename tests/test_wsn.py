@@ -1,5 +1,6 @@
 """Tests for encoder/decoder factorization and error evaluation."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -628,7 +629,8 @@ class TestRunningEmpiricalMse:
         # a step's in-place GEMM gives the bits of the two-call form while
         # n_j fits one OpenBLAS K block, and here n_j <= 8; at n_j = 512 the
         # rows would keep only the 1e-13 agreement above
-        monkeypatch.setattr(linalg, "_cblas_dgemm", lambda: None)
+        unbound = dataclasses.replace(linalg._openblas(), dgemm=None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: unbound)
         assert _replay(ens, trace) == got
 
     @pytest.mark.parametrize("layout", ["fortran_y", "fortran_blocks"])
