@@ -90,9 +90,9 @@ def _bind(monkeypatch, **fields):
     monkeypatch.setattr(linalg, "_openblas", lambda: record)
 
 
-def test_every_function_bound_where_numpy_links_scipy_openblas():
-    # a renamed symbol must not drop the one-thread rule, the in-place GEMM
-    # or the direct factorizations silently
+def _unbound_where_numpy_links_scipy_openblas(*fields):
+    """Those of ``fields`` that linalg's OpenBLAS record leaves unbound;
+    skips unless NumPy reports scipy-openblas as its BLAS and LAPACK."""
     try:
         built = np.show_config(mode="dicts")["Build Dependencies"]
         names = {built["blas"]["name"], built["lapack"]["name"]}
@@ -100,8 +100,8 @@ def test_every_function_bound_where_numpy_links_scipy_openblas():
         pytest.skip("NumPy does not report its BLAS and LAPACK")
     if names != {"scipy-openblas"}:
         pytest.skip(f"NumPy links {', '.join(sorted(names))}")
-    bound = vars(linalg._openblas())
-    assert [field for field, function in bound.items() if function is None] == []
+    bound = linalg._openblas()
+    return [field for field in fields if getattr(bound, field) is None]
 
 
 class TestThinSvdThreads:
@@ -196,6 +196,12 @@ class TestThinSvdThreads:
         finally:
             sys.setswitchinterval(interval)
             put(caller)
+
+    def test_setter_found_where_numpy_links_scipy_openblas(self):
+        # a renamed symbol must not drop the one-thread rule silently
+        assert _unbound_where_numpy_links_scipy_openblas(
+            "get_threads", "set_threads"
+        ) == []
 
     def test_without_openblas_svd_is_unchanged(self, monkeypatch):
         c = np.random.default_rng(8).standard_normal((32, 512))
@@ -352,6 +358,10 @@ class TestLapackeDirect:
                 call(_DIRECT["128x128"]())
             assert openblas.get_threads() == caller
 
+    def test_lapacke_found_where_numpy_links_scipy_openblas(self):
+        # a renamed symbol must not drop the direct calls silently
+        assert _unbound_where_numpy_links_scipy_openblas("gesdd", "syevd") == []
+
 
 def _two_calls(c, a, b):
     """``c - a @ b`` formed as the product into a buffer, then a subtraction."""
@@ -423,6 +433,10 @@ class TestSubtractProduct:
         with pytest.raises(ValueError, match="read-only"):
             linalg._subtract_product(c, a, b, np.empty(c.shape))
         assert np.array_equal(c, before)
+
+    def test_in_place_gemm_found_where_numpy_links_scipy_openblas(self):
+        # a renamed symbol must not drop the in-place step silently
+        assert _unbound_where_numpy_links_scipy_openblas("dgemm") == []
 
 
 class TestTruncated:
