@@ -184,11 +184,18 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` if it is read-only, float64 and owns its data, else such a copy."""
-    if a.dtype != np.float64 or a.flags.writeable or a.base is not None:
-        a = np.array(a, dtype=np.float64)
-        a.flags.writeable = False
-    return a
+    """``a`` if it is a float64 array over a ``bytes`` object, as every array
+    a model or a bank holds is, else a float64 copy of it over one, in its
+    memory order. NumPy refuses to make such an array, or a view of it,
+    writeable, and its ``bytes`` cannot change, so nothing that reads a held
+    array needs to check it."""
+    if a.dtype == np.float64 and isinstance(a.base, bytes):
+        return a
+    a = a.astype(np.float64, copy=False)
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = np.array(a, order="K")  # a strided view, in the order it keeps
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    return np.ndarray(a.shape, np.float64, a.tobytes(order), order=order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +203,10 @@ class SecondMomentModel:
     """The triple (E_xx, E_xy, E_yy) with sensor-block structure.
 
     The moments follow the README's array rule, finite norm included, and
-    the model holds them alone, as read-only float64 arrays of its own, so
-    what the solver keeps beside it (the solver module says what and when)
-    cannot go stale; the solver refuses a model whose moment has been made
-    writeable again. Compared by identity: ``==`` is ``is``, and a model
-    hashes.
+    the model holds them alone, as :func:`_frozen` arrays that no one can
+    write to or make writeable again, so what the solver keeps beside it
+    (the solver module says what and when) cannot go stale. Compared by
+    identity: ``==`` is ``is``, and a model hashes.
     """
 
     partition: SensorPartition
@@ -263,8 +269,6 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
         # remove rounding asymmetry before any eigendecomposition downstream
         e_xx = (e_xx + e_xx.T) / 2.0
         e_yy = (e_yy + e_yy.T) / 2.0
-    for a in (e_xx, e_xy, e_yy):  # the model keeps these, not copies
-        a.flags.writeable = False
     return SecondMomentModel(partition=part, e_xx=e_xx, e_xy=e_xy, e_yy=e_yy)
 
 

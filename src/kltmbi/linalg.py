@@ -376,9 +376,8 @@ def psd_sqrt(c) -> np.ndarray:
     syevd = _openblas().syevd
     scale = float(np.linalg.norm(c))
     # one N x N buffer for c - c^T, then the symmetrized input and, where
-    # dsyevd is bound, its eigenvectors; c - c^T is antisymmetric, so its
-    # norm has the same bits in either order
-    sym = np.empty(c.shape, order="C" if syevd is None else "F")
+    # dsyevd is bound, its eigenvectors
+    sym = np.empty(c.shape, order="F")
     if np.linalg.norm(np.subtract(c, c.T, out=sym)) > _PSD_REL_TOL * scale:
         raise InvalidInput("psd_sqrt input is not symmetric within tolerance")
     np.add(c, c.T, out=sym)

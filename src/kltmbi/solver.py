@@ -42,11 +42,9 @@ Resuming. A solve keeps the state it ends in, p products of m x N and E
 (2 MB at N = 512, m = 32, p = 16), as the set-up's ``carried``. A solve
 from that state's very bank starts in it (:func:`_state`), so chained
 one-sweep solves form one product per sweep; any other start has each
-block's rank checked, p SVDs of m x n_j, and is formed from its blocks
-(:func:`_form`), p products of m x n_j x N. Models and banks hold
-read-only arrays, so both ways give the same bits. A caller can still set
-an array's ``writeable`` flag again: a model with such a moment is
-refused, and a start with such a block is formed from its blocks.
+block's rank checked, p SVDs of m x n_j, and is formed from its blocks,
+p products of m x n_j x N. Models and banks hold arrays that nothing can
+change (``covariance._frozen``), so both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -206,11 +204,7 @@ def _setup(model: SecondMomentModel) -> _Setup:
     numeric rank k_j counts the singular values of G_j above
     N * eps * max_i sigma_1(G_i), the root's scale rather than the block's
     own: a sensor with E_jj = 0, whose G_j is round-off, gets k_j = 0 and
-    F_j = 0. A moment made writeable again, which could have changed since
-    the set-up was formed, raises :class:`InvalidInput` naming it."""
-    for name in ("e_xx", "e_xy", "e_yy"):
-        if getattr(model, name).flags.writeable:
-            raise InvalidInput(f"the model's {name} has been made writeable again")
+    F_j = 0."""
     setup = _SETUPS.get(model)
     if setup is None:
         part = model.partition
@@ -340,28 +334,23 @@ def _rank_checked(fj: np.ndarray, j: int, rj: int) -> SvdFactors:
 
 
 def _objective(model: SecondMomentModel, bank: CompressorBank) -> float:
-    """``bank``'s objective f as :func:`_form` sums it, one product at a time."""
+    """``bank``'s objective f as :func:`_state` sums it, one product at a time."""
     products = (_product(model, j, fj) for j, fj in enumerate(bank.blocks))
     return _residual(model, products)[1]
 
 
-def _form(model: SecondMomentModel, bank: CompressorBank) -> _State:
-    """``bank``'s state, formed from its blocks (see Resuming above)."""
-    products = tuple(_product(model, j, fj) for j, fj in enumerate(bank.blocks))
-    fus = tuple(fj @ usj for fj, usj in zip(bank.blocks, _setup(model).us))
-    return _State(bank, products, fus, *_residual(model, products))
-
-
 def _state(model: SecondMomentModel, bank: CompressorBank) -> _State:
     """The state a solve from ``bank`` starts in (see Resuming above): the
-    carried one, or else one formed once each block's rank is checked."""
-    carried = _setup(model).carried
-    if carried is not None and carried.bank is bank:
-        if not any(b.flags.writeable for b in bank.blocks):
-            return carried
+    carried one if ``bank`` is its bank, or else one formed from the blocks
+    once each block's rank is checked."""
+    setup = _setup(model)
+    if setup.carried is not None and setup.carried.bank is bank:
+        return setup.carried
     for j, fj in enumerate(bank.blocks):
         _rank_checked(fj, j, model.partition.r[j])
-    return _form(model, bank)
+    products = tuple(_product(model, j, fj) for j, fj in enumerate(bank.blocks))
+    fus = tuple(fj @ usj for fj, usj in zip(bank.blocks, setup.us))
+    return _State(bank, products, fus, *_residual(model, products))
 
 
 def _gains(model: SecondMomentModel, state: _State) -> np.ndarray:
@@ -420,10 +409,9 @@ def mbi_solve(
     Raises :class:`InvalidInput` when ``model`` is not a
     :class:`SecondMomentModel`, ``start`` not a bank of the model's
     partition, a block of ``start`` above its rank bound (the bank the last
-    solve returned is not checked again), a moment of ``model`` made
-    writeable again or ``cfg`` not an :class:`MbiConfig`, and
-    :class:`NotPsd`, before any step, when E_yy has an eigenvalue below
-    -1e-8 * ||E_yy||.
+    solve returned is not checked again) or ``cfg`` not an
+    :class:`MbiConfig`, and :class:`NotPsd`, before any step, when E_yy has
+    an eigenvalue below -1e-8 * ||E_yy||.
     """
     part = _instance(model, SecondMomentModel, "model").partition
     if _instance(start, CompressorBank, "start").partition != part:

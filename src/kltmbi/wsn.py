@@ -108,7 +108,9 @@ def analytic_mse(model: SecondMomentModel, bank: CompressorBank) -> float:
     (N = n_total), and less where E_yy is ill-conditioned; below that,
     :func:`empirical_mse` of the training samples is the number to read.
     Works identically for exact and sample-estimated moments. Raises
-    :class:`InvalidInput` naming a moment of ``model`` made writeable again.
+    :class:`InvalidInput` when ``model`` is not a :class:`SecondMomentModel`,
+    ``bank`` not a :class:`CompressorBank` or their partitions disagree, and
+    :class:`NotPsd` when :func:`~kltmbi.solver.mbi_solve` would.
     """
     part = _instance(model, SecondMomentModel, "model").partition
     _instance(bank, CompressorBank, "bank")

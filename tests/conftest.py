@@ -103,7 +103,8 @@ def block_target(model, bank, j) -> np.ndarray:
     return target
 
 
-# model -> {j: (E_jj^(1/2))^+}; sound because a model's moments are read-only
+# model -> {j: (E_jj^(1/2))^+}; sound because nothing can change a model's
+# moments, nor make them writeable again
 _ROOT_PINVS = weakref.WeakKeyDictionary()
 
 

@@ -5,7 +5,8 @@ overflows raises InvalidInput naming the argument, in the message its kind
 of value gets. A partition, list of arrays, model, bank, ensemble, network,
 scenario spec or solver config of the wrong type raises it naming the
 argument too. Models and banks hold read-only float64 arrays of their own,
-in copies and pickles too."""
+in copies and pickles too, that neither they nor their views can be made
+writeable again."""
 
 import copy
 import dataclasses
@@ -521,17 +522,34 @@ DUPLICATES = {
 @pytest.mark.parametrize("duplicate", DUPLICATES)
 @pytest.mark.parametrize("holder", _holders())
 def test_models_and_banks_hold_read_only_float64_arrays(holder, duplicate):
+    # nor can a held array, or a view of it, be made writeable again
     obj = DUPLICATES[duplicate](_holders()[holder])
     for a in _held(obj):
         assert a.dtype == np.float64 and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] += 1.0
+        for view in (a, a.view()):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                view.flags.writeable = True
+
+
+def _own_copy(held, given) -> bool:
+    """Whether the array ``held`` is one float64 copy of ``given``, over a
+    ``bytes`` object of its own size."""
+    base = held.base
+    return (
+        held is not given
+        and isinstance(base, bytes)
+        and len(base) == held.nbytes
+        and not np.shares_memory(held, given)
+        and np.array_equal(held, given)
+    )
 
 
 def test_models_and_banks_hold_arrays_of_their_own():
-    # a write through the caller's array, even one it made read-only, does
-    # not reach the model or the bank; one already read-only and float64,
-    # that owns its data, is kept as it is
+    # a write through the caller's array does not reach the model or the
+    # bank; an array another model or bank holds is kept as it is, and any
+    # other, one read-only that owns its data included, is copied once
     e_xx = np.eye(2)
     view = e_xx.view()
     view.flags.writeable = False
@@ -543,3 +561,28 @@ def test_models_and_banks_hold_arrays_of_their_own():
     again = SecondMomentModel(PART, *_held(model))
     assert all(a is b for a, b in zip(_held(again), _held(model)))
     assert all(a is b for a, b in zip(_held(copy.copy(bank)), _held(bank)))
+    # a model's moment as a block, and a block as a moment
+    other = CompressorBank((model.e_xx, bank.blocks[1]), PART)
+    assert other.blocks[0] is model.e_xx and other.blocks[1] is bank.blocks[1]
+    assert SecondMomentModel(PART, bank.blocks[0], E_XY, E_YY).e_xx is bank.blocks[0]
+    assert bank.replace(0, other.blocks[0]).blocks[0] is model.e_xx
+    owner = np.eye(2)
+    owner.flags.writeable = False
+    for given in (
+        owner,
+        np.eye(2, dtype=np.int64),
+        model.e_xx.view(),
+        model.e_xx.T,
+        model.e_xx.view(np.int64).view(np.float64),
+        np.eye(4)[::2, ::2],
+        np.asfortranarray(np.eye(2) + np.tri(2)),
+        np.asfortranarray(np.ones((2, 4)))[:, ::2],
+    ):
+        held = SecondMomentModel(PART, given, E_XY, E_YY).e_xx
+        for a in (held, bank.replace(0, given).blocks[0]):
+            assert _own_copy(a, given)
+            # in the memory order np.array(order="K") copies it in
+            assert a.strides == np.array(given, dtype=np.float64).strides
+    # the last, a strided view of a Fortran-ordered array, in Fortran order
+    assert held.flags.f_contiguous and not held.flags.c_contiguous
+

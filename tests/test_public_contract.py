@@ -6,7 +6,8 @@ by ``analytic_mse``, the recorded trace and the per-block KLT oracle of
 hook that forms them, the residual and the block solve) and its step state
 (the state, its gains and its commit) can then change without touching any
 of them. Within the package, only ``solver.py`` names that set-up or writes
-to a model."""
+to a model, and neither the solver nor ``wsn.py`` checks whether a held
+array is writeable: ``covariance._frozen`` makes each one immutable."""
 
 import inspect
 import pathlib
@@ -127,6 +128,21 @@ def _two_of_each():
         "SvdFactors": (svd(np.eye(2)), svd(np.eye(2))),
         "MbiTrace": (mbi_solve(model, bank, cfg)[1], mbi_solve(model, bank, cfg)[1]),
     }
+
+
+# What the modules that read the held arrays never look at.
+_FLAGS = re.compile(r"writeable|setflags", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("name", ["solver.py", "wsn.py"])
+def test_no_module_that_reads_a_model_or_a_bank_checks_a_writeable_flag(name):
+    path = ROOT / "src" / "kltmbi" / name
+    hits = [
+        f"{name}:{number}: {line.strip()}"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _FLAGS.search(line)
+    ]
+    assert not hits, "\n".join(hits)
 
 
 @pytest.mark.parametrize("kind", sorted(_two_of_each()))

@@ -277,27 +277,34 @@ class TestMbiSolve:
 
     @pytest.mark.parametrize("name", ["e_xx", "e_xy", "e_yy"])
     def test_a_moment_made_writeable_again_is_refused(self, name):
+        # the set-up the model keeps can never go stale: no moment can be
+        # made writeable again, so every solve and MSE reads what it did
         model = example1_model()
         start = init_bank(model)
         mbi_solve(model, start, ONE_SWEEP)  # the model now keeps a set-up
-        getattr(model, name).flags.writeable = True
-        for call in (mbi_solve, analytic_mse):
-            with pytest.raises(InvalidInput, match=f"{name} has been made writeable"):
-                call(model, start)
+        before = _outcome(model, start)
+        _assert_unwriteable(getattr(model, name))
+        assert _outcome(model, start) == before
 
     def test_rescaled_moments_are_refused_not_read_stale(self):
-        # the kept set-up would still describe the moments as they were
+        # the kept set-up would still describe the moments as they were: a
+        # caller who sets the flag, rescales E_xy by 2 and E_xx by 4 and sets
+        # the flag back is stopped at the first step, and the model still
+        # gives the analytic MSE of its own moments, not of those
         model = example1_model()
         start = init_bank(model)
-        analytic_mse(model, start)
-        e_xx, e_xy = model.e_xx, model.e_xy
-        for a in (e_xx, e_xy):
-            a.flags.writeable = True
-        e_xx *= 4
-        e_xy *= 2
-        for call in (mbi_solve, analytic_mse):
-            with pytest.raises(InvalidInput, match="e_xx has been made writeable"):
-                call(model, start)
+        mse = analytic_mse(model, start)
+        before = _outcome(model, start)
+        for a, scale in ((model.e_xy, 2.0), (model.e_xx, 4.0)):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.flags.writeable = True
+                a *= scale
+                a.flags.writeable = False
+        assert _outcome(model, start) == before
+        rescaled = SecondMomentModel(
+            model.partition, 4.0 * model.e_xx, 2.0 * model.e_xy, model.e_yy
+        )
+        assert analytic_mse(rescaled, start) != mse
 
     def test_not_psd_raises_before_any_step(self, monkeypatch):
         # E_yy's negative eigenvalue lies just below, then just inside, the
@@ -389,6 +396,26 @@ def _fresh(model):
 
 def _bytes(bank):
     return [b.tobytes() for b in bank.blocks]
+
+
+def _outcome(model, start):
+    """What a one-sweep solve from ``start`` and the solve that resumes from
+    its bank return, as the bytes of their banks and their traces, and
+    ``start``'s analytic MSE."""
+    bank, trace = mbi_solve(model, start, ONE_SWEEP)
+    again, resumed = mbi_solve(model, bank, ONE_SWEEP)
+    solves = _bytes(bank), vars(trace), _bytes(again), vars(resumed)
+    return solves, analytic_mse(model, start)
+
+
+def _assert_unwriteable(a):
+    """Neither the held array ``a`` nor a view of it can be made writeable
+    or written in place."""
+    for view in (a, a.view()):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            view.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            view *= 2.0
 
 
 def _assert_oracle_sweeps(model, trace, scored, epsilon):
@@ -661,15 +688,17 @@ class TestResume:
     def test_a_returned_bank_made_writeable_forms_the_state_again(
         self, monkeypatch, family
     ):
-        # a block changed in place after its flag was set again: the state
-        # the model keeps no longer describes the bank
+        # no block of the returned bank can be made writeable or changed in
+        # place, so the state the model keeps still describes the bank: the
+        # solve from it resumes, forming no product before its first sweep
         for seed in range(3):
             model = FAMILIES[family](np.random.default_rng(600 + seed))
             bank, _ = mbi_solve(model, init_bank(model), self.CFG)
-            block = bank.blocks[0]
-            block.flags.writeable = True
-            block *= 2.0
-            self._assert_solves_as_fresh(monkeypatch, model, bank, model.partition.p)
+            blocks, mse = _bytes(bank), analytic_mse(model, bank)
+            for block in bank.blocks:
+                _assert_unwriteable(block)
+            assert _bytes(bank) == blocks and analytic_mse(model, bank) == mse
+            self._assert_solves_as_fresh(monkeypatch, model, bank, 0)
 
 
 def _state_bytes(state):

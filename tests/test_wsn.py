@@ -303,13 +303,6 @@ def _record_full(monkeypatch) -> list:
     return stacked
 
 
-def _fortran(a):
-    """``a`` as a read-only Fortran-ordered array of its own."""
-    a = np.asfortranarray(a)
-    a.flags.writeable = False
-    return a
-
-
 def _mbi_trace(ens, part, start=None):
     """The trace, with every bank, of an MBI solve on the moments of ``ens``,
     from the zero bank unless a ``start`` is given."""
@@ -635,9 +628,9 @@ class TestRunningEmpiricalMse:
 
     @pytest.mark.parametrize("layout", ["fortran_y", "fortran_blocks"])
     def test_layouts_cblas_cannot_take_are_replayed(self, layout):
-        # Fortran-ordered samples, or blocks (a read-only float64 block that
-        # owns its data is held as given, order and all), take the two-call
-        # form: a step's Y_jc or F_j' - F_j is not row-major
+        # Fortran-ordered samples, or blocks (a bank holds a block in the
+        # memory order given), take the two-call form: a step's Y_jc or
+        # F_j' - F_j is not row-major
         ens, part = self._sampled("additive_noise", 6, 3, 2 * wsn._CHUNK + 100)
         trace = _mbi_trace(ens, part)
         banks = trace.banks
@@ -646,7 +639,8 @@ class TestRunningEmpiricalMse:
             assert ens.y.flags.f_contiguous
         else:
             banks = [
-                CompressorBank(tuple(map(_fortran, b.blocks)), part) for b in banks
+                CompressorBank(tuple(map(np.asfortranarray, b.blocks)), part)
+                for b in banks
             ]
             assert all(f.flags.f_contiguous for b in banks for f in b.blocks)
         want = [empirical_mse(ens, b) for b in banks]
