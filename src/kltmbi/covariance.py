@@ -259,17 +259,21 @@ def estimate_moments(ens: SampleEnsemble, part: SensorPartition) -> SecondMoment
     _partition(part)
     _real_array(ens.x, "x", (part.m, None))
     _real_array(ens.y, "y", (part.n_total, None))
-    s = ens.s
+    x, y, moments = ens.x, ens.y, {}
     # moments beyond the float range come out infinite or NaN, and the model
     # rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        e_xx = (ens.x @ ens.x.T) / s
-        e_xy = (ens.x @ ens.y.T) / s
-        e_yy = (ens.y @ ens.y.T) / s
-        # remove rounding asymmetry before any eigendecomposition downstream
-        e_xx = (e_xx + e_xx.T) / 2.0
-        e_yy = (e_yy + e_yy.T) / 2.0
-    return SecondMomentModel(partition=part, e_xx=e_xx, e_xy=e_xy, e_yy=e_yy)
+        for name, a, b in (("e_xx", x, x), ("e_xy", x, y), ("e_yy", y, y)):
+            e = a @ b.T
+            e /= ens.s
+            if a is b:
+                # remove rounding asymmetry before any eigendecomposition
+                # downstream; the product is dropped before the model copies
+                # the moment, so at most two N x N arrays are held at once
+                e = np.add(e, e.T)
+                e /= 2.0
+            moments[name] = e
+    return SecondMomentModel(partition=part, **moments)
 
 
 # Two-sensor benchmark: three-dimensional source observed through additive

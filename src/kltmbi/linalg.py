@@ -10,25 +10,23 @@ truncation ties, PSD and symmetry) is relative to the input's own scale, so
 scaling an input by a power of two changes no decision.
 
 The module calls NumPy's own OpenBLAS through one binding,
-:func:`_openblas`. Every SVD and PSD root is one call of LAPACKE's
-``dgesdd`` or ``dsyevd`` with NumPy's job arguments, so it gives NumPy's
-results bit for bit; LAPACKE sizes, allocates and frees the workspace. The
-call works in buffers of its own: one Fortran-ordered copy of the input
-(for ``eigh``, the symmetrized input itself) and LAPACK's outputs, copied
-to NumPy's C order once the input copy is freed. NumPy holds all of those
-and its own results at once, so the set-up's N x N factorizations peak two
-N x N arrays lower. The outputs keep NumPy's order because for N up to
-about 100 OpenBLAS's small-matrix GEMMs round the products that follow
-(``pinv``, the root) differently when their operands are held in another
-order. Where a driver is not bound, NumPy's ``svd`` and ``eigh`` are the
-path.
+:func:`_openblas`. Every SVD is one call of LAPACKE's ``dgesdd`` with
+NumPy's job arguments, so it gives NumPy's results bit for bit; LAPACKE
+sizes, allocates and frees the workspace. The call works in buffers of its
+own: one Fortran-ordered copy of the input and LAPACK's outputs, copied to
+NumPy's C order once the input copy is freed. NumPy holds all of those and
+its own results at once, so the set-up's N x N SVDs peak two N x N arrays
+lower. The outputs keep NumPy's order because for N up to about 100
+OpenBLAS's small-matrix GEMMs round the products that follow (``pinv``)
+differently when their operands are held in another order. Where the
+driver is not bound, NumPy's ``svd`` is the path.
 
 A thin SVD, one whose smaller side is at most 64, runs with the process's
 OpenBLAS set to one thread and the caller's count restored after it: on two
 threads it is about twice as slow and gives the same bits. Larger SVDs, and
 every other call, keep the caller's count, because their bits depend on it.
-While a thin SVD runs, BLAS calls from other threads of the process also
-run on one thread.
+Thin SVDs from several threads take turns, and while one runs, BLAS calls
+from other threads of the process also run on one thread.
 
 :func:`_subtract_product` forms ``c -= a @ b`` as one in-place OpenBLAS
 GEMM where it can, with NumPy's two calls as the fallback.
@@ -57,10 +55,9 @@ _PSD_REL_TOL = 1e-8
 # on one and two threads stop between 128 x 512 and 256 x 512.
 _ONE_THREAD_SIDE = 64
 
-# Thin SVDs running now, and the thread count the last of them restores.
+# Held for the length of a thin SVD, so that the count one saves is never
+# the one thread another set.
 _one_thread_lock = threading.Lock()
-_one_thread_users = 0
-_one_thread_saved = 0
 
 
 class DegenerateTruncationWarning(UserWarning):
@@ -136,8 +133,6 @@ _SIGNATURES = {
     "dgemm": ("cblas_dgemm", "", "eeeiiidpipidpi"),
     # layout, jobz, M, N, A, lda, S, U, ldu, VT, ldvt
     "gesdd": ("LAPACKE_dgesdd", "i", "eciipippipi"),
-    # layout, jobz, uplo, N, A, lda, W
-    "syevd": ("LAPACKE_dsyevd", "i", "eccipip"),
 }
 
 
@@ -150,7 +145,6 @@ class _OpenBlas:
     set_threads: object = None
     dgemm: object = None
     gesdd: object = None
-    syevd: object = None
 
 
 @functools.cache
@@ -236,23 +230,15 @@ def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> N
     c -= scratch
 
 
-def _check(info: int, failure: str) -> None:
-    """Raise for a LAPACKE driver's ``info`` other than 0:
-    :class:`MemoryError` where LAPACKE could not allocate, else
-    :class:`numpy.linalg.LinAlgError` with NumPy's message ``failure``."""
-    if info in (-1010, -1011):  # no memory for the workspace or a transpose
-        raise MemoryError(f"LAPACKE could not allocate memory (info {info})")
-    if info:
-        raise np.linalg.LinAlgError(failure)
-
-
 def _gesdd(c: np.ndarray, gesdd) -> tuple:
     """``np.linalg.svd(c, full_matrices=False)`` as ``(u, s, vt)``, bit for
     bit and in its C order: one ``LAPACKE_dgesdd`` call with NumPy's job on
     a Fortran-ordered copy of ``c``, which LAPACK overwrites, into
     Fortran-ordered ``u`` and ``vt``, each copied to C order once that copy
     is freed. Leading dimensions of at least 1 let an empty ``c`` through
-    with NumPy's shapes."""
+    with NumPy's shapes. An ``info`` other than 0 raises
+    :class:`MemoryError` where LAPACKE could not allocate, else NumPy's
+    :class:`numpy.linalg.LinAlgError`."""
     m, n = c.shape
     k = min(m, n)
     a = np.array(c, order="F")
@@ -263,45 +249,30 @@ def _gesdd(c: np.ndarray, gesdd) -> tuple:
         u.ctypes.data, max(m, 1), vt.ctypes.data, max(k, 1),
     )
     del a
-    _check(info, "SVD did not converge")
+    if info in (-1010, -1011):  # no memory for the workspace or a transpose
+        raise MemoryError(f"LAPACKE could not allocate memory (info {info})")
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
-
-
-def _syevd(a: np.ndarray, syevd) -> tuple:
-    """``np.linalg.eigh(a)`` as ``(w, vecs)``, bit for bit and in its C
-    order, for a symmetric Fortran-ordered ``a``: one ``LAPACKE_dsyevd``
-    call with NumPy's jobs (vectors, lower triangle) on ``a`` itself, which
-    LAPACK overwrites with the eigenvectors; ``vecs`` is their copy in C
-    order. A leading dimension of at least 1 lets an empty ``a`` through."""
-    n = a.shape[0]
-    w = np.empty(n)
-    info = syevd(_COL_MAJOR, b"V", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
-    _check(info, "Eigenvalues did not converge")
-    return w, np.ascontiguousarray(a)
 
 
 @contextmanager
 def _one_blas_thread(on: bool):
-    """Run the body on one OpenBLAS thread, if ``on``; the first of
-    overlapping callers saves the process's count and the last restores it."""
-    global _one_thread_users, _one_thread_saved
+    """Run the body on one OpenBLAS thread, if ``on``, and restore the
+    process's count after it. The body holds ``_one_thread_lock``, so
+    callers on several threads take turns."""
     blas = _openblas()
     get, put = blas.get_threads, blas.set_threads
     if not on or get is None or put is None:
         yield
         return
     with _one_thread_lock:
-        if _one_thread_users == 0:
-            _one_thread_saved = get()
-            put(1)
-        _one_thread_users += 1
-    try:
-        yield
-    finally:
-        with _one_thread_lock:
-            _one_thread_users -= 1
-            if _one_thread_users == 0:
-                put(_one_thread_saved)
+        saved = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(saved)
 
 
 def svd(c) -> SvdFactors:
@@ -364,25 +335,22 @@ def psd_sqrt(c) -> np.ndarray:
     N x N input. Eigenvalues in ``[-1e-8 * ||c||, 0)`` are clamped as
     tolerated estimation noise; anything more negative raises
     :class:`NotPsd`, and an asymmetry ``||c - c^T||`` above
-    ``1e-8 * ||c||`` raises :class:`InvalidInput`. The eigendecomposition
-    of the symmetrized input keeps the root exactly symmetric; it is one
-    call of OpenBLAS's ``LAPACKE_dsyevd`` (:func:`_syevd`), or NumPy's
-    ``eigh`` where that is not bound, and raises as :func:`svd` does.
+    ``1e-8 * ||c||`` raises :class:`InvalidInput`. NumPy's ``eigh`` of
+    the symmetrized input keeps the root exactly symmetric, and raises
+    :class:`numpy.linalg.LinAlgError` as ``eigh`` does.
     """
     c = _real_array(np.asarray(c, dtype=np.float64), "c", finite=True)
     n = c.shape[0]
     if n != c.shape[1]:
         raise InvalidInput(f"psd_sqrt needs a square matrix, got {c.shape}")
-    syevd = _openblas().syevd
     scale = float(np.linalg.norm(c))
-    # one N x N buffer for c - c^T, then the symmetrized input and, where
-    # dsyevd is bound, its eigenvectors
-    sym = np.empty(c.shape, order="F")
+    # one N x N buffer for c - c^T, then the symmetrized input
+    sym = np.empty(c.shape)
     if np.linalg.norm(np.subtract(c, c.T, out=sym)) > _PSD_REL_TOL * scale:
         raise InvalidInput("psd_sqrt input is not symmetric within tolerance")
     np.add(c, c.T, out=sym)
     sym /= 2.0
-    w, vecs = np.linalg.eigh(sym) if syevd is None else _syevd(sym, syevd)
+    w, vecs = np.linalg.eigh(sym)
     del sym
     if w.size and w[0] < -_PSD_REL_TOL * scale:
         raise NotPsd(f"eigenvalue {w[0]:.3e} below -{_PSD_REL_TOL:.0e} * ||c||")

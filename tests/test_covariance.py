@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -111,6 +112,27 @@ class TestEstimateMoments:
             ]
         )
         assert np.array_equal(rebuilt, model.e_yy)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_peak_is_two_copies_of_the_moments(self, n):
+        # each moment's product is scaled and symmetrized in place, so the
+        # estimate holds at most the moments and the model's copies of them,
+        # plus one ufunc buffer for the transposed operand. Below NumPy's
+        # 256 KiB temporary elision (N = 128) a chain of temporaries held
+        # three N x N arrays at once.
+        m, s = 32, 300
+        rng = np.random.default_rng(4)
+        part = SensorPartition(m=m, n=(n // 8,) * 8, r=(4,) * 8)
+        ens = SampleEnsemble(
+            x=rng.standard_normal((m, s)), y=rng.standard_normal((n, s))
+        )
+        tracemalloc.start()
+        try:
+            estimate_moments(ens, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (n * n + m * n + m * m) + 8 * np.getbufsize()
 
     def test_shape_mismatch(self):
         part = SensorPartition(m=2, n=(2,), r=(1,))

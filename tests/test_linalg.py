@@ -240,12 +240,12 @@ def _half_zero(rows, cols):
     return c
 
 
-# Inputs that svd and psd_sqrt factor by LAPACKE's drivers where those are
-# bound: sample moments of N from 1 to 512 (N <= 64 also take the thin
-# SVD's one thread; 65 to 100 fall in OpenBLAS's small-matrix GEMM range,
-# where the bits of a product depend on its operands' order), thin and other
-# rectangles, a thin one whose second half of columns is zero, a
-# rank-deficient square, a sample moment from s < N samples and zero
+# Inputs that svd factors by LAPACKE's dgesdd where that is bound: sample
+# moments of N from 1 to 512 (N <= 64 also take the thin SVD's one thread;
+# 65 to 100 fall in OpenBLAS's small-matrix GEMM range, where the bits of a
+# product depend on its operands' order), thin and other rectangles, a thin
+# one whose second half of columns is zero, a rank-deficient square, a
+# sample moment from s < N samples and zero
 _DIRECT = {
     **{
         f"{n}x{n}": lambda n=n: _gram(np.random.default_rng(n), n, 2 * n)
@@ -269,7 +269,6 @@ _DIRECT = {
         for a, b in [(0, 5), (5, 0), (0, 0)]
     },
 }
-_SQUARE = [name for name, make in _DIRECT.items() if len(set(make().shape)) == 1]
 
 
 def _same(got, want):
@@ -282,9 +281,9 @@ def _same(got, want):
 
 
 class TestLapackeDirect:
-    """An SVD or PSD root runs one call of LAPACKE's dgesdd or dsyevd in
-    buffers the library owns, and gives NumPy's results and layouts bit for
-    bit, empty inputs included."""
+    """An SVD runs one call of LAPACKE's dgesdd in buffers the library owns,
+    and gives NumPy's results and layouts bit for bit, empty inputs
+    included."""
 
     @pytest.mark.parametrize("name", _DIRECT)
     def test_svd_is_numpys(self, openblas, monkeypatch, name):
@@ -308,26 +307,6 @@ class TestLapackeDirect:
         assert g.numeric_rank == f.numeric_rank
         _same(f.pinv(), g.pinv())
 
-    @pytest.mark.parametrize("name", _SQUARE)
-    def test_eigh_and_psd_sqrt_are_numpys(self, openblas, monkeypatch, name):
-        c = _DIRECT[name]()
-        # a copy: dsyevd overwrites it, and a 1 x 1 is already in order F
-        w, vecs = linalg._syevd(np.array(c, order="F"), openblas.syevd)
-        want_w, want_vecs = np.linalg.eigh(c)
-        _same(w, want_w)
-        _same(vecs, want_vecs)
-        calls = []
-
-        def syevd(*args):
-            calls.append(args)
-            return openblas.syevd(*args)
-
-        _bind(monkeypatch, syevd=syevd)
-        root = psd_sqrt(c)
-        assert len(calls) == 1
-        monkeypatch.setattr(linalg, "_openblas", linalg._OpenBlas)
-        _same(root, psd_sqrt(c))
-
     def test_empty_and_one_by_one_keep_numpys_results(self):
         f = svd(np.zeros((0, 5)))
         assert (f.u.shape, f.sigma.shape, f.v.shape) == ((0, 0), (0,), (5, 0))
@@ -337,30 +316,26 @@ class TestLapackeDirect:
         assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
         assert psd_sqrt(np.array([[4.0]])).tolist() == [[2.0]]
 
-    @pytest.mark.parametrize("driver", ["gesdd", "syevd"], ids=["svd", "psd_sqrt"])
-    def test_no_convergence_raises_as_numpy_does(self, openblas, monkeypatch, driver):
+    @pytest.mark.parametrize("call", [svd], ids=["svd"])
+    def test_no_convergence_raises_as_numpy_does(self, openblas, monkeypatch, call):
         # info > 0: no convergence; -1010 and -1011: LAPACKE could not
         # allocate its workspace or a transposed copy; -4: an argument LAPACK
         # refused
-        call, message = {
-            "gesdd": (svd, "SVD did not converge"),
-            "syevd": (psd_sqrt, "Eigenvalues did not converge"),
-        }[driver]
         caller = openblas.get_threads()
         for info, error, match in [
-            (1, np.linalg.LinAlgError, message),
-            (-4, np.linalg.LinAlgError, message),
+            (1, np.linalg.LinAlgError, "SVD did not converge"),
+            (-4, np.linalg.LinAlgError, "SVD did not converge"),
             (-1010, MemoryError, "-1010"),
             (-1011, MemoryError, "-1011"),
         ]:
-            _bind(monkeypatch, **{driver: lambda *args, info=info: info})
+            _bind(monkeypatch, gesdd=lambda *args, info=info: info)
             with pytest.raises(error, match=match):
                 call(_DIRECT["128x128"]())
             assert openblas.get_threads() == caller
 
     def test_lapacke_found_where_numpy_links_scipy_openblas(self):
         # a renamed symbol must not drop the direct calls silently
-        assert _unbound_where_numpy_links_scipy_openblas("gesdd", "syevd") == []
+        assert _unbound_where_numpy_links_scipy_openblas("gesdd") == []
 
 
 def _two_calls(c, a, b):

@@ -636,6 +636,138 @@ def test_the_oracle_step_is_klt_matrix(row):
             assert best_block(model, bank, j).tobytes() == want.tobytes()
 
 
+def _klt_explained(e_xy, e_yy, r) -> float:
+    """sum_{i <= r} sigma_i^2(E_xy (E_yy^(1/2))^+) for a full-rank E_yy: what
+    the rank-r KLT of x from y explains of tr E_xx."""
+    w, v = np.linalg.eigh(e_yy)
+    sigma = np.linalg.svd(e_xy @ (v / np.sqrt(w)) @ v.T, compute_uv=False)
+    return float(np.sum(sigma[:r] ** 2))
+
+
+def _decoupled(rng, p, m, n_j, r_j):
+    """p sensors of n_j entries that observe independent signals: E_yy = G G^T
+    is block-diagonal, E_xy = A E_yy and E_xx = E_xy E_yy^+ E_yx + I. The
+    objective separates by sensor, so the optimum is each sensor's own KLT,
+    tr E_xx - sum_j sum_{i <= r_j} sigma_i^2(E_{x y_j} (E_jj^(1/2))^+)."""
+    part = SensorPartition(m=m, n=(n_j,) * p, r=(r_j,) * p)
+    g = np.zeros((p * n_j, 2 * p * n_j))
+    for j in range(p):
+        g[j * n_j : (j + 1) * n_j, 2 * j * n_j : 2 * (j + 1) * n_j] = (
+            rng.standard_normal((n_j, 2 * n_j))
+        )
+    x = np.hstack([rng.standard_normal((m, p * n_j)) @ g, np.eye(m)])
+    y = np.hstack([g, np.zeros((p * n_j, m))])
+    model = joint_model_from_factor(np.vstack([x, y]), part)
+    explained = 0.0
+    for j in range(p):
+        yj = part.y_slice(j)
+        explained += _klt_explained(model.e_xy[:, yj], model.e_yy[yj, yj], r_j)
+    return model, np.trace(model.e_xx) - explained
+
+
+def _duplicates(rng, n, r):
+    """len(r) copies of one sensor y of n entries, so E_yy is singular, with
+    m = n: the optimum is the KLT of x from y at rank min(sum r_j, n)."""
+    part = SensorPartition(m=n, n=(n,) * len(r), r=r)
+    x, y = rng.standard_normal((2, n, 2 * n + 8))
+    model = joint_model_from_factor(np.vstack([x, *[y] * len(r)]), part)
+    k = min(sum(r), n)
+    explained = _klt_explained(model.e_xy[:, :n], model.e_yy[:n, :n], k)
+    return model, np.trace(model.e_xx) - explained
+
+
+def _random_sensors(rng):
+    """A random_model of 2-5 sensors of 2-7 entries and m of 4-11; no
+    optimum is known."""
+    n = tuple(int(v) for v in rng.integers(2, 8, size=rng.integers(2, 6)))
+    r = tuple(int(rng.integers(1, v + 1)) for v in n)
+    return random_model(rng, int(rng.integers(4, 12)), n, r), None
+
+
+def _permuted(model, perm):
+    """``model`` with its sensors in the order ``perm``: sensor j of the
+    result is sensor perm[j] of ``model``."""
+    part = model.partition
+    rows = np.concatenate([np.arange(part.n_total)[part.y_slice(j)] for j in perm])
+    return SecondMomentModel(
+        SensorPartition(
+            m=part.m,
+            n=tuple(part.n[j] for j in perm),
+            r=tuple(part.r[j] for j in perm),
+        ),
+        model.e_xx,
+        model.e_xy[:, rows],
+        model.e_yy[np.ix_(rows, rows)],
+    )
+
+
+# The model families of ANCHORS, drawn from a generator the row seeds. Each
+# returns the model and its optimum MSE in closed form, or None where no
+# optimum is known and the row checks the solve against the solve with its
+# sensors permuted.
+ANCHOR_FAMILIES = {
+    "decoupled": _decoupled,
+    "duplicates": _duplicates,
+    "permuted": _random_sensors,
+}
+
+
+class Anchor(NamedTuple):
+    family: str  # a key of ANCHOR_FAMILIES
+    size: tuple  # the family's arguments after the generator
+    seed: int
+    start: str  # "init_bank" or "zeros"
+    steps: int  # the solve's budget at epsilon 0: p + 1 stops after p steps
+
+
+# One row per anchor solve; test_anchor checks each.
+ANCHORS = [
+    *(
+        Anchor("decoupled", size, 0, start, size[0] + 1)
+        for size in [(8, 32, 32, 8), (4, 16, 8, 2)]
+        for start in _STARTS
+    ),
+    *(
+        Anchor("duplicates", (n, r), 0, "zeros", len(r) + 1)
+        for n, r in [(8, (2, 2)), (16, (2, 2, 2))]
+    ),
+    *(Anchor("permuted", (), seed, "zeros", 60) for seed in range(40)),
+]
+
+
+def _anchor_id(row: Anchor) -> str:
+    size = "x".join(
+        str(v) if isinstance(v, int) else "+".join(map(str, v)) for v in row.size
+    )
+    return "-".join(filter(None, (row.family, size, row.start, str(row.seed))))
+
+
+@pytest.mark.parametrize("row", ANCHORS, ids=_anchor_id)
+def test_anchor(row):
+    # a closed-form row converges at its optimum; any other solve chooses
+    # the sensors a solve with them permuted chooses, and ends at its MSE
+    rng = np.random.default_rng(row.seed)
+    model, optimum = ANCHOR_FAMILIES[row.family](rng, *row.size)
+
+    def solve(model):
+        if row.start == "init_bank":
+            start = init_bank(model)
+        else:
+            start = CompressorBank.zeros(model.partition)
+        return mbi_solve(model, start, _sweeps(row.steps))[1]
+
+    trace = solve(model)
+    chosen, mse = trace.chosen_block_per_iteration, trace.mse_per_iteration
+    if optimum is None:
+        perm = rng.permutation(model.partition.p)
+        other = solve(_permuted(model, perm))
+        assert [perm[j] for j in other.chosen_block_per_iteration] == chosen
+        assert abs(other.mse_per_iteration[-1] - mse[-1]) <= 1e-12 * mse[0]
+    else:
+        assert trace.converged and trace.iterations_used <= model.partition.p
+        assert abs(mse[-1] - optimum) <= 1e-10 * optimum
+
+
 class TestResume:
     """A solve keeps on the model the bank it returned and the state it ended
     in. The next solve from that very bank resumes from it and forms one
